@@ -196,10 +196,17 @@ def sample_function(f: Callable[[np.ndarray], np.ndarray], n: int) -> SampleVect
 
 
 def evaluate(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """Apply f to an array, falling back to a scalar loop if needed."""
+    """Apply f to an array, falling back to a scalar loop if needed.
+
+    The fallback serves f that only accept scalars; a SampleError from the
+    array call is raised at once.
+    """
     xs = np.asarray(xs, dtype=float)
     try:
         vals = np.asarray(f(xs), dtype=float)
+    except SampleError:
+        # a sampling failure is an answer, not a sign that f is scalar-only
+        raise
     except (TypeError, ValueError):
         vals = np.array([float(f(float(x))) for x in xs])
     if vals.shape != xs.shape:
@@ -226,67 +233,98 @@ def bernstein_apply_grid(samples: SampleVector, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _difference_points(x: float, offsets: Sequence[float]) -> list[float]:
+def _difference_points(x: np.ndarray, offsets: Sequence) -> list[np.ndarray]:
+    """Stencil abscissae x + off, one array per offset, clamped to [0,1].
+
+    Points within _EDGE_SLACK outside [0,1] are roundoff and are clamped;
+    points farther out raise DomainError.
+    """
     pts = []
     for off in offsets:
         p = x + off
-        if p < 0.0:
-            if p < -_EDGE_SLACK:
-                raise DomainError(
-                    f"difference stencil leaves [0,1]: point {p!r} from x={x!r}"
-                )
-            p = 0.0
-        elif p > 1.0:
-            if p > 1.0 + _EDGE_SLACK:
-                raise DomainError(
-                    f"difference stencil leaves [0,1]: point {p!r} from x={x!r}"
-                )
-            p = 1.0
-        pts.append(p)
+        bad = (p < -_EDGE_SLACK) | (p > 1.0 + _EDGE_SLACK)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DomainError(
+                f"difference stencil leaves [0,1]: point {float(p[i])!r} "
+                f"from x={float(x[i])!r}"
+            )
+        pts.append(np.clip(p, 0.0, 1.0))
     return pts
 
 
-def _check_diff_args(x: float, h: float, r: int) -> tuple[float, float, int]:
-    x = _check_unit(x)
+def _check_diff_args(x, h: float, r: int) -> tuple[np.ndarray, float, int]:
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise DomainError("difference base points must be a scalar or a 1-d array")
+    xs = np.atleast_1d(xs)
+    inside = (xs >= 0.0) & (xs <= 1.0)
+    if not inside.all():
+        raise DomainError(f"x must lie in [0,1], got {float(xs[~inside][0])!r}")
     h = float(h)
     if not h > 0.0:
         raise DomainError(f"step h must be positive, got {h!r}")
     if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 1:
         raise DomainError(f"difference order must be a positive integer, got {r!r}")
-    return x, h, int(r)
+    return xs, h, int(r)
 
 
-def _alternating_sum(f: Callable, pts: Sequence[float], r: int) -> float:
+def _compensated_sum(terms: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise sum of equal-shape arrays by a TwoSum cascade.
+
+    Ogita-Rump-Oishi Sum2 (SIAM J. Sci. Comput. 2005): the result is as
+    accurate as if summed in twice the working precision and then rounded.
+    """
+    total = terms[0]
+    comp = np.zeros_like(total)
+    for term in terms[1:]:
+        s = total + term
+        bp = s - total
+        comp += (total - (s - bp)) + (term - bp)
+        total = s
+    return total + comp
+
+
+def _alternating_sum(f: Callable, pts: Sequence[np.ndarray], r: int) -> np.ndarray:
+    # one array call of f per stencil offset k
     terms = []
     for k, p in enumerate(pts):
         c = math.comb(r, k)
-        v = float(f(p))
+        v = evaluate(f, p)
         terms.append(-c * v if k % 2 else c * v)
-    return math.fsum(terms)
+    return _compensated_sum(terms)
 
 
-def forward_difference(f: Callable, x: float, h: float, r: int) -> float:
-    """r-th forward difference: sum_k (-1)^k C(r,k) f(x + (r-k) h)."""
-    x, h, r = _check_diff_args(x, h, r)
-    pts = _difference_points(x, [(r - k) * h for k in range(r + 1)])
-    return _alternating_sum(f, pts, r)
+def _unwrap(x, vals: np.ndarray):
+    return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
-def backward_difference(f: Callable, x: float, h: float, r: int) -> float:
+def forward_difference(f: Callable, x, h: float, r: int):
+    """r-th forward difference: sum_k (-1)^k C(r,k) f(x + (r-k) h).
+
+    ``x`` is a scalar or a 1-d array of base points; the result has the
+    same form.
+    """
+    xs, h, r = _check_diff_args(x, h, r)
+    pts = _difference_points(xs, [(r - k) * h for k in range(r + 1)])
+    return _unwrap(x, _alternating_sum(f, pts, r))
+
+
+def backward_difference(f: Callable, x, h: float, r: int):
     """r-th backward difference: sum_k (-1)^k C(r,k) f(x - k h)."""
-    x, h, r = _check_diff_args(x, h, r)
-    pts = _difference_points(x, [-k * h for k in range(r + 1)])
-    return _alternating_sum(f, pts, r)
+    xs, h, r = _check_diff_args(x, h, r)
+    pts = _difference_points(xs, [-k * h for k in range(r + 1)])
+    return _unwrap(x, _alternating_sum(f, pts, r))
 
 
-def symmetric_difference(f: Callable, x: float, h: float, r: int) -> float:
+def symmetric_difference(f: Callable, x, h: float, r: int):
     """r-th central difference with step h*phi(x), phi(x) = sqrt(x(1-x)).
 
     Evaluation points are x + (r/2 - k) h phi(x), k = 0..r.  Points outside
     [0,1] (beyond roundoff slack) raise DomainError; callers that scan a
     grid are expected to filter such x out rather than clamp.
     """
-    x, h, r = _check_diff_args(x, h, r)
-    phi = math.sqrt(x * (1.0 - x))
-    pts = _difference_points(x, [(r / 2.0 - k) * h * phi for k in range(r + 1)])
-    return _alternating_sum(f, pts, r)
+    xs, h, r = _check_diff_args(x, h, r)
+    phi = np.sqrt(xs * (1.0 - xs))
+    pts = _difference_points(xs, [(r / 2.0 - k) * h * phi for k in range(r + 1)])
+    return _unwrap(x, _alternating_sum(f, pts, r))

@@ -4,8 +4,9 @@ The operator applies a moment-killing Bernstein combination not to f
 itself but to its blended extension around the weight center, one
 extension per ladder degree by default.  A ``shared_patch`` switch
 instead reuses the base-degree extension for every ladder degree, which
-trades patch self-similarity for fewer f evaluations; both variants are
-exercised by the experiment harness.
+trades patch self-similarity for fewer f evaluations.  The experiment
+harness uses only the default; ``shared_patch`` is reached through
+``build_modified_operator`` directly.
 
 The 2r-th derivative uses the classical identity
 

@@ -5,6 +5,11 @@ difference with the variable step h*sqrt(x(1-x)) away from the endpoints, and
 one-sided differences with the fixed step h on the two endpoint strips
 [0, 16h^2] and [1 - 16h^2, 1].  Taking the max over a geometric ladder of h
 values in (0, t] discretizes the supremum over 0 < h <= t.
+
+f is evaluated on arrays: each region and each h costs one call of f per
+stencil offset, about 3 * (r2 + 1) * h_count calls per modulus.  An f that
+only accepts scalars still works through the per-point fallback of
+``basis.evaluate``, just slowly.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ _GRID_EXCLUSION = 1e-12
 _CLUSTER_SPAN = 0.05
 _CLUSTER_FLOOR = 1e-9
 _ENDPOINT_FLOOR = 1e-7
+# largest accepted grid size: bounds the run time and memory of one sweep
+_MAX_GRID = 10**6
 
 
 def step_weight(x):
@@ -66,6 +73,8 @@ def make_grid(weight: Weight, size: int = 2001) -> EvaluationGrid:
     """Uniform backbone, geometric cluster at weight.xi, refined endpoints."""
     if size < 16:
         raise DomainError("grid size must be at least 16")
+    if size > _MAX_GRID:
+        raise DomainError(f"grid size must be at most {_MAX_GRID}, got {size}")
     xi = weight.xi
     pieces = [np.linspace(0.0, 1.0, size // 2)]
 
@@ -133,39 +142,6 @@ class ModulusParams:
         return self.t * 0.5 ** np.arange(self.h_count)
 
 
-def _central_term(f, weight: Weight, order: int, h: float, xs: np.ndarray) -> float:
-    best = 0.0
-    half = order / 2.0
-    for x in xs:
-        reach = half * h * math.sqrt(x * (1.0 - x))
-        if reach == 0.0:
-            continue
-        # skip x whose stencil leaves [0,1]; never clamp
-        if x - reach < 0.0 or x + reach > 1.0:
-            continue
-        val = abs(weight(x) * symmetric_difference(f, x, h, order))
-        if val > best:
-            best = val
-    return best
-
-
-def _edge_term(f, weight: Weight, order: int, h: float, xs: np.ndarray, forward: bool) -> float:
-    best = 0.0
-    for x in xs:
-        if forward:
-            if x + order * h > 1.0:
-                continue
-            d = forward_difference(f, x, h, order)
-        else:
-            if x - order * h < 0.0:
-                continue
-            d = backward_difference(f, x, h, order)
-        val = abs(weight(x) * d)
-        if val > best:
-            best = val
-    return best
-
-
 def weighted_modulus(f, weight: Weight, params: ModulusParams, grid: EvaluationGrid) -> float:
     """Weighted modulus of smoothness of order ``params.r2`` at ``params.t``.
 
@@ -175,15 +151,20 @@ def weighted_modulus(f, weight: Weight, params: ModulusParams, grid: EvaluationG
     """
     pts = grid.points
     order = params.r2
+    half = order / 2.0
     best = 0.0
     for h in params.h_ladder():
         cut = 16.0 * h * h
-        mid = pts[(pts >= cut) & (pts <= 1.0 - cut)]
-        lo = pts[pts <= cut]
-        hi = pts[pts >= 1.0 - cut]
-        val = _central_term(f, weight, order, h, mid)
-        val = max(val, _edge_term(f, weight, order, h, lo, forward=True))
-        val = max(val, _edge_term(f, weight, order, h, hi, forward=False))
-        if val > best:
-            best = val
+        # skip x whose stencil leaves [0,1]; never clamp
+        reach = half * h * np.sqrt(pts * (1.0 - pts))
+        mid = pts[(pts >= cut) & (pts <= 1.0 - cut) & (reach != 0.0)
+                  & (pts - reach >= 0.0) & (pts + reach <= 1.0)]
+        lo = pts[(pts <= cut) & (pts + order * h <= 1.0)]
+        hi = pts[(pts >= 1.0 - cut) & (pts - order * h >= 0.0)]
+        for xs, diff in ((mid, symmetric_difference), (lo, forward_difference),
+                         (hi, backward_difference)):
+            if xs.size:
+                vals = np.abs(weight(xs) * diff(f, xs, h, order))
+                # fmax: a NaN difference never wins the max
+                best = float(np.fmax.reduce(vals, initial=best))
     return best

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bernblend import (DomainError, SampleError, SampleVector,
                        backward_difference, basis_matrix, basis_row,
                        bernstein_apply, bernstein_apply_grid, bernstein_basis,
-                       forward_difference, log_binomial, sample_function,
+                       evaluate, forward_difference, log_binomial, sample_function,
                        symmetric_difference)
 
 
@@ -132,6 +132,33 @@ class TestSampleVector:
             sv.values[0] = 1.0
 
 
+class TestEvaluate:
+    def test_sample_error_raised_without_scalar_retry(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.ndim(x))
+            raise SampleError("singular", 0.5)
+
+        with pytest.raises(SampleError):
+            evaluate(f, np.linspace(0.0, 1.0, 5))
+        assert calls == [1]
+
+    def test_scalar_only_function_falls_back(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.ndim(x))
+            return math.cos(x)
+
+        xs = np.linspace(0.0, 1.0, 5)
+        np.testing.assert_array_equal(evaluate(f, xs), [math.cos(x) for x in xs])
+        assert calls == [1, 0, 0, 0, 0, 0]
+
+    def test_constant_broadcast(self):
+        np.testing.assert_array_equal(evaluate(lambda x: 7.0, np.zeros(3)), [7.0] * 3)
+
+
 class TestOperatorApply:
     def test_constant(self):
         sv = SampleVector(16, np.ones(17))
@@ -200,6 +227,51 @@ class TestFiniteDifferences:
             forward_difference(lambda x: x, 0.2, 0.1, 0)
         with pytest.raises(DomainError):
             forward_difference(lambda x: x, 1.5, 0.1, 1)
+
+    @pytest.mark.parametrize("diff", [forward_difference, backward_difference,
+                                      symmetric_difference])
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_array_matches_scalar(self, diff, r):
+        # arithmetic-only f, so values cannot depend on the array length
+        f = lambda x: x * x * x - 0.3 * x + 0.1
+        h = 0.01
+        # the extremes put a stencil end within roundoff of 0 or 1
+        xs = np.concatenate(([r * h, 0.0, 1.0 - r * h, 1.0],
+                             np.linspace(0.2, 0.8, 37)))
+        if diff is forward_difference:
+            xs = xs[xs + r * h <= 1.0]
+        elif diff is backward_difference:
+            xs = xs[xs - r * h >= 0.0]
+        else:
+            xs = xs[(xs > 0.1) & (xs < 0.9)]
+        got = diff(f, xs, h, r)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        want = [diff(f, float(x), h, r) for x in xs]
+        assert all(isinstance(w, float) for w in want)
+        np.testing.assert_array_equal(got, want)
+
+    def test_array_stencil_leaving_raises(self):
+        xs = np.array([0.2, 0.5, 0.95])
+        with pytest.raises(DomainError):
+            forward_difference(lambda x: x, xs, 0.1, 1)
+        with pytest.raises(DomainError):
+            forward_difference(lambda x: x, np.array([[0.2]]), 0.1, 1)
+        with pytest.raises(DomainError):
+            backward_difference(lambda x: x, np.array([0.5, np.nan]), 0.1, 1)
+
+    def test_array_stencil_clamps_roundoff(self):
+        # x + 3*0.1 overshoots 1 by one ulp; the point is clamped to 1
+        seen = []
+
+        def f(x):
+            seen.append(np.max(x))
+            return np.asarray(x)
+
+        x = 0.7000000000000002
+        assert x + 3 * 0.1 > 1.0
+        got = forward_difference(f, np.array([x]), 0.1, 3)
+        assert max(seen) == 1.0
+        assert got[0] == pytest.approx(0.0, abs=1e-15)
 
     @given(
         r=st.integers(1, 4),

@@ -163,6 +163,16 @@ class TestExitCodes:
             "--t", "0.2", "--grid", "401"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["approx", "modulus", "lemma"])
+    def test_grid_size_capped(self, capsys, command):
+        argv = [command, "--grid", "100000000"]
+        if command == "lemma":
+            argv.insert(1, "1")
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "grid size must be at most 1000000" in err
+
     def test_bad_format_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"format": "yaml"}))

@@ -52,6 +52,10 @@ class TestGrid:
         with pytest.raises(DomainError):
             make_grid(weight_center, 8)
 
+    def test_size_ceiling(self, weight_center):
+        with pytest.raises(DomainError, match="at most"):
+            make_grid(weight_center, 10**6 + 1)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             EvaluationGrid(8, np.linspace(0.0, 1.0, 5), 0.5)
@@ -135,6 +139,81 @@ class TestModulusParams:
         np.testing.assert_allclose(
             params.h_ladder(), 0.125 * 0.5 ** np.arange(8), rtol=0
         )
+
+
+def oracle_modulus(f, weight, r2, t, grid, h_count=8):
+    """Reference modulus: a per-point loop with one math.fsum per stencil.
+
+    f is evaluated in one array call over every stencil point, so the
+    reference checks the region rules, the stencil abscissae and the
+    summation, not the evaluation route.
+    """
+    stencils = []
+    for h in (t * 0.5 ** np.arange(h_count)).tolist():
+        cut = 16.0 * h * h
+        for x in grid.points.tolist():
+            if cut <= x <= 1.0 - cut:
+                phi = math.sqrt(x * (1.0 - x))
+                reach = r2 / 2.0 * h * phi
+                if reach > 0.0 and x - reach >= 0.0 and x + reach <= 1.0:
+                    stencils.append((x, [x + (r2 / 2.0 - k) * h * phi
+                                         for k in range(r2 + 1)]))
+            if x <= cut and x + r2 * h <= 1.0:
+                stencils.append((x, [x + (r2 - k) * h for k in range(r2 + 1)]))
+            if x >= 1.0 - cut and x - r2 * h >= 0.0:
+                stencils.append((x, [x - k * h for k in range(r2 + 1)]))
+    flat = np.array([p for _, pts in stencils for p in pts])
+    assert np.all((flat >= 0.0) & (flat <= 1.0))
+    vals = iter(np.asarray(f(flat), dtype=float).tolist())
+    best = 0.0
+    for x, _ in stencils:
+        terms = [(-1) ** k * math.comb(r2, k) * next(vals) for k in range(r2 + 1)]
+        best = max(best, abs(weight(x) * math.fsum(terms)))
+    return best
+
+
+class TestModulusOracle:
+    @pytest.mark.parametrize("xi", [0.5, 0.513])
+    @pytest.mark.parametrize("r2", [2, 4, 6])
+    @pytest.mark.parametrize("key", DEFAULT_KEYS)
+    def test_matches_per_point_fsum(self, key, r2, xi):
+        weight = Weight(xi, 1.0)
+        grid = make_grid(weight, 401)
+        f = make_function(parse_spec(key), weight)
+        for t in (0.125, 2.0**-5, 2.0**-8):
+            params = ModulusParams(r2=r2, t=t)
+            try:
+                want = oracle_modulus(f, weight, r2, t, grid)
+            except SampleError:
+                # a stencil lands on xi: the modulus must refuse it too
+                with pytest.raises(SampleError):
+                    weighted_modulus(f, weight, params, grid)
+                continue
+            got = weighted_modulus(f, weight, params, grid)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (t, got, want)
+
+    def test_scalar_only_function(self, weight513, grid513):
+        def f(x):
+            return math.sin(3.0 * x) * math.exp(x)
+
+        want = oracle_modulus(np.vectorize(f), weight513, 4, 2.0**-5, grid513)
+        got = weighted_modulus(f, weight513, ModulusParams(r2=4, t=2.0**-5), grid513)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("r2", [2, 6])
+    def test_calls_per_stencil_offset(self, r2, weight513, grid513):
+        # one array call per offset, region and h; never one per grid point
+        f = make_function(parse_spec("singular_power:beta=0.5"), weight513)
+        sizes = []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return f(x)
+
+        params = ModulusParams(r2=r2, t=0.125)
+        weighted_modulus(counted, weight513, params, grid513)
+        assert len(sizes) <= 3 * (r2 + 1) * params.h_count
+        assert sum(sizes) / len(sizes) > 50
 
 
 class TestWeightedModulus:
