@@ -8,9 +8,9 @@ observed convergence rates and scans the supporting kernel bounds.
 """
 
 from .basis import (SampleVector, backward_difference, basis_matrix,
-                    basis_row, bernstein_apply, bernstein_apply_grid,
-                    bernstein_basis, evaluate, forward_difference,
-                    log_binomial, sample_function, symmetric_difference)
+                    basis_row, bernstein_apply_grid, evaluate,
+                    forward_difference, log_binomial, sample_function,
+                    symmetric_difference)
 from .blend import (BlendSpec, Weight, barycentric_weights, blend_eval,
                     breakpoints, build_blend_spec, interpolation_nodes,
                     lagrange_interpolant, lebesgue_function)
@@ -18,8 +18,7 @@ from .catalog import (DEFAULT_KEYS, FunctionSpec, make_function,
                       membership_check, parse_spec)
 from .combination import (CombinationScheme, build_scheme,
                           coefficient_l1_bound, combine, combine_samples,
-                          make_schedule, moment, moment_grid, moment_table,
-                          solve_coefficients)
+                          make_schedule, moment_table, solve_coefficients)
 from .errors import (DomainError, MembershipError, MinNTooSmall,
                      NumericalError, SampleError)
 from .harness import (RateReport, SweepConfig, build_report,
@@ -29,7 +28,7 @@ from .harness import (RateReport, SweepConfig, build_report,
                       run_convergence)
 from .operators import (ModifiedOperator, blended_samples,
                         build_modified_operator, modified_operator,
-                        operator_derivative_2r, plain_combination)
+                        operator_derivative_2r)
 from .smoothness import (EvaluationGrid, ModulusParams, make_grid,
                          step_weight, weighted_modulus, weighted_norm)
 from .smoothstep import (SmoothstepPoly, build_smoothstep, determinant_check,
@@ -37,80 +36,3 @@ from .smoothstep import (SmoothstepPoly, build_smoothstep, determinant_check,
                          solve_psi_coefficients, system_matrix)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlendSpec",
-    "CombinationScheme",
-    "DEFAULT_KEYS",
-    "DomainError",
-    "EvaluationGrid",
-    "FunctionSpec",
-    "MembershipError",
-    "MinNTooSmall",
-    "ModifiedOperator",
-    "ModulusParams",
-    "NumericalError",
-    "RateReport",
-    "SampleError",
-    "SampleVector",
-    "SmoothstepPoly",
-    "SweepConfig",
-    "Weight",
-    "backward_difference",
-    "barycentric_weights",
-    "basis_matrix",
-    "basis_row",
-    "bernstein_apply",
-    "bernstein_apply_grid",
-    "bernstein_basis",
-    "blend_eval",
-    "blended_samples",
-    "breakpoints",
-    "build_blend_spec",
-    "build_modified_operator",
-    "build_report",
-    "build_scheme",
-    "build_smoothstep",
-    "check_bernstein_inequality",
-    "coefficient_l1_bound",
-    "combine",
-    "combine_samples",
-    "compare_plain_vs_modified",
-    "determinant_check",
-    "determinant_reference",
-    "emit_report",
-    "evaluate",
-    "fit_rate",
-    "forward_difference",
-    "interpolation_nodes",
-    "lagrange_interpolant",
-    "lebesgue_function",
-    "lemma1_scan",
-    "lemma3_decay",
-    "lemma5_scan",
-    "lemma6_scan",
-    "log_binomial",
-    "make_function",
-    "make_grid",
-    "make_schedule",
-    "membership_check",
-    "modified_operator",
-    "moment",
-    "moment_grid",
-    "moment_table",
-    "operator_derivative_2r",
-    "parse_spec",
-    "plain_combination",
-    "psi_derivative",
-    "psi_eval",
-    "render_report",
-    "run_convergence",
-    "sample_function",
-    "solve_coefficients",
-    "solve_psi_coefficients",
-    "step_weight",
-    "symmetric_difference",
-    "system_matrix",
-    "weighted_modulus",
-    "weighted_norm",
-]

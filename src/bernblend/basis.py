@@ -28,12 +28,17 @@ _EDGE_SLACK = 1e-12
 _CHUNK_ENTRIES = 4_000_000
 
 
+def _check_int(value, what: str, low: int) -> int:
+    """``value`` as an int; DomainError unless it is an integer >= ``low``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise DomainError(f"{what} must be >= {low}, got {value}")
+    return int(value)
+
+
 def _check_degree(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"degree n must be an integer, got {n!r}")
-    if n < 1:
-        raise DomainError(f"degree n must be >= 1, got {n}")
-    return int(n)
+    return _check_int(n, "degree n", 1)
 
 
 def _check_unit(x: float, what: str = "x") -> float:
@@ -71,11 +76,19 @@ def _log_binom_row(n: int) -> np.ndarray:
 def log_binomial(n: int, k: int) -> float:
     """ln C(n,k) for integers 0 <= k <= n."""
     n = _check_degree(n)
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise DomainError(f"index k must be an integer, got {k!r}")
-    if not 0 <= k <= n:
+    if _check_int(k, "index k", 0) > n:
         raise DomainError(f"index k must satisfy 0 <= k <= n={n}, got {k}")
     return float(_log_binom_row(n)[k])
+
+
+def _check_indices(n: int, ks) -> np.ndarray:
+    """Basis indices as int64: all of 0..n for None, else integers in 0..n."""
+    if ks is None:
+        return np.arange(n + 1)
+    ks = np.asarray(ks)
+    if ks.size and (ks.dtype.kind not in "iu" or ks.min() < 0 or ks.max() > n):
+        raise DomainError(f"basis indices must be integers in 0..{n}")
+    return ks.astype(np.int64, copy=False)
 
 
 def _row_interior(n: int, x: float, ks: np.ndarray) -> np.ndarray:
@@ -89,12 +102,7 @@ def basis_row(n: int, x: float, ks: np.ndarray | None = None) -> np.ndarray:
     """p_{nk}(x) for k in ``ks`` (default: all of 0..n)."""
     n = _check_degree(n)
     x = _check_unit(x)
-    if ks is None:
-        ks = np.arange(n + 1)
-    else:
-        ks = np.asarray(ks, dtype=np.int64)
-        if ks.size and (ks.min() < 0 or ks.max() > n):
-            raise DomainError(f"basis indices must lie in 0..{n}")
+    ks = _check_indices(n, ks)
     if x == 0.0:
         return (ks == 0).astype(float)
     if x == 1.0:
@@ -112,12 +120,7 @@ def basis_matrix(n: int, xs: np.ndarray, ks: np.ndarray | None = None) -> np.nda
         raise DomainError("xs must be a 1-d array")
     if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
         raise DomainError("all evaluation points must lie in [0,1]")
-    if ks is None:
-        ks = np.arange(n + 1)
-    else:
-        ks = np.asarray(ks, dtype=np.int64)
-        if ks.size and (ks.min() < 0 or ks.max() > n):
-            raise DomainError(f"basis indices must lie in 0..{n}")
+    ks = _check_indices(n, ks)
     logc = _log_binom_row(n)[ks]
     out = np.empty((xs.size, ks.size))
     step = max(1, _CHUNK_ENTRIES // max(1, ks.size))
@@ -143,24 +146,6 @@ def basis_matrix(n: int, xs: np.ndarray, ks: np.ndarray | None = None) -> np.nda
             else:
                 block[mask] = (kk == 0).astype(float)
     return out
-
-
-def bernstein_basis(n: int, k: int, x: float) -> float:
-    """Single Bernstein basis value p_{nk}(x)."""
-    n = _check_degree(n)
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise DomainError(f"index k must be an integer, got {k!r}")
-    if not 0 <= k <= n:
-        raise DomainError(f"index k must satisfy 0 <= k <= n={n}, got {k}")
-    x = _check_unit(x)
-    if x == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if x == 1.0:
-        return 1.0 if k == n else 0.0
-    if x > 0.5:
-        x, k = 1.0 - x, n - k
-    logp = _log_binom_row(n)[k] + k * math.log(x) + (n - k) * math.log1p(-x)
-    return math.exp(logp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,12 +199,6 @@ def evaluate(f: Callable, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def bernstein_apply(samples: SampleVector, x: float) -> float:
-    """B_n(f, x) = sum_k f(k/n) p_{nk}(x), with exact (fsum) accumulation."""
-    row = basis_row(samples.n, x)
-    return math.fsum((row * samples.values).tolist())
-
-
 def bernstein_apply_grid(samples: SampleVector, xs: np.ndarray) -> np.ndarray:
     """Vectorized B_n(f, .) on an array of points."""
     xs = np.asarray(xs, dtype=float)
@@ -264,9 +243,7 @@ def _check_diff_args(x, h: float, r: int) -> tuple[np.ndarray, float, int]:
     h = float(h)
     if not h > 0.0:
         raise DomainError(f"step h must be positive, got {h!r}")
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 1:
-        raise DomainError(f"difference order must be a positive integer, got {r!r}")
-    return xs, h, int(r)
+    return xs, h, _check_int(r, "difference order", 1)
 
 
 def _compensated_sum(terms: Sequence[np.ndarray]) -> np.ndarray:

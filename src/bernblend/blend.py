@@ -26,9 +26,12 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import evaluate
+from .basis import _unwrap, evaluate
 from .errors import DomainError, MinNTooSmall, SampleError
 from .smoothstep import SmoothstepPoly, psi_eval
+
+# the degree search gives up at this n
+_MAX_N = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +46,8 @@ class Weight:
         alpha = float(self.alpha)
         if not 0.0 < xi < 1.0:
             raise DomainError(f"weight center must lie in (0,1), got {xi!r}")
-        if not alpha > 0.0:
-            raise DomainError(f"weight exponent must be positive, got {alpha!r}")
+        if not 0.0 < alpha < math.inf:
+            raise DomainError(f"weight exponent must be positive and finite, got {alpha!r}")
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "alpha", alpha)
 
@@ -68,13 +71,17 @@ def _node_numerators(n: int, r: int, xi: float) -> list[int]:
     return [math.floor(n * xi - (1.0 + j / r) * root) for j in range(r + 1)]
 
 
-def _first_valid_n(ok: Callable[[int], bool], start: int = 4) -> int:
-    n = start
-    while n < 10**7:
+def _first_valid_n(ok: Callable[[int], bool], d: float) -> int:
+    """Smallest n >= 4 with ok(n), for an ok(n) that implies n*d - 2*sqrt(n) >= 1."""
+    # that condition holds exactly for sqrt(n) >= (1 + sqrt(1 + d)) / d; the
+    # scan starts just below the root, so roundoff cannot skip the answer
+    root = (1.0 + math.sqrt(1.0 + d)) / d
+    n = max(4, math.floor(root * root) - 1)
+    while n < _MAX_N:
         if ok(n):
             return n
         n += 1
-    raise DomainError("no admissible degree below 1e7")
+    raise DomainError(f"no admissible degree below {_MAX_N:.0e}")
 
 
 def interpolation_nodes(n: int, r: int, weight: Weight) -> np.ndarray:
@@ -88,7 +95,7 @@ def interpolation_nodes(n: int, r: int, weight: Weight) -> np.ndarray:
 
     nums = _node_numerators(n, r, weight.xi)
     if not usable(n):
-        n_min = _first_valid_n(usable)
+        n_min = _first_valid_n(usable, weight.xi)
         raise MinNTooSmall(
             f"degree n={n} leaves no room for {r + 1} distinct interior patch "
             f"nodes at xi={weight.xi}; need n >= {n_min}",
@@ -113,7 +120,7 @@ def breakpoints(n: int, weight: Weight) -> tuple[float, float, float, float]:
     """The four blend breakpoints (b1, b2, b3, b4) on the lattice."""
     xi = weight.xi
     if not _breakpoint_ok(n, xi):
-        n_min = _first_valid_n(lambda m: _breakpoint_ok(m, xi))
+        n_min = _first_valid_n(lambda m: _breakpoint_ok(m, xi), min(xi, 1.0 - xi))
         raise MinNTooSmall(
             f"degree n={n} is too small for the blend window at xi={xi}; "
             f"need n >= {n_min}",
@@ -129,7 +136,7 @@ def breakpoints(n: int, weight: Weight) -> tuple[float, float, float, float]:
     if not (0 < nums[0] < nums[1] < nums[2] < nums[3] < n):
         raise MinNTooSmall(
             f"blend breakpoints collapse at n={n}, xi={xi}",
-            _first_valid_n(lambda m: _breakpoint_ok(m, xi)),
+            _first_valid_n(lambda m: _breakpoint_ok(m, xi), min(xi, 1.0 - xi)),
         )
     return tuple(m / n for m in nums)
 
@@ -177,10 +184,7 @@ def lagrange_interpolant(f: Callable, nodes: np.ndarray, x):
     nodes = np.asarray(nodes, dtype=float)
     fvals = _node_values(f, nodes)
     h = _lagrange_closure(fvals, nodes)
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim == 0:
-        return float(h(np.array([float(xs)]))[0])
-    return h(xs)
+    return _unwrap(x, h(np.atleast_1d(np.asarray(x, dtype=float))))
 
 
 def lebesgue_function(nodes: np.ndarray, x) -> np.ndarray:
@@ -249,13 +253,9 @@ def blend_eval(f: Callable, spec: BlendSpec, step: SmoothstepPoly, x):
     if step.r != spec.r:
         raise DomainError(f"smoothstep order {step.r} does not match patch order {spec.r}")
     b1, b2, b3, b4 = spec.breaks
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs).astype(float)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     t1 = psi_eval(step, (xs - b1) / (b2 - b1))
     t2 = psi_eval(step, (xs - b3) / (b4 - b3))
-    t1 = np.atleast_1d(t1)
-    t2 = np.atleast_1d(t2)
     fcoef = 1.0 - t1 + t2
     hcoef = t1 * (1.0 - t2)
     out = np.zeros(xs.shape)
@@ -267,4 +267,4 @@ def blend_eval(f: Callable, spec: BlendSpec, step: SmoothstepPoly, x):
     if hmask.any():
         h = _lagrange_closure(_node_values(f, spec.nodes), spec.nodes)
         out[hmask] += hcoef[hmask] * h(xs[hmask])
-    return float(out[0]) if scalar else out
+    return _unwrap(x, out)

@@ -7,6 +7,7 @@ pairs, with ``;`` separating the entries of a coefficient list.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -16,7 +17,13 @@ from .blend import Weight
 from .errors import DomainError, MembershipError, SampleError
 from .smoothness import EvaluationGrid
 
-_KINDS = ("smooth_sin", "smooth_poly", "singular_power", "singular_osc")
+# the parameters each kind accepts
+_PARAMS = {
+    "smooth_sin": ("freq",),
+    "smooth_poly": ("coeffs",),
+    "singular_power": ("beta",),
+    "singular_osc": ("beta", "freq"),
+}
 _SINGULAR_EXCLUSION = 1e-12
 # shells shrink by 1/8 each; max |wf| must at least halve from shell to shell
 _SHELL_RADII = (0.04, 0.005, 6.25e-4)
@@ -35,25 +42,26 @@ class FunctionSpec:
     params: Mapping[str, object]
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        allowed = _PARAMS.get(self.kind)
+        if allowed is None:
             raise DomainError(f"unknown function kind {self.kind!r}")
         p = dict(self.params)
-        if self.kind == "smooth_sin":
-            p.setdefault("freq", 1.0)
-            if p["freq"] <= 0:
-                raise DomainError("smooth_sin frequency must be positive")
-        elif self.kind == "smooth_poly":
-            coeffs = tuple(float(c) for c in p.get("coeffs", ()))
+        unknown = sorted(set(p) - set(allowed))
+        if unknown:
+            raise DomainError(f"{self.kind} takes only {'/'.join(allowed)}, got {unknown}")
+        if "freq" in allowed:
+            p["freq"] = _finite("freq", p.get("freq", 1.0))
+        if self.kind == "smooth_sin" and p["freq"] <= 0:
+            raise DomainError("smooth_sin frequency must be positive")
+        if self.kind == "smooth_poly":
+            coeffs = tuple(_finite("coeffs", c) for c in np.ravel(p.get("coeffs", ())))
             if not coeffs:
                 raise DomainError("smooth_poly needs at least one coefficient")
             p["coeffs"] = coeffs
-        else:
-            beta = p.get("beta")
-            if beta is None or not 0.0 < float(beta):
+        if self.is_singular:
+            p["beta"] = _finite("beta", p.get("beta", 0.0))
+            if not p["beta"] > 0.0:
                 raise DomainError("singular kinds need beta > 0")
-            p["beta"] = float(beta)
-            if self.kind == "singular_osc":
-                p.setdefault("freq", 1.0)
         object.__setattr__(self, "params", p)
 
     @property
@@ -63,6 +71,15 @@ class FunctionSpec:
     @property
     def is_singular(self) -> bool:
         return not self.is_smooth
+
+
+def _finite(name: str, value) -> float:
+    if np.ndim(value) != 0:
+        raise DomainError(f"parameter {name} takes one number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"parameter {name} must be finite, got {value!r}")
+    return value
 
 
 def parse_spec(key: str) -> FunctionSpec:
@@ -80,8 +97,6 @@ def parse_spec(key: str) -> FunctionSpec:
                 params[name] = tuple(float(v) for v in value.split(";"))
             else:
                 params[name] = float(value)
-    if kind == "smooth_poly" and isinstance(params.get("coeffs"), float):
-        params["coeffs"] = (params["coeffs"],)
     return FunctionSpec(kind=kind, params=params)
 
 

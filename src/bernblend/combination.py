@@ -24,8 +24,9 @@ import numpy as np
 from .basis import (
     SampleVector,
     _check_degree,
+    _check_int,
+    _unwrap,
     basis_row,
-    bernstein_apply,
     bernstein_apply_grid,
     sample_function,
 )
@@ -38,9 +39,8 @@ _CONDITION_RTOL = 1e-10
 def make_schedule(base_n: int, r: int) -> list[int]:
     """Degree ladder (base_n, 2*base_n, ..., r*base_n)."""
     base_n = _check_degree(base_n)
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 1:
-        raise DomainError(f"combination order r must be a positive integer, got {r!r}")
-    return [(i + 1) * base_n for i in range(int(r))]
+    r = _check_int(r, "combination order r", 1)
+    return [(i + 1) * base_n for i in range(r)]
 
 
 def _coefficient_fractions(nodes: Sequence[int]) -> list[Fraction]:
@@ -126,17 +126,11 @@ def combine_samples(
     for sv, n in zip(samples, scheme.nodes):
         if sv.n != n:
             raise DomainError(f"sample vector degree {sv.n} does not match node {n}")
-    if np.ndim(x) == 0:
-        terms = [
-            c * bernstein_apply(sv, float(x))
-            for c, sv in zip(scheme.coeffs.tolist(), samples)
-        ]
-        return math.fsum(terms)
-    xs = np.asarray(x, dtype=float)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros(xs.size)
     for c, sv in zip(scheme.coeffs.tolist(), samples):
         out += c * bernstein_apply_grid(sv, xs)
-    return out
+    return _unwrap(x, out)
 
 
 def combine(f: Callable, scheme: CombinationScheme, x) -> float | np.ndarray:
@@ -145,26 +139,11 @@ def combine(f: Callable, scheme: CombinationScheme, x) -> float | np.ndarray:
     return combine_samples(scheme, samples, x)
 
 
-def moment(scheme: CombinationScheme, power: int, x: float) -> float:
-    """Combined moment sum_i C_i B_{n_i}((t - x)^power, x)."""
-    if not isinstance(power, (int, np.integer)) or isinstance(power, bool) or power < 0:
-        raise DomainError(f"moment power must be a nonnegative integer, got {power!r}")
-    x = float(x)
-    return combine(lambda t: (np.asarray(t) - x) ** power, scheme, x)
-
-
-def moment_grid(scheme: CombinationScheme, power: int, xs: np.ndarray) -> np.ndarray:
-    """moment() over an array of points, sharing basis rows across powers.
-
-    Callers that need several powers at once should prefer moment_table.
-    """
-    return moment_table(scheme, [power], xs)[0]
-
-
 def moment_table(
     scheme: CombinationScheme, powers: Sequence[int], xs: np.ndarray
 ) -> np.ndarray:
-    """Array M[p, i] = combined moment of (t - x)^powers[p] at xs[i]."""
+    """Array M[p, i] = sum_j C_j B_{n_j}((t - x)^powers[p], x) at x = xs[i]."""
+    powers = [_check_int(p, "moment power", 0) for p in powers]
     xs = np.asarray(xs, dtype=float)
     out = np.zeros((len(powers), xs.size))
     lattices = [np.arange(n + 1) / n for n in scheme.nodes]

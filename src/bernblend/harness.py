@@ -205,8 +205,8 @@ def lemma1_scan(u: float, v: float, n_list, grid: EvaluationGrid) -> RateReport:
     value(n) = max_x sum_{k=1}^{n-1} (k/n)^-u (1-k/n)^-v p_nk(x)
                / (x^-u (1-x)^-v), x restricted to [1/n, 1-1/n].
     """
-    if u < 0 or v < 0:
-        raise DomainError("u and v must be nonnegative")
+    if not (0.0 <= u < math.inf and 0.0 <= v < math.inf):
+        raise DomainError(f"u and v must be finite and nonnegative, got {u!r}, {v!r}")
     values = []
     for n in n_list:
         xs = grid.points[(grid.points >= 1.0 / n) & (grid.points <= 1.0 - 1.0 / n)]
@@ -259,8 +259,8 @@ def lemma6_scan(beta: float, weight: Weight, n_list,
     value(n) = max_x w(x) sum_{|k-n xi| <= sqrt n} |k - n x|^beta p_nk(x)
                / (n^(beta - alpha/2) phi(x)^beta), x in [1/n, 1-1/n].
     """
-    if beta <= 0:
-        raise DomainError("beta must be positive")
+    if not 0.0 < beta < math.inf:
+        raise DomainError(f"beta must be positive and finite, got {beta!r}")
     values = []
     for n in n_list:
         xs = grid.points[(grid.points >= 1.0 / n) & (grid.points <= 1.0 - 1.0 / n)]

@@ -2,11 +2,7 @@
 
 The operator applies a moment-killing Bernstein combination not to f
 itself but to its blended extension around the weight center, one
-extension per ladder degree by default.  A ``shared_patch`` switch
-instead reuses the base-degree extension for every ladder degree, which
-trades patch self-similarity for fewer f evaluations.  The experiment
-harness uses only the default; ``shared_patch`` is reached through
-``build_modified_operator`` directly.
+extension per ladder degree.
 
 The 2r-th derivative uses the classical identity
 
@@ -26,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import SampleVector, basis_matrix, basis_row
+from .basis import SampleVector, _unwrap, basis_matrix
 from .blend import BlendSpec, Weight, blend_eval, build_blend_spec
-from .combination import CombinationScheme, build_scheme, combine, combine_samples
+from .combination import CombinationScheme, build_scheme, combine_samples
 from .errors import DomainError
 from .smoothstep import SmoothstepPoly, build_smoothstep
 
@@ -41,40 +37,30 @@ class ModifiedOperator:
     weight: Weight
     step: SmoothstepPoly
     specs: tuple[BlendSpec, ...]
-    shared_patch: bool = False
 
     def __post_init__(self):
         if self.step.r != self.scheme.r:
             raise DomainError("smoothstep order must equal the combination order")
         if len(self.specs) != self.scheme.r:
             raise DomainError("need one blend spec per ladder degree")
-        for i, spec in enumerate(self.specs):
+        for spec, n in zip(self.specs, self.scheme.nodes):
             if spec.r != self.scheme.r:
                 raise DomainError("blend spec order must equal the combination order")
             if spec.weight is not self.weight and (
                 spec.weight.xi != self.weight.xi or spec.weight.alpha != self.weight.alpha
             ):
                 raise DomainError("all blend specs must share the operator weight")
-            if not self.shared_patch and spec.n != self.scheme.nodes[i]:
+            if spec.n != n:
                 raise DomainError(
-                    f"blend spec degree {spec.n} does not match ladder node "
-                    f"{self.scheme.nodes[i]}"
+                    f"blend spec degree {spec.n} does not match ladder node {n}"
                 )
-        if self.shared_patch and any(s.n != self.scheme.base_n for s in self.specs):
-            raise DomainError("shared-patch specs must all use the base degree")
 
 
-def build_modified_operator(
-    base_n: int, r: int, weight: Weight, *, shared_patch: bool = False
-) -> ModifiedOperator:
+def build_modified_operator(base_n: int, r: int, weight: Weight) -> ModifiedOperator:
     scheme = build_scheme(base_n, r)
     step = build_smoothstep(r)
-    if shared_patch:
-        spec = build_blend_spec(base_n, r, weight)
-        specs = tuple([spec] * r)
-    else:
-        specs = tuple(build_blend_spec(n, r, weight) for n in scheme.nodes)
-    return ModifiedOperator(scheme, weight, step, specs, shared_patch)
+    specs = tuple(build_blend_spec(n, r, weight) for n in scheme.nodes)
+    return ModifiedOperator(scheme, weight, step, specs)
 
 
 def blended_samples(op: ModifiedOperator, f: Callable) -> list[SampleVector]:
@@ -111,20 +97,10 @@ def operator_derivative_2r(op: ModifiedOperator, f: Callable, x):
             f"base degree {op.scheme.base_n} must exceed the derivative order {order}"
         )
     samples = blended_samples(op, f)
-    scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros(xs.size)
     for c, n_i, sv in zip(op.scheme.coeffs.tolist(), op.scheme.nodes, samples):
         diffs = _lattice_forward_diffs(sv.values, order)
         factor = float(math.perm(n_i, order))
-        if scalar:
-            row = basis_row(n_i - order, float(xs[0]))
-            out[0] += c * factor * math.fsum((row * diffs).tolist())
-        else:
-            out += c * factor * (basis_matrix(n_i - order, xs) * diffs).sum(axis=1)
-    return float(out[0]) if scalar else out
-
-
-def plain_combination(f: Callable, scheme: CombinationScheme, x):
-    """The unblended combination, for side-by-side comparisons."""
-    return combine(f, scheme, x)
+        out += c * factor * (basis_matrix(n_i - order, xs) * diffs).sum(axis=1)
+    return _unwrap(x, out)

@@ -15,7 +15,7 @@ only accepts scalars still works through the per-point fallback of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,7 +113,11 @@ def weighted_norm(g, weight: Weight, grid: EvaluationGrid) -> float:
         vals = np.asarray(g, dtype=float)
         if vals.shape != xs.shape:
             raise DomainError("value array does not match the grid")
-    prod = weight(xs) * vals
+    return _weighted_max(xs, weight(xs) * vals)
+
+
+def _weighted_max(xs: np.ndarray, prod: np.ndarray) -> float:
+    """max |prod|; a non-finite entry raises SampleError naming its x."""
     bad = ~np.isfinite(prod)
     if np.any(bad):
         x_bad = float(xs[np.argmax(bad)])
@@ -147,7 +151,8 @@ def weighted_modulus(f, weight: Weight, params: ModulusParams, grid: EvaluationG
 
     For each h in the ladder the three regional sups are evaluated on the
     grid and combined with max; the result is the max over the ladder, hence
-    nondecreasing in t by construction.
+    nondecreasing in t by construction.  A non-finite weighted difference
+    raises SampleError, as in ``weighted_norm``.
     """
     pts = grid.points
     order = params.r2
@@ -164,7 +169,5 @@ def weighted_modulus(f, weight: Weight, params: ModulusParams, grid: EvaluationG
         for xs, diff in ((mid, symmetric_difference), (lo, forward_difference),
                          (hi, backward_difference)):
             if xs.size:
-                vals = np.abs(weight(xs) * diff(f, xs, h, order))
-                # fmax: a NaN difference never wins the max
-                best = float(np.fmax.reduce(vals, initial=best))
+                best = max(best, _weighted_max(xs, weight(xs) * diff(f, xs, h, order)))
     return best

@@ -26,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .basis import _check_int, _unwrap
 from .errors import DomainError
 
 _MAX_ORDER = 8
@@ -40,9 +41,7 @@ _RANGE_GRID = 10_000
 
 
 def _check_order(r: int) -> int:
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
-        raise DomainError(f"smoothstep order must be an integer, got {r!r}")
-    if not 1 <= r <= _MAX_ORDER:
+    if _check_int(r, "smoothstep order", 1) > _MAX_ORDER:
         raise DomainError(f"smoothstep order must be in 1..{_MAX_ORDER}, got {r}")
     return int(r)
 
@@ -165,9 +164,7 @@ def psi_eval(poly: SmoothstepPoly, x):
     extension), so downstream blending coefficients vanish exactly there.
     """
     asc = poly._ascending
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty(xs.shape)
     lo = xs <= 0.0
     hi = xs >= 1.0
@@ -183,7 +180,7 @@ def psi_eval(poly: SmoothstepPoly, x):
         if (~left).any():
             vals[~left] = 1.0 - npoly.polyval(1.0 - xm[~left], asc)
         out[mid] = vals
-    return float(out[0]) if scalar else out
+    return _unwrap(x, out)
 
 
 def psi_derivative(poly: SmoothstepPoly, x, order: int):
@@ -193,9 +190,7 @@ def psi_derivative(poly: SmoothstepPoly, x, order: int):
     polynomial limits at the seams vanish as well, so this is the honest
     two-sided derivative there.  Accepts scalars or arrays.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool) or order < 0:
-        raise DomainError(f"derivative order must be a nonnegative integer, got {order!r}")
-    order = int(order)
+    order = _check_int(order, "derivative order", 0)
     if order > 2 * poly.r:
         # beyond 2r the one-sided limits at the seams disagree, so there
         # is no honest two-sided value to return
@@ -207,9 +202,7 @@ def psi_derivative(poly: SmoothstepPoly, x, order: int):
         return psi_eval(poly, x)
     der = npoly.polyder(poly._ascending, order)
     sign = -1.0 if order % 2 == 0 else 1.0
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros(xs.shape)
     mid = (xs > 0.0) & (xs < 1.0)
     if mid.any():
@@ -221,4 +214,4 @@ def psi_derivative(poly: SmoothstepPoly, x, order: int):
         if (~left).any():
             vals[~left] = sign * npoly.polyval(1.0 - xm[~left], der)
         out[mid] = vals
-    return float(out[0]) if scalar else out
+    return _unwrap(x, out)

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from bernblend import (DomainError, SampleError, SampleVector,
                        backward_difference, basis_matrix, basis_row,
-                       bernstein_apply, bernstein_apply_grid, bernstein_basis,
-                       evaluate, forward_difference, log_binomial, sample_function,
-                       symmetric_difference)
+                       bernstein_apply_grid, evaluate, forward_difference,
+                       log_binomial, sample_function, symmetric_difference)
 
 
 def exact_basis(n: int, k: int, num: int, den: int) -> float:
@@ -21,19 +20,29 @@ def exact_basis(n: int, k: int, num: int, den: int) -> float:
     return float(math.comb(n, k) * x**k * (1 - x) ** (n - k))
 
 
+def basis_value(n, k, x):
+    """Single basis value p_{nk}(x), through a one-index row."""
+    return basis_row(n, x, [k])[0]
+
+
+def fsum_apply(samples, x):
+    """B_n(f, x) summed exactly (math.fsum) over one full basis row."""
+    return math.fsum((basis_row(samples.n, x) * samples.values).tolist())
+
+
 class TestBasisValues:
     def test_simple_values(self):
-        assert bernstein_basis(2, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
-        assert bernstein_basis(4, 0, 0.0) == 1.0
-        assert bernstein_basis(4, 2, 0.0) == 0.0
-        assert bernstein_basis(7, 7, 1.0) == 1.0
-        assert bernstein_basis(7, 3, 1.0) == 0.0
+        assert basis_value(2, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert basis_value(4, 0, 0.0) == 1.0
+        assert basis_value(4, 2, 0.0) == 0.0
+        assert basis_value(7, 7, 1.0) == 1.0
+        assert basis_value(7, 3, 1.0) == 0.0
 
     def test_oracle_value(self):
         # 120 * 0.3^3 * 0.7^7, checked against the exact rational product
         want = exact_basis(10, 3, 3, 10)
         assert want == pytest.approx(0.26682793, abs=5e-9)
-        assert bernstein_basis(10, 3, 0.3) == pytest.approx(want, rel=1e-13)
+        assert basis_value(10, 3, 0.3) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("n,k,num,den", [
         (5, 2, 1, 4), (12, 7, 9, 16), (40, 13, 3, 8),
@@ -41,24 +50,28 @@ class TestBasisValues:
     ])
     def test_against_exact_rationals(self, n, k, num, den):
         want = exact_basis(n, k, num, den)
-        assert bernstein_basis(n, k, num / den) == pytest.approx(want, rel=5e-12)
+        assert basis_value(n, k, num / den) == pytest.approx(want, rel=5e-12)
 
     def test_large_degree_does_not_overflow(self):
-        v = bernstein_basis(100_000, 50_000, 0.5)
+        v = basis_value(100_000, 50_000, 0.5)
         assert 0.0 < v < 1.0
         assert np.isfinite(v)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
-            bernstein_basis(5, 6, 0.5)
+            basis_value(5, 6, 0.5)
         with pytest.raises(DomainError):
-            bernstein_basis(5, -1, 0.5)
+            basis_value(5, -1, 0.5)
         with pytest.raises(DomainError):
-            bernstein_basis(0, 0, 0.5)
+            basis_value(0, 0, 0.5)
         with pytest.raises(DomainError):
-            bernstein_basis(5, 2, 1.5)
-        with pytest.raises(DomainError):
-            bernstein_basis(5, 2.0, 0.5)
+            basis_value(5, 2, 1.5)
+        # a float index is rejected, never truncated to an integer
+        for k in (2.0, 2.7):
+            with pytest.raises(DomainError):
+                basis_value(5, k, 0.5)
+            with pytest.raises(DomainError):
+                basis_matrix(5, np.array([0.5]), [k])
 
     def test_log_binomial_matches_exact(self):
         for n, k in [(10, 3), (100, 50), (4096, 2000)]:
@@ -72,7 +85,8 @@ class TestRowsAndMatrices:
     def test_row_matches_scalar(self):
         row = basis_row(37, 0.3)
         for k in (0, 5, 18, 37):
-            assert row[k] == pytest.approx(bernstein_basis(37, k, 0.3), rel=1e-13)
+            assert row[k] == basis_value(37, k, 0.3)
+            assert row[k] == pytest.approx(exact_basis(37, k, 3, 10), rel=1e-13)
 
     def test_restricted_indices(self):
         ks = np.array([2, 5, 9])
@@ -109,8 +123,8 @@ class TestRowsAndMatrices:
         # dyadic x keeps 1-x exactly representable, so the mirror is exact
         x = j / 1024
         k = n // 3
-        left = bernstein_basis(n, k, x)
-        right = bernstein_basis(n, n - k, 1.0 - x)
+        left = basis_value(n, k, x)
+        right = basis_value(n, n - k, 1.0 - x)
         assert left == pytest.approx(right, rel=1e-13, abs=1e-300)
 
 
@@ -162,29 +176,29 @@ class TestEvaluate:
 class TestOperatorApply:
     def test_constant(self):
         sv = SampleVector(16, np.ones(17))
-        for x in (0.0, 0.3, 0.5, 1.0):
-            assert bernstein_apply(sv, x) == pytest.approx(1.0, abs=1e-14)
+        vals = bernstein_apply_grid(sv, [0.0, 0.3, 0.5, 1.0])
+        np.testing.assert_allclose(vals, 1.0, rtol=0, atol=1e-14)
 
     @given(x=st.floats(0.0, 1.0))
     def test_linear_precision(self, x):
         sv = sample_function(lambda t: t, 50)
-        assert bernstein_apply(sv, x) == pytest.approx(x, abs=1e-12)
+        assert bernstein_apply_grid(sv, [x])[0] == pytest.approx(x, abs=1e-12)
 
     def test_square_identity(self):
         # B_n(t^2, x) = x^2 + x(1-x)/n
         sv = sample_function(lambda t: t * t, 2)
-        assert bernstein_apply(sv, 0.5) == pytest.approx(0.375, abs=1e-15)
+        assert bernstein_apply_grid(sv, [0.5])[0] == pytest.approx(0.375, abs=1e-15)
         sv = sample_function(lambda t: t * t, 10)
-        for x in (0.1, 0.37, 0.9):
-            want = x * x + x * (1 - x) / 10
-            assert bernstein_apply(sv, x) == pytest.approx(want, rel=1e-13)
+        xs = np.array([0.1, 0.37, 0.9])
+        want = xs * xs + xs * (1 - xs) / 10
+        np.testing.assert_allclose(bernstein_apply_grid(sv, xs), want, rtol=1e-13)
 
     def test_grid_matches_scalar(self):
         sv = sample_function(lambda t: np.sin(3 * t), 80)
         xs = np.linspace(0.0, 1.0, 23)
         grid_vals = bernstein_apply_grid(sv, xs)
         for x, v in zip(xs, grid_vals):
-            assert v == pytest.approx(bernstein_apply(sv, float(x)), rel=1e-12)
+            assert v == pytest.approx(fsum_apply(sv, float(x)), rel=1e-12)
 
     def test_grid_deterministic(self):
         sv = sample_function(lambda t: np.cos(t), 64)

@@ -1,6 +1,8 @@
 """Patch geometry, Lagrange interpolation, and the blended extension."""
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ class TestWeight:
         assert w2(0.3) == pytest.approx(0.04, rel=1e-14)
 
     def test_validation(self):
-        for xi, alpha in ((0.0, 1.0), (1.0, 1.0), (-0.2, 1.0), (0.5, 0.0), (0.5, -1.0)):
+        for xi, alpha in ((0.0, 1.0), (1.0, 1.0), (-0.2, 1.0), (0.5, 0.0), (0.5, -1.0),
+                          (0.5, math.inf), (0.5, math.nan), (math.nan, 1.0)):
             with pytest.raises(DomainError):
                 Weight(xi, alpha)
 
@@ -85,6 +88,43 @@ class TestBreakpoints:
         assert exc.value.n_min == 21
         b = breakpoints(21, weight513)
         assert b[1] < 0.513 < b[2]
+
+
+
+def _first_success(build) -> int:
+    """Smallest degree m >= 4 for which build(m) succeeds, by linear scan."""
+    for m in itertools.count(4):
+        try:
+            build(m)
+        except MinNTooSmall:
+            continue
+        return m
+
+
+class TestMinimalDegree:
+    @pytest.mark.parametrize("xi", [0.05, 0.1, 0.3, 0.513, 0.9, 0.97])
+    def test_n_min_matches_linear_scan(self, xi):
+        w = Weight(xi, 1.0)
+        with pytest.raises(MinNTooSmall) as exc:
+            breakpoints(4, w)
+        assert exc.value.n_min == _first_success(lambda m: breakpoints(m, w))
+        for r in (1, 2, 3):
+            with pytest.raises(MinNTooSmall) as exc:
+                interpolation_nodes(4, r, w)
+            assert exc.value.n_min == _first_success(
+                lambda m: interpolation_nodes(m, r, w))
+
+    @pytest.mark.parametrize("xi", [1e-5, 1.0 - 1e-5])
+    def test_extreme_center_fails_fast(self, xi):
+        # the admissible degree lies far beyond the 1e7 search limit
+        w = Weight(xi, 1.0)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="no admissible degree"):
+            breakpoints(32, w)
+        if xi < 0.5:
+            with pytest.raises(DomainError, match="no admissible degree"):
+                interpolation_nodes(32, 2, w)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestLagrange:

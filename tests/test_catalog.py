@@ -51,6 +51,32 @@ class TestParse:
         with pytest.raises(DomainError):
             FunctionSpec("singular_power", {"beta": -0.5})
 
+    @pytest.mark.parametrize("key", [
+        "smooth_sin:freq=1;2",
+        "smooth_sin:bogus=3",
+        "smooth_poly:coeffs=1,freq=2",
+        "singular_power:beta=0.5,freq=1",
+        "singular_osc:beta=0.5;0.25",
+        "singular_osc:beta=0.5,freq=1;2",
+        "smooth_sin:freq=inf",
+        "smooth_sin:freq=nan",
+        "singular_power:beta=inf",
+        "singular_power:beta=nan",
+        "singular_osc:beta=0.5,freq=nan",
+        "smooth_poly:coeffs=0;inf",
+        "smooth_poly:coeffs=nan",
+    ])
+    def test_rejected_parameters(self, key):
+        # unknown names, lists for scalar parameters, non-finite values
+        with pytest.raises(DomainError):
+            parse_spec(key)
+
+    def test_list_for_scalar_parameter_direct(self):
+        with pytest.raises(DomainError):
+            FunctionSpec("smooth_sin", {"freq": [1.0, 2.0]})
+        with pytest.raises(DomainError):
+            FunctionSpec("singular_power", {"beta": np.array([0.5, 0.25])})
+
 
 class TestMakeFunction:
     def test_smooth_sin(self, weight513):

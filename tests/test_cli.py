@@ -173,6 +173,26 @@ class TestExitCodes:
         assert out == ""
         assert "grid size must be at most 1000000" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--function", "smooth_sin:freq=1;2"],
+        ["approx", "--function", "smooth_sin:bogus=3"],
+        ["approx", "--function", "singular_power:beta=inf"],
+        ["approx", "--alpha", "inf"],
+        ["approx", "--alpha", "nan"],
+        ["approx", "--xi", "1e-5", "--n-list", "32"],
+        ["lemma", "1", "--u", "nan"],
+        ["lemma", "1", "--v", "inf"],
+        ["lemma", "6", "--beta", "inf"],
+        ["lemma", "6", "--beta", "nan"],
+    ])
+    def test_bad_numeric_config(self, capsys, argv):
+        # non-finite values, catalog misuse and out-of-reach degrees are
+        # configuration errors: exit 2, nothing on stdout, no traceback
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_bad_format_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"format": "yaml"}))

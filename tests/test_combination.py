@@ -1,7 +1,5 @@
 """Degree ladders, combination weights, and combined moments."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,8 +7,13 @@ from hypothesis import strategies as st
 
 from bernblend import (CombinationScheme, DomainError, build_scheme,
                        coefficient_l1_bound, combine, combine_samples,
-                       make_schedule, moment, moment_grid, moment_table,
-                       sample_function, solve_coefficients)
+                       make_schedule, moment_table, sample_function,
+                       solve_coefficients)
+
+
+def moment(scheme, power, x):
+    """One combined moment sum_i C_i B_{n_i}((t - x)^power, x)."""
+    return moment_table(scheme, [power], [x])[0, 0]
 
 
 class TestSchedule:
@@ -170,15 +173,18 @@ class TestMoments:
         assert vals[0] / vals[1] == pytest.approx(4.0, rel=1e-3)
         assert vals[1] / vals[2] == pytest.approx(4.0, rel=1e-3)
 
-    def test_moment_grid_and_table_agree(self):
+    def test_table_matches_combined_operator(self):
+        # each entry equals the combination applied to (t - x)^power, and a
+        # row does not depend on which other powers share the table
         scheme = build_scheme(32, 2)
         xs = np.array([0.1, 0.4, 0.6])
         table = moment_table(scheme, [0, 2, 3], xs)
         assert table.shape == (3, 3)
         np.testing.assert_allclose(table[0], np.ones(3), atol=1e-12)
-        np.testing.assert_allclose(table[1], moment_grid(scheme, 2, xs), atol=0)
+        np.testing.assert_array_equal(table[1], moment_table(scheme, [2], xs)[0])
         for i, x in enumerate(xs):
-            assert table[2, i] == pytest.approx(moment(scheme, 3, float(x)), abs=1e-15)
+            want = combine(lambda t: (t - x) ** 3, scheme, float(x))
+            assert table[2, i] == pytest.approx(want, abs=1e-15)
 
     def test_power_validation(self):
         scheme = build_scheme(32, 1)

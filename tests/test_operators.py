@@ -5,10 +5,10 @@ import pytest
 
 from bernblend import (DomainError, ModifiedOperator, Weight,
                        bernstein_apply_grid, blend_eval, blended_samples,
-                       build_blend_spec, build_modified_operator, build_scheme,
-                       build_smoothstep, fit_rate, make_function,
-                       modified_operator, operator_derivative_2r, parse_spec,
-                       plain_combination, sample_function, weighted_norm)
+                       build_modified_operator, build_smoothstep, combine,
+                       fit_rate, make_function, modified_operator,
+                       operator_derivative_2r, parse_spec, sample_function,
+                       weighted_norm)
 
 
 @pytest.fixture(scope="module")
@@ -20,36 +20,26 @@ class TestConstruction:
     def test_build(self, op64):
         assert op64.scheme.nodes == (64, 128)
         assert tuple(s.n for s in op64.specs) == (64, 128)
-        assert not op64.shared_patch
         assert op64.step.r == 2
-
-    def test_shared_patch(self, weight513):
-        op = build_modified_operator(64, 2, weight513, shared_patch=True)
-        assert all(s.n == 64 for s in op.specs)
-        assert op.specs[0] is op.specs[1]
 
     def test_mismatched_step_order(self, op64, weight513):
         with pytest.raises(DomainError):
             ModifiedOperator(
-                op64.scheme, weight513, build_smoothstep(1), op64.specs, False
+                op64.scheme, weight513, build_smoothstep(1), op64.specs
             )
 
     def test_wrong_spec_count(self, op64, weight513):
         with pytest.raises(DomainError):
-            ModifiedOperator(op64.scheme, weight513, op64.step, op64.specs[:1], False)
+            ModifiedOperator(op64.scheme, weight513, op64.step, op64.specs[:1])
 
     def test_spec_degree_must_match_ladder(self, op64, weight513):
         wrong = (op64.specs[1], op64.specs[0])
         with pytest.raises(DomainError):
-            ModifiedOperator(op64.scheme, weight513, op64.step, wrong, False)
-
-    def test_shared_patch_must_use_base_degree(self, op64, weight513):
-        with pytest.raises(DomainError):
-            ModifiedOperator(op64.scheme, weight513, op64.step, op64.specs, True)
+            ModifiedOperator(op64.scheme, weight513, op64.step, wrong)
 
     def test_weight_must_match_specs(self, op64):
         with pytest.raises(DomainError):
-            ModifiedOperator(op64.scheme, Weight(0.3, 1.0), op64.step, op64.specs, False)
+            ModifiedOperator(op64.scheme, Weight(0.3, 1.0), op64.step, op64.specs)
 
 
 class TestApplication:
@@ -105,20 +95,14 @@ class TestApplication:
     def test_plain_combination_is_unblended(self, op64):
         # plain and blended agree bit-for-bit far from the patch window
         xs = np.array([0.0, 0.05, 0.1, 0.95, 1.0])
-        plain = plain_combination(np.sin, op64.scheme, xs)
+        plain = combine(np.sin, op64.scheme, xs)
         blended = modified_operator(op64, np.sin, xs)
         np.testing.assert_allclose(plain, blended, atol=1e-12)
         # but differ materially inside it for a function the patch replaces
         assert abs(
-            plain_combination(np.cos, op64.scheme, 0.513)
+            combine(np.cos, op64.scheme, 0.513)
             - modified_operator(op64, np.cos, 0.513)
         ) < 1e-3  # cos is smooth, so even inside the window they stay close
-
-    def test_shared_patch_reproduces_quadratic(self, weight513):
-        op = build_modified_operator(64, 2, weight513, shared_patch=True)
-        xs = np.linspace(0.0, 1.0, 41)
-        f = lambda x: np.asarray(x) ** 2
-        np.testing.assert_allclose(modified_operator(op, f, xs), xs**2, atol=1e-9)
 
 
 class TestDerivative:

@@ -217,6 +217,17 @@ class TestModulusOracle:
 
 
 class TestWeightedModulus:
+    def test_non_finite_difference_raises(self, weight_center, grid_center):
+        # a NaN difference must not drop out of the max, as in weighted_norm
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x > 0.9, np.nan, x * x)
+
+        params = ModulusParams(r2=2, t=0.1)
+        with pytest.raises(SampleError, match="non-finite") as exc:
+            weighted_modulus(f, weight_center, params, grid_center)
+        assert exc.value.x > 0.8
+
     def test_affine_vanishes(self, weight_center, grid_center):
         params = ModulusParams(r2=2, t=0.125)
         f = lambda x: 2.0 - 3.0 * np.asarray(x)
