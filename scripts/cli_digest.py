@@ -1,0 +1,64 @@
+"""Print a sha256 digest of the stdout of every bernblend subcommand.
+
+    python scripts/cli_digest.py [--repo PATH]
+
+Runs ``python -m bernblend`` from PATH/src (default: this checkout) for
+every subcommand at its defaults, plus ``compare`` and ``bernstein-ineq``
+at r=3 on a large-degree ladder, and prints one ``sha256  argv`` line per
+run.  Diff the output of two checkouts to see whether a change moved any
+printed byte.  A run that exits nonzero prints ``exit=N`` in place of a
+digest and makes the script exit 1.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+LARGE = ["--r", "3", "--n-list", "256,512,1024,2048,4096"]
+
+RUNS = (
+    ["coeffs"],
+    ["psi"],
+    ["approx"],
+    ["compare"],
+    ["bernstein-ineq"],
+    ["modulus"],
+    ["lemma", "1"],
+    ["lemma", "3"],
+    ["lemma", "5"],
+    ["lemma", "6"],
+    ["compare", *LARGE],
+    ["bernstein-ineq", *LARGE],
+)
+
+
+def digest(src: Path, argv: list[str]) -> tuple[str, int]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "bernblend", *argv],
+                          capture_output=True, env=env, check=False)
+    return hashlib.sha256(proc.stdout).hexdigest(), proc.returncode
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repo", type=Path,
+                        default=Path(__file__).resolve().parent.parent,
+                        help="checkout whose src/ is run (default: this one)")
+    args = parser.parse_args()
+    src = args.repo.resolve() / "src"
+    status = 0
+    for argv in RUNS:
+        sha, code = digest(src, argv)
+        if code:
+            sha, status = f"exit={code}", 1
+        print(f"{sha}  {' '.join(argv)}", flush=True)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

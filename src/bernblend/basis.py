@@ -27,6 +27,12 @@ _EDGE_SLACK = 1e-12
 # cap on rows*cols of any basis matrix built in one shot (memory guard)
 _CHUNK_ENTRIES = 4_000_000
 
+# basis_matrix leaves out entries with ln p_nk below -_UNDERFLOW_LOG: exp
+# rounds anything below -745.13 to +0.0, so they are exactly 0.0 anyway
+_UNDERFLOW_LOG = 760.0
+# rows of basis_matrix evaluated together on the union of their bands
+_GROUP_ROWS = 32
+
 
 def _check_int(value, what: str, low: int) -> int:
     """``value`` as an int; DomainError unless it is an integer >= ``low``."""
@@ -112,8 +118,32 @@ def basis_row(n: int, x: float, ks: np.ndarray | None = None) -> np.ndarray:
     return _row_interior(n, x, ks)
 
 
+def _band(n: int, ks: np.ndarray, centre: np.ndarray,
+          var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column range [lo, hi) of sorted ``ks`` outside which p_nk underflows.
+
+    Bernstein's inequality bounds p_nk(x) <= exp(-d^2 / (2(n v + d/3)))
+    with d = |k - n x| and v = x(1-x).  That exponent falls below -760
+    (_UNDERFLOW_LOG) for d > t = 760/3 + sqrt(760^2/9 + 2 * 760 n v); the
+    log-space value of p_nk then sits far below -745.13, so exp rounds it
+    to exactly +0.0.  One column of slack on each side absorbs the
+    roundoff in t and n x.
+    """
+    L = _UNDERFLOW_LOG
+    t = L / 3.0 + np.sqrt(L * L / 9.0 + 2.0 * L * n * var) + 1.0
+    return (np.searchsorted(ks, centre - t, "left"),
+            np.searchsorted(ks, centre + t, "right"))
+
+
 def basis_matrix(n: int, xs: np.ndarray, ks: np.ndarray | None = None) -> np.ndarray:
-    """Matrix P[i, j] = p_{n, ks[j]}(xs[i]), built in memory-bounded blocks."""
+    """Matrix P[i, j] = p_{n, ks[j]}(xs[i]).
+
+    For sorted ``ks`` only each row's Bernstein band (see ``_band``) is
+    evaluated; the entries left out are the ones a full-width evaluation
+    underflows to exactly 0.0, so the result is the same bit for bit.
+    Rows are taken in sorted groups of _GROUP_ROWS, each evaluated on the
+    union of its bands.
+    """
     n = _check_degree(n)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
@@ -121,30 +151,40 @@ def basis_matrix(n: int, xs: np.ndarray, ks: np.ndarray | None = None) -> np.nda
     if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
         raise DomainError("all evaluation points must lie in [0,1]")
     ks = _check_indices(n, ks)
-    logc = _log_binom_row(n)[ks]
-    out = np.empty((xs.size, ks.size))
-    step = max(1, _CHUNK_ENTRIES // max(1, ks.size))
-    for lo in range(0, xs.size, step):
-        hi = min(lo + step, xs.size)
-        chunk = xs[lo:hi]
-        block = out[lo:hi]
-        left = chunk <= 0.5
-        for mask, pts, kk in ((left, chunk, ks), (~left, 1.0 - chunk, n - ks)):
-            if not mask.any():
+    banded = bool(np.all(ks[1:] >= ks[:-1]))
+    out = np.zeros((xs.size, ks.size))
+    left = xs <= 0.5
+    # x > 1/2 is mirrored: p_{n,k}(x) = p_{n,n-k}(1-x), and 1-x is exact there
+    for rows, p, kk in ((np.flatnonzero(left), xs[left], ks),
+                        (np.flatnonzero(~left), 1.0 - xs[~left], n - ks)):
+        edge = p == 0.0
+        out[rows[edge]] = kk == 0
+        rows, p = rows[~edge], p[~edge]
+        if not rows.size:
+            continue
+        lc = _log_binom_row(n)[kk]
+        kf = kk.astype(float)
+        mf = (n - kk).astype(float)
+        log_p = np.log(p)
+        log_q = np.log1p(-p)
+        if banded:
+            # the band's centre n*x in the coordinates of ks
+            centre = n * p if kk is ks else n - n * p
+            lo, hi = _band(n, ks, centre, p * (1.0 - p))
+        else:
+            lo = np.zeros(p.size, dtype=np.intp)
+            hi = np.full(p.size, ks.size)
+        order = np.argsort(p, kind="stable")
+        for g in range(0, order.size, _GROUP_ROWS):
+            sel = order[g:g + _GROUP_ROWS]
+            a, b = lo[sel].min(), hi[sel].max()
+            if a >= b:
                 continue
-            p = pts[mask]
-            interior = p > 0.0
-            lc = logc if kk is ks else _log_binom_row(n)[kk]
-            if interior.any():
-                pi = p[interior]
-                m = lc + np.outer(np.log(pi), kk) + np.outer(np.log1p(-pi), n - kk)
-                np.exp(m, out=m)
-                sub = np.zeros((p.size, ks.size))
-                sub[interior] = m
-                sub[~interior] = (kk == 0).astype(float)
-                block[mask] = sub
-            else:
-                block[mask] = (kk == 0).astype(float)
+            # the full-width expression and order, restricted to columns a:b
+            m = lc[a:b] + log_p[sel, None] * kf[a:b]
+            m += log_q[sel, None] * mf[a:b]
+            np.exp(m, out=m)
+            out[rows[sel], a:b] = m
     return out
 
 
@@ -273,7 +313,8 @@ def _alternating_sum(f: Callable, pts: Sequence[np.ndarray], r: int) -> np.ndarr
 
 
 def _unwrap(x, vals: np.ndarray):
-    return float(vals[0]) if np.ndim(x) == 0 else vals
+    """A float for scalar ``x`` (``vals`` holds its one value), else ``vals``."""
+    return float(np.ravel(vals)[0]) if np.ndim(x) == 0 else vals
 
 
 def forward_difference(f: Callable, x, h: float, r: int):

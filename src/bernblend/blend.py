@@ -52,9 +52,8 @@ class Weight:
         object.__setattr__(self, "alpha", alpha)
 
     def __call__(self, x):
-        xs = np.asarray(x, dtype=float)
-        vals = np.abs(xs - self.xi) ** self.alpha
-        return float(vals) if xs.ndim == 0 else vals
+        vals = np.abs(np.asarray(x, dtype=float) - self.xi) ** self.alpha
+        return _unwrap(x, vals)
 
 
 def _node_numerators(n: int, r: int, xi: float) -> list[int]:

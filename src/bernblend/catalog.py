@@ -13,6 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .basis import _unwrap
 from .blend import Weight
 from .errors import DomainError, MembershipError, SampleError
 from .smoothness import EvaluationGrid
@@ -141,10 +142,7 @@ def make_function(spec: FunctionSpec, weight: Weight):
             return d ** -beta * np.sin(1.0 / d + freq)
 
     def wrapped(x):
-        out = f(x)
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return float(out)
-        return np.asarray(out, dtype=float)
+        return _unwrap(x, np.asarray(f(x), dtype=float))
 
     return wrapped
 

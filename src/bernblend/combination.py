@@ -25,6 +25,7 @@ from .basis import (
     SampleVector,
     _check_degree,
     _check_int,
+    _compensated_sum,
     _unwrap,
     basis_row,
     bernstein_apply_grid,
@@ -146,11 +147,12 @@ def moment_table(
     powers = [_check_int(p, "moment power", 0) for p in powers]
     xs = np.asarray(xs, dtype=float)
     out = np.zeros((len(powers), xs.size))
-    lattices = [np.arange(n + 1) / n for n in scheme.nodes]
-    for i, x in enumerate(xs.tolist()):
-        for c, n, lat in zip(scheme.coeffs.tolist(), scheme.nodes, lattices):
-            row = basis_row(n, x)
-            d = lat - x
-            for p, power in enumerate(powers):
-                out[p, i] += c * math.fsum((row * d**power).tolist())
+    if not powers:
+        return out
+    for c, n in zip(scheme.coeffs.tolist(), scheme.nodes):
+        rows = np.array([basis_row(n, x) for x in xs.tolist()]).reshape(xs.size, n + 1)
+        d = (np.arange(n + 1) / n)[:, None] - xs
+        # terms[k, p, i] = p_nk(x_i) (k/n - x_i)^powers[p], summed over k
+        terms = np.stack([rows.T * d**power for power in powers], axis=1)
+        out += c * _compensated_sum(terms)
     return out

@@ -86,18 +86,26 @@ class RateReport:
         return tuple(v for _, v in self.rows)
 
 
-def fit_rate(ns, values) -> tuple[float | None, float | None, float | None]:
+def _is_exact(values, scale: float) -> bool:
+    """Every value at most 1e-9 times ``scale`` (the size of the input)."""
+    return bool(np.all(np.abs(np.asarray(values, dtype=float))
+                       <= _EXACT_THRESHOLD * scale))
+
+
+def fit_rate(ns, values, scale: float = 1.0
+             ) -> tuple[float | None, float | None, float | None]:
     """OLS slope of ln(value) against ln(n), with r^2 and gamma = -2*slope.
 
-    All-tiny sweeps (every value <= 1e-9) mean the method is exact for this
-    input; no slope is fitted.  Zero values cannot enter the log fit and are
-    dropped row-wise.
+    All-tiny sweeps (every value <= 1e-9 * scale, where scale is the size of
+    the input, e.g. the weighted norm of f) mean the method is exact for
+    this input; no slope is fitted.  Zero values cannot enter the log fit
+    and are dropped row-wise.
     """
     ns = np.asarray(ns, dtype=float)
     vals = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("non-finite sweep value")
-    if np.all(np.abs(vals) <= _EXACT_THRESHOLD):
+    if _is_exact(vals, scale):
         return None, None, None
     mask = vals > 0.0
     if int(mask.sum()) < 2:
@@ -114,8 +122,9 @@ def fit_rate(ns, values) -> tuple[float | None, float | None, float | None]:
     return float(slope), r_squared, -2.0 * float(slope)
 
 
-def build_report(ns, values, extras: Mapping[str, object] | None = None) -> RateReport:
-    slope, r_squared, gamma = fit_rate(ns, values)
+def build_report(ns, values, extras: Mapping[str, object] | None = None,
+                 scale: float = 1.0) -> RateReport:
+    slope, r_squared, gamma = fit_rate(ns, values, scale)
     rows = tuple((int(n), float(v)) for n, v in zip(ns, values))
     return RateReport(rows=rows, slope=slope, r_squared=r_squared,
                       gamma_hat=gamma, extras=dict(extras or {}))
@@ -148,13 +157,14 @@ def run_convergence(config: SweepConfig) -> RateReport:
         params = ModulusParams(r2=2 * config.r, t=t)
         moduli.append(weighted_modulus(f, config.weight, params, grid))
         t_used.append(t)
+    f_norm = weighted_norm(f_vals, config.weight, grid)
     extras = {
         "omega": tuple(moduli),
         "t": tuple(t_used),
-        "weighted_f_norm": weighted_norm(f_vals, config.weight, grid),
-        "exact": all(e <= _EXACT_THRESHOLD for e in errors),
+        "weighted_f_norm": f_norm,
+        "exact": _is_exact(errors, f_norm),
     }
-    return build_report(config.n_list, errors, extras)
+    return build_report(config.n_list, errors, extras, f_norm)
 
 
 def compare_plain_vs_modified(config: SweepConfig) -> tuple[RateReport, RateReport]:
@@ -176,8 +186,9 @@ def compare_plain_vs_modified(config: SweepConfig) -> tuple[RateReport, RateRepo
         op = build_modified_operator(n, config.r, config.weight)
         mod_vals = modified_operator(op, f, xs)
         mod_errs.append(weighted_norm(mod_vals - f_vals, config.weight, grid))
-    return (build_report(config.n_list, plain_errs),
-            build_report(config.n_list, mod_errs))
+    f_norm = weighted_norm(f_vals, config.weight, grid)
+    return (build_report(config.n_list, plain_errs, scale=f_norm),
+            build_report(config.n_list, mod_errs, scale=f_norm))
 
 
 def check_bernstein_inequality(config: SweepConfig, lam: float) -> RateReport:

@@ -11,7 +11,8 @@ The 2r-th derivative uses the classical identity
 where dm_k is the m-th forward lattice difference of the samples with
 step 1/n.  The falling factorial n!/(n-m)! is taken as an exact integer
 (well inside double range for every degree this package handles), and
-the alternating lattice differences are accumulated with fsum.
+the alternating lattice differences are summed with a compensated (TwoSum)
+cascade.  The sum over k is ``bernstein_apply_grid`` on the differences.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import SampleVector, _unwrap, basis_matrix
+from .basis import SampleVector, _compensated_sum, _unwrap, bernstein_apply_grid
+# kept as a module attribute: perfbench/sweeps.py wraps it here to trace calls
+from .basis import basis_matrix  # noqa: F401
 from .blend import BlendSpec, Weight, blend_eval, build_blend_spec
 from .combination import CombinationScheme, build_scheme, combine_samples
 from .errors import DomainError
@@ -78,15 +81,13 @@ def modified_operator(op: ModifiedOperator, f: Callable, x):
 
 
 def _lattice_forward_diffs(values: np.ndarray, order: int) -> np.ndarray:
-    coeffs = [(-1) ** j * math.comb(order, j) for j in range(order + 1)]
-    vals = values.tolist()
-    m = len(vals) - order
+    m = values.size - order
     if m < 1:
         raise DomainError(f"degree too small for order-{order} lattice differences")
-    out = np.empty(m)
-    for k in range(m):
-        out[k] = math.fsum(c * vals[k + order - j] for j, c in enumerate(coeffs))
-    return out
+    # dm_k = sum_j (-1)^j C(order, j) values[k + order - j], for all k at once
+    terms = [(-1) ** j * math.comb(order, j) * values[order - j:order - j + m]
+             for j in range(order + 1)]
+    return _compensated_sum(terms)
 
 
 def operator_derivative_2r(op: ModifiedOperator, f: Callable, x):
@@ -100,7 +101,7 @@ def operator_derivative_2r(op: ModifiedOperator, f: Callable, x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros(xs.size)
     for c, n_i, sv in zip(op.scheme.coeffs.tolist(), op.scheme.nodes, samples):
-        diffs = _lattice_forward_diffs(sv.values, order)
+        diffs = SampleVector(n_i - order, _lattice_forward_diffs(sv.values, order))
         factor = float(math.perm(n_i, order))
-        out += c * factor * (basis_matrix(n_i - order, xs) * diffs).sum(axis=1)
+        out += c * factor * bernstein_apply_grid(diffs, xs)
     return _unwrap(x, out)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import backward_difference, forward_difference, symmetric_difference
+from .basis import (_unwrap, backward_difference, forward_difference,
+                    symmetric_difference)
 from .blend import Weight
 from .errors import DomainError, SampleError
 
@@ -36,8 +37,7 @@ def step_weight(x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise DomainError("step weight defined on [0, 1] only")
-    out = np.sqrt(arr * (1.0 - arr))
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return _unwrap(x, np.sqrt(arr * (1.0 - arr)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 """Bernstein basis values, operator application, and finite differences."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -126,6 +127,91 @@ class TestRowsAndMatrices:
         left = basis_value(n, k, x)
         right = basis_value(n, n - k, 1.0 - x)
         assert left == pytest.approx(right, rel=1e-13, abs=1e-300)
+
+
+@functools.lru_cache(maxsize=None)
+def _log_binomials(n):
+    return np.array([log_binomial(n, k) for k in range(n + 1)])
+
+
+def dense_basis(n, xs, ks=None):
+    """Full-width basis matrix: log, outer products and exp for every entry.
+
+    The same elementwise expression and order as ``basis_matrix``, with no
+    band, so the two must agree bit for bit.
+    """
+    ks = np.arange(n + 1) if ks is None else np.asarray(ks, dtype=np.int64)
+    logc = _log_binomials(n)
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty((xs.size, ks.size))
+    left = xs <= 0.5
+    for mask, pts, kk in ((left, xs, ks), (~left, 1.0 - xs, n - ks)):
+        p = pts[mask]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = logc[kk] + np.outer(np.log(p), kk) + np.outer(np.log1p(-p), n - kk)
+        rows = np.exp(m)
+        rows[p == 0.0] = kk == 0
+        out[mask] = rows
+    return out
+
+
+def bernstein_band(n, xs, ks=None):
+    """True where |k - n x| <= t(x), Bernstein's-inequality band at ln p = -760."""
+    ks = np.arange(n + 1) if ks is None else np.asarray(ks)
+    xs = np.asarray(xs, dtype=float)[:, None]
+    L = 760.0
+    t = L / 3.0 + np.sqrt(L * L / 9.0 + 2.0 * L * n * xs * (1.0 - xs))
+    return np.abs(ks - n * xs) <= t
+
+
+def _oracle_points(n):
+    rng = np.random.default_rng(n)
+    size = {4096: 24, 12288: 16, 65536: 8}.get(n, 120)
+    special = np.array([0.0, 1.0, 0.5, 1e-300, 1.0 - 1e-16, 0.25, 0.75, 1e-3])
+    clustered = np.clip(0.513 + 1e-3 * rng.standard_normal(size), 0.0, 1.0)
+    return {
+        "sorted": np.sort(rng.random(size)),
+        "unsorted": rng.random(size),
+        "clustered": np.sort(np.concatenate([clustered, rng.random(size // 4)])),
+        "special": special,
+    }
+
+
+def _oracle_indices(n):
+    half = int(math.isqrt(n))
+    centre = n // 2
+    rng = np.random.default_rng(n + 1)
+    return {
+        "all": None,
+        "inner": np.arange(1, n) if n > 1 else None,
+        "window": np.arange(max(0, centre - half), min(n, centre + half) + 1),
+        "unsorted": rng.permutation(n + 1)[: n // 3 + 1],
+    }
+
+
+ORACLE_DEGREES = [1, 2, 5, 64, 255, 4096, 12288, 65536]
+
+
+class TestBandedMatrix:
+    @pytest.mark.parametrize("n", ORACLE_DEGREES)
+    def test_matches_dense_bit_for_bit(self, n):
+        for xname, xs in _oracle_points(n).items():
+            for kname, ks in _oracle_indices(n).items():
+                got = basis_matrix(n, xs, ks)
+                want = dense_basis(n, xs, ks)
+                assert np.array_equal(got, want), (xname, kname)
+                assert not np.signbit(got).any(), (xname, kname)
+
+    @pytest.mark.parametrize("n", ORACLE_DEGREES)
+    def test_dense_is_zero_outside_band(self, n):
+        for xs in _oracle_points(n).values():
+            dense = dense_basis(n, xs)
+            outside = ~bernstein_band(n, xs)
+            assert np.all(dense[outside] == 0.0)
+
+    def test_empty_arguments(self):
+        assert basis_matrix(8, np.array([])).shape == (0, 9)
+        assert basis_matrix(8, np.array([0.3, 1.0]), np.array([], dtype=int)).shape == (2, 0)
 
 
 class TestSampleVector:

@@ -51,6 +51,20 @@ class TestApprox:
         assert all(float(r["value"]) <= 1e-9 for r in rows)
         assert all(r["slope"] == "" for r in rows)
 
+    def test_exactness_is_relative_to_weighted_norm(self, capsys):
+        # a strong weight makes every error tiny (about 1e-20), yet the
+        # singular sweep still decays like a power of n and gets a slope
+        code, out, _ = run(capsys, ["approx", "--alpha", "50"])
+        assert code == 0
+        rows = csv_rows(out)
+        assert all(float(r["value"]) < 1e-9 for r in rows)
+        assert all(r["slope"] != "" and float(r["slope"]) < 0.0 for r in rows)
+        # a quadratic is reproduced: its errors are roundoff of the norm
+        code, out, _ = run(capsys, ["approx", "--function", "smooth_poly:coeffs=0;1;2",
+                                    "--alpha", "50"])
+        assert code == 0
+        assert all(r["slope"] == "" for r in csv_rows(out))
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, ["approx", "--format", "json"] + QUICK_APPROX)
         assert code == 0

@@ -1,14 +1,28 @@
 """Degree ladders, combination weights, and combined moments."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bernblend import (CombinationScheme, DomainError, build_scheme,
+from bernblend import (CombinationScheme, DomainError, basis_row, build_scheme,
                        coefficient_l1_bound, combine, combine_samples,
                        make_schedule, moment_table, sample_function,
                        solve_coefficients)
+
+
+def fsum_moment_table(scheme, powers, xs):
+    """moment_table summed point by point with math.fsum."""
+    out = np.zeros((len(powers), len(xs)))
+    for i, x in enumerate(xs):
+        for c, n in zip(scheme.coeffs.tolist(), scheme.nodes):
+            row = basis_row(n, x)
+            d = np.arange(n + 1) / n - x
+            for p, power in enumerate(powers):
+                out[p, i] += c * math.fsum((row * d**power).tolist())
+    return out
 
 
 def moment(scheme, power, x):
@@ -185,6 +199,16 @@ class TestMoments:
         for i, x in enumerate(xs):
             want = combine(lambda t: (t - x) ** 3, scheme, float(x))
             assert table[2, i] == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("base,r", [(32, 1), (64, 2), (256, 3)])
+    def test_table_matches_fsum_reference(self, base, r):
+        scheme = build_scheme(base, r)
+        rng = np.random.default_rng(base)
+        xs = np.concatenate([[0.0, 1.0, 0.5, 1e-9, 1.0 - 1e-9], rng.random(40)])
+        powers = list(range(7))
+        want = fsum_moment_table(scheme, powers, xs.tolist())
+        got = moment_table(scheme, powers, xs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_power_validation(self):
         scheme = build_scheme(32, 1)

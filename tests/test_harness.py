@@ -27,6 +27,12 @@ class TestFitRate:
     def test_all_tiny_is_exact(self):
         assert fit_rate((32, 64), (1e-12, 1e-13)) == (None, None, None)
 
+    def test_exactness_scales_with_input(self):
+        # the same values are a real decay when the input itself is tiny
+        slope, _, _ = fit_rate((32, 64), (1e-12, 1e-13), scale=1e-6)
+        assert slope == pytest.approx(-math.log2(10.0), rel=1e-12)
+        assert fit_rate((32, 64), (1e-3, 1e-4), scale=1e7) == (None, None, None)
+
     def test_too_few_positive_rows(self):
         assert fit_rate((32, 64, 128), (0.0, 0.0, 5.0)) == (None, None, None)
 

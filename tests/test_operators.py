@@ -1,14 +1,17 @@
 """The blended combination operator and its 2r-th derivative."""
 
+import math
+
 import numpy as np
 import pytest
 
-from bernblend import (DomainError, ModifiedOperator, Weight,
+from bernblend import (DomainError, ModifiedOperator, Weight, basis_matrix,
                        bernstein_apply_grid, blend_eval, blended_samples,
                        build_modified_operator, build_smoothstep, combine,
                        fit_rate, make_function, modified_operator,
                        operator_derivative_2r, parse_spec, sample_function,
                        weighted_norm)
+from bernblend.operators import _lattice_forward_diffs
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +131,36 @@ class TestDerivative:
         ) / h**2
         got = operator_derivative_2r(op, np.sin, x)
         assert got == pytest.approx(want, rel=1e-3)
+
+    @pytest.mark.parametrize("order", [1, 2, 4, 6])
+    def test_lattice_diffs_match_fsum(self, order, weight513):
+        # each difference within 1 ulp of the per-k math.fsum sum
+        rng = np.random.default_rng(order)
+        lattice = np.arange(257) / 256
+        op = build_modified_operator(256, 3, weight513)
+        f = make_function(parse_spec("singular_power:beta=0.5"), weight513)
+        cases = [rng.standard_normal(257), np.sin(3.0 * lattice), lattice**7,
+                 1e200 * np.exp(lattice), *(sv.values for sv in blended_samples(op, f))]
+        coeffs = [(-1) ** j * math.comb(order, j) for j in range(order + 1)]
+        for values in cases:
+            vals = values.tolist()
+            want = np.array([
+                math.fsum(c * vals[k + order - j] for j, c in enumerate(coeffs))
+                for k in range(len(vals) - order)
+            ])
+            got = _lattice_forward_diffs(values, order)
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+    def test_derivative_matches_dense_sum(self, weight513):
+        # the chunked apply gives the same bytes as one dense matrix product
+        op = build_modified_operator(64, 2, weight513)
+        xs = np.linspace(0.0, 1.0, 301)
+        want = np.zeros(xs.size)
+        for c, n_i, sv in zip(op.scheme.coeffs.tolist(), op.scheme.nodes,
+                              blended_samples(op, np.cos)):
+            diffs = _lattice_forward_diffs(sv.values, 4)
+            want += c * float(math.perm(n_i, 4)) * (basis_matrix(n_i - 4, xs) * diffs).sum(axis=1)
+        assert np.array_equal(operator_derivative_2r(op, np.cos, xs), want)
 
     def test_scalar_and_array_agree(self, weight513):
         op = build_modified_operator(64, 1, weight513)
