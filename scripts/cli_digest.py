@@ -1,13 +1,16 @@
 """Print a sha256 digest of the stdout of every bernblend subcommand.
 
-    python scripts/cli_digest.py [--repo PATH]
+    python scripts/cli_digest.py [--repo PATH] [--against FILE]
 
 Runs ``python -m bernblend`` from PATH/src (default: this checkout) for
 every subcommand at its defaults, plus ``compare`` and ``bernstein-ineq``
 at r=3 on a large-degree ladder, and prints one ``sha256  argv`` line per
 run.  Diff the output of two checkouts to see whether a change moved any
-printed byte.  A run that exits nonzero prints ``exit=N`` in place of a
-digest and makes the script exit 1.  Standard library only.
+printed byte, or save one checkout's output and pass it as ``--against``:
+every line that differs from the saved list is then marked ``MOVED``, and
+the script exits 1 unless all 12 digests match.  A run that exits nonzero
+prints ``exit=N`` in place of a digest and makes the script exit 1.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -49,14 +52,23 @@ def main() -> int:
     parser.add_argument("--repo", type=Path,
                         default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/ is run (default: this one)")
+    parser.add_argument("--against", type=Path,
+                        help="saved output of this script to compare with")
     args = parser.parse_args()
     src = args.repo.resolve() / "src"
+    saved = None
+    if args.against is not None:
+        lines = args.against.read_text().splitlines()
+        saved = {cmd: sha for sha, _, cmd in (ln.partition("  ") for ln in lines)}
     status = 0
     for argv in RUNS:
         sha, code = digest(src, argv)
         if code:
             sha, status = f"exit={code}", 1
-        print(f"{sha}  {' '.join(argv)}", flush=True)
+        line = f"{sha}  {' '.join(argv)}"
+        if saved is not None and saved.get(" ".join(argv)) != sha:
+            line, status = f"{line}  MOVED", 1
+        print(line, flush=True)
     return status
 
 

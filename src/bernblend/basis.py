@@ -24,8 +24,9 @@ from .errors import DomainError, SampleError
 # evaluation points this far outside [0,1] are treated as endpoint roundoff
 _EDGE_SLACK = 1e-12
 
-# cap on rows*cols of any basis matrix built in one shot (memory guard)
-_CHUNK_ENTRIES = 4_000_000
+# cap on rows*cols of any basis matrix built in one shot (memory guard);
+# 1M doubles is 8 MB, well below glibc's mmap threshold ceiling of 32 MiB
+_CHUNK_ENTRIES = 1_000_000
 
 # basis_matrix leaves out entries with ln p_nk below -_UNDERFLOW_LOG: exp
 # rounds anything below -745.13 to +0.0, so they are exactly 0.0 anyway
@@ -239,17 +240,38 @@ def evaluate(f: Callable, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def bernstein_apply_grid(samples: SampleVector, xs: np.ndarray) -> np.ndarray:
-    """Vectorized B_n(f, .) on an array of points."""
+def _row_chunks(size: int, cols: int) -> list[slice]:
+    """Row slices covering range(size), each at most _CHUNK_ENTRIES / cols rows.
+
+    Chunking by rows changes no per-row sum, so results do not depend on it.
+    """
+    step = max(1, _CHUNK_ENTRIES // max(cols, 1))
+    return [slice(lo, lo + step) for lo in range(0, size, step)]
+
+
+def bernstein_apply_grid(samples: SampleVector | Sequence[SampleVector],
+                         xs: np.ndarray):
+    """Vectorized B_n(f, .) on an array of points.
+
+    ``samples`` is one SampleVector, giving one array, or a sequence of
+    SampleVectors of one degree, giving a list with one array per vector.
+    Each row chunk's basis matrix is built once and reduced against every
+    vector in turn.
+    """
+    single = isinstance(samples, SampleVector)
+    vectors = [samples] if single else list(samples)
+    if not vectors or any(sv.n != vectors[0].n for sv in vectors):
+        raise DomainError("bernstein_apply_grid needs sample vectors of one degree")
+    n = vectors[0].n
     xs = np.asarray(xs, dtype=float)
-    out = np.empty(xs.size)
-    step = max(1, _CHUNK_ENTRIES // (samples.n + 1))
-    for lo in range(0, xs.size, step):
-        hi = min(lo + step, xs.size)
-        # ufunc pairwise sum, not BLAS: identical bytes at any thread count
-        rows = basis_matrix(samples.n, xs[lo:hi])
-        out[lo:hi] = (rows * samples.values).sum(axis=1)
-    return out
+    outs = [np.empty(xs.size) for _ in vectors]
+    for chunk in _row_chunks(xs.size, n + 1):
+        rows = basis_matrix(n, xs[chunk])
+        for out, sv in zip(outs, vectors):
+            # ufunc pairwise sum, not BLAS: identical bytes at any thread
+            # count; one vector at a time keeps the temporary 2-d
+            out[chunk] = (rows * sv.values).sum(axis=1)
+    return outs[0] if single else outs
 
 
 def _difference_points(x: np.ndarray, offsets: Sequence) -> list[np.ndarray]:

@@ -4,7 +4,8 @@ Every subcommand builds a deterministic report table; ``--out`` writes it as
 CSV or JSON, otherwise the same bytes go to stdout.  A JSON config file can
 stand in for flags (``--config``); explicit flags win over file values.
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
+Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
+(including running out of memory).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .combination import build_scheme
 from .errors import (DomainError, MembershipError, MinNTooSmall,
                      NumericalError, SampleError)
 from .harness import (SweepConfig, build_report, check_bernstein_inequality,
-                      compare_plain_vs_modified, emit_report, lemma1_scan,
-                      lemma3_decay, lemma5_scan, lemma6_scan, render_report,
-                      run_convergence)
+                      check_n_list, compare_plain_vs_modified, emit_report,
+                      lemma1_scan, lemma3_decay, lemma5_scan, lemma6_scan,
+                      render_report, run_convergence)
 from .smoothness import ModulusParams, make_grid, weighted_modulus
 from .smoothstep import build_smoothstep
 
@@ -63,9 +64,10 @@ def _parse_n_list(value) -> tuple[int, ...]:
     else:
         parts = list(value)
     try:
-        return tuple(int(p) for p in parts)
+        ns = tuple(int(p) for p in parts)
     except (TypeError, ValueError):
         raise DomainError(f"bad n list {value!r}: want comma-separated integers")
+    return check_n_list(ns)
 
 
 def _load_config(path: str) -> dict:
@@ -279,14 +281,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except SampleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OverflowError as exc:
-        print(f"error: overflow: {exc}", file=sys.stderr)
+    except (SampleError, NumericalError, OverflowError, MemoryError) as exc:
+        # numerical failures; these two messages do not name their kind
+        kind = ("overflow: " if isinstance(exc, OverflowError)
+                else "out of memory: " if isinstance(exc, MemoryError) else "")
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 3
     except (MinNTooSmall, MembershipError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

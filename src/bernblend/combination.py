@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -118,6 +118,24 @@ def build_scheme(base_n: int, r: int) -> CombinationScheme:
     return CombinationScheme(r, tuple(nodes), solve_coefficients(nodes))
 
 
+def combine_applied(scheme: CombinationScheme, applied: Mapping[int, np.ndarray],
+                    factors: Mapping[int, float] | None = None) -> np.ndarray:
+    """sum_i C_i * applied[n_i] in ladder order, given one apply per degree.
+
+    ``applied[n]`` is a Bernstein apply of degree-n samples on a grid.  With
+    ``factors``, each weight is the float C_i * factors[n_i].  Sweeps share
+    one apply per degree across every ladder that contains it, and get the
+    bytes of ``combine_samples`` and ``operator_derivative_2r`` because both
+    combine through here.
+    """
+    out = np.zeros(applied[scheme.nodes[0]].size)
+    for c, n in zip(scheme.coeffs.tolist(), scheme.nodes):
+        if factors is not None:
+            c = c * factors[n]
+        out += c * applied[n]
+    return out
+
+
 def combine_samples(
     scheme: CombinationScheme, samples: Sequence[SampleVector], x
 ) -> float | np.ndarray:
@@ -128,10 +146,8 @@ def combine_samples(
         if sv.n != n:
             raise DomainError(f"sample vector degree {sv.n} does not match node {n}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros(xs.size)
-    for c, sv in zip(scheme.coeffs.tolist(), samples):
-        out += c * bernstein_apply_grid(sv, xs)
-    return _unwrap(x, out)
+    applied = {sv.n: bernstein_apply_grid(sv, xs) for sv in samples}
+    return _unwrap(x, combine_applied(scheme, applied))
 
 
 def combine(f: Callable, scheme: CombinationScheme, x) -> float | np.ndarray:

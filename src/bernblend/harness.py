@@ -16,20 +16,40 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .basis import basis_matrix
+from .basis import (SampleVector, _check_int, _row_chunks, basis_matrix,
+                    bernstein_apply_grid, sample_function)
 from .blend import (Weight, breakpoints, interpolation_nodes,
                     lagrange_interpolant)
 from .catalog import make_function, parse_spec
-from .combination import build_scheme, combine
+from .combination import build_scheme, combine_applied
+# kept as module attributes: perfbench/sweeps.py wraps them here to trace calls
+from .combination import combine  # noqa: F401
 from .errors import DomainError, NumericalError
-from .operators import (build_modified_operator, modified_operator,
-                        operator_derivative_2r)
+from .operators import (ModifiedOperator, blended_lattice,
+                        build_modified_operator, derivative_applies)
+from .operators import operator_derivative_2r  # noqa: F401
 from .smoothness import (EvaluationGrid, ModulusParams, make_grid,
                          weighted_norm)
 from .smoothness import weighted_modulus
 
 _EXACT_THRESHOLD = 1e-9
 _T_CAP = 0.125
+# largest degree in an n list: one grid row of basis values costs O(n) time
+# and memory, and a ladder applies up to r * n; the large-n runs README
+# records (lemma 6 at 2^18, compare at 65536) stay well inside
+_MAX_DEGREE = 10**6
+
+
+def check_n_list(n_list) -> tuple[int, ...]:
+    """The degrees as ints: nonempty, strictly ascending, 1 <= n <= 10^6."""
+    ns = tuple(_check_int(n, "degree n", 1) for n in n_list)
+    if not ns:
+        raise DomainError("n_list must not be empty")
+    if list(ns) != sorted(set(ns)):
+        raise DomainError("n_list must be strictly ascending")
+    if ns[-1] > _MAX_DEGREE:
+        raise DomainError(f"degree n must be at most {_MAX_DEGREE}, got {ns[-1]}")
+    return ns
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,21 +63,17 @@ class SweepConfig:
     grid_size: int = 2001
 
     def __post_init__(self) -> None:
-        ns = tuple(int(n) for n in self.n_list)
-        if not ns or any(n <= 0 for n in ns):
-            raise DomainError("n_list must contain positive integers")
-        if list(ns) != sorted(set(ns)):
-            raise DomainError("n_list must be strictly ascending")
-        if self.r < 1:
-            raise DomainError("r must be a positive integer")
-        if self.grid_size < 16:
-            raise DomainError("grid_size too small")
+        ns = check_n_list(self.n_list)
+        r = _check_int(self.r, "combination order r", 1)
+        grid_size = _check_int(self.grid_size, "grid size", 16)
         # every ladder node (i+1)n must admit the patch geometry; raises
         # MinNTooSmall naming the first node that does not
         for n in ns:
-            for i in range(self.r):
+            for i in range(r):
                 breakpoints((i + 1) * n, self.weight)
         object.__setattr__(self, "n_list", ns)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "grid_size", grid_size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,22 +152,50 @@ def _sweep_pieces(config: SweepConfig):
     return grid, f
 
 
+def _ladder_samples(config: SweepConfig, f: Callable, plain: bool = False
+                    ) -> tuple[list[ModifiedOperator], dict[int, SampleVector],
+                               dict[int, SampleVector]]:
+    """Each n's operator, and samples of f per distinct ladder degree.
+
+    Returns (operators, blended, direct): the blended-extension samples and,
+    with ``plain``, f's own lattice samples, keyed by degree.  A blend spec
+    depends only on (degree, r, weight), so a degree that several ladders
+    share is sampled once.  Degrees are visited n by n in ladder order,
+    direct samples of a ladder before its operator is built, so the first
+    failure is the one a per-n sweep would meet first.
+    """
+    ops, blended, direct = [], {}, {}
+    for n in config.n_list:
+        if plain:
+            for d in build_scheme(n, config.r).nodes:
+                if d not in direct:
+                    direct[d] = sample_function(f, d)
+        op = build_modified_operator(n, config.r, config.weight)
+        for spec in op.specs:
+            if spec.n not in blended:
+                blended[spec.n] = blended_lattice(f, spec, op.step)
+        ops.append(op)
+    return ops, blended, direct
+
+
 def run_convergence(config: SweepConfig) -> RateReport:
     """Weighted sup error of the modified combination along the n ladder.
 
     Besides the error rows, records per-n the order-2r weighted modulus at
     t = min(n^{-1/2}, 1/8) and the weighted norm of f itself, so the direct
     estimate error <= C*(modulus + n^{-r}*norm) can be audited as ratios.
+    Each distinct ladder degree is applied once and shared by every n.
     """
     grid, f = _sweep_pieces(config)
     xs = grid.points
     f_vals = f(xs)
+    ops, blended, _ = _ladder_samples(config, f)
+    applied = {d: bernstein_apply_grid(sv, xs) for d, sv in blended.items()}
     errors = []
     moduli = []
     t_used = []
-    for n in config.n_list:
-        op = build_modified_operator(n, config.r, config.weight)
-        approx = modified_operator(op, f, xs)
+    for n, op in zip(config.n_list, ops):
+        approx = combine_applied(op.scheme, applied)
         errors.append(weighted_norm(approx - f_vals, config.weight, grid))
         t = min(1.0 / math.sqrt(n), _T_CAP)
         params = ModulusParams(r2=2 * config.r, t=t)
@@ -172,19 +216,21 @@ def compare_plain_vs_modified(config: SweepConfig) -> tuple[RateReport, RateRepo
 
     Plain means the unblended combination, sampling f directly at the
     lattice; for singular f this is exactly the construction the blend is
-    meant to repair.
+    meant to repair.  Both sample vectors of a degree share one basis build.
     """
     grid, f = _sweep_pieces(config)
     xs = grid.points
     f_vals = f(xs)
+    ops, blended, direct = _ladder_samples(config, f, plain=True)
+    plain_applied, mod_applied = {}, {}
+    for d, sv in blended.items():
+        plain_applied[d], mod_applied[d] = bernstein_apply_grid([direct[d], sv], xs)
     plain_errs = []
     mod_errs = []
-    for n in config.n_list:
-        scheme = build_scheme(n, config.r)
-        plain_vals = combine(f, scheme, xs)
+    for op in ops:
+        plain_vals = combine_applied(op.scheme, plain_applied)
         plain_errs.append(weighted_norm(plain_vals - f_vals, config.weight, grid))
-        op = build_modified_operator(n, config.r, config.weight)
-        mod_vals = modified_operator(op, f, xs)
+        mod_vals = combine_applied(op.scheme, mod_applied)
         mod_errs.append(weighted_norm(mod_vals - f_vals, config.weight, grid))
     f_norm = weighted_norm(f_vals, config.weight, grid)
     return (build_report(config.n_list, plain_errs, scale=f_norm),
@@ -195,17 +241,19 @@ def check_bernstein_inequality(config: SweepConfig, lam: float) -> RateReport:
     """Growth of ||w * phi^(2 r lam) * d^(2r) modified(f)|| along the ladder.
 
     The fitted exponent is compared by callers against 2r (lam=0) or r
-    (lam=1).
+    (lam=1).  Each distinct ladder degree's lattice differences are applied
+    once and shared by every n.
     """
     if not 0.0 <= lam <= 1.0:
         raise DomainError("lambda must lie in [0, 1]")
     grid, f = _sweep_pieces(config)
     xs = grid.points
     phi_pow = (xs * (1.0 - xs)) ** (config.r * lam)  # phi^(2 r lam)
+    ops, blended, _ = _ladder_samples(config, f)
+    factors, applied = derivative_applies(blended.values(), 2 * config.r, xs)
     values = []
-    for n in config.n_list:
-        op = build_modified_operator(n, config.r, config.weight)
-        deriv = operator_derivative_2r(op, f, xs)
+    for op in ops:
+        deriv = combine_applied(op.scheme, applied, factors)
         values.append(weighted_norm(phi_pow * deriv, config.weight, grid))
     return build_report(config.n_list, values, {"lambda": lam})
 
@@ -224,8 +272,9 @@ def lemma1_scan(u: float, v: float, n_list, grid: EvaluationGrid) -> RateReport:
         ks = np.arange(1, n)
         kn = ks / n
         coef = kn ** -u * (1.0 - kn) ** -v
-        rows = basis_matrix(n, xs, ks)
-        lhs = (rows * coef).sum(axis=1)
+        lhs = np.empty(xs.size)
+        for chunk in _row_chunks(xs.size, ks.size):
+            lhs[chunk] = (basis_matrix(n, xs[chunk], ks) * coef).sum(axis=1)
         bound = xs ** -u * (1.0 - xs) ** -v
         values.append(float(np.max(lhs / bound)))
     return build_report(n_list, values, {"u": u, "v": v})

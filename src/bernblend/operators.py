@@ -13,13 +13,19 @@ step 1/n.  The falling factorial n!/(n-m)! is taken as an exact integer
 (well inside double range for every degree this package handles), and
 the alternating lattice differences are summed with a compensated (TwoSum)
 cascade.  The sum over k is ``bernstein_apply_grid`` on the differences.
+
+The blended samples of a degree depend only on (degree, r, weight), not on
+the ladder they serve.  So the harness sweeps sample and apply each distinct
+ladder degree once (``blended_lattice``, ``derivative_applies``) and combine
+each n from those applies through ``combine_applied``, the same arithmetic
+as ``modified_operator`` and ``operator_derivative_2r``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -27,7 +33,8 @@ from .basis import SampleVector, _compensated_sum, _unwrap, bernstein_apply_grid
 # kept as a module attribute: perfbench/sweeps.py wraps it here to trace calls
 from .basis import basis_matrix  # noqa: F401
 from .blend import BlendSpec, Weight, blend_eval, build_blend_spec
-from .combination import CombinationScheme, build_scheme, combine_samples
+from .combination import (CombinationScheme, build_scheme, combine_applied,
+                          combine_samples)
 from .errors import DomainError
 from .smoothstep import SmoothstepPoly, build_smoothstep
 
@@ -66,13 +73,15 @@ def build_modified_operator(base_n: int, r: int, weight: Weight) -> ModifiedOper
     return ModifiedOperator(scheme, weight, step, specs)
 
 
+def blended_lattice(f: Callable, spec: BlendSpec, step: SmoothstepPoly) -> SampleVector:
+    """Blended-extension samples of f on the lattice of the spec's degree."""
+    lattice = np.arange(spec.n + 1) / spec.n
+    return SampleVector(spec.n, blend_eval(f, spec, step, lattice))
+
+
 def blended_samples(op: ModifiedOperator, f: Callable) -> list[SampleVector]:
     """Blended-extension samples of f on each ladder degree's lattice."""
-    out = []
-    for n_i, spec in zip(op.scheme.nodes, op.specs):
-        lattice = np.arange(n_i + 1) / n_i
-        out.append(SampleVector(n_i, blend_eval(f, spec, op.step, lattice)))
-    return out
+    return [blended_lattice(f, spec, op.step) for spec in op.specs]
 
 
 def modified_operator(op: ModifiedOperator, f: Callable, x):
@@ -90,6 +99,21 @@ def _lattice_forward_diffs(values: np.ndarray, order: int) -> np.ndarray:
     return _compensated_sum(terms)
 
 
+def derivative_applies(samples: Iterable[SampleVector], order: int, xs: np.ndarray
+                       ) -> tuple[dict[int, float], dict[int, np.ndarray]]:
+    """Per degree n of ``samples``: n!/(n-order)!, and the apply on xs of the
+    order-th lattice differences, so that B_n^{(order)} is their product.
+
+    ``combine_applied`` takes the two maps as its applies and factors.
+    """
+    factors, applied = {}, {}
+    for sv in samples:
+        diffs = SampleVector(sv.n - order, _lattice_forward_diffs(sv.values, order))
+        factors[sv.n] = float(math.perm(sv.n, order))
+        applied[sv.n] = bernstein_apply_grid(diffs, xs)
+    return factors, applied
+
+
 def operator_derivative_2r(op: ModifiedOperator, f: Callable, x):
     """The 2r-th derivative of the blended combination at scalar or array x."""
     order = 2 * op.scheme.r
@@ -97,11 +121,6 @@ def operator_derivative_2r(op: ModifiedOperator, f: Callable, x):
         raise DomainError(
             f"base degree {op.scheme.base_n} must exceed the derivative order {order}"
         )
-    samples = blended_samples(op, f)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros(xs.size)
-    for c, n_i, sv in zip(op.scheme.coeffs.tolist(), op.scheme.nodes, samples):
-        diffs = SampleVector(n_i - order, _lattice_forward_diffs(sv.values, order))
-        factor = float(math.perm(n_i, order))
-        out += c * factor * bernstein_apply_grid(diffs, xs)
-    return _unwrap(x, out)
+    factors, applied = derivative_applies(blended_samples(op, f), order, xs)
+    return _unwrap(x, combine_applied(op.scheme, applied, factors))

@@ -286,6 +286,27 @@ class TestOperatorApply:
         for x, v in zip(xs, grid_vals):
             assert v == pytest.approx(fsum_apply(sv, float(x)), rel=1e-12)
 
+    def test_several_vectors_match_single_applies(self):
+        # 600 rows at degree 4095 span three row chunks of the apply
+        n = 4095
+        xs = np.linspace(0.0, 1.0, 600)
+        rng = np.random.default_rng(7)
+        vectors = [sample_function(np.sin, n), SampleVector(n, rng.standard_normal(n + 1)),
+                   sample_function(lambda t: np.exp(-5.0 * t), n)]
+        dense = basis_matrix(n, xs)
+        got = bernstein_apply_grid(vectors, xs)
+        assert len(got) == 3
+        for sv, vals in zip(vectors, got):
+            assert np.array_equal(vals, bernstein_apply_grid(sv, xs))
+            assert np.array_equal(vals, (dense * sv.values).sum(axis=1))
+
+    def test_vectors_must_share_degree(self):
+        with pytest.raises(DomainError):
+            bernstein_apply_grid([SampleVector(4, np.ones(5)), SampleVector(5, np.ones(6))],
+                                 [0.5])
+        with pytest.raises(DomainError):
+            bernstein_apply_grid([], [0.5])
+
     def test_grid_deterministic(self):
         sv = sample_function(lambda t: np.cos(t), 64)
         xs = np.linspace(0.0, 1.0, 101)

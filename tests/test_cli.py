@@ -1,9 +1,11 @@
 """End-to-end coverage of the command line interface."""
 
 import json
+import time
 
 import pytest
 
+from bernblend import NumericalError, SampleError, cli
 from bernblend.cli import main
 
 QUICK_APPROX = ["--r", "1", "--function", "smooth_sin:freq=1",
@@ -188,6 +190,38 @@ class TestExitCodes:
         assert "grid size must be at most 1000000" in err
 
     @pytest.mark.parametrize("argv", [
+        ["lemma", "1", "--n-list", "10000000"],
+        ["approx", "--n-list", "64,1000001"],
+        ["compare", "--n-list", "1000001"],
+    ])
+    def test_degree_capped(self, capsys, argv):
+        # a 2001 x 10^7 basis would need 160 GB; the cap refuses it at once
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "degree n must be at most 1000000" in err
+
+    @pytest.mark.parametrize("exc, text", [
+        (MemoryError("Unable to allocate 149. GiB"),
+         "error: out of memory: Unable to allocate 149. GiB\n"),
+        (OverflowError("math range error"), "error: overflow: math range error\n"),
+        (NumericalError("non-finite sweep value"), "error: non-finite sweep value\n"),
+        (SampleError("non-finite sample at k/n = 1/2", 0.5),
+         "error: non-finite sample at k/n = 1/2\n"),
+    ])
+    def test_numerical_failures_exit_3(self, capsys, monkeypatch, exc, text):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "lemma1_scan", fail)
+        code, out, err = run(capsys, ["lemma", "1"])
+        assert (code, out, err) == (3, "", text)
+
+    @pytest.mark.parametrize("argv", [
+        ["lemma", "1", "--n-list", "0"],
+        ["lemma", "5", "--n-list", "-4"],
         ["approx", "--function", "smooth_sin:freq=1;2"],
         ["approx", "--function", "smooth_sin:bogus=3"],
         ["approx", "--function", "singular_power:beta=inf"],

@@ -1,5 +1,6 @@
 """Experiment engine: sweeps, lemma scans, rate fits, report emission."""
 
+import collections
 import json
 import math
 
@@ -8,11 +9,14 @@ import pytest
 
 from bernblend import (DEFAULT_KEYS, DomainError, MinNTooSmall,
                        NumericalError, RateReport, SampleError, SweepConfig,
-                       Weight, build_report, check_bernstein_inequality,
+                       Weight, basis_matrix, build_modified_operator,
+                       build_report, check_bernstein_inequality, combine,
                        compare_plain_vs_modified, emit_report, fit_rate,
                        lemma1_scan, lemma3_decay, lemma5_scan, lemma6_scan,
-                       make_function, make_grid, parse_spec, render_report,
-                       run_convergence)
+                       make_function, make_grid, modified_operator,
+                       operator_derivative_2r, parse_spec, render_report,
+                       run_convergence, weighted_norm)
+from bernblend import basis
 
 
 class TestFitRate:
@@ -75,6 +79,12 @@ class TestSweepConfig:
             SweepConfig(0, weight513, "smooth_sin:freq=1", (64,), 401)
         with pytest.raises(DomainError):
             SweepConfig(2, weight513, "smooth_sin:freq=1", (64,), 8)
+        with pytest.raises(DomainError):
+            SweepConfig(2.5, weight513, "smooth_sin:freq=1", (64,), 401)
+        with pytest.raises(DomainError):
+            SweepConfig(2, weight513, "smooth_sin:freq=1", (64,), 401.5)
+        with pytest.raises(DomainError, match="at most 1000000"):
+            SweepConfig(2, weight513, "smooth_sin:freq=1", (64, 10**6 + 1), 401)
 
     def test_geometry_checked_up_front(self, weight513):
         with pytest.raises(MinNTooSmall):
@@ -182,7 +192,76 @@ class TestBernsteinInequality:
         assert rep.slope <= 2.0 + 0.35
 
 
+def per_n_reference(cfg):
+    """(plain, modified, derivative) sweep values, built n by n through the
+    operator entry points, as the sweeps computed them before sharing."""
+    grid = make_grid(cfg.weight, cfg.grid_size)
+    f = make_function(parse_spec(cfg.function_key), cfg.weight)
+    xs = grid.points
+    f_vals = f(xs)
+    plain, modified, deriv = [], [], []
+    for n in cfg.n_list:
+        op = build_modified_operator(n, cfg.r, cfg.weight)
+        plain.append(weighted_norm(combine(f, op.scheme, xs) - f_vals, cfg.weight, grid))
+        modified.append(weighted_norm(modified_operator(op, f, xs) - f_vals,
+                                      cfg.weight, grid))
+        deriv.append(weighted_norm(operator_derivative_2r(op, f, xs), cfg.weight, grid))
+    return tuple(plain), tuple(modified), tuple(deriv)
+
+
+class TestSharedDegrees:
+    # a sweep applies each distinct ladder degree once; (96, 160) shares none
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("ns", [(64, 128, 256), (96, 160)])
+    def test_sweeps_equal_per_n_reference(self, weight513, r, ns):
+        cfg = SweepConfig(r, weight513, "singular_power:beta=0.5", ns, 401)
+        plain, modified, deriv = per_n_reference(cfg)
+        assert run_convergence(cfg).values == modified
+        got_plain, got_modified = compare_plain_vs_modified(cfg)
+        assert got_plain.values == plain
+        assert got_modified.values == modified
+        assert check_bernstein_inequality(cfg, 0.0).values == deriv
+
+    def test_each_degree_built_once(self, weight513, monkeypatch):
+        built = []
+        original = basis.basis_matrix
+
+        def counting(n, xs, ks=None):
+            built.append(n)
+            return original(n, xs, ks)
+
+        monkeypatch.setattr(basis, "basis_matrix", counting)
+        cfg = SweepConfig(3, weight513, "singular_power:beta=0.5", (256, 512, 1024), 2001)
+        degrees = {d for n in cfg.n_list for d in (n, 2 * n, 3 * n)}
+        assert len(degrees) == 7
+
+        size = make_grid(weight513, cfg.grid_size).points.size
+
+        def chunks(n):
+            # row chunks of one grid apply at degree n
+            return len(basis._row_chunks(size, n + 1))
+
+        compare_plain_vs_modified(cfg)
+        assert collections.Counter(built) == {d: chunks(d) for d in degrees}
+        assert max(built.count(d) for d in degrees) > 1  # several chunks
+        built.clear()
+        check_bernstein_inequality(cfg, 0.0)
+        assert collections.Counter(built) == {d - 6: chunks(d - 6) for d in degrees}
+
+
 class TestLemmaScans:
+    def test_lemma1_chunked_equals_dense(self, weight513):
+        # 1001 rows of 4095 columns span several row chunks
+        grid = make_grid(weight513, 1001)
+        n = 4096
+        assert len(basis._row_chunks(grid.points.size, n - 1)) > 2
+        xs = grid.points[(grid.points >= 1.0 / n) & (grid.points <= 1.0 - 1.0 / n)]
+        kn = np.arange(1, n) / n
+        lhs = (basis_matrix(n, xs, np.arange(1, n)) * (kn ** -1.5 * (1.0 - kn) ** -0.5)
+               ).sum(axis=1)
+        want = float(np.max(lhs / (xs ** -1.5 * (1.0 - xs) ** -0.5)))
+        assert lemma1_scan(1.5, 0.5, (n,), grid).values == (want,)
+
     def test_lemma1_trivial_case(self, grid513):
         rep = lemma1_scan(0.0, 0.0, (64, 256), grid513)
         assert max(rep.values) <= 1.0 + 1e-12
