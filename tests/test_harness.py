@@ -194,7 +194,7 @@ class TestBernsteinInequality:
 
 def per_n_reference(cfg):
     """(plain, modified, derivative) sweep values, built n by n through the
-    operator entry points, as the sweeps computed them before sharing."""
+    operator entry points, each ladder applying its own degrees."""
     grid = make_grid(cfg.weight, cfg.grid_size)
     f = make_function(parse_spec(cfg.function_key), cfg.weight)
     xs = grid.points
