@@ -67,7 +67,9 @@ def _parse_n_list(value) -> tuple[int, ...]:
         ns = tuple(int(p) for p in parts)
     except (TypeError, ValueError):
         raise DomainError(f"bad n list {value!r}: want comma-separated integers")
-    return check_n_list(ns)
+    # the degree cap applies where a scan or sweep needs it (SweepConfig,
+    # lemma1_scan); here only the shape of the list is checked
+    return check_n_list(ns, max_degree=None)
 
 
 def _load_config(path: str) -> dict:

@@ -16,17 +16,19 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import operators
 from .basis import (SampleVector, _check_int, _row_chunks, basis_matrix,
                     bernstein_apply_grid, sample_function)
 from .blend import (Weight, breakpoints, interpolation_nodes,
                     lagrange_interpolant)
 from .catalog import make_function, parse_spec
 from .combination import build_scheme, combine_applied
-# kept as module attributes: perfbench/sweeps.py wraps them here to trace calls
+# uncalled since the sweeps apply per degree; kept only because
+# perfbench/sweeps.py wraps these names here, so their spans never open
 from .combination import combine  # noqa: F401
 from .errors import DomainError, NumericalError
-from .operators import (ModifiedOperator, blended_lattice,
-                        build_modified_operator, derivative_applies)
+from .operators import (ModifiedOperator, build_modified_operator,
+                        derivative_applies)
 from .operators import operator_derivative_2r  # noqa: F401
 from .smoothness import (EvaluationGrid, ModulusParams, make_grid,
                          weighted_norm)
@@ -34,21 +36,24 @@ from .smoothness import weighted_modulus
 
 _EXACT_THRESHOLD = 1e-9
 _T_CAP = 0.125
-# largest degree in an n list: one grid row of basis values costs O(n) time
-# and memory, and a ladder applies up to r * n; the large-n runs README
-# records (lemma 6 at 2^18, compare at 65536) stay well inside
+# largest degree in the n list of a sweep or of lemma1_scan: each grid row
+# of their basis values costs O(n) time and memory, and a ladder applies up
+# to r * n; the large-n runs README records (compare at 65536) stay well
+# inside.  The centre-window scans (lemma 5, 6) need only 2 sqrt(n) columns
+# and take no cap.
 _MAX_DEGREE = 10**6
 
 
-def check_n_list(n_list) -> tuple[int, ...]:
-    """The degrees as ints: nonempty, strictly ascending, 1 <= n <= 10^6."""
+def check_n_list(n_list, max_degree: int | None = _MAX_DEGREE) -> tuple[int, ...]:
+    """The degrees as ints: nonempty, strictly ascending, each >= 1 and, unless
+    ``max_degree`` is None, at most ``max_degree``."""
     ns = tuple(_check_int(n, "degree n", 1) for n in n_list)
     if not ns:
         raise DomainError("n_list must not be empty")
     if list(ns) != sorted(set(ns)):
         raise DomainError("n_list must be strictly ascending")
-    if ns[-1] > _MAX_DEGREE:
-        raise DomainError(f"degree n must be at most {_MAX_DEGREE}, got {ns[-1]}")
+    if max_degree is not None and ns[-1] > max_degree:
+        raise DomainError(f"degree n must be at most {max_degree}, got {ns[-1]}")
     return ns
 
 
@@ -157,12 +162,17 @@ def _ladder_samples(config: SweepConfig, f: Callable, plain: bool = False
                                dict[int, SampleVector]]:
     """Each n's operator, and samples of f per distinct ladder degree.
 
-    Returns (operators, blended, direct): the blended-extension samples and,
-    with ``plain``, f's own lattice samples, keyed by degree.  A blend spec
-    depends only on (degree, r, weight), so a degree that several ladders
-    share is sampled once.  Degrees are visited n by n in ladder order,
-    direct samples of a ladder before its operator is built, so the first
-    failure is the one a per-n sweep would meet first.
+    Returns (ops, blended, direct): each n's operator, then the blended
+    samples and, with ``plain``, f's own lattice samples, keyed by degree.
+    A blend spec depends only on (degree, r, weight), so a degree that
+    several ladders share keeps the samples of its first ladder.  Every
+    ladder is still sampled whole through ``operators.blended_samples``,
+    looked up on the module so that a wrapper put there (the benchmark's
+    blend-gap trace) sees each ladder's samples; f costs little next to the
+    applies.
+    Degrees are visited n by n in ladder order, direct samples of a ladder
+    before its operator is built, so the first failure is the one a per-n
+    sweep would meet first.
     """
     ops, blended, direct = [], {}, {}
     for n in config.n_list:
@@ -171,9 +181,8 @@ def _ladder_samples(config: SweepConfig, f: Callable, plain: bool = False
                 if d not in direct:
                     direct[d] = sample_function(f, d)
         op = build_modified_operator(n, config.r, config.weight)
-        for spec in op.specs:
-            if spec.n not in blended:
-                blended[spec.n] = blended_lattice(f, spec, op.step)
+        for sv in operators.blended_samples(op, f):
+            blended.setdefault(sv.n, sv)
         ops.append(op)
     return ops, blended, direct
 
@@ -266,6 +275,7 @@ def lemma1_scan(u: float, v: float, n_list, grid: EvaluationGrid) -> RateReport:
     """
     if not (0.0 <= u < math.inf and 0.0 <= v < math.inf):
         raise DomainError(f"u and v must be finite and nonnegative, got {u!r}, {v!r}")
+    n_list = check_n_list(n_list)
     values = []
     for n in n_list:
         xs = grid.points[(grid.points >= 1.0 / n) & (grid.points <= 1.0 - 1.0 / n)]

@@ -15,8 +15,8 @@ the alternating lattice differences are summed with a compensated (TwoSum)
 cascade.  The sum over k is ``bernstein_apply_grid`` on the differences.
 
 The blended samples of a degree depend only on (degree, r, weight), not on
-the ladder they serve.  So the harness sweeps sample and apply each distinct
-ladder degree once (``blended_lattice``, ``derivative_applies``) and combine
+the ladder they serve.  So the harness sweeps apply each distinct ladder
+degree once (``bernstein_apply_grid``, ``derivative_applies``) and combine
 each n from those applies through ``combine_applied``, the same arithmetic
 as ``modified_operator`` and ``operator_derivative_2r``.
 """
@@ -73,15 +73,13 @@ def build_modified_operator(base_n: int, r: int, weight: Weight) -> ModifiedOper
     return ModifiedOperator(scheme, weight, step, specs)
 
 
-def blended_lattice(f: Callable, spec: BlendSpec, step: SmoothstepPoly) -> SampleVector:
-    """Blended-extension samples of f on the lattice of the spec's degree."""
-    lattice = np.arange(spec.n + 1) / spec.n
-    return SampleVector(spec.n, blend_eval(f, spec, step, lattice))
-
-
 def blended_samples(op: ModifiedOperator, f: Callable) -> list[SampleVector]:
     """Blended-extension samples of f on each ladder degree's lattice."""
-    return [blended_lattice(f, spec, op.step) for spec in op.specs]
+    out = []
+    for n_i, spec in zip(op.scheme.nodes, op.specs):
+        lattice = np.arange(n_i + 1) / n_i
+        out.append(SampleVector(n_i, blend_eval(f, spec, op.step, lattice)))
+    return out
 
 
 def modified_operator(op: ModifiedOperator, f: Callable, x):

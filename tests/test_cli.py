@@ -1,11 +1,10 @@
 """End-to-end coverage of the command line interface."""
 
 import json
-import time
 
 import pytest
 
-from bernblend import NumericalError, SampleError, cli
+from bernblend import NumericalError, SampleError, basis, cli, harness
 from bernblend.cli import main
 
 QUICK_APPROX = ["--r", "1", "--function", "smooth_sin:freq=1",
@@ -194,14 +193,25 @@ class TestExitCodes:
         ["approx", "--n-list", "64,1000001"],
         ["compare", "--n-list", "1000001"],
     ])
-    def test_degree_capped(self, capsys, argv):
-        # a 2001 x 10^7 basis would need 160 GB; the cap refuses it at once
-        start = time.perf_counter()
+    def test_degree_capped(self, capsys, monkeypatch, argv):
+        # a 2001 x 10^7 basis would need 160 GB; the cap refuses it before
+        # any basis value is built
+        def refuse(*args):
+            raise AssertionError("basis built past the degree cap")
+
+        monkeypatch.setattr(harness, "basis_matrix", refuse)
+        monkeypatch.setattr(basis, "basis_matrix", refuse)
         code, out, err = run(capsys, argv)
-        assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "degree n must be at most 1000000" in err
+
+    def test_lemma3_degree_uncapped(self, capsys):
+        # interpolation builds no basis, so the sweep cap does not apply
+        code, out, _ = run(capsys, ["lemma", "3", "--n-list", "2000000",
+                                    "--grid", "401"])
+        assert code == 0
+        assert [row["n"] for row in csv_rows(out)] == ["2000000"]
 
     @pytest.mark.parametrize("exc, text", [
         (MemoryError("Unable to allocate 149. GiB"),

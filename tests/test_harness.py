@@ -16,7 +16,7 @@ from bernblend import (DEFAULT_KEYS, DomainError, MinNTooSmall,
                        make_function, make_grid, modified_operator,
                        operator_derivative_2r, parse_spec, render_report,
                        run_convergence, weighted_norm)
-from bernblend import basis
+from bernblend import basis, operators
 
 
 class TestFitRate:
@@ -247,6 +247,26 @@ class TestSharedDegrees:
         built.clear()
         check_bernstein_inequality(cfg, 0.0)
         assert collections.Counter(built) == {d - 6: chunks(d - 6) for d in degrees}
+
+    def test_every_ladder_sampled_through_blended_samples(self, weight513,
+                                                          monkeypatch):
+        # a wrapper on operators.blended_samples (the benchmark's blend-gap
+        # trace) must see each ladder's blended samples, shared degrees too
+        seen = []
+        original = operators.blended_samples
+
+        def recording(op, f):
+            seen.append(op.scheme.nodes)
+            return original(op, f)
+
+        monkeypatch.setattr(operators, "blended_samples", recording)
+        cfg = SweepConfig(2, weight513, "singular_power:beta=0.5", (64, 128), 401)
+        ladders = [(64, 128), (128, 256)]
+        for sweep in (run_convergence, compare_plain_vs_modified,
+                      lambda c: check_bernstein_inequality(c, 0.0)):
+            seen.clear()
+            sweep(cfg)
+            assert [tuple(nodes) for nodes in seen] == ladders
 
 
 class TestLemmaScans:
