@@ -7,6 +7,14 @@ which keeps each basis value within a few 1e-13 relative even at n = 4096.
 Evaluation at x > 1/2 is mirrored onto 1-x (exact for x >= 1/2), making
 the symmetry p_{nk}(x) = p_{n,n-k}(1-x) hold by construction.
 
+``_band_blocks`` is the one place basis values are computed.  Logs are taken
+only on each row's Bernstein band, and exp only on the live columns, those
+with some log at or above _ZERO_LOG; every entry left out is one exp would
+round to exactly +0.0.  ``basis_matrix`` scatters the blocks into zeros.
+The applies and the lemma 1 and 5 scans reduce through ``_row_sums``, which
+builds no dense matrix yet reproduces numpy's pairwise sum of each dense
+row bit for bit, so the bytes are those of the dense product.
+
 Endpoint convention: 0^0 = 1, so p_{n0}(0) = 1 and p_{nn}(1) = 1.
 """
 
@@ -24,15 +32,19 @@ from .errors import DomainError, SampleError
 # evaluation points this far outside [0,1] are treated as endpoint roundoff
 _EDGE_SLACK = 1e-12
 
-# cap on rows*cols of any basis matrix built in one shot (memory guard);
-# 1M doubles is 8 MB, well below glibc's mmap threshold ceiling of 32 MiB
-_CHUNK_ENTRIES = 1_000_000
-
-# basis_matrix leaves out entries with ln p_nk below -_UNDERFLOW_LOG: exp
+# _band leaves out entries with ln p_nk below -_UNDERFLOW_LOG: exp
 # rounds anything below -745.13 to +0.0, so they are exactly 0.0 anyway
 _UNDERFLOW_LOG = 760.0
-# rows of basis_matrix evaluated together on the union of their bands
+# exp of any double below ln 2^-1075 = -745.133 is exactly +0.0, so basis
+# columns whose logs all lie below this are cut before exp
+_ZERO_LOG = -745.2
+# rows of basis values evaluated together on the union of their bands
 _GROUP_ROWS = 32
+# entries (2 MB) that a row group's band or _row_sums's tree nodes may take;
+# groups hold fewer rows where the band is wider than this over 32
+_BLOCK_ENTRIES = 1 << 18
+# numpy's pairwise float64 sum works on leaves of at most this many entries
+_PAIRWISE_LEAF = 128
 
 
 def _check_int(value, what: str, low: int) -> int:
@@ -136,30 +148,42 @@ def _band(n: int, ks: np.ndarray, centre: np.ndarray,
             np.searchsorted(ks, centre + t, "right"))
 
 
-def basis_matrix(n: int, xs: np.ndarray, ks: np.ndarray | None = None) -> np.ndarray:
-    """Matrix P[i, j] = p_{n, ks[j]}(xs[i]).
-
-    For sorted ``ks`` only each row's Bernstein band (see ``_band``) is
-    evaluated; the entries left out are the ones a full-width evaluation
-    underflows to exactly 0.0, so the result is the same bit for bit.
-    Rows are taken in sorted groups of _GROUP_ROWS, each evaluated on the
-    union of its bands.
-    """
+def _basis_args(n: int, xs, ks) -> tuple[int, np.ndarray, np.ndarray]:
+    """Checked (n, xs, ks) of a basis evaluation: xs a 1-d array in [0,1]."""
     n = _check_degree(n)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise DomainError("xs must be a 1-d array")
     if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
         raise DomainError("all evaluation points must lie in [0,1]")
-    ks = _check_indices(n, ks)
+    return n, xs, _check_indices(n, ks)
+
+
+def _band_blocks(n: int, xs: np.ndarray, ks: np.ndarray):
+    """The nonzero basis values p_{n, ks[j]}(xs[i]) of checked arguments.
+
+    Yields blocks (rows, a, b, vals) with vals[i, j] = p_{n, ks[a + j]}(
+    xs[rows[i]]); each row lies in at most one block, and every entry outside
+    the blocks is exactly +0.0.  Rows are taken in sorted groups of
+    _GROUP_ROWS, fewer where bands are wide (_BLOCK_ENTRIES).  For sorted
+    ``ks`` a group's logs are computed on the union of its rows' Bernstein
+    bands (see ``_band``), with the full-width elementwise expression and
+    order, and exp runs only on the live columns (some log >= _ZERO_LOG),
+    so every value is the one a full-width evaluation gives, bit for bit.
+    Rows at x = 0 or 1 form one block over the columns of index 0 or n.
+    """
     banded = bool(np.all(ks[1:] >= ks[:-1]))
-    out = np.zeros((xs.size, ks.size))
     left = xs <= 0.5
     # x > 1/2 is mirrored: p_{n,k}(x) = p_{n,n-k}(1-x), and 1-x is exact there
     for rows, p, kk in ((np.flatnonzero(left), xs[left], ks),
                         (np.flatnonzero(~left), 1.0 - xs[~left], n - ks)):
         edge = p == 0.0
-        out[rows[edge]] = kk == 0
+        ones = np.flatnonzero(kk == 0)
+        if edge.any() and ones.size:
+            a, b = ones[0], ones[-1] + 1
+            vals = np.zeros((int(edge.sum()), b - a))
+            vals[:] = kk[a:b] == 0
+            yield rows[edge], a, b, vals
         rows, p = rows[~edge], p[~edge]
         if not rows.size:
             continue
@@ -176,17 +200,140 @@ def basis_matrix(n: int, xs: np.ndarray, ks: np.ndarray | None = None) -> np.nda
             lo = np.zeros(p.size, dtype=np.intp)
             hi = np.full(p.size, ks.size)
         order = np.argsort(p, kind="stable")
-        for g in range(0, order.size, _GROUP_ROWS):
-            sel = order[g:g + _GROUP_ROWS]
+        step = min(_GROUP_ROWS, max(1, _BLOCK_ENTRIES // max(1, int((hi - lo).max()))))
+        for g in range(0, order.size, step):
+            sel = order[g:g + step]
             a, b = lo[sel].min(), hi[sel].max()
             if a >= b:
                 continue
             # the full-width expression and order, restricted to columns a:b
             m = lc[a:b] + log_p[sel, None] * kf[a:b]
             m += log_q[sel, None] * mf[a:b]
-            np.exp(m, out=m)
-            out[rows[sel], a:b] = m
+            live = np.flatnonzero(m.max(axis=0) >= _ZERO_LOG)
+            if not live.size:
+                continue
+            i, j = live[0], live[-1] + 1
+            m = np.ascontiguousarray(m[:, i:j])
+            yield rows[sel], a + i, a + j, np.exp(m, out=m)
+
+
+def basis_matrix(n: int, xs: np.ndarray, ks: np.ndarray | None = None) -> np.ndarray:
+    """Matrix P[i, j] = p_{n, ks[j]}(xs[i]).
+
+    The blocks of ``_band_blocks`` scattered into zeros: the same matrix,
+    bit for bit, as a full-width evaluation of every entry.
+    """
+    n, xs, ks = _basis_args(n, xs, ks)
+    out = np.zeros((xs.size, ks.size))
+    for rows, a, b, vals in _band_blocks(n, xs, ks):
+        out[rows, a:b] = vals
     return out
+
+
+@lru_cache(maxsize=64)
+def _pairwise_plan(size: int):
+    """The tree numpy's float64 add.reduce sums a contiguous row of ``size`` in.
+
+    numpy halves a row of more than _PAIRWISE_LEAF entries at n/2 rounded
+    down to a multiple of 8 and sums each leaf with 8 accumulators.  Returns
+    (starts, runs, levels): each leaf's first column plus ``size`` at the
+    end; runs of consecutive equal-length leaves as (first leaf, stop leaf,
+    length); and per tree height the (parent, left, right) node ids of its
+    adds.  Leaves are nodes 0.. in column order; the root is the last node.
+    """
+    leaves, adds = [], []
+
+    def split(start, count):
+        # (node, height); the i-th add is numbered -1 - i until the leaves
+        # are counted, and children are added before their parent
+        if count <= _PAIRWISE_LEAF:
+            leaves.append((start, count))
+            return len(leaves) - 1, 0
+        half = count // 2
+        half -= half % 8
+        (left, hl), (right, hr) = split(start, half), split(start + half, count - half)
+        adds.append((max(hl, hr) + 1, left, right))
+        return -len(adds), adds[-1][0]
+
+    split(0, size)
+
+    def node(i):
+        return i if i >= 0 else len(leaves) - 1 - i
+
+    levels = []
+    for height in range(1, adds[-1][0] + 1 if adds else 1):
+        ids = [(node(-1 - i), node(left), node(right))
+               for i, (h, left, right) in enumerate(adds) if h == height]
+        levels.append(tuple(np.array(col) for col in zip(*ids)))
+    starts = np.array([s for s, _ in leaves] + [size])
+    runs, first = [], 0
+    for i in range(1, len(leaves) + 1):
+        if i == len(leaves) or leaves[i][1] != leaves[first][1]:
+            runs.append((first, i, leaves[first][1]))
+            first = i
+    return starts, tuple(runs), tuple(levels)
+
+
+def _tree_sums(out: np.ndarray, pending, levels, n_nodes: int) -> None:
+    """Add the leaf sums ``pending`` up the tree into out[weight, row].
+
+    ``pending`` holds (rows, first leaf, sums[weight, row, leaf]) per block.
+    """
+    rows = np.concatenate([r for r, _, _ in pending])
+    nodes = np.zeros((out.shape[0], rows.size, n_nodes))
+    at = 0
+    for r, first, sums in pending:
+        nodes[:, at:at + r.size, first:first + sums.shape[2]] = sums
+        at += r.size
+    for parent, left, right in levels:
+        nodes[:, :, parent] = nodes[:, :, left] + nodes[:, :, right]
+    out[:, rows] = nodes[:, :, -1]
+
+
+def _row_sums(n: int, xs: np.ndarray, ks, weights: Sequence[np.ndarray]
+              ) -> list[np.ndarray]:
+    """(basis_matrix(n, xs, ks) * w).sum(axis=1) for each w in ``weights``.
+
+    Equal under ==, without building the matrix: each block of
+    ``_band_blocks`` is widened to whole leaves of numpy's pairwise tree
+    (``_pairwise_plan``) in a zeroed buffer, each run of equal leaves is
+    summed by numpy's own leaf kernel, and the leaf sums are added up the
+    tree for about _BLOCK_ENTRIES / (2 leaves) rows at once.  Leaves outside
+    every block hold only zeros, and adding a zero changes no sum.
+    """
+    n, xs, ks = _basis_args(n, xs, ks)
+    w = np.array(weights, dtype=float).reshape(len(weights), ks.size)
+    out = np.zeros((w.shape[0], xs.size))
+    if not ks.size:
+        return list(out)
+    starts, runs, levels = _pairwise_plan(ks.size)
+    n_nodes = 2 * (starts.size - 1) - 1
+    cap = _BLOCK_ENTRIES // (w.shape[0] * n_nodes)
+    pending, held = [], 0
+    for rows, a, b, vals in _band_blocks(n, xs, ks):
+        # leaves i0..i1-1 cover columns a:b; buf holds their span from column A
+        i0 = np.searchsorted(starts, a, "right") - 1
+        i1 = np.searchsorted(starts, b, "left")
+        A = starts[i0]
+        buf = np.zeros((w.shape[0], rows.size, starts[i1] - A))
+        np.multiply(vals, w[:, None, a:b], out=buf[:, :, a - A:b - A])
+        sums = np.empty((w.shape[0], rows.size, i1 - i0))
+        for first, stop, length in runs:
+            first, stop = max(first, i0), min(stop, i1)
+            if first >= stop:
+                continue
+            s = starts[first] - A
+            leaves = buf[:, :, s:s + (stop - first) * length]
+            sums[:, :, first - i0:stop - i0] = leaves.reshape(
+                w.shape[0], rows.size, stop - first, length).sum(axis=3)
+        pending.append((rows, i0, sums))
+        held += rows.size
+        if held >= cap:
+            _tree_sums(out, pending, levels, n_nodes)
+            pending, held = [], 0
+    if pending:
+        _tree_sums(out, pending, levels, n_nodes)
+    return list(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,37 +387,21 @@ def evaluate(f: Callable, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _row_chunks(size: int, cols: int) -> list[slice]:
-    """Row slices covering range(size), each at most _CHUNK_ENTRIES / cols rows.
-
-    Chunking by rows changes no per-row sum, so results do not depend on it.
-    """
-    step = max(1, _CHUNK_ENTRIES // max(cols, 1))
-    return [slice(lo, lo + step) for lo in range(0, size, step)]
-
-
 def bernstein_apply_grid(samples: SampleVector | Sequence[SampleVector],
                          xs: np.ndarray):
     """Vectorized B_n(f, .) on an array of points.
 
     ``samples`` is one SampleVector, giving one array, or a sequence of
     SampleVectors of one degree, giving a list with one array per vector.
-    Each row chunk's basis matrix is built once and reduced against every
-    vector in turn.
+    The basis is evaluated once and reduced against every vector, each sum
+    bit for bit the pairwise sum of the dense basis row times the samples
+    (see ``_row_sums``): identical bytes at any thread count.
     """
     single = isinstance(samples, SampleVector)
     vectors = [samples] if single else list(samples)
     if not vectors or any(sv.n != vectors[0].n for sv in vectors):
         raise DomainError("bernstein_apply_grid needs sample vectors of one degree")
-    n = vectors[0].n
-    xs = np.asarray(xs, dtype=float)
-    outs = [np.empty(xs.size) for _ in vectors]
-    for chunk in _row_chunks(xs.size, n + 1):
-        rows = basis_matrix(n, xs[chunk])
-        for out, sv in zip(outs, vectors):
-            # ufunc pairwise sum, not BLAS: identical bytes at any thread
-            # count; one vector at a time keeps the temporary 2-d
-            out[chunk] = (rows * sv.values).sum(axis=1)
+    outs = _row_sums(vectors[0].n, xs, None, [sv.values for sv in vectors])
     return outs[0] if single else outs
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import operators
-from .basis import (SampleVector, _check_int, _row_chunks, basis_matrix,
+from .basis import (SampleVector, _check_int, _row_sums, basis_matrix,
                     bernstein_apply_grid, sample_function)
 from .blend import (Weight, breakpoints, interpolation_nodes,
                     lagrange_interpolant)
@@ -267,6 +267,15 @@ def check_bernstein_inequality(config: SweepConfig, lam: float) -> RateReport:
     return build_report(config.n_list, values, {"lambda": lam})
 
 
+def _interior_points(grid: EvaluationGrid, n: int) -> np.ndarray:
+    """The grid points in [1/n, 1 - 1/n]; DomainError if there are none."""
+    xs = grid.points[(grid.points >= 1.0 / n) & (grid.points <= 1.0 - 1.0 / n)]
+    if not xs.size:
+        raise DomainError(f"no grid point lies in the window [1/n, 1 - 1/n] = "
+                          f"[{1.0 / n!r}, {1.0 - 1.0 / n!r}] for n = {n}")
+    return xs
+
+
 def lemma1_scan(u: float, v: float, n_list, grid: EvaluationGrid) -> RateReport:
     """Max over the grid of the interior moment sum over its claimed bound.
 
@@ -278,13 +287,11 @@ def lemma1_scan(u: float, v: float, n_list, grid: EvaluationGrid) -> RateReport:
     n_list = check_n_list(n_list)
     values = []
     for n in n_list:
-        xs = grid.points[(grid.points >= 1.0 / n) & (grid.points <= 1.0 - 1.0 / n)]
+        xs = _interior_points(grid, n)
         ks = np.arange(1, n)
         kn = ks / n
         coef = kn ** -u * (1.0 - kn) ** -v
-        lhs = np.empty(xs.size)
-        for chunk in _row_chunks(xs.size, ks.size):
-            lhs[chunk] = (basis_matrix(n, xs[chunk], ks) * coef).sum(axis=1)
+        lhs, = _row_sums(n, xs, ks, [coef])
         bound = xs ** -u * (1.0 - xs) ** -v
         values.append(float(np.max(lhs / bound)))
     return build_report(n_list, values, {"u": u, "v": v})
@@ -316,8 +323,9 @@ def lemma5_scan(weight: Weight, n_list, grid: EvaluationGrid) -> RateReport:
     values = []
     for n in n_list:
         ks = _center_window(n, weight.xi)
-        rows = basis_matrix(n, grid.points, ks)
-        a_n = weight(grid.points) * rows.sum(axis=1)
+        # unit weights: the same pairwise sums as basis_matrix(...).sum(axis=1)
+        sums, = _row_sums(n, grid.points, ks, [np.ones(ks.size)])
+        a_n = weight(grid.points) * sums
         values.append(float(np.max(a_n)))
     return build_report(n_list, values)
 
@@ -328,12 +336,16 @@ def lemma6_scan(beta: float, weight: Weight, n_list,
 
     value(n) = max_x w(x) sum_{|k-n xi| <= sqrt n} |k - n x|^beta p_nk(x)
                / (n^(beta - alpha/2) phi(x)^beta), x in [1/n, 1-1/n].
+
+    Unlike the other scans it sums a dense ``basis_matrix``: its weights
+    |k - n x|^beta depend on the row, and ``_row_sums`` takes one weight
+    per column.
     """
     if not 0.0 < beta < math.inf:
         raise DomainError(f"beta must be positive and finite, got {beta!r}")
     values = []
     for n in n_list:
-        xs = grid.points[(grid.points >= 1.0 / n) & (grid.points <= 1.0 - 1.0 / n)]
+        xs = _interior_points(grid, n)
         ks = _center_window(n, weight.xi)
         rows = basis_matrix(n, xs, ks)
         moment = np.abs(ks[None, :] - n * xs[:, None]) ** beta

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bernblend import (DomainError, SampleError, SampleVector,
+from bernblend import (DomainError, SampleError, SampleVector, basis,
                        backward_difference, basis_matrix, basis_row,
                        bernstein_apply_grid, evaluate, forward_difference,
                        log_binomial, sample_function, symmetric_difference)
@@ -186,6 +186,7 @@ def _oracle_indices(n):
         "inner": np.arange(1, n) if n > 1 else None,
         "window": np.arange(max(0, centre - half), min(n, centre + half) + 1),
         "unsorted": rng.permutation(n + 1)[: n // 3 + 1],
+        "repeated": np.array([0, 0, n // 2, n // 2, n, n]),
     }
 
 
@@ -212,6 +213,83 @@ class TestBandedMatrix:
     def test_empty_arguments(self):
         assert basis_matrix(8, np.array([])).shape == (0, 9)
         assert basis_matrix(8, np.array([0.3, 1.0]), np.array([], dtype=int)).shape == (2, 0)
+
+
+def pairwise_sum(values):
+    """numpy's float64 pairwise summation of a contiguous row, in Python.
+
+    Leaves of at most 128 entries are summed with 8 accumulators (fewer
+    than 8 entries: one running sum); a longer row is split at half its
+    length rounded down to a multiple of 8.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        acc = list(values[:8])
+        i = 8
+        while i < n - n % 8:
+            for j in range(8):
+                acc[j] += values[i + j]
+            i += 8
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for v in values[i:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
+def _weights(size, seed):
+    rng = np.random.default_rng(seed)
+    signed = rng.standard_normal(size)
+    return {"signed": signed, "zero": np.zeros(size), "minus_one": -np.ones(size),
+            "tiny": 1e-300 * signed}
+
+
+class TestRowSums:
+    """The banded reduction against the dense product's own numpy sum."""
+
+    @pytest.mark.parametrize("size", [7, 8, 129, 2049, 4091, 12289, 65537])
+    def test_numpy_sum_is_pairwise_tree(self, size):
+        # the tree _row_sums reproduces; a numpy release that sums rows
+        # differently fails here first
+        rng = np.random.default_rng(size)
+        rows = rng.standard_normal((2, size)) * np.exp(8.0 * rng.standard_normal((2, size)))
+        want = [0.0 + pairwise_sum(row.tolist()) for row in rows]
+        assert rows.sum(axis=1).tolist() == want
+
+    def test_exp_underflows_to_positive_zero(self):
+        # _band_blocks skips exp on columns whose logs all lie below _ZERO_LOG
+        logs = np.concatenate([np.linspace(-1000.0, basis._ZERO_LOG, 2_000_001),
+                               np.nextafter(basis._ZERO_LOG, -np.inf) - np.arange(1000) * 1e-12])
+        vals = np.exp(logs)
+        assert np.all(vals == 0.0)
+        assert not np.signbit(vals).any()
+
+    @pytest.mark.parametrize("n", ORACLE_DEGREES + [4090, 12282])
+    def test_matches_dense_sum_bit_for_bit(self, n):
+        for xname, xs in _oracle_points(n).items():
+            for kname, ks in _oracle_indices(n).items():
+                dense = dense_basis(n, xs, ks)
+                weights = _weights(dense.shape[1], n)
+                got = basis._row_sums(n, xs, ks, list(weights.values()))
+                for (wname, w), vals in zip(weights.items(), got):
+                    want = (dense * w).sum(axis=1)
+                    case = (xname, kname, wname)
+                    assert np.array_equal(vals, want), case
+                    assert np.array_equal(np.signbit(vals), np.signbit(want)), case
+
+    def test_empty_arguments(self):
+        got, = basis._row_sums(8, np.array([0.3, 1.0]), np.array([], dtype=int),
+                               [np.array([])])
+        assert got.tolist() == [0.0, 0.0]
+        got, = basis._row_sums(8, np.array([]), None, [np.ones(9)])
+        assert got.shape == (0,)
 
 
 class TestSampleVector:
@@ -287,7 +365,7 @@ class TestOperatorApply:
             assert v == pytest.approx(fsum_apply(sv, float(x)), rel=1e-12)
 
     def test_several_vectors_match_single_applies(self):
-        # 600 rows at degree 4095 span three row chunks of the apply
+        # one banded reduction serves all three vectors
         n = 4095
         xs = np.linspace(0.0, 1.0, 600)
         rng = np.random.default_rng(7)

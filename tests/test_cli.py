@@ -201,10 +201,25 @@ class TestExitCodes:
 
         monkeypatch.setattr(harness, "basis_matrix", refuse)
         monkeypatch.setattr(basis, "basis_matrix", refuse)
+        monkeypatch.setattr(basis, "_band_blocks", refuse)
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "degree n must be at most 1000000" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["lemma", "1", "--n-list", "1"],
+        ["lemma", "1", "--n-list", "2"],
+        ["lemma", "6", "--n-list", "1"],
+        ["lemma", "6", "--n-list", "2"],
+    ])
+    def test_empty_lemma_window(self, capsys, argv):
+        # no grid point lies in [1/n, 1 - 1/n]; the error names n and the window
+        code, out, err = run(capsys, argv)
+        n = argv[-1]
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no grid point lies in the window [1/n, 1 - 1/n]")
+        assert err.endswith(f"for n = {n}\n")
 
     def test_lemma3_degree_uncapped(self, capsys):
         # interpolation builds no basis, so the sweep cap does not apply

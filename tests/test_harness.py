@@ -224,29 +224,23 @@ class TestSharedDegrees:
 
     def test_each_degree_built_once(self, weight513, monkeypatch):
         built = []
-        original = basis.basis_matrix
+        original = basis._band_blocks
 
-        def counting(n, xs, ks=None):
+        def counting(n, xs, ks):
             built.append(n)
             return original(n, xs, ks)
 
-        monkeypatch.setattr(basis, "basis_matrix", counting)
+        monkeypatch.setattr(basis, "_band_blocks", counting)
         cfg = SweepConfig(3, weight513, "singular_power:beta=0.5", (256, 512, 1024), 2001)
         degrees = {d for n in cfg.n_list for d in (n, 2 * n, 3 * n)}
         assert len(degrees) == 7
 
-        size = make_grid(weight513, cfg.grid_size).points.size
-
-        def chunks(n):
-            # row chunks of one grid apply at degree n
-            return len(basis._row_chunks(size, n + 1))
-
+        # one basis evaluation per distinct degree, serving every vector
         compare_plain_vs_modified(cfg)
-        assert collections.Counter(built) == {d: chunks(d) for d in degrees}
-        assert max(built.count(d) for d in degrees) > 1  # several chunks
+        assert collections.Counter(built) == {d: 1 for d in degrees}
         built.clear()
         check_bernstein_inequality(cfg, 0.0)
-        assert collections.Counter(built) == {d - 6: chunks(d - 6) for d in degrees}
+        assert collections.Counter(built) == {d - 6: 1 for d in degrees}
 
     def test_every_ladder_sampled_through_blended_samples(self, weight513,
                                                           monkeypatch):
@@ -270,11 +264,9 @@ class TestSharedDegrees:
 
 
 class TestLemmaScans:
-    def test_lemma1_chunked_equals_dense(self, weight513):
-        # 1001 rows of 4095 columns span several row chunks
+    def test_lemma1_equals_dense(self, weight513):
         grid = make_grid(weight513, 1001)
         n = 4096
-        assert len(basis._row_chunks(grid.points.size, n - 1)) > 2
         xs = grid.points[(grid.points >= 1.0 / n) & (grid.points <= 1.0 - 1.0 / n)]
         kn = np.arange(1, n) / n
         lhs = (basis_matrix(n, xs, np.arange(1, n)) * (kn ** -1.5 * (1.0 - kn) ** -0.5)

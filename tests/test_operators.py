@@ -152,7 +152,7 @@ class TestDerivative:
             assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
     def test_derivative_matches_dense_sum(self, weight513):
-        # the chunked apply gives the same bytes as one dense matrix product
+        # the banded apply gives the same bytes as one dense matrix product
         op = build_modified_operator(64, 2, weight513)
         xs = np.linspace(0.0, 1.0, 301)
         want = np.zeros(xs.size)
