@@ -9,16 +9,15 @@ observed convergence rates and scans the supporting kernel bounds.
 
 from .basis import (SampleVector, backward_difference, basis_matrix,
                     basis_row, bernstein_apply_grid, evaluate,
-                    forward_difference, log_binomial, sample_function,
+                    forward_difference, sample_function,
                     symmetric_difference)
 from .blend import (BlendSpec, Weight, barycentric_weights, blend_eval,
                     breakpoints, build_blend_spec, interpolation_nodes,
-                    lagrange_interpolant, lebesgue_function)
-from .catalog import (DEFAULT_KEYS, FunctionSpec, make_function,
-                      membership_check, parse_spec)
-from .combination import (CombinationScheme, build_scheme,
-                          coefficient_l1_bound, combine, combine_samples,
-                          make_schedule, moment_table, solve_coefficients)
+                    lagrange_interpolant)
+from .catalog import DEFAULT_KEYS, FunctionSpec, make_function, parse_spec
+from .combination import (CombinationScheme, build_scheme, combine,
+                          combine_samples, make_schedule, moment_table,
+                          solve_coefficients)
 from .errors import (DomainError, MembershipError, MinNTooSmall,
                      NumericalError, SampleError)
 from .harness import (RateReport, SweepConfig, build_report,
@@ -30,9 +29,9 @@ from .operators import (ModifiedOperator, blended_samples,
                         build_modified_operator, modified_operator,
                         operator_derivative_2r)
 from .smoothness import (EvaluationGrid, ModulusParams, make_grid,
-                         step_weight, weighted_modulus, weighted_norm)
+                         weighted_modulus, weighted_norm)
 from .smoothstep import (SmoothstepPoly, build_smoothstep, determinant_check,
-                         determinant_reference, psi_derivative, psi_eval,
+                         determinant_reference, psi_eval,
                          solve_psi_coefficients, system_matrix)
 
 __version__ = "0.1.0"

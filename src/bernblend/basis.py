@@ -92,14 +92,6 @@ def _log_binom_row(n: int) -> np.ndarray:
     return out
 
 
-def log_binomial(n: int, k: int) -> float:
-    """ln C(n,k) for integers 0 <= k <= n."""
-    n = _check_degree(n)
-    if _check_int(k, "index k", 0) > n:
-        raise DomainError(f"index k must satisfy 0 <= k <= n={n}, got {k}")
-    return float(_log_binom_row(n)[k])
-
-
 def _check_indices(n: int, ks) -> np.ndarray:
     """Basis indices as int64: all of 0..n for None, else integers in 0..n."""
     if ks is None:

@@ -186,21 +186,6 @@ def lagrange_interpolant(f: Callable, nodes: np.ndarray, x):
     return _unwrap(x, h(np.atleast_1d(np.asarray(x, dtype=float))))
 
 
-def lebesgue_function(nodes: np.ndarray, x) -> np.ndarray:
-    """sum_i |l_i(x)|, the growth factor of the patch at each point."""
-    nodes = np.asarray(nodes, dtype=float)
-    w = barycentric_weights(nodes)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    d = xs[:, None] - nodes[None, :]
-    hit = d == 0.0
-    d_safe = np.where(hit, 1.0, d)
-    ell = np.abs(d.prod(axis=1)[:, None] * (w / d_safe))
-    # a node hit zeroes its whole row via the product; restore the single
-    # cardinal that equals 1 there (the others are exactly 0 already)
-    ell[hit] = 1.0
-    return ell.sum(axis=1)
-
-
 @dataclass(frozen=True, eq=False)
 class BlendSpec:
     """Validated patch geometry for one degree n."""

@@ -16,7 +16,6 @@ import numpy as np
 from .basis import _unwrap
 from .blend import Weight
 from .errors import DomainError, MembershipError, SampleError
-from .smoothness import EvaluationGrid
 
 # the parameters each kind accepts
 _PARAMS = {
@@ -26,8 +25,6 @@ _PARAMS = {
     "singular_osc": ("beta", "freq"),
 }
 _SINGULAR_EXCLUSION = 1e-12
-# shells shrink by 1/8 each; max |wf| must at least halve from shell to shell
-_SHELL_RADII = (0.04, 0.005, 6.25e-4)
 
 DEFAULT_KEYS = (
     "smooth_sin:freq=1",
@@ -157,31 +154,3 @@ def _checked_distance(x, xi: float):
         raise SampleError(f"singular function sampled at x={x_bad!r}", x_bad)
     return d
 
-
-def membership_check(spec: FunctionSpec, weight: Weight, grid: EvaluationGrid) -> bool:
-    """Numerically confirm the weighted function vanishes at the center.
-
-    Looks at three shells shrinking toward weight.xi; the max of |w f| in
-    each shell must drop below half the previous one.  Returns False on any
-    failure instead of raising.
-    """
-    try:
-        f = make_function(spec, weight)
-    except (MembershipError, DomainError):
-        return False
-    dist = np.abs(grid.points - weight.xi)
-    prev = None
-    for radius in _SHELL_RADII:
-        sel = grid.points[dist <= radius]
-        if sel.size == 0:
-            return False
-        try:
-            cur = float(np.max(np.abs(weight(sel) * f(sel))))
-        except (SampleError, FloatingPointError):
-            return False
-        if not np.isfinite(cur):
-            return False
-        if prev is not None and not cur < 0.5 * prev:
-            return False
-        prev = cur
-    return True

@@ -2,7 +2,8 @@
 
 Every subcommand builds a deterministic report table; ``--out`` writes it as
 CSV or JSON, otherwise the same bytes go to stdout.  A JSON config file can
-stand in for flags (``--config``); explicit flags win over file values.
+stand in for flags (``--config``); explicit flags win over file values, and
+each file value is parsed as the text of its flag would be.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
 (including running out of memory).
@@ -19,8 +20,7 @@ from types import SimpleNamespace
 from .blend import Weight
 from .catalog import make_function, parse_spec
 from .combination import build_scheme
-from .errors import (DomainError, MembershipError, MinNTooSmall,
-                     NumericalError, SampleError)
+from .errors import DomainError, NumericalError, SampleError
 from .harness import (SweepConfig, build_report, check_bernstein_inequality,
                       check_n_list, compare_plain_vs_modified, emit_report,
                       lemma1_scan, lemma3_decay, lemma5_scan, lemma6_scan,
@@ -59,17 +59,31 @@ _DEFAULTS = {
 
 
 def _parse_n_list(value) -> tuple[int, ...]:
+    """Degrees from flag text like "64,128" or a config file's list of integers."""
     if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-    else:
-        parts = list(value)
-    try:
-        ns = tuple(int(p) for p in parts)
-    except (TypeError, ValueError):
-        raise DomainError(f"bad n list {value!r}: want comma-separated integers")
+        try:
+            value = [int(p) for p in value.split(",") if p.strip()]
+        except ValueError:
+            raise DomainError(f"bad n list {value!r}: want comma-separated integers")
+    elif not isinstance(value, list):
+        raise DomainError(f"bad n list {value!r}: want a string or a list of integers")
     # the degree cap applies where a scan or sweep needs it (SweepConfig,
     # lemma1_scan); here only the shape of the list is checked
-    return check_n_list(ns, max_degree=None)
+    return check_n_list(value, max_degree=None)
+
+
+def _config_value(flag: argparse.Action, key: str, value):
+    """A config file's ``value`` parsed as the text of its ``flag`` would be."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise DomainError(f"config key {key!r} takes a string or a number, got {value!r}")
+    text = value if isinstance(value, str) else repr(value)
+    try:
+        value = flag.type(text) if flag.type else text
+    except ValueError:
+        raise DomainError(f"config key {key!r}: invalid {flag.type.__name__} value {text!r}")
+    if flag.choices is not None and value not in flag.choices:
+        raise DomainError(f"config key {key!r}: {value!r} is not in {flag.choices}")
+    return value
 
 
 def _load_config(path: str) -> dict:
@@ -88,7 +102,8 @@ def _load_config(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace, command: str) -> SimpleNamespace:
-    """Merge flag values over config-file values over built-in defaults."""
+    """Merge flag values over config-file values over built-in defaults, each
+    parsed: file values by their flag's parser, ``n_list`` by _parse_n_list."""
     defaults = _DEFAULTS[command]
     cfg = _load_config(args.config) if getattr(args, "config", None) else {}
     unknown = sorted(set(cfg) - set(defaults))
@@ -99,24 +114,24 @@ def _resolve(args: argparse.Namespace, command: str) -> SimpleNamespace:
         value = getattr(args, key, None)
         if value is None:
             value = cfg.get(key, fallback)
-        merged[key] = value
+            if key in cfg and key != "n_list":
+                value = _config_value(args.flags[key], key, value)
+        merged[key] = _parse_n_list(value) if key == "n_list" else value
     return SimpleNamespace(**merged)
 
 
 def _sweep_config(ns: SimpleNamespace) -> SweepConfig:
-    weight = Weight(float(ns.xi), float(ns.alpha))
-    return SweepConfig(r=int(ns.r), weight=weight, function_key=str(ns.function),
-                       n_list=_parse_n_list(ns.n_list), grid_size=int(ns.grid))
+    return SweepConfig(r=ns.r, weight=Weight(ns.xi, ns.alpha), function_key=ns.function,
+                       n_list=ns.n_list, grid_size=ns.grid)
 
 
 def _deliver(report, ns: SimpleNamespace, path=None) -> None:
-    fmt = str(ns.format)
     if path is None:
         path = ns.out
     if path is None:
-        sys.stdout.write(render_report(report, fmt))
+        sys.stdout.write(render_report(report, ns.format))
     else:
-        emit_report(report, fmt, path)
+        emit_report(report, ns.format, path)
 
 
 def _plain_sibling(path: str) -> str:
@@ -128,7 +143,7 @@ def _plain_sibling(path: str) -> str:
 
 def _cmd_coeffs(args) -> int:
     ns = _resolve(args, "coeffs")
-    scheme = build_scheme(int(ns.n), int(ns.r))
+    scheme = build_scheme(ns.n, ns.r)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["i", "degree", "coefficient"])
     for i, (degree, coeff) in enumerate(zip(scheme.nodes, scheme.coeffs)):
@@ -138,7 +153,7 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_psi(args) -> int:
     ns = _resolve(args, "psi")
-    poly = build_smoothstep(int(ns.r))
+    poly = build_smoothstep(ns.r)
     lowest = 2 * poly.r + 1
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["power", "coefficient"])
@@ -158,18 +173,18 @@ def _cmd_compare(args) -> int:
     plain, modified = compare_plain_vs_modified(_sweep_config(ns))
     if ns.out is None:
         sys.stdout.write("# plain\n")
-        sys.stdout.write(render_report(plain, str(ns.format)))
+        sys.stdout.write(render_report(plain, ns.format))
         sys.stdout.write("# modified\n")
-        sys.stdout.write(render_report(modified, str(ns.format)))
+        sys.stdout.write(render_report(modified, ns.format))
     else:
         _deliver(modified, ns)
-        _deliver(plain, ns, path=_plain_sibling(str(ns.out)))
+        _deliver(plain, ns, path=_plain_sibling(ns.out))
     return 0
 
 
 def _cmd_bernstein_ineq(args) -> int:
     ns = _resolve(args, "bernstein-ineq")
-    report = check_bernstein_inequality(_sweep_config(ns), float(ns.lam))
+    report = check_bernstein_inequality(_sweep_config(ns), ns.lam)
     _deliver(report, ns)
     return 0
 
@@ -178,33 +193,32 @@ def _cmd_modulus(args) -> int:
     # table of the order-2r weighted modulus at t, t/2, ..., keyed by the
     # divisor; the fitted slope is minus the observed decay order in t
     ns = _resolve(args, "modulus")
-    weight = Weight(float(ns.xi), float(ns.alpha))
-    grid = make_grid(weight, int(ns.grid))
-    f = make_function(parse_spec(str(ns.function)), weight)
+    weight = Weight(ns.xi, ns.alpha)
+    grid = make_grid(weight, ns.grid)
+    f = make_function(parse_spec(ns.function), weight)
     divisors = [2 ** k for k in range(_MODULUS_HALVINGS)]
     values = []
     for divisor in divisors:
-        params = ModulusParams(r2=2 * int(ns.r), t=float(ns.t) / divisor)
+        params = ModulusParams(r2=2 * ns.r, t=ns.t / divisor)
         values.append(weighted_modulus(f, weight, params, grid))
-    _deliver(build_report(divisors, values, {"t": float(ns.t)}), ns)
+    _deliver(build_report(divisors, values, {"t": ns.t}), ns)
     return 0
 
 
 def _cmd_lemma(args) -> int:
     ns = _resolve(args, "lemma")
-    weight = Weight(float(ns.xi), float(ns.alpha))
-    grid = make_grid(weight, int(ns.grid))
-    n_list = _parse_n_list(ns.n_list)
+    weight = Weight(ns.xi, ns.alpha)
+    grid = make_grid(weight, ns.grid)
     which = args.which
     if which == "1":
-        report = lemma1_scan(float(ns.u), float(ns.v), n_list, grid)
+        report = lemma1_scan(ns.u, ns.v, ns.n_list, grid)
     elif which == "3":
-        f = make_function(parse_spec(str(ns.function)), weight)
-        report = lemma3_decay(int(ns.r), weight, f, n_list, grid)
+        f = make_function(parse_spec(ns.function), weight)
+        report = lemma3_decay(ns.r, weight, f, ns.n_list, grid)
     elif which == "5":
-        report = lemma5_scan(weight, n_list, grid)
+        report = lemma5_scan(weight, ns.n_list, grid)
     else:
-        report = lemma6_scan(float(ns.beta), weight, n_list, grid)
+        report = lemma6_scan(ns.beta, weight, ns.n_list, grid)
     _deliver(report, ns)
     return 0
 
@@ -276,6 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--beta", type=float, help="moment power (scan 6)")
     sub.set_defaults(handler=_cmd_lemma)
 
+    for sub in subs.choices.values():
+        # a config file value is parsed by the flag with its key as dest
+        sub.set_defaults(flags={a.dest: a for a in sub._actions})
     return parser
 
 
@@ -289,10 +306,8 @@ def main(argv=None) -> int:
                 else "out of memory: " if isinstance(exc, MemoryError) else "")
         print(f"error: {kind}{exc}", file=sys.stderr)
         return 3
-    except (MinNTooSmall, MembershipError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
+        # bad configuration: DomainError, MinNTooSmall, MembershipError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

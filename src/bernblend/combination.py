@@ -51,8 +51,6 @@ def _coefficient_fractions(nodes: Sequence[int]) -> list[Fraction]:
         for j, nj in enumerate(nodes):
             if j == i:
                 continue
-            if ni == nj:
-                raise DomainError(f"schedule has duplicate degree {ni}")
             c *= Fraction(ni, ni - nj)
         cs.append(c)
     return cs
@@ -66,14 +64,6 @@ def solve_coefficients(nodes: Sequence[int]) -> np.ndarray:
     if any(b <= a for a, b in zip(nodes, nodes[1:])):
         raise DomainError(f"schedule must be strictly increasing, got {nodes}")
     return np.array([float(c) for c in _coefficient_fractions(nodes)])
-
-
-def coefficient_l1_bound(r: int) -> float:
-    """sum_i |C_i| for the (i+1)*base_n ladder (independent of base_n)."""
-    total = Fraction(0)
-    for i in range(r):
-        total += Fraction((i + 1) ** (r - 1), math.factorial(i) * math.factorial(r - 1 - i))
-    return float(total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,12 +153,12 @@ def moment_table(
     powers = [_check_int(p, "moment power", 0) for p in powers]
     xs = np.asarray(xs, dtype=float)
     out = np.zeros((len(powers), xs.size))
-    if not powers:
-        return out
     for c, n in zip(scheme.coeffs.tolist(), scheme.nodes):
         rows = np.array([basis_row(n, x) for x in xs.tolist()]).reshape(xs.size, n + 1)
         d = (np.arange(n + 1) / n)[:, None] - xs
         # terms[k, p, i] = p_nk(x_i) (k/n - x_i)^powers[p], summed over k
-        terms = np.stack([rows.T * d**power for power in powers], axis=1)
+        terms = np.empty((n + 1, len(powers), xs.size))
+        for p, power in enumerate(powers):
+            np.multiply(rows.T, d**power, out=terms[:, p])
         out += c * _compensated_sum(terms)
     return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (_unwrap, backward_difference, forward_difference,
+from .basis import (backward_difference, forward_difference,
                     symmetric_difference)
 from .blend import Weight
 from .errors import DomainError, SampleError
@@ -30,14 +30,6 @@ _CLUSTER_FLOOR = 1e-9
 _ENDPOINT_FLOOR = 1e-7
 # largest accepted grid size: bounds the run time and memory of one sweep
 _MAX_GRID = 10**6
-
-
-def step_weight(x):
-    """sqrt(x(1-x)), the step-size weight for the symmetric difference."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DomainError("step weight defined on [0, 1] only")
-    return _unwrap(x, np.sqrt(arr * (1.0 - arr)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -182,36 +182,3 @@ def psi_eval(poly: SmoothstepPoly, x):
         out[mid] = vals
     return _unwrap(x, out)
 
-
-def psi_derivative(poly: SmoothstepPoly, x, order: int):
-    """Derivative of the piecewise step.
-
-    Returns 0 outside (0,1) for order >= 1; for order <= 2r the one-sided
-    polynomial limits at the seams vanish as well, so this is the honest
-    two-sided derivative there.  Accepts scalars or arrays.
-    """
-    order = _check_int(order, "derivative order", 0)
-    if order > 2 * poly.r:
-        # beyond 2r the one-sided limits at the seams disagree, so there
-        # is no honest two-sided value to return
-        raise DomainError(
-            f"order-{poly.r} smoothstep is only {2 * poly.r} times differentiable "
-            f"at the seams, got derivative order {order}"
-        )
-    if order == 0:
-        return psi_eval(poly, x)
-    der = npoly.polyder(poly._ascending, order)
-    sign = -1.0 if order % 2 == 0 else 1.0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros(xs.shape)
-    mid = (xs > 0.0) & (xs < 1.0)
-    if mid.any():
-        xm = xs[mid]
-        vals = np.empty(xm.shape)
-        left = xm <= 0.5
-        if left.any():
-            vals[left] = npoly.polyval(xm[left], der)
-        if (~left).any():
-            vals[~left] = sign * npoly.polyval(1.0 - xm[~left], der)
-        out[mid] = vals
-    return _unwrap(x, out)

@@ -1,6 +1,5 @@
 """Bernstein basis values, operator application, and finite differences."""
 
-import functools
 import math
 from fractions import Fraction
 
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 from bernblend import (DomainError, SampleError, SampleVector, basis,
                        backward_difference, basis_matrix, basis_row,
                        bernstein_apply_grid, evaluate, forward_difference,
-                       log_binomial, sample_function, symmetric_difference)
+                       sample_function, symmetric_difference)
 
 
 def exact_basis(n: int, k: int, num: int, den: int) -> float:
@@ -77,9 +76,7 @@ class TestBasisValues:
     def test_log_binomial_matches_exact(self):
         for n, k in [(10, 3), (100, 50), (4096, 2000)]:
             want = math.log(math.comb(n, k))
-            assert log_binomial(n, k) == pytest.approx(want, rel=1e-13)
-        with pytest.raises(DomainError):
-            log_binomial(10, 11)
+            assert basis._log_binom_row(n)[k] == pytest.approx(want, rel=1e-13)
 
 
 class TestRowsAndMatrices:
@@ -129,11 +126,6 @@ class TestRowsAndMatrices:
         assert left == pytest.approx(right, rel=1e-13, abs=1e-300)
 
 
-@functools.lru_cache(maxsize=None)
-def _log_binomials(n):
-    return np.array([log_binomial(n, k) for k in range(n + 1)])
-
-
 def dense_basis(n, xs, ks=None):
     """Full-width basis matrix: log, outer products and exp for every entry.
 
@@ -141,7 +133,7 @@ def dense_basis(n, xs, ks=None):
     band, so the two must agree bit for bit.
     """
     ks = np.arange(n + 1) if ks is None else np.asarray(ks, dtype=np.int64)
-    logc = _log_binomials(n)
+    logc = basis._log_binom_row(n)
     xs = np.asarray(xs, dtype=float)
     out = np.empty((xs.size, ks.size))
     left = xs <= 0.5
@@ -169,12 +161,17 @@ def _oracle_points(n):
     size = {4096: 24, 12288: 16, 65536: 8}.get(n, 120)
     special = np.array([0.0, 1.0, 0.5, 1e-300, 1.0 - 1e-16, 0.25, 0.75, 1e-3])
     clustered = np.clip(0.513 + 1e-3 * rng.standard_normal(size), 0.0, 1.0)
-    return {
+    points = {
         "sorted": np.sort(rng.random(size)),
         "unsorted": rng.random(size),
         "clustered": np.sort(np.concatenate([clustered, rng.random(size // 4)])),
         "special": special,
     }
+    if n == 12288:
+        # more rows than _row_sums holds (257 for four weights) before it
+        # adds their leaf sums up the tree
+        points["many"] = np.sort(rng.random(300))
+    return points
 
 
 def _oracle_indices(n):
@@ -272,17 +269,25 @@ class TestRowSums:
         assert not np.signbit(vals).any()
 
     @pytest.mark.parametrize("n", ORACLE_DEGREES + [4090, 12282])
-    def test_matches_dense_sum_bit_for_bit(self, n):
+    def test_matches_dense_sum_bit_for_bit(self, n, monkeypatch):
+        tree_sums, calls, flushes = basis._tree_sums, [], {}
+        monkeypatch.setattr(basis, "_tree_sums",
+                            lambda *args: calls.append(tree_sums(*args)))
         for xname, xs in _oracle_points(n).items():
             for kname, ks in _oracle_indices(n).items():
                 dense = dense_basis(n, xs, ks)
                 weights = _weights(dense.shape[1], n)
+                calls.clear()
                 got = basis._row_sums(n, xs, ks, list(weights.values()))
+                flushes[xname, kname] = len(calls)
                 for (wname, w), vals in zip(weights.items(), got):
                     want = (dense * w).sum(axis=1)
                     case = (xname, kname, wname)
                     assert np.array_equal(vals, want), case
                     assert np.array_equal(np.signbit(vals), np.signbit(want)), case
+        if n == 12288:
+            # the tree sums ran mid-stream, not only once at the end
+            assert flushes["many", "all"] > 1
 
     def test_empty_arguments(self):
         got, = basis._row_sums(8, np.array([0.3, 1.0]), np.array([], dtype=int),

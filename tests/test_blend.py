@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 from bernblend import (BlendSpec, DomainError, MinNTooSmall, SampleError,
                        Weight, barycentric_weights, blend_eval, breakpoints,
                        build_blend_spec, build_smoothstep, interpolation_nodes,
-                       lagrange_interpolant, lebesgue_function, psi_eval)
+                       lagrange_interpolant, psi_eval)
+
+
+def lebesgue_function(nodes, xs):
+    """sum_i |l_i(x)|, with the cardinals l_i(x) = w_i prod_{j != i} (x - x_j)."""
+    w = barycentric_weights(nodes)
+    d = xs[:, None] - nodes[None, :]
+    ell = [w[i] * np.delete(d, i, axis=1).prod(axis=1) for i in range(nodes.size)]
+    return np.abs(ell).sum(axis=0)
 
 
 class TestWeight:
@@ -189,6 +197,20 @@ class TestLagrange:
         assert lebesgue_function(nodes, np.array([0.42]))[0] == pytest.approx(
             1.0, abs=1e-12
         )
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_lebesgue_function_on_patch_window(self, r, weight513):
+        # the patch nodes and window [b1, b4] scale together with sqrt(n), so
+        # the growth factor over the window does not grow with n
+        tops = []
+        for n in (400, 4096, 65536):
+            spec = build_blend_spec(n, r, weight513)
+            lam = lebesgue_function(spec.nodes, np.linspace(spec.breaks[0], spec.breaks[3], 2001))
+            assert lam.min() >= 1.0 - 1e-12
+            np.testing.assert_allclose(lebesgue_function(spec.nodes, spec.nodes), 1.0, rtol=1e-15)
+            tops.append(lam.max())
+        assert max(tops) <= 1.05 * min(tops)
+        assert max(tops) <= (7.0, 97.0, 1540.0)[r - 1] + 1e-9
 
 
 class TestBlendSpec:

@@ -5,7 +5,19 @@ import pytest
 
 from bernblend import (DEFAULT_KEYS, DomainError, FunctionSpec,
                        MembershipError, SampleError, Weight, make_function,
-                       make_grid, membership_check, parse_spec)
+                       make_grid, parse_spec)
+
+
+def shell_maxima(spec, weight, grid):
+    """max |w f| over the grid points within 0.04, 0.005 and 6.25e-4 of xi."""
+    f = make_function(spec, weight)
+    dist = np.abs(grid.points - weight.xi)
+    shells = [grid.points[dist <= radius] for radius in (0.04, 0.005, 6.25e-4)]
+    return [float(np.max(np.abs(weight(xs) * f(xs)))) for xs in shells]
+
+
+def halves(tops):
+    return all(cur < 0.5 * prev for prev, cur in zip(tops, tops[1:]))
 
 
 class TestParse:
@@ -130,21 +142,22 @@ class TestMakeFunction:
 
 
 class TestMembership:
+    # the weighted function vanishes at xi: its max over shells shrinking by
+    # 1/8 toward xi at least halves from shell to shell
+
     @pytest.mark.parametrize("key", DEFAULT_KEYS)
     def test_default_catalog_members(self, key, weight513, grid513):
-        assert membership_check(parse_spec(key), weight513, grid513)
+        assert halves(shell_maxima(parse_spec(key), weight513, grid513))
 
     def test_marginal_exponent_rejected(self, weight513, grid513):
-        # beta just below alpha: shells shrink too slowly to halve
+        # beta just below alpha: |w f| = |x - xi|^0.0001 barely shrinks
         spec = FunctionSpec("singular_power", {"beta": 0.9999})
-        assert not membership_check(spec, weight513, grid513)
+        assert not halves(shell_maxima(spec, weight513, grid513))
 
     def test_beta_at_alpha_rejected(self, weight513, grid513):
-        assert not membership_check(
-            FunctionSpec("singular_power", {"beta": 1.0}), weight513, grid513
-        )
+        with pytest.raises(MembershipError):
+            shell_maxima(FunctionSpec("singular_power", {"beta": 1.0}), weight513, grid513)
 
-    def test_smooth_with_strong_weight(self, grid513):
+    def test_smooth_with_strong_weight(self):
         w = Weight(0.513, 2.0)
-        grid = make_grid(w, 401)
-        assert membership_check(parse_spec("smooth_sin:freq=1"), w, grid)
+        assert halves(shell_maxima(parse_spec("smooth_sin:freq=1"), w, make_grid(w, 401)))

@@ -156,6 +156,17 @@ class TestConfigFile:
         assert code == 0
         assert len(csv_rows(out)) == 1
 
+    def test_config_values_parse_like_flags(self, capsys, tmp_path):
+        # numbers may be given as JSON numbers or as flag text, and the
+        # degrees as flag text or a list of integers
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "r": 1, "function": "smooth_sin:freq=1", "n_list": [64, 128],
+            "grid": "401", "xi": 0.513, "alpha": "1"}))
+        code, out, _ = run(capsys, ["approx", "--config", str(cfg)])
+        assert code == 0
+        assert out == run(capsys, ["approx"] + QUICK_APPROX)[1]
+
 
 class TestExitCodes:
     def test_degree_too_small(self, capsys):
@@ -271,6 +282,28 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"format": "yaml"}))
         code, _, err = run(capsys, ["approx", "--config", str(cfg)] + QUICK_APPROX)
         assert code == 2
+
+    @pytest.mark.parametrize("command, text", [
+        ("approx", '{"n_list": 5}'),
+        ("approx", '{"n_list": null}'),
+        ("approx", '{"n_list": [64, 128.5]}'),
+        ("approx", '{"n_list": [64, true]}'),
+        ("approx", '{"xi": [1]}'),
+        ("approx", '{"grid": null}'),
+        ("approx", '{"grid": 1e400}'),
+        ("approx", '{"r": 2.7}'),
+        ("lemma 1", '{"u": "x"}'),
+        ("coeffs", '{"n": true}'),
+        ("coeffs", '{"r": 2.7}'),
+    ])
+    def test_bad_config_value(self, capsys, tmp_path, command, text):
+        # each value is parsed as its flag's text would be: never truncated,
+        # never a traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run(capsys, command.split() + ["--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -8,9 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bernblend import (CombinationScheme, DomainError, basis_row, build_scheme,
-                       coefficient_l1_bound, combine, combine_samples,
-                       make_schedule, moment_table, sample_function,
-                       solve_coefficients)
+                       combine, combine_samples, make_schedule, moment_table,
+                       sample_function, solve_coefficients)
 
 
 def fsum_moment_table(scheme, powers, xs):
@@ -72,12 +71,11 @@ class TestCoefficients:
         np.testing.assert_allclose(solve_coefficients(nodes), want, rtol=1e-9)
 
     def test_l1_bound(self):
-        assert coefficient_l1_bound(1) == 1.0
-        assert coefficient_l1_bound(2) == 3.0
-        assert coefficient_l1_bound(3) == 9.0
-        for r in range(1, 7):
-            cs = solve_coefficients(make_schedule(16, r))
-            assert np.abs(cs).sum() == pytest.approx(coefficient_l1_bound(r), rel=1e-12)
+        # sum_i |C_i| of the (i+1)*base_n ladder, README's table
+        for r, total in [(1, 1.0), (2, 3.0), (3, 9.0), (4, 85 / 3)]:
+            for base in (16, 997):
+                cs = solve_coefficients(make_schedule(base, r))
+                assert np.abs(cs).sum() == pytest.approx(total, rel=1e-15)
 
     def test_rejects_bad_schedules(self):
         with pytest.raises(DomainError):

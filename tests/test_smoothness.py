@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,29 +9,7 @@ from hypothesis import strategies as st
 
 from bernblend import (DEFAULT_KEYS, DomainError, EvaluationGrid,
                        ModulusParams, SampleError, Weight, make_function,
-                       make_grid, parse_spec, step_weight, weighted_modulus,
-                       weighted_norm)
-
-
-class TestStepWeight:
-    def test_values(self):
-        assert step_weight(0.0) == 0.0
-        assert step_weight(1.0) == 0.0
-        assert step_weight(0.5) == 0.5
-        want = float(mpmath.sqrt(mpmath.mpf("0.1875")))
-        assert step_weight(0.25) == pytest.approx(want, rel=1e-15)
-
-    def test_array(self):
-        xs = np.array([0.0, 0.25, 0.5])
-        np.testing.assert_allclose(
-            step_weight(xs), [0.0, math.sqrt(0.1875), 0.5], rtol=1e-15
-        )
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            step_weight(-0.1)
-        with pytest.raises(DomainError):
-            step_weight(np.array([0.5, 1.1]))
+                       make_grid, parse_spec, weighted_modulus, weighted_norm)
 
 
 class TestGrid:
