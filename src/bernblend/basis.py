@@ -45,14 +45,19 @@ _GROUP_ROWS = 32
 _BLOCK_ENTRIES = 1 << 18
 # numpy's pairwise float64 sum works on leaves of at most this many entries
 _PAIRWISE_LEAF = 128
+# largest combination order r, for the ladder, the patch and the smoothstep
+# alike; the patch's Lebesgue constant already reaches about 25000 at r = 4
+_MAX_ORDER = 8
 
 
-def _check_int(value, what: str, low: int) -> int:
-    """``value`` as an int; DomainError unless it is an integer >= ``low``."""
+def _check_int(value, what: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int; DomainError unless it is an integer in [low, high]."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise DomainError(f"{what} must be an integer, got {value!r}")
     if value < low:
         raise DomainError(f"{what} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise DomainError(f"{what} must be at most {high}, got {value}")
     return int(value)
 
 
@@ -60,11 +65,34 @@ def _check_degree(n: int) -> int:
     return _check_int(n, "degree n", 1)
 
 
-def _check_unit(x: float, what: str = "x") -> float:
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"{what} must lie in [0,1], got {x!r}")
-    return x
+def _check_order(r: int) -> int:
+    """The combination order r, which is also the blend's and smoothstep's."""
+    return _check_int(r, "combination order r", 1, _MAX_ORDER)
+
+
+def _check_degrees(ns, high: int | None = None) -> tuple[int, ...]:
+    """Degrees as ints: each an integer in [1, high], strictly ascending."""
+    ns = tuple(_check_int(n, "degree n", 1, high) for n in ns)
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise DomainError(f"degrees must be strictly ascending, got {list(ns)}")
+    return ns
+
+
+def _check_unit(x) -> np.ndarray:
+    """``x`` as a float array; DomainError unless every entry lies in [0,1]."""
+    xs = np.asarray(x, dtype=float)
+    bad = ~((xs >= 0.0) & (xs <= 1.0))
+    if bad.any():
+        raise DomainError(f"x must lie in [0,1], got {float(xs[bad][0])!r}")
+    return xs
+
+
+def _check_finite(xs, vals: np.ndarray, what: str) -> None:
+    """SampleError naming the first x in ``xs`` whose value is not finite."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        x = float(np.asarray(xs)[np.argmax(bad)])
+        raise SampleError(f"non-finite {what} at x={x!r}", x)
 
 
 @lru_cache(maxsize=256)
@@ -112,7 +140,7 @@ def _row_interior(n: int, x: float, ks: np.ndarray) -> np.ndarray:
 def basis_row(n: int, x: float, ks: np.ndarray | None = None) -> np.ndarray:
     """p_{nk}(x) for k in ``ks`` (default: all of 0..n)."""
     n = _check_degree(n)
-    x = _check_unit(x)
+    x = float(_check_unit(x))
     ks = _check_indices(n, ks)
     if x == 0.0:
         return (ks == 0).astype(float)
@@ -143,11 +171,9 @@ def _band(n: int, ks: np.ndarray, centre: np.ndarray,
 def _basis_args(n: int, xs, ks) -> tuple[int, np.ndarray, np.ndarray]:
     """Checked (n, xs, ks) of a basis evaluation: xs a 1-d array in [0,1]."""
     n = _check_degree(n)
-    xs = np.asarray(xs, dtype=float)
+    xs = _check_unit(xs)
     if xs.ndim != 1:
         raise DomainError("xs must be a 1-d array")
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
-        raise DomainError("all evaluation points must lie in [0,1]")
     return n, xs, _check_indices(n, ks)
 
 
@@ -342,10 +368,7 @@ class SampleVector:
             raise DomainError(
                 f"sample vector for degree {n} needs {n + 1} values, got shape {vals.shape}"
             )
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            k = int(np.nonzero(bad)[0][0])
-            raise SampleError(f"non-finite sample at k/n = {k}/{n}", k / n)
+        _check_finite(np.arange(n + 1) / n, vals, "sample")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "n", n)
@@ -418,13 +441,10 @@ def _difference_points(x: np.ndarray, offsets: Sequence) -> list[np.ndarray]:
 
 
 def _check_diff_args(x, h: float, r: int) -> tuple[np.ndarray, float, int]:
-    xs = np.asarray(x, dtype=float)
+    xs = _check_unit(x)
     if xs.ndim > 1:
         raise DomainError("difference base points must be a scalar or a 1-d array")
     xs = np.atleast_1d(xs)
-    inside = (xs >= 0.0) & (xs <= 1.0)
-    if not inside.all():
-        raise DomainError(f"x must lie in [0,1], got {float(xs[~inside][0])!r}")
     h = float(h)
     if not h > 0.0:
         raise DomainError(f"step h must be positive, got {h!r}")

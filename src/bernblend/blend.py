@@ -26,8 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import _unwrap, evaluate
-from .errors import DomainError, MinNTooSmall, SampleError
+from .basis import (_check_degree, _check_finite, _check_order, _unwrap,
+                    evaluate)
+from .errors import DomainError, MinNTooSmall
 from .smoothstep import SmoothstepPoly, psi_eval
 
 # the degree search gives up at this n
@@ -73,9 +74,10 @@ def _node_numerators(n: int, r: int, xi: float) -> list[int]:
 def _first_valid_n(ok: Callable[[int], bool], d: float) -> int:
     """Smallest n >= 4 with ok(n), for an ok(n) that implies n*d - 2*sqrt(n) >= 1."""
     # that condition holds exactly for sqrt(n) >= (1 + sqrt(1 + d)) / d; the
-    # scan starts just below the root, so roundoff cannot skip the answer
+    # scan starts just below the root, so roundoff cannot skip the answer;
+    # the root is compared before it is squared, which overflows for tiny d
     root = (1.0 + math.sqrt(1.0 + d)) / d
-    n = max(4, math.floor(root * root) - 1)
+    n = max(4, math.floor(root * root) - 1) if root < math.sqrt(_MAX_N) else _MAX_N
     while n < _MAX_N:
         if ok(n):
             return n
@@ -85,8 +87,8 @@ def _first_valid_n(ok: Callable[[int], bool], d: float) -> int:
 
 def interpolation_nodes(n: int, r: int, weight: Weight) -> np.ndarray:
     """Patch nodes, strictly decreasing, all left of the weight center."""
-    if r < 1:
-        raise DomainError(f"patch order r must be >= 1, got {r}")
+    n, r = _check_degree(n), _check_order(r)
+
     def usable(m: int) -> bool:
         cand = _node_numerators(m, r, weight.xi)
         distinct = all(a > b for a, b in zip(cand, cand[1:]))
@@ -117,7 +119,7 @@ def _breakpoint_ok(n: int, xi: float) -> bool:
 
 def breakpoints(n: int, weight: Weight) -> tuple[float, float, float, float]:
     """The four blend breakpoints (b1, b2, b3, b4) on the lattice."""
-    xi = weight.xi
+    n, xi = _check_degree(n), weight.xi
     if not _breakpoint_ok(n, xi):
         n_min = _first_valid_n(lambda m: _breakpoint_ok(m, xi), min(xi, 1.0 - xi))
         raise MinNTooSmall(
@@ -171,10 +173,7 @@ def _lagrange_closure(fvals: np.ndarray, nodes: np.ndarray) -> Callable:
 
 def _node_values(f: Callable, nodes: np.ndarray) -> np.ndarray:
     fvals = evaluate(f, nodes)
-    bad = ~np.isfinite(fvals)
-    if bad.any():
-        x_bad = float(nodes[np.argmax(bad)])
-        raise SampleError(f"non-finite value at interpolation node x={x_bad!r}", x_bad)
+    _check_finite(nodes, fvals, "interpolation node value")
     return fvals
 
 
@@ -197,8 +196,7 @@ class BlendSpec:
     breaks: tuple[float, float, float, float] = ()
 
     def __post_init__(self):
-        n = int(self.n)
-        r = int(self.r)
+        n, r = _check_degree(self.n), _check_order(self.r)
         nodes = np.asarray(self.nodes, dtype=float)
         b = tuple(float(v) for v in self.breaks)
         if len(b) != 4 or nodes.shape != (r + 1,):

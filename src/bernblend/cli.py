@@ -67,9 +67,7 @@ def _parse_n_list(value) -> tuple[int, ...]:
             raise DomainError(f"bad n list {value!r}: want comma-separated integers")
     elif not isinstance(value, list):
         raise DomainError(f"bad n list {value!r}: want a string or a list of integers")
-    # the degree cap applies where a scan or sweep needs it (SweepConfig,
-    # lemma1_scan); here only the shape of the list is checked
-    return check_n_list(value, max_degree=None)
+    return check_n_list(value)
 
 
 def _config_value(flag: argparse.Action, key: str, value):

@@ -24,7 +24,9 @@ import numpy as np
 from .basis import (
     SampleVector,
     _check_degree,
+    _check_degrees,
     _check_int,
+    _check_order,
     _compensated_sum,
     _unwrap,
     basis_row,
@@ -40,7 +42,7 @@ _CONDITION_RTOL = 1e-10
 def make_schedule(base_n: int, r: int) -> list[int]:
     """Degree ladder (base_n, 2*base_n, ..., r*base_n)."""
     base_n = _check_degree(base_n)
-    r = _check_int(r, "combination order r", 1)
+    r = _check_order(r)
     return [(i + 1) * base_n for i in range(r)]
 
 
@@ -58,12 +60,7 @@ def _coefficient_fractions(nodes: Sequence[int]) -> list[Fraction]:
 
 def solve_coefficients(nodes: Sequence[int]) -> np.ndarray:
     """Combination weights C_i for a strictly increasing degree schedule."""
-    nodes = [int(n) for n in nodes]
-    if any(n < 1 for n in nodes):
-        raise DomainError("all schedule degrees must be >= 1")
-    if any(b <= a for a, b in zip(nodes, nodes[1:])):
-        raise DomainError(f"schedule must be strictly increasing, got {nodes}")
-    return np.array([float(c) for c in _coefficient_fractions(nodes)])
+    return np.array([float(c) for c in _coefficient_fractions(_check_degrees(nodes))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,13 +76,11 @@ class CombinationScheme:
         return self.nodes[0]
 
     def __post_init__(self):
-        r = int(self.r)
-        nodes = tuple(int(n) for n in self.nodes)
+        r = _check_order(self.r)
+        nodes = _check_degrees(self.nodes)
         coeffs = np.asarray(self.coeffs, dtype=float)
-        if r < 1 or len(nodes) != r or coeffs.shape != (r,):
+        if len(nodes) != r or coeffs.shape != (r,):
             raise DomainError("scheme needs r nodes and r coefficients")
-        if any(b <= a for a, b in zip(nodes, nodes[1:])):
-            raise DomainError(f"schedule must be strictly increasing, got {nodes}")
         if nodes[-1] > r * nodes[0]:
             raise DomainError("largest degree exceeds r * base_n")
         scale = np.abs(coeffs).sum()

@@ -17,12 +17,12 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import operators
-from .basis import (SampleVector, _check_int, _row_sums, basis_matrix,
-                    bernstein_apply_grid, sample_function)
+from .basis import (SampleVector, _check_degrees, _check_order, _row_sums,
+                    basis_matrix, bernstein_apply_grid, sample_function)
 from .blend import (Weight, breakpoints, interpolation_nodes,
                     lagrange_interpolant)
 from .catalog import make_function, parse_spec
-from .combination import build_scheme, combine_applied
+from .combination import build_scheme, combine_applied, make_schedule
 # uncalled since the sweeps apply per degree; kept only because
 # perfbench/sweeps.py wraps these names here, so their spans never open
 from .combination import combine  # noqa: F401
@@ -30,30 +30,24 @@ from .errors import DomainError, NumericalError
 from .operators import (ModifiedOperator, build_modified_operator,
                         derivative_applies)
 from .operators import operator_derivative_2r  # noqa: F401
-from .smoothness import (EvaluationGrid, ModulusParams, make_grid,
-                         weighted_norm)
+from .smoothness import (EvaluationGrid, ModulusParams, _check_grid_size,
+                         make_grid, weighted_norm)
 from .smoothness import weighted_modulus
 
 _EXACT_THRESHOLD = 1e-9
 _T_CAP = 0.125
-# largest degree in the n list of a sweep or of lemma1_scan: each grid row
-# of their basis values costs O(n) time and memory, and a ladder applies up
-# to r * n; the large-n runs README records (compare at 65536) stay well
-# inside.  The centre-window scans (lemma 5, 6) need only 2 sqrt(n) columns
-# and take no cap.
+# largest degree in any n list: a grid row of a sweep's or lemma 1's basis
+# costs O(n) time and memory (a ladder applies up to r * n), and the
+# log-binomial row of every basis costs O(n); the large-n runs README
+# records (compare at 65536, lemma 6 at 262144) stay well inside.
 _MAX_DEGREE = 10**6
 
 
-def check_n_list(n_list, max_degree: int | None = _MAX_DEGREE) -> tuple[int, ...]:
-    """The degrees as ints: nonempty, strictly ascending, each >= 1 and, unless
-    ``max_degree`` is None, at most ``max_degree``."""
-    ns = tuple(_check_int(n, "degree n", 1) for n in n_list)
+def check_n_list(n_list) -> tuple[int, ...]:
+    """The degrees as ints: nonempty, strictly ascending, each in 1..10^6."""
+    ns = _check_degrees(n_list, _MAX_DEGREE)
     if not ns:
         raise DomainError("n_list must not be empty")
-    if list(ns) != sorted(set(ns)):
-        raise DomainError("n_list must be strictly ascending")
-    if max_degree is not None and ns[-1] > max_degree:
-        raise DomainError(f"degree n must be at most {max_degree}, got {ns[-1]}")
     return ns
 
 
@@ -69,13 +63,13 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         ns = check_n_list(self.n_list)
-        r = _check_int(self.r, "combination order r", 1)
-        grid_size = _check_int(self.grid_size, "grid size", 16)
-        # every ladder node (i+1)n must admit the patch geometry; raises
-        # MinNTooSmall naming the first node that does not
+        r = _check_order(self.r)
+        grid_size = _check_grid_size(self.grid_size)
+        # every ladder degree must admit the patch geometry; raises
+        # MinNTooSmall naming the first degree that does not
         for n in ns:
-            for i in range(r):
-                breakpoints((i + 1) * n, self.weight)
+            for degree in make_schedule(n, r):
+                breakpoints(degree, self.weight)
         object.__setattr__(self, "n_list", ns)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "grid_size", grid_size)
@@ -98,9 +92,9 @@ class RateReport:
     extras: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        ns = [n for n, _ in self.rows]
-        if ns != sorted(set(ns)):
-            raise DomainError("report rows must be ascending in n")
+        ns = _check_degrees([n for n, _ in self.rows])
+        values = (float(v) for _, v in self.rows)
+        object.__setattr__(self, "rows", tuple(zip(ns, values)))
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -146,8 +140,7 @@ def fit_rate(ns, values, scale: float = 1.0
 def build_report(ns, values, extras: Mapping[str, object] | None = None,
                  scale: float = 1.0) -> RateReport:
     slope, r_squared, gamma = fit_rate(ns, values, scale)
-    rows = tuple((int(n), float(v)) for n, v in zip(ns, values))
-    return RateReport(rows=rows, slope=slope, r_squared=r_squared,
+    return RateReport(rows=tuple(zip(ns, values)), slope=slope, r_squared=r_squared,
                       gamma_hat=gamma, extras=dict(extras or {}))
 
 
@@ -300,6 +293,7 @@ def lemma1_scan(u: float, v: float, n_list, grid: EvaluationGrid) -> RateReport:
 def lemma3_decay(r: int, weight: Weight, f: Callable, n_list,
                  grid: EvaluationGrid) -> RateReport:
     """Weighted sup of f minus its node interpolant over the patch window."""
+    n_list = check_n_list(n_list)
     values = []
     for n in n_list:
         nodes = interpolation_nodes(n, r, weight)
@@ -320,6 +314,7 @@ def _center_window(n: int, xi: float) -> np.ndarray:
 
 def lemma5_scan(weight: Weight, n_list, grid: EvaluationGrid) -> RateReport:
     """Max over the grid of w(x) * sum of the basis over |k - n xi| <= sqrt(n)."""
+    n_list = check_n_list(n_list)
     values = []
     for n in n_list:
         ks = _center_window(n, weight.xi)
@@ -343,6 +338,7 @@ def lemma6_scan(beta: float, weight: Weight, n_list,
     """
     if not 0.0 < beta < math.inf:
         raise DomainError(f"beta must be positive and finite, got {beta!r}")
+    n_list = check_n_list(n_list)
     values = []
     for n in n_list:
         xs = _interior_points(grid, n)

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (backward_difference, forward_difference,
+from .basis import (_MAX_ORDER, _check_finite, _check_int,
+                    backward_difference, forward_difference,
                     symmetric_difference)
 from .blend import Weight
-from .errors import DomainError, SampleError
+from .errors import DomainError
 
 _GRID_EXCLUSION = 1e-12
 _CLUSTER_SPAN = 0.05
@@ -61,12 +62,13 @@ class EvaluationGrid:
         object.__setattr__(self, "points", pts)
 
 
+def _check_grid_size(size: int) -> int:
+    return _check_int(size, "grid size", 16, _MAX_GRID)
+
+
 def make_grid(weight: Weight, size: int = 2001) -> EvaluationGrid:
     """Uniform backbone, geometric cluster at weight.xi, refined endpoints."""
-    if size < 16:
-        raise DomainError("grid size must be at least 16")
-    if size > _MAX_GRID:
-        raise DomainError(f"grid size must be at most {_MAX_GRID}, got {size}")
+    size = _check_grid_size(size)
     xi = weight.xi
     pieces = [np.linspace(0.0, 1.0, size // 2)]
 
@@ -110,28 +112,27 @@ def weighted_norm(g, weight: Weight, grid: EvaluationGrid) -> float:
 
 def _weighted_max(xs: np.ndarray, prod: np.ndarray) -> float:
     """max |prod|; a non-finite entry raises SampleError naming its x."""
-    bad = ~np.isfinite(prod)
-    if np.any(bad):
-        x_bad = float(xs[np.argmax(bad)])
-        raise SampleError(f"non-finite weighted value at x={x_bad!r}", x_bad)
+    _check_finite(xs, prod, "weighted value")
     return float(np.max(np.abs(prod)))
 
 
 @dataclass(frozen=True)
 class ModulusParams:
-    """Difference order (even), modulus argument t, and h-ladder depth."""
+    """Difference order (even, at most twice the largest combination order),
+    modulus argument t, and h-ladder depth."""
 
     r2: int
     t: float
     h_count: int = 8
 
     def __post_init__(self) -> None:
-        if self.r2 <= 0 or self.r2 % 2 != 0:
-            raise DomainError("difference order must be a positive even integer")
+        r2 = _check_int(self.r2, "difference order", 2, 2 * _MAX_ORDER)
+        if r2 % 2 != 0:
+            raise DomainError(f"difference order must be even, got {r2}")
         if not 0.0 < self.t <= 0.125:
             raise DomainError("modulus argument t must lie in (0, 1/8]")
-        if self.h_count < 8:
-            raise DomainError("h_count must be at least 8")
+        object.__setattr__(self, "r2", r2)
+        object.__setattr__(self, "h_count", _check_int(self.h_count, "h_count", 8))
 
     def h_ladder(self) -> np.ndarray:
         # t, t/2, t/4, ...: halving keeps the ladders nested across t = 2^-k

@@ -12,24 +12,23 @@ m-th derivative of x^(2r+1+j) at x = 1; its determinant equals
 prod_{j=2}^{2r} j!.
 
 Counting roots of psi' (order 2r at both endpoints, degree 4r) shows
-psi'(x) = c x^(2r) (1-x)^(2r), so psi(x) + psi(1-x) = 1.  Evaluation uses
-that identity for x > 1/2, which avoids the cancellation the raw monomial
-form suffers near 1 once r gets large.
+psi'(x) = c x^(2r) (1-x)^(2r) with c = (4r+1)! / ((2r)!)^2, so the system
+is never solved: expanding (1-x)^(2r) and integrating gives every a_j in
+closed form.  It also gives psi(x) + psi(1-x) = 1.  Evaluation uses that
+identity for x > 1/2, which avoids the cancellation the raw monomial form
+suffers near 1 once r gets large.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .basis import _check_int, _unwrap
+from .basis import _check_order, _unwrap
 from .errors import DomainError
-
-_MAX_ORDER = 8
 
 # |psi(1) - 1| <= this times sum|a|
 _SUM_RTOL = 1e-10
@@ -38,12 +37,6 @@ _ROW_RTOL = 1e-9
 # slack on the numeric range check over a dense grid
 _RANGE_SLACK = 1e-10
 _RANGE_GRID = 10_000
-
-
-def _check_order(r: int) -> int:
-    if _check_int(r, "smoothstep order", 1) > _MAX_ORDER:
-        raise DomainError(f"smoothstep order must be in 1..{_MAX_ORDER}, got {r}")
-    return int(r)
 
 
 def system_matrix(r: int) -> np.ndarray:
@@ -60,31 +53,16 @@ def system_matrix(r: int) -> np.ndarray:
 def solve_psi_coefficients(r: int) -> np.ndarray:
     """Coefficients (a_1, ..., a_{2r+1}) of the order-r smoothstep.
 
-    Solved by pivoted elimination over exact rationals and only then
-    rounded to float.  The falling-factorial matrix is so ill-conditioned
-    that a double-precision solve, while backward-stable, returns forward
-    garbage from about r = 6 on (the r = 8 "solution" is off by 100%);
-    at this size (matrix order <= 17) the exact solve costs microseconds.
+    With psi' = c x^(2r) (1-x)^(2r), c = (4r+1)! / ((2r)!)^2, the coefficient
+    of x^(2r+1+j) is a_{j+1} = c (-1)^j C(2r, j) / (2r+1+j).  Each is an
+    exact integer, below 2^53 for r <= 8, so the floats are exact.  The
+    falling-factorial system is far too ill-conditioned for a
+    double-precision solve: from about r = 6 on it returns forward garbage.
     """
     r = _check_order(r)
-    size = 2 * r + 1
-    a = [
-        [Fraction(math.perm(2 * r + 1 + j, m)) for j in range(size)]
-        for m in range(size)
-    ]
-    b = [Fraction(1)] + [Fraction(0)] * (size - 1)
-    for col in range(size):
-        piv = max(range(col, size), key=lambda i: abs(a[i][col]))
-        if a[piv][col] == 0:
-            raise DomainError(f"singular smoothstep system at order {r}")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        for i in range(size):
-            if i != col and a[i][col] != 0:
-                f = a[i][col] / a[col][col]
-                a[i] = [u - f * v for u, v in zip(a[i], a[col])]
-                b[i] = b[i] - f * b[col]
-    return np.array([float(b[i] / a[i][i]) for i in range(size)])
+    c = math.factorial(4 * r + 1) // math.factorial(2 * r) ** 2
+    return np.array([float((-1) ** j * (c * math.comb(2 * r, j) // (2 * r + 1 + j)))
+                     for j in range(2 * r + 1)])
 
 
 def determinant_check(r: int) -> float:

@@ -104,6 +104,11 @@ class TestRowsAndMatrices:
             basis_matrix(10, np.array([0.5, 1.2]))
         with pytest.raises(DomainError):
             basis_matrix(10, np.array([[0.5]]))
+        # NaN is no point of [0,1], for the matrix and for an apply alike
+        with pytest.raises(DomainError, match="nan"):
+            basis_matrix(10, np.array([0.5, np.nan]))
+        with pytest.raises(DomainError, match="nan"):
+            bernstein_apply_grid(SampleVector(10, np.ones(11)), np.array([np.nan]))
 
     @pytest.mark.parametrize("n", [5, 64, 512, 4096])
     def test_partition_of_unity(self, n, grid513):

@@ -74,8 +74,12 @@ class TestNodes:
         assert dist.max() <= (2.0 * root + 1.0) / n + 1e-12
 
     def test_order_validation(self):
+        # r and n are integers, never truncated, and r is at most 8
+        for n, r in ((100, 0), (400, 2.5), (400, True), (10**6, 9), (400.5, 2)):
+            with pytest.raises(DomainError):
+                interpolation_nodes(n, r, Weight(0.5, 1.0))
         with pytest.raises(DomainError):
-            interpolation_nodes(100, 0, Weight(0.5, 1.0))
+            breakpoints(400.5, Weight(0.5, 1.0))
 
 
 class TestBreakpoints:
@@ -122,7 +126,7 @@ class TestMinimalDegree:
             assert exc.value.n_min == _first_success(
                 lambda m: interpolation_nodes(m, r, w))
 
-    @pytest.mark.parametrize("xi", [1e-5, 1.0 - 1e-5])
+    @pytest.mark.parametrize("xi", [1e-5, 1.0 - 1e-5, 1e-160])
     def test_extreme_center_fails_fast(self, xi):
         # the admissible degree lies far beyond the 1e7 search limit
         w = Weight(xi, 1.0)
@@ -233,6 +237,10 @@ class TestBlendSpec:
             BlendSpec(400, 1, weight_center, np.array([0.45, 0.40, 0.35]), good_breaks)
         with pytest.raises(DomainError):
             BlendSpec(400, 1, Weight(0.7, 1.0), good_nodes, good_breaks)
+        # n and r are integers, never truncated (400.9 used to build n=400)
+        for n, r in ((400.9, 1), (400, 1.5), (400, True)):
+            with pytest.raises(DomainError):
+                BlendSpec(n, r, weight_center, good_nodes, good_breaks)
 
 
 @pytest.fixture(scope="module")

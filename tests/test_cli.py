@@ -1,9 +1,18 @@
 """End-to-end coverage of the command line interface."""
 
+import contextlib
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bernblend
 from bernblend import NumericalError, SampleError, basis, cli, harness
 from bernblend.cli import main
 
@@ -203,6 +212,9 @@ class TestExitCodes:
         ["lemma", "1", "--n-list", "10000000"],
         ["approx", "--n-list", "64,1000001"],
         ["compare", "--n-list", "1000001"],
+        ["lemma", "3", "--n-list", "2000000", "--grid", "401"],
+        ["lemma", "5", "--n-list", "100000000"],
+        ["lemma", "6", "--n-list", "1000001"],
     ])
     def test_degree_capped(self, capsys, monkeypatch, argv):
         # a 2001 x 10^7 basis would need 160 GB; the cap refuses it before
@@ -232,12 +244,26 @@ class TestExitCodes:
         assert err.startswith("error: no grid point lies in the window [1/n, 1 - 1/n]")
         assert err.endswith(f"for n = {n}\n")
 
-    def test_lemma3_degree_uncapped(self, capsys):
-        # interpolation builds no basis, so the sweep cap does not apply
-        code, out, _ = run(capsys, ["lemma", "3", "--n-list", "2000000",
-                                    "--grid", "401"])
-        assert code == 0
-        assert [row["n"] for row in csv_rows(out)] == ["2000000"]
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--r", "100000000"],
+        ["coeffs", "--r", "3000"],
+        ["lemma", "3", "--r", "100000000"],
+        ["modulus", "--r", "9"],
+        ["approx", "--xi", "1e-160"],
+    ])
+    def test_order_and_degree_search_bounded(self, argv):
+        # r is capped at 8 before any ladder, Fraction product or patch
+        # node is built, and the search for the smallest admissible degree
+        # gives up cleanly however close xi lies to 0; in a child process,
+        # so an unbounded run fails by its timeout instead of hanging
+        src = pathlib.Path(bernblend.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "bernblend", *argv], capture_output=True,
+            text=True, timeout=20, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        if "--xi" in argv:
+            assert proc.stderr == "error: no admissible degree below 1e+07\n"
 
     @pytest.mark.parametrize("exc, text", [
         (MemoryError("Unable to allocate 149. GiB"),
@@ -321,3 +347,121 @@ class TestExitCodes:
         code, _, err = run(capsys, [
             "approx", "--out", str(tmp_path / "no_dir" / "x.csv")] + QUICK_APPROX)
         assert code == 1
+
+
+# values the fuzz test draws for each flag read, as (good, bad): good values
+# are in range and small, so a run that does work stays quick; bad ones sit
+# at the edges, past the caps, or are non-finite or malformed
+_VALUES = {
+    "r": (["1", "2", "3", "8"],
+          ["0", "-1", "9", "3000", "100000000", "2.5", "nan", "inf", ""]),
+    "n": (["32", "1", "1000000000000"], ["0", "-5", "64.5", "nan", "inf"]),
+    "n_list": (["64,128", "32", "96"],
+               ["128,64", "64,64", "0", "-4", "64.5", "nan", "inf", "", ",",
+                "64,,128", "x", "1000001", "64,100000000", "1e9"]),
+    "grid": (["401", "16"],
+             ["15", "0", "-1", "401.5", "nan", "inf", "2000000", "100000000"]),
+    "xi": (["0.513", "0.5", "0.3"],
+           ["1e-160", "1e-5", "0", "1", "-0.1", "nan", "inf"]),
+    "alpha": (["1", "2", "0.5"], ["0", "-1", "nan", "inf", "1e308"]),
+    "function": (["smooth_sin:freq=1", "smooth_poly:coeffs=0;1",
+                  "singular_power:beta=0.5", "singular_osc:beta=0.5,freq=1"],
+                 ["singular_power:beta=nan", "singular_power:beta=5", "bogus",
+                  "smooth_sin:", ":", "smooth_sin:freq", "smooth_sin:freq=x", ""]),
+    "t": (["0.125", "0.01", "1e-300"], ["0", "-1", "0.2", "nan", "inf"]),
+    "lam": (["0", "1", "0.5"], ["-0.1", "2", "nan", "inf"]),
+    "u": (["1", "0", "2"], ["-1", "nan", "inf", "1e308"]),
+    "beta": (["2", "1", "0.5"], ["0", "-1", "nan", "inf", "1e308"]),
+    "format": (["csv", "json"], ["xml"]),
+}
+_VALUES["v"] = _VALUES["u"]
+# past the caps (r <= 8, n <= 10^6, grid <= 10^6): these must exit 2
+_PAST_CAP = {"9", "3000", "100000000", "1000001", "64,100000000", "2000000"}
+_COMMON_KEYS = ["xi", "alpha", "grid", "format"]
+# the flags each command reads
+_READS = {
+    ("coeffs",): ["r", "n"],
+    ("psi",): ["r"],
+    ("approx",): _COMMON_KEYS + ["r", "function", "n_list"],
+    ("compare",): _COMMON_KEYS + ["r", "function", "n_list"],
+    ("bernstein-ineq",): _COMMON_KEYS + ["r", "function", "n_list", "lam"],
+    ("modulus",): _COMMON_KEYS + ["r", "function", "t"],
+    ("lemma", "1"): _COMMON_KEYS + ["n_list", "u", "v"],
+    ("lemma", "3"): _COMMON_KEYS + ["n_list", "r", "function"],
+    ("lemma", "5"): _COMMON_KEYS + ["n_list"],
+    ("lemma", "6"): _COMMON_KEYS + ["n_list", "beta"],
+}
+_FLAG = {"n_list": "--n-list", "lam": "--lambda"}
+
+
+def _json_values(text):
+    """Config file values for flag text: the text itself, or a JSON number."""
+    for kind in (int, float):
+        try:
+            return [text, kind(text)]
+        except ValueError:
+            pass
+    return [text]
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, config or None, whether some value read is past a cap).
+
+    At most two of the values read are bad, so most runs get past the
+    first check; the rest are good or left to their defaults.
+    """
+    command = draw(st.sampled_from(sorted(_READS)))
+    keys = _READS[command]
+    bad = draw(st.lists(st.sampled_from(keys), unique=True, max_size=2))
+    flags = {}
+    for key in keys:
+        good, wrong = _VALUES[key]
+        flags[key] = draw(st.sampled_from(wrong) if key in bad
+                          else st.none() | st.sampled_from(good))
+    argv = list(command)
+    for key, text in flags.items():
+        if text is not None:
+            argv += [_FLAG.get(key, "--" + key), text]
+    past_cap = any(flags[key] in _PAST_CAP for key in keys if key != "format")
+    config = None
+    if draw(st.booleans()):
+        config = {}
+        for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)):
+            text = draw(st.sampled_from(sum(_VALUES[key], [])))
+            config[key] = draw(st.sampled_from(
+                _json_values(text) + [None, True, [64, 128], {}]))
+            # a flag's value wins over the file's, which is then not read
+            if flags[key] is None and str(config[key]) in _PAST_CAP:
+                past_cap = True
+        if draw(st.booleans()):
+            config["bogus"] = 1
+    return argv, config, past_cap
+
+
+class TestFuzz:
+    @settings(max_examples=400)
+    @given(case=_invocations())
+    def test_every_invocation_exits_cleanly(self, case, tmp_path_factory):
+        # any mix of flag and config values gives exit 0, 2 or 3 with no
+        # traceback, and a value past a cap exits 2 before any work
+        argv, config, past_cap = case
+        if config is not None:
+            path = tmp_path_factory.getbasetemp() / "fuzz.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 2, 3), (argv, config, err)
+        assert "Traceback" not in err
+        if code:
+            # numpy's RuntimeWarnings may come first when nothing captures them
+            assert any(line.startswith(("error:", "usage:"))
+                       for line in err.splitlines())
+        if past_cap:
+            assert code == 2, (argv, config, err)

@@ -42,6 +42,8 @@ class TestSchedule:
             make_schedule(10, 0)
         with pytest.raises(DomainError):
             make_schedule(10, 2.5)
+        with pytest.raises(DomainError):
+            make_schedule(10, 9)
 
 
 class TestCoefficients:
@@ -84,6 +86,9 @@ class TestCoefficients:
             solve_coefficients([64, 64])
         with pytest.raises(DomainError):
             solve_coefficients([0, 64])
+        # degrees are integers, never truncated to the weights of [64, 128]
+        with pytest.raises(DomainError):
+            solve_coefficients([64.5, 128])
 
 
 class TestScheme:
@@ -112,6 +117,11 @@ class TestScheme:
             CombinationScheme(2, (64, 256), np.array([-1.0 / 3.0, 4.0 / 3.0]))
         with pytest.raises(DomainError):
             CombinationScheme(2, (64,), np.array([1.0]))
+        # r and the nodes are integers, never truncated
+        with pytest.raises(DomainError):
+            CombinationScheme(2.9, (64, 128), np.array([-1.0, 2.0]))
+        with pytest.raises(DomainError):
+            CombinationScheme(2, (64.7, 128), np.array([-1.0, 2.0]))
 
 
 class TestCombine:

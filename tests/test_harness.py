@@ -67,6 +67,12 @@ class TestReports:
         with pytest.raises(DomainError):
             RateReport(rows=((64, 1.0), (32, 2.0)), slope=None,
                        r_squared=None, gamma_hat=None)
+        # the degrees are integers, never truncated
+        with pytest.raises(DomainError):
+            RateReport(rows=((64.5, 1.0),), slope=None, r_squared=None,
+                       gamma_hat=None)
+        with pytest.raises(DomainError):
+            build_report((64.5, 128), (0.5, 0.25))
 
 
 class TestSweepConfig:
@@ -85,6 +91,11 @@ class TestSweepConfig:
             SweepConfig(2, weight513, "smooth_sin:freq=1", (64,), 401.5)
         with pytest.raises(DomainError, match="at most 1000000"):
             SweepConfig(2, weight513, "smooth_sin:freq=1", (64, 10**6 + 1), 401)
+        # the grid size has make_grid's upper bound too, and r is at most 8
+        with pytest.raises(DomainError, match="at most 1000000"):
+            SweepConfig(2, weight513, "smooth_sin:freq=1", (64,), 10**7)
+        with pytest.raises(DomainError, match="at most 8"):
+            SweepConfig(9, weight513, "smooth_sin:freq=1", (1024,), 401)
 
     def test_geometry_checked_up_front(self, weight513):
         with pytest.raises(MinNTooSmall):
@@ -292,6 +303,13 @@ class TestLemmaScans:
         with pytest.raises(DomainError):
             lemma1_scan(-1.0, 0.0, (64,), grid513)
 
+    def test_lemma3_validation(self, weight513, grid513):
+        # a degree is an integer: 400.5 used to print row 400, computed at 400.5
+        f = make_function(parse_spec("smooth_sin:freq=1"), weight513)
+        for r, ns in ((2, (400.5,)), (2.5, (400,)), (9, (10**6,)), (2, (2 * 10**6,))):
+            with pytest.raises(DomainError):
+                lemma3_decay(r, weight513, f, ns, grid513)
+
     def test_lemma3_polynomial_exact(self, weight513, grid513):
         f = make_function(parse_spec("smooth_poly:coeffs=0;1"), weight513)
         rep = lemma3_decay(1, weight513, f, (64, 128), grid513)
@@ -310,6 +328,11 @@ class TestLemmaScans:
         rep = lemma5_scan(w, (64, 128, 256, 512, 1024), grid)
         assert rep.slope == pytest.approx(target, abs=0.25)
 
+    def test_lemma5_validation(self, weight513, grid513):
+        # one degree cap for every n list; it used to run unbounded here
+        with pytest.raises(DomainError, match="at most 1000000"):
+            lemma5_scan(weight513, (10**6 + 1,), grid513)
+
     def test_lemma5_pointwise_cap(self, weight_center, grid_center):
         # A_n(x) <= w(x) because the windowed basis sum is at most 1
         rep = lemma5_scan(weight_center, (64, 256), grid_center)
@@ -324,6 +347,9 @@ class TestLemmaScans:
     def test_lemma6_validation(self, weight513, grid513):
         with pytest.raises(DomainError):
             lemma6_scan(0.0, weight513, (64,), grid513)
+        # n = 0 used to raise ZeroDivisionError
+        with pytest.raises(DomainError):
+            lemma6_scan(2.0, weight513, [0], grid513)
 
     @pytest.mark.parametrize("beta,slope,tol", [(1.0, -0.5, 0.15), (2.0, -1.0, 0.2)])
     def test_lemma6_ratio_decays(self, beta, slope, tol, weight513, grid513):

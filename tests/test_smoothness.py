@@ -33,6 +33,10 @@ class TestGrid:
         with pytest.raises(DomainError, match="at most"):
             make_grid(weight_center, 10**6 + 1)
 
+    def test_size_is_an_integer(self, weight_center):
+        with pytest.raises(DomainError, match="integer"):
+            make_grid(weight_center, 100.5)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             EvaluationGrid(8, np.linspace(0.0, 1.0, 5), 0.5)
@@ -110,6 +114,11 @@ class TestModulusParams:
             ModulusParams(r2=2, t=0.3)
         with pytest.raises(DomainError):
             ModulusParams(r2=2, t=0.1, h_count=7)
+        # integers, never rounded (8.5 gave a 9-rung ladder), and the order
+        # is at most twice the largest combination order
+        for r2, h_count in ((2.0, 8), (2, 8.5), (18, 8)):
+            with pytest.raises(DomainError):
+                ModulusParams(r2=r2, t=0.1, h_count=h_count)
 
     def test_h_ladder(self):
         params = ModulusParams(r2=2, t=0.125, h_count=8)

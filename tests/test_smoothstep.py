@@ -1,5 +1,7 @@
 """Smoothstep polynomial construction, evaluation, and seam smoothness."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -45,6 +47,17 @@ class TestCoefficients:
         rhs[0] = 1.0
         want = np.linalg.solve(a, rhs)
         np.testing.assert_allclose(solve_psi_coefficients(r), want, rtol=rtol)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_closed_form_solves_system_exactly(self, r):
+        # every a_j is an integer below 2^53, so its float is exact, and in
+        # integer arithmetic the a_j satisfy each row of the defining system
+        coeffs = solve_psi_coefficients(r).tolist()
+        ints = [int(a) for a in coeffs]
+        assert ints == coeffs and max(map(abs, ints)) < 2**53
+        for m in range(2 * r + 1):
+            row = sum(math.perm(2 * r + 1 + j, m) * a for j, a in enumerate(ints))
+            assert row == (1 if m == 0 else 0)
 
     def test_order_validation(self):
         for bad in (0, -1, 9, 1.5):
