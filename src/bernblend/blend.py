@@ -102,14 +102,7 @@ def interpolation_nodes(n: int, r: int, weight: Weight) -> np.ndarray:
             f"nodes at xi={weight.xi}; need n >= {n_min}",
             n_min,
         )
-    nodes = np.array([m / n for m in nums])
-    # the floor construction pins every node between 1/sqrt(n) and
-    # (2*sqrt(n)+1)/n left of the center; assert those sharp bounds
-    dist = weight.xi - nodes
-    root = math.sqrt(n)
-    if dist.min() < 1.0 / root - 1e-12 or dist.max() > (2.0 * root + 1.0) / n + 1e-12:
-        raise DomainError("patch nodes strayed outside the left transition zone")
-    return nodes
+    return np.array([m / n for m in nums])
 
 
 def _breakpoint_ok(n: int, xi: float) -> bool:
@@ -134,11 +127,6 @@ def breakpoints(n: int, weight: Weight) -> tuple[float, float, float, float]:
         math.floor(n * xi + root),
         math.floor(n * xi + 2.0 * root),
     )
-    if not (0 < nums[0] < nums[1] < nums[2] < nums[3] < n):
-        raise MinNTooSmall(
-            f"blend breakpoints collapse at n={n}, xi={xi}",
-            _first_valid_n(lambda m: _breakpoint_ok(m, xi), min(xi, 1.0 - xi)),
-        )
     return tuple(m / n for m in nums)
 
 
@@ -187,41 +175,27 @@ def lagrange_interpolant(f: Callable, nodes: np.ndarray, x):
 
 @dataclass(frozen=True, eq=False)
 class BlendSpec:
-    """Validated patch geometry for one degree n."""
+    """The patch geometry of (n, r, weight): the read-only nodes
+    ``interpolation_nodes(n, r, weight)`` and ``breakpoints(n, weight)``."""
 
     n: int
     r: int
     weight: Weight
-    nodes: np.ndarray = field(repr=False)
-    breaks: tuple[float, float, float, float] = ()
+    nodes: np.ndarray = field(init=False, repr=False)
+    breaks: tuple[float, float, float, float] = field(init=False)
 
     def __post_init__(self):
         n, r = _check_degree(self.n), _check_order(self.r)
-        nodes = np.asarray(self.nodes, dtype=float)
-        b = tuple(float(v) for v in self.breaks)
-        if len(b) != 4 or nodes.shape != (r + 1,):
-            raise DomainError("blend spec needs r+1 nodes and 4 breakpoints")
-        if not (0.0 < b[0] < b[1] < b[2] < b[3] < 1.0):
-            raise DomainError(f"breakpoints must be strictly ordered in (0,1): {b}")
-        if not np.all(np.diff(nodes) < 0.0):
-            raise DomainError("nodes must be strictly decreasing")
-        if nodes.min() <= 0.0 or nodes.max() >= 1.0:
-            raise DomainError("nodes must be interior")
-        xi = self.weight.xi
-        if not b[1] < xi < b[2]:
-            raise DomainError("weight center must lie strictly inside the patch window")
-        if nodes.max() >= xi:
-            raise DomainError("all nodes must lie strictly left of the weight center")
-        nodes = nodes.copy()
+        nodes = interpolation_nodes(n, r, self.weight)
         nodes.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "breaks", b)
+        object.__setattr__(self, "breaks", breakpoints(n, self.weight))
 
 
 def build_blend_spec(n: int, r: int, weight: Weight) -> BlendSpec:
-    return BlendSpec(n, r, weight, interpolation_nodes(n, r, weight), breakpoints(n, weight))
+    return BlendSpec(n, r, weight)
 
 
 def blend_eval(f: Callable, spec: BlendSpec, step: SmoothstepPoly, x):

@@ -14,7 +14,6 @@ cardinal polynomial through the reciprocal degrees 1/n_i.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -34,9 +33,6 @@ from .basis import (
     sample_function,
 )
 from .errors import DomainError
-
-# relative tolerance on the moment side conditions, applied term-wise
-_CONDITION_RTOL = 1e-10
 
 
 def make_schedule(base_n: int, r: int) -> list[int]:
@@ -65,42 +61,27 @@ def solve_coefficients(nodes: Sequence[int]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CombinationScheme:
-    """A validated degree ladder plus its combination weights."""
+    """The ladder ``make_schedule(base_n, r)`` as ``nodes``, with its
+    read-only weights ``solve_coefficients(nodes)`` as ``coeffs``."""
 
+    base_n: int
     r: int
-    nodes: tuple[int, ...]
-    coeffs: np.ndarray = field(repr=False)
-
-    @property
-    def base_n(self) -> int:
-        return self.nodes[0]
+    nodes: tuple[int, ...] = field(init=False)
+    coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        r = _check_order(self.r)
-        nodes = _check_degrees(self.nodes)
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if len(nodes) != r or coeffs.shape != (r,):
-            raise DomainError("scheme needs r nodes and r coefficients")
-        if nodes[-1] > r * nodes[0]:
-            raise DomainError("largest degree exceeds r * base_n")
-        scale = np.abs(coeffs).sum()
-        if abs(coeffs.sum() - 1.0) > _CONDITION_RTOL * max(scale, 1.0):
-            raise DomainError("coefficients do not sum to 1")
-        for k in range(1, r):
-            lhs = math.fsum(c * n ** (-k) for c, n in zip(coeffs.tolist(), nodes))
-            ref = math.fsum(abs(c) * n ** (-k) for c, n in zip(coeffs.tolist(), nodes))
-            if abs(lhs) > _CONDITION_RTOL * ref:
-                raise DomainError(f"moment side condition fails at k={k}: {lhs!r}")
-        coeffs = coeffs.copy()
+        base_n, r = _check_degree(self.base_n), _check_order(self.r)
+        nodes = tuple(make_schedule(base_n, r))
+        coeffs = solve_coefficients(nodes)
         coeffs.flags.writeable = False
+        object.__setattr__(self, "base_n", base_n)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "coeffs", coeffs)
 
 
 def build_scheme(base_n: int, r: int) -> CombinationScheme:
-    nodes = make_schedule(base_n, r)
-    return CombinationScheme(r, tuple(nodes), solve_coefficients(nodes))
+    return CombinationScheme(base_n, r)
 
 
 def combine_applied(scheme: CombinationScheme, applied: Mapping[int, np.ndarray],

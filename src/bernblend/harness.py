@@ -65,11 +65,12 @@ class SweepConfig:
         ns = check_n_list(self.n_list)
         r = _check_order(self.r)
         grid_size = _check_grid_size(self.grid_size)
-        # every ladder degree must admit the patch geometry; raises
-        # MinNTooSmall naming the first degree that does not
-        for n in ns:
-            for degree in make_schedule(n, r):
-                breakpoints(degree, self.weight)
+        # every ladder degree must admit the patch window and nodes; raises
+        # MinNTooSmall naming the first degree that does not (the window's
+        # n_min when neither fits)
+        for degree in dict.fromkeys(d for n in ns for d in make_schedule(n, r)):
+            breakpoints(degree, self.weight)
+            interpolation_nodes(degree, r, self.weight)
         object.__setattr__(self, "n_list", ns)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "grid_size", grid_size)
@@ -283,9 +284,13 @@ def lemma1_scan(u: float, v: float, n_list, grid: EvaluationGrid) -> RateReport:
         xs = _interior_points(grid, n)
         ks = np.arange(1, n)
         kn = ks / n
-        coef = kn ** -u * (1.0 - kn) ** -v
+        with np.errstate(over="ignore"):
+            coef = kn ** -u * (1.0 - kn) ** -v
+            bound = xs ** -u * (1.0 - xs) ** -v
+        if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(bound))):
+            raise DomainError(f"u={u!r}, v={v!r}: the weights x^-u (1-x)^-v "
+                              f"overflow at n={n}")
         lhs, = _row_sums(n, xs, ks, [coef])
-        bound = xs ** -u * (1.0 - xs) ** -v
         values.append(float(np.max(lhs / bound)))
     return build_report(n_list, values, {"u": u, "v": v})
 
@@ -343,11 +348,15 @@ def lemma6_scan(beta: float, weight: Weight, n_list,
     for n in n_list:
         xs = _interior_points(grid, n)
         ks = _center_window(n, weight.xi)
+        with np.errstate(over="ignore"):
+            moment = np.abs(ks[None, :] - n * xs[:, None]) ** beta
+            scale = np.float64(n) ** (beta - weight.alpha / 2.0)
+        if not (0.0 < scale < math.inf and np.all(np.isfinite(moment))):
+            raise DomainError(f"beta={beta!r}, alpha={weight.alpha!r}: |k - n x|^beta "
+                              f"or n^(beta - alpha/2) leaves double range at n={n}")
         rows = basis_matrix(n, xs, ks)
-        moment = np.abs(ks[None, :] - n * xs[:, None]) ** beta
         lhs = weight(xs) * (rows * moment).sum(axis=1)
         phi_b = (xs * (1.0 - xs)) ** (beta / 2.0)
-        scale = n ** (beta - weight.alpha / 2.0)
         values.append(float(np.max(lhs / (scale * phi_b))))
     return build_report(n_list, values, {"beta": beta})
 

@@ -2,7 +2,9 @@
 
 The operator applies a moment-killing Bernstein combination not to f
 itself but to its blended extension around the weight center, one
-extension per ladder degree.
+extension per ladder degree.  Everything it needs follows from (base_n, r,
+weight): the scheme from (base_n, r), the smoothstep from r, and each
+degree's blend geometry from (degree, r, weight).
 
 The 2r-th derivative uses the classical identity
 
@@ -24,7 +26,7 @@ as ``modified_operator`` and ``operator_derivative_2r``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -41,36 +43,23 @@ from .smoothstep import SmoothstepPoly, build_smoothstep
 
 @dataclass(frozen=True, eq=False)
 class ModifiedOperator:
-    """A combination scheme bound to per-degree blend geometry."""
+    """A scheme with the order-r smoothstep ``step`` and, in ladder order,
+    each degree's blend spec for ``weight`` in ``specs``."""
 
     scheme: CombinationScheme
     weight: Weight
-    step: SmoothstepPoly
-    specs: tuple[BlendSpec, ...]
+    step: SmoothstepPoly = field(init=False)
+    specs: tuple[BlendSpec, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.step.r != self.scheme.r:
-            raise DomainError("smoothstep order must equal the combination order")
-        if len(self.specs) != self.scheme.r:
-            raise DomainError("need one blend spec per ladder degree")
-        for spec, n in zip(self.specs, self.scheme.nodes):
-            if spec.r != self.scheme.r:
-                raise DomainError("blend spec order must equal the combination order")
-            if spec.weight is not self.weight and (
-                spec.weight.xi != self.weight.xi or spec.weight.alpha != self.weight.alpha
-            ):
-                raise DomainError("all blend specs must share the operator weight")
-            if spec.n != n:
-                raise DomainError(
-                    f"blend spec degree {spec.n} does not match ladder node {n}"
-                )
+        r = self.scheme.r
+        object.__setattr__(self, "step", build_smoothstep(r))
+        object.__setattr__(self, "specs", tuple(build_blend_spec(n, r, self.weight)
+                                                for n in self.scheme.nodes))
 
 
 def build_modified_operator(base_n: int, r: int, weight: Weight) -> ModifiedOperator:
-    scheme = build_scheme(base_n, r)
-    step = build_smoothstep(r)
-    specs = tuple(build_blend_spec(n, r, weight) for n in scheme.nodes)
-    return ModifiedOperator(scheme, weight, step, specs)
+    return ModifiedOperator(build_scheme(base_n, r), weight)
 
 
 def blended_samples(op: ModifiedOperator, f: Callable) -> list[SampleVector]:

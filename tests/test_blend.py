@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernblend import (BlendSpec, DomainError, MinNTooSmall, SampleError,
@@ -225,22 +225,30 @@ class TestBlendSpec:
         assert spec.nodes.tolist() == [0.45, 0.40]
 
     def test_validation(self, weight_center):
-        good_nodes = np.array([0.45, 0.40])
-        good_breaks = (0.40, 0.45, 0.55, 0.60)
-        with pytest.raises(DomainError):
-            BlendSpec(400, 1, weight_center, good_nodes, (0.45, 0.40, 0.55, 0.60))
-        with pytest.raises(DomainError):
-            BlendSpec(400, 1, weight_center, np.array([0.40, 0.45]), good_breaks)
-        with pytest.raises(DomainError):
-            BlendSpec(400, 1, weight_center, np.array([0.55, 0.40]), good_breaks)
-        with pytest.raises(DomainError):
-            BlendSpec(400, 1, weight_center, np.array([0.45, 0.40, 0.35]), good_breaks)
-        with pytest.raises(DomainError):
-            BlendSpec(400, 1, Weight(0.7, 1.0), good_nodes, good_breaks)
         # n and r are integers, never truncated (400.9 used to build n=400)
         for n, r in ((400.9, 1), (400, 1.5), (400, True)):
             with pytest.raises(DomainError):
-                BlendSpec(n, r, weight_center, good_nodes, good_breaks)
+                BlendSpec(n, r, weight_center)
+
+    @settings(max_examples=300)
+    @given(n=st.integers(4, 10**6), r=st.integers(1, 8),
+           xi=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_geometry(self, n, r, xi):
+        # whatever the floor formulas build is ordered around xi, and every
+        # node lies between 1/sqrt(n) and (2 sqrt(n) + 1)/n left of it
+        try:
+            spec = build_blend_spec(n, r, Weight(xi, 1.0))
+        except (MinNTooSmall, DomainError):
+            return
+        b1, b2, b3, b4 = spec.breaks
+        assert 0.0 < b1 < b2 < b3 < b4 < 1.0 and b2 < xi < b3
+        nodes = spec.nodes
+        assert np.all(np.diff(nodes) < 0.0)
+        assert 0.0 < nodes.min() and nodes.max() < xi
+        dist = xi - nodes
+        root = math.sqrt(n)
+        assert dist.min() >= 1.0 / root - 1e-12
+        assert dist.max() <= (2.0 * root + 1.0) / n + 1e-12
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -265,6 +266,20 @@ class TestExitCodes:
         if "--xi" in argv:
             assert proc.stderr == "error: no admissible degree below 1e+07\n"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("which, flag, value", [
+        ("1", "u", "1e308"), ("1", "v", "1e308"), ("6", "beta", "1000"),
+        ("6", "alpha", "1e308"),
+    ])
+    def test_lemma_overflow(self, capsys, which, flag, value):
+        # a power that leaves double range is bad configuration, reported
+        # in one line that names it and n, with no numpy warning before it
+        code, out, err = run(capsys, ["lemma", which, f"--{flag}", value,
+                                      "--grid", "401", "--n-list", "64"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{flag}={float(value)!r}" in err and "n=64" in err
+
     @pytest.mark.parametrize("exc, text", [
         (MemoryError("Unable to allocate 149. GiB"),
          "error: out of memory: Unable to allocate 149. GiB\n"),
@@ -451,7 +466,10 @@ class TestFuzz:
             path.write_text(json.dumps(config))
             argv = argv + ["--config", str(path)]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            # a numpy warning on the way to an exit is an error of its own
+            warnings.simplefilter("error", RuntimeWarning)
             try:
                 code = main(argv)
             except SystemExit as exc:
@@ -460,8 +478,6 @@ class TestFuzz:
         assert code in (0, 2, 3), (argv, config, err)
         assert "Traceback" not in err
         if code:
-            # numpy's RuntimeWarnings may come first when nothing captures them
-            assert any(line.startswith(("error:", "usage:"))
-                       for line in err.splitlines())
+            assert err.startswith(("error:", "usage:")), (argv, config, err)
         if past_cap:
             assert code == 2, (argv, config, err)

@@ -105,23 +105,22 @@ class TestScheme:
             scheme.coeffs[0] = 0.0
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            CombinationScheme(2, (128, 64), np.array([2.0, -1.0]))
-        with pytest.raises(DomainError):
-            CombinationScheme(2, (64, 128), np.array([-1.0, 2.5]))
-        with pytest.raises(DomainError):
-            # sums to 1 but fails the reciprocal-degree side condition
-            CombinationScheme(2, (64, 128), np.array([0.5, 0.5]))
-        with pytest.raises(DomainError):
-            # valid weights, but the top degree exceeds r * base_n
-            CombinationScheme(2, (64, 256), np.array([-1.0 / 3.0, 4.0 / 3.0]))
-        with pytest.raises(DomainError):
-            CombinationScheme(2, (64,), np.array([1.0]))
-        # r and the nodes are integers, never truncated
-        with pytest.raises(DomainError):
-            CombinationScheme(2.9, (64, 128), np.array([-1.0, 2.0]))
-        with pytest.raises(DomainError):
-            CombinationScheme(2, (64.7, 128), np.array([-1.0, 2.0]))
+        # base_n and r are integers, never truncated
+        for base_n, r in ((64.7, 2), (64, 2.9)):
+            with pytest.raises(DomainError):
+                CombinationScheme(base_n, r)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_sum_and_side_conditions(self, r):
+        # sum C_i = 1 and sum C_i / n_i^k = 0 for k = 1..r-1, each within
+        # 1e-10 of the sum of the absolute terms
+        for base_n in (1, 32, 997, 10**6):
+            scheme = build_scheme(base_n, r)
+            coeffs = scheme.coeffs
+            assert abs(coeffs.sum() - 1.0) <= 1e-10 * max(np.abs(coeffs).sum(), 1.0)
+            for k in range(1, r):
+                terms = [c * n ** (-k) for c, n in zip(coeffs.tolist(), scheme.nodes)]
+                assert abs(math.fsum(terms)) <= 1e-10 * math.fsum(map(abs, terms))
 
 
 class TestCombine:

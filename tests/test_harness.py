@@ -100,6 +100,9 @@ class TestSweepConfig:
     def test_geometry_checked_up_front(self, weight513):
         with pytest.raises(MinNTooSmall):
             SweepConfig(2, weight513, "smooth_sin:freq=1", (8,), 401)
+        # n = 49 admits the blend window but not nine distinct patch nodes
+        with pytest.raises(MinNTooSmall, match="need n >= 51"):
+            SweepConfig(8, weight513, "smooth_sin:freq=1", (49,), 401)
 
 
 class TestRunConvergence:

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from bernblend import (DomainError, ModifiedOperator, Weight, basis_matrix,
-                       bernstein_apply_grid, blend_eval, blended_samples,
-                       build_modified_operator, build_smoothstep, combine,
+from bernblend import (basis_matrix, bernstein_apply_grid, blend_eval,
+                       blended_samples, build_modified_operator, combine,
                        fit_rate, make_function, modified_operator,
                        operator_derivative_2r, parse_spec, sample_function,
                        weighted_norm)
@@ -24,25 +23,8 @@ class TestConstruction:
         assert op64.scheme.nodes == (64, 128)
         assert tuple(s.n for s in op64.specs) == (64, 128)
         assert op64.step.r == 2
-
-    def test_mismatched_step_order(self, op64, weight513):
-        with pytest.raises(DomainError):
-            ModifiedOperator(
-                op64.scheme, weight513, build_smoothstep(1), op64.specs
-            )
-
-    def test_wrong_spec_count(self, op64, weight513):
-        with pytest.raises(DomainError):
-            ModifiedOperator(op64.scheme, weight513, op64.step, op64.specs[:1])
-
-    def test_spec_degree_must_match_ladder(self, op64, weight513):
-        wrong = (op64.specs[1], op64.specs[0])
-        with pytest.raises(DomainError):
-            ModifiedOperator(op64.scheme, weight513, op64.step, wrong)
-
-    def test_weight_must_match_specs(self, op64):
-        with pytest.raises(DomainError):
-            ModifiedOperator(op64.scheme, Weight(0.3, 1.0), op64.step, op64.specs)
+        # every spec has the operator's order and weight
+        assert all(s.r == 2 and s.weight is op64.weight for s in op64.specs)
 
 
 class TestApplication:
