@@ -86,23 +86,28 @@ def _first_valid_n(ok: Callable[[int], bool], d: float) -> int:
 
 
 def interpolation_nodes(n: int, r: int, weight: Weight) -> np.ndarray:
-    """Patch nodes, strictly decreasing, all left of the weight center."""
-    n, r = _check_degree(n), _check_order(r)
+    """Patch nodes, strictly decreasing, all left of the weight center.
+
+    The nodes serve the blend window of ``breakpoints``, so a degree too
+    small for either raises MinNTooSmall naming the smallest degree that
+    admits both.
+    """
+    n, r, xi = _check_degree(n), _check_order(r), weight.xi
 
     def usable(m: int) -> bool:
-        cand = _node_numerators(m, r, weight.xi)
+        cand = _node_numerators(m, r, xi)
         distinct = all(a > b for a, b in zip(cand, cand[1:]))
-        return distinct and cand[-1] >= 1 and cand[0] <= m - 1
+        return (distinct and cand[-1] >= 1 and cand[0] <= m - 1
+                and _breakpoint_ok(m, xi))
 
-    nums = _node_numerators(n, r, weight.xi)
     if not usable(n):
-        n_min = _first_valid_n(usable, weight.xi)
+        n_min = _first_valid_n(usable, min(xi, 1.0 - xi))
         raise MinNTooSmall(
-            f"degree n={n} leaves no room for {r + 1} distinct interior patch "
-            f"nodes at xi={weight.xi}; need n >= {n_min}",
+            f"degree n={n} is too small for the blend window and {r + 1} "
+            f"distinct interior patch nodes at xi={xi}; need n >= {n_min}",
             n_min,
         )
-    return np.array([m / n for m in nums])
+    return np.array([m / n for m in _node_numerators(n, r, xi)])
 
 
 def _breakpoint_ok(n: int, xi: float) -> bool:

@@ -195,10 +195,8 @@ def _cmd_modulus(args) -> int:
     grid = make_grid(weight, ns.grid)
     f = make_function(parse_spec(ns.function), weight)
     divisors = [2 ** k for k in range(_MODULUS_HALVINGS)]
-    values = []
-    for divisor in divisors:
-        params = ModulusParams(r2=2 * ns.r, t=ns.t / divisor)
-        values.append(weighted_modulus(f, weight, params, grid))
+    values = weighted_modulus(
+        f, weight, [ModulusParams(r2=2 * ns.r, t=ns.t / d) for d in divisors], grid)
     _deliver(build_report(divisors, values, {"t": ns.t}), ns)
     return 0
 

@@ -66,10 +66,9 @@ class SweepConfig:
         r = _check_order(self.r)
         grid_size = _check_grid_size(self.grid_size)
         # every ladder degree must admit the patch window and nodes; raises
-        # MinNTooSmall naming the first degree that does not (the window's
-        # n_min when neither fits)
+        # MinNTooSmall naming, for the first degree that does not, the
+        # smallest degree that admits both
         for degree in dict.fromkeys(d for n in ns for d in make_schedule(n, r)):
-            breakpoints(degree, self.weight)
             interpolation_nodes(degree, r, self.weight)
         object.__setattr__(self, "n_list", ns)
         object.__setattr__(self, "r", r)
@@ -187,26 +186,22 @@ def run_convergence(config: SweepConfig) -> RateReport:
     Besides the error rows, records per-n the order-2r weighted modulus at
     t = min(n^{-1/2}, 1/8) and the weighted norm of f itself, so the direct
     estimate error <= C*(modulus + n^{-r}*norm) can be audited as ratios.
-    Each distinct ladder degree is applied once and shared by every n.
+    Each distinct ladder degree is applied once, and each distinct modulus
+    step h scanned once, for all n.
     """
     grid, f = _sweep_pieces(config)
     xs = grid.points
     f_vals = f(xs)
     ops, blended, _ = _ladder_samples(config, f)
     applied = {d: bernstein_apply_grid(sv, xs) for d, sv in blended.items()}
-    errors = []
-    moduli = []
-    t_used = []
-    for n, op in zip(config.n_list, ops):
-        approx = combine_applied(op.scheme, applied)
-        errors.append(weighted_norm(approx - f_vals, config.weight, grid))
-        t = min(1.0 / math.sqrt(n), _T_CAP)
-        params = ModulusParams(r2=2 * config.r, t=t)
-        moduli.append(weighted_modulus(f, config.weight, params, grid))
-        t_used.append(t)
+    errors = [weighted_norm(combine_applied(op.scheme, applied) - f_vals,
+                            config.weight, grid) for op in ops]
+    t_used = [min(1.0 / math.sqrt(n), _T_CAP) for n in config.n_list]
+    moduli = weighted_modulus(
+        f, config.weight, [ModulusParams(r2=2 * config.r, t=t) for t in t_used], grid)
     f_norm = weighted_norm(f_vals, config.weight, grid)
     extras = {
-        "omega": tuple(moduli),
+        "omega": moduli,
         "t": tuple(t_used),
         "weighted_f_norm": f_norm,
         "exact": _is_exact(errors, f_norm),

@@ -6,16 +6,18 @@ one-sided differences with the fixed step h on the two endpoint strips
 [0, 16h^2] and [1 - 16h^2, 1].  Taking the max over a geometric ladder of h
 values in (0, t] discretizes the supremum over 0 < h <= t.
 
-f is evaluated on arrays: each region and each h costs one call of f per
-stencil offset, about 3 * (r2 + 1) * h_count calls per modulus.  An f that
-only accepts scalars still works through the per-point fallback of
-``basis.evaluate``, just slowly.
+f is evaluated on arrays: each region of each step h costs one call of f
+per stencil offset, at most 3 * (r2 + 1) calls per distinct step.  A call
+over several t shares the distinct steps of their ladders, which nest when
+the t differ by powers of two.  An f that only accepts scalars still works
+through the per-point fallback of ``basis.evaluate``, just slowly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -139,28 +141,46 @@ class ModulusParams:
         return self.t * 0.5 ** np.arange(self.h_count)
 
 
-def weighted_modulus(f, weight: Weight, params: ModulusParams, grid: EvaluationGrid) -> float:
+def weighted_modulus(f, weight: Weight, params: ModulusParams | Sequence[ModulusParams],
+                     grid: EvaluationGrid):
     """Weighted modulus of smoothness of order ``params.r2`` at ``params.t``.
 
-    For each h in the ladder the three regional sups are evaluated on the
-    grid and combined with max; the result is the max over the ladder, hence
-    nondecreasing in t by construction.  A non-finite weighted difference
-    raises SampleError, as in ``weighted_norm``.
+    ``params`` is one ModulusParams, giving a float, or a sequence of them,
+    giving a tuple with one modulus per entry.  For each h in a ladder the
+    three regional sups are evaluated on the grid and combined with max; a
+    modulus is the max over its ladder, hence nondecreasing in t by
+    construction.  A step (order, h) shared by several ladders is scanned
+    once per call, on its first visit in entry and ladder order, so each
+    value and the first failure are those of one call per entry.  A
+    non-finite weighted difference raises SampleError, as in
+    ``weighted_norm``.
     """
-    pts = grid.points
-    order = params.r2
-    half = order / 2.0
+    single = isinstance(params, ModulusParams)
+    sups: dict[tuple[int, float], float] = {}
+    values = []
+    for entry in [params] if single else params:
+        best = 0.0
+        for h in entry.h_ladder().tolist():
+            key = (entry.r2, h)
+            if key not in sups:
+                sups[key] = _step_sup(f, weight, grid.points, entry.r2, h)
+            best = max(best, sups[key])
+        values.append(best)
+    return values[0] if single else tuple(values)
+
+
+def _step_sup(f, weight: Weight, pts: np.ndarray, order: int, h: float) -> float:
+    """max of the three regional sups of one step h."""
+    cut = 16.0 * h * h
+    # skip x whose stencil leaves [0,1]; never clamp
+    reach = order / 2.0 * h * np.sqrt(pts * (1.0 - pts))
+    mid = pts[(pts >= cut) & (pts <= 1.0 - cut) & (reach != 0.0)
+              & (pts - reach >= 0.0) & (pts + reach <= 1.0)]
+    lo = pts[(pts <= cut) & (pts + order * h <= 1.0)]
+    hi = pts[(pts >= 1.0 - cut) & (pts - order * h >= 0.0)]
     best = 0.0
-    for h in params.h_ladder():
-        cut = 16.0 * h * h
-        # skip x whose stencil leaves [0,1]; never clamp
-        reach = half * h * np.sqrt(pts * (1.0 - pts))
-        mid = pts[(pts >= cut) & (pts <= 1.0 - cut) & (reach != 0.0)
-                  & (pts - reach >= 0.0) & (pts + reach <= 1.0)]
-        lo = pts[(pts <= cut) & (pts + order * h <= 1.0)]
-        hi = pts[(pts >= 1.0 - cut) & (pts - order * h >= 0.0)]
-        for xs, diff in ((mid, symmetric_difference), (lo, forward_difference),
-                         (hi, backward_difference)):
-            if xs.size:
-                best = max(best, _weighted_max(xs, weight(xs) * diff(f, xs, h, order)))
+    for xs, diff in ((mid, symmetric_difference), (lo, forward_difference),
+                     (hi, backward_difference)):
+        if xs.size:
+            best = max(best, _weighted_max(xs, weight(xs) * diff(f, xs, h, order)))
     return best

@@ -126,6 +126,27 @@ class TestMinimalDegree:
             assert exc.value.n_min == _first_success(
                 lambda m: interpolation_nodes(m, r, w))
 
+    @pytest.mark.parametrize("xi", [0.05, 0.3, 0.5, 0.513, 0.9, 0.97])
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_n_min_admits_window_and_nodes(self, r, xi):
+        # the named degree builds the whole patch geometry, one less does
+        # not, whichever of the window and the nodes is the tighter
+        w = Weight(xi, 1.0)
+
+        def builds(m):
+            try:
+                breakpoints(m, w)
+                interpolation_nodes(m, r, w)
+            except MinNTooSmall:
+                return False
+            return True
+
+        with pytest.raises(MinNTooSmall) as exc:
+            interpolation_nodes(4, r, w)
+        n_min = exc.value.n_min
+        assert builds(n_min) and not builds(n_min - 1)
+        assert f"need n >= {n_min}" in str(exc.value)
+
     @pytest.mark.parametrize("xi", [1e-5, 1.0 - 1e-5, 1e-160])
     def test_extreme_center_fails_fast(self, xi):
         # the admissible degree lies far beyond the 1e7 search limit

@@ -186,6 +186,20 @@ class TestExitCodes:
         assert code == 2
         assert "need n >= 21" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["lemma", "3", "--r", "1"],  # the nodes fit at 19, the window at 21
+        ["approx", "--r", "8"],  # the window fits at 21, the nodes at 51
+    ])
+    def test_named_degree_runs(self, capsys, argv):
+        argv = argv + ["--function", "smooth_sin:freq=1", "--grid", "401"]
+        code, _, err = run(capsys, argv + ["--n-list", "8"])
+        assert code == 2
+        n_min = int(err.rsplit("need n >= ", 1)[1])
+        code, _, err = run(capsys, argv + ["--n-list", str(n_min)])
+        assert (code, err) == (0, "")
+        code, _, err = run(capsys, argv + ["--n-list", str(n_min - 1)])
+        assert code == 2 and f"need n >= {n_min}" in err
+
     def test_centered_compare_hits_singularity(self, capsys):
         code, _, err = run(capsys, [
             "compare", "--xi", "0.5", "--r", "1", "--function",
@@ -392,6 +406,9 @@ _VALUES = {
 _VALUES["v"] = _VALUES["u"]
 # past the caps (r <= 8, n <= 10^6, grid <= 10^6): these must exit 2
 _PAST_CAP = {"9", "3000", "100000000", "1000001", "64,100000000", "2000000"}
+# huge finite values, drawn alone so a run reaches the numerical path
+_HUGE = ["1e308", "-1e308", "1e300"]
+_HUGE_KEYS = {"u", "v", "beta", "alpha"}
 _COMMON_KEYS = ["xi", "alpha", "grid", "format"]
 # the flags each command reads
 _READS = {
@@ -424,15 +441,20 @@ def _invocations(draw):
     """(argv, config or None, whether some value read is past a cap).
 
     At most two of the values read are bad, so most runs get past the
-    first check; the rest are good or left to their defaults.
+    first check; the rest are good or left to their defaults.  Or one
+    value is huge and all others are good or defaults, with no config
+    file, so no NaN or cap exits first.
     """
     command = draw(st.sampled_from(sorted(_READS)))
     keys = _READS[command]
-    bad = draw(st.lists(st.sampled_from(keys), unique=True, max_size=2))
+    huge = sorted(_HUGE_KEYS.intersection(keys))
+    huge = draw(st.sampled_from(huge)) if huge and draw(st.booleans()) else None
+    bad = [] if huge else draw(st.lists(st.sampled_from(keys), unique=True, max_size=2))
     flags = {}
     for key in keys:
         good, wrong = _VALUES[key]
-        flags[key] = draw(st.sampled_from(wrong) if key in bad
+        flags[key] = draw(st.sampled_from(_HUGE) if key == huge
+                          else st.sampled_from(wrong) if key in bad
                           else st.none() | st.sampled_from(good))
     argv = list(command)
     for key, text in flags.items():
@@ -440,7 +462,7 @@ def _invocations(draw):
             argv += [_FLAG.get(key, "--" + key), text]
     past_cap = any(flags[key] in _PAST_CAP for key in keys if key != "format")
     config = None
-    if draw(st.booleans()):
+    if not huge and draw(st.booleans()):
         config = {}
         for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)):
             text = draw(st.sampled_from(sum(_VALUES[key], [])))

@@ -260,3 +260,76 @@ class TestWeightedModulus:
         f = lambda x: np.asarray(x) ** 3 - 0.2 * np.asarray(x)
         v = weighted_modulus(f, weight_center, ModulusParams(r2=4, t=0.1), grid_center)
         assert v <= 1e-11
+
+
+def _per_entry(f, weight, entries, grid):
+    """The moduli of one call per entry: the reference for the shared ladder."""
+    return tuple(weighted_modulus(f, weight, p, grid) for p in entries)
+
+
+class TestSharedLadder:
+    """One call over several ModulusParams scans each distinct step once."""
+
+    @pytest.mark.parametrize("entries", [
+        # approx's defaults: r = 2, t = min(n^-1/2, 1/8) for n = 32..1024
+        [ModulusParams(4, min(1.0 / math.sqrt(n), 0.125))
+         for n in (32, 64, 128, 256, 512, 1024)],
+        # the modulus table: t / 2^k
+        [ModulusParams(4, 0.125 / 2**k) for k in range(8)],
+        # ladders that share no step
+        [ModulusParams(4, 0.1), ModulusParams(4, 0.07)],
+        # one h under two orders is two steps
+        [ModulusParams(2, 0.125), ModulusParams(4, 0.0625), ModulusParams(2, 0.03125)],
+    ], ids=["approx", "table", "disjoint", "mixed-order"])
+    @pytest.mark.parametrize("key", ["singular_power:beta=0.5", "smooth_sin:freq=1"])
+    def test_equals_one_call_per_entry(self, entries, key, weight513, grid513):
+        f = make_function(parse_spec(key), weight513)
+        got = weighted_modulus(f, weight513, entries, grid513)
+        assert type(got) is tuple
+        assert got == _per_entry(f, weight513, entries, grid513)
+
+    def test_single_entry_is_a_float(self, weight513, grid513):
+        f = make_function(parse_spec("smooth_sin:freq=1"), weight513)
+        params = ModulusParams(4, 0.125)
+        got = weighted_modulus(f, weight513, params, grid513)
+        assert type(got) is float
+        assert weighted_modulus(f, weight513, [params], grid513) == (got,)
+        assert weighted_modulus(f, weight513, [], grid513) == ()
+
+    def test_table_scans_each_step_once(self, weight513, grid513):
+        # the 8-row table t/2^k has the 15 steps t/2^j, j = 0..14
+        f = make_function(parse_spec("singular_power:beta=0.5"), weight513)
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return f(x)
+
+        table = [ModulusParams(4, 0.125 / 2**k) for k in range(8)]
+        weighted_modulus(counted, weight513, table, grid513)
+        shared = len(calls)
+        calls.clear()
+        weighted_modulus(counted, weight513, ModulusParams(4, 0.125, h_count=15), grid513)
+        assert shared == len(calls)
+
+    @pytest.mark.parametrize("mode", ["raise", "nan"])
+    def test_first_failure_is_the_same(self, mode, weight513, grid513):
+        # only h = 2^-13, first on entry 3's ladder, reaches the bad point:
+        # entries 0..2 succeed, then entry 3 fails on its one new step
+        bad = 2.0**-13
+
+        def flawed(x):
+            x = np.asarray(x, dtype=float)
+            hit = x == bad
+            if mode == "raise" and hit.any():
+                raise SampleError(f"refused x={bad!r}", bad)
+            return np.where(hit, np.nan, np.sin(x))
+
+        table = [ModulusParams(2, 0.125 / 2**k) for k in range(8)]
+        weighted_modulus(flawed, weight513, table[:3], grid513)
+        with pytest.raises(SampleError) as loop:
+            _per_entry(flawed, weight513, table, grid513)
+        with pytest.raises(SampleError) as shared:
+            weighted_modulus(flawed, weight513, table, grid513)
+        assert shared.value.x == loop.value.x == (bad if mode == "raise" else 0.0)
+        assert str(shared.value) == str(loop.value)
