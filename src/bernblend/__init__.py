@@ -12,8 +12,7 @@ from .basis import (SampleVector, backward_difference, basis_matrix,
                     forward_difference, sample_function,
                     symmetric_difference)
 from .blend import (BlendSpec, Weight, barycentric_weights, blend_eval,
-                    breakpoints, build_blend_spec, interpolation_nodes,
-                    lagrange_interpolant)
+                    build_blend_spec, lagrange_interpolant)
 from .catalog import DEFAULT_KEYS, FunctionSpec, make_function, parse_spec
 from .combination import (CombinationScheme, build_scheme, combine,
                           combine_samples, make_schedule, moment_table,

@@ -3,7 +3,7 @@
 Given a weight |x - xi|^alpha with 0 < xi < 1, the patch replaces a
 function f near xi by the Lagrange polynomial H through r+1 lattice nodes
 
-    x_i = floor(n*xi - ((r-1)/2 + i)) / n,   i = 1..r+1,
+    x_j = floor(n*xi - (1 + j/r)*sqrt(n)) / n,   j = 0..r,
 
 all strictly to the left of xi, and blends f with H through two scaled
 smoothsteps anchored at the four lattice breakpoints
@@ -85,54 +85,13 @@ def _first_valid_n(ok: Callable[[int], bool], d: float) -> int:
     raise DomainError(f"no admissible degree below {_MAX_N:.0e}")
 
 
-def interpolation_nodes(n: int, r: int, weight: Weight) -> np.ndarray:
-    """Patch nodes, strictly decreasing, all left of the weight center.
-
-    The nodes serve the blend window of ``breakpoints``, so a degree too
-    small for either raises MinNTooSmall naming the smallest degree that
-    admits both.
-    """
-    n, r, xi = _check_degree(n), _check_order(r), weight.xi
-
-    def usable(m: int) -> bool:
-        cand = _node_numerators(m, r, xi)
-        distinct = all(a > b for a, b in zip(cand, cand[1:]))
-        return (distinct and cand[-1] >= 1 and cand[0] <= m - 1
-                and _breakpoint_ok(m, xi))
-
-    if not usable(n):
-        n_min = _first_valid_n(usable, min(xi, 1.0 - xi))
-        raise MinNTooSmall(
-            f"degree n={n} is too small for the blend window and {r + 1} "
-            f"distinct interior patch nodes at xi={xi}; need n >= {n_min}",
-            n_min,
-        )
-    return np.array([m / n for m in _node_numerators(n, r, xi)])
-
-
-def _breakpoint_ok(n: int, xi: float) -> bool:
+def _admissible(n: int, r: int, xi: float) -> bool:
+    """The r+1 nodes are distinct and in 1..n-1, and so is the window [b1, b4]."""
+    nums = _node_numerators(n, r, xi)
+    distinct = all(a > b for a, b in zip(nums, nums[1:]))
     root = math.sqrt(n)
-    return root >= 2.0 and n * xi - 2.0 * root >= 1.0 and n * (1.0 - xi) - 2.0 * root >= 1.0
-
-
-def breakpoints(n: int, weight: Weight) -> tuple[float, float, float, float]:
-    """The four blend breakpoints (b1, b2, b3, b4) on the lattice."""
-    n, xi = _check_degree(n), weight.xi
-    if not _breakpoint_ok(n, xi):
-        n_min = _first_valid_n(lambda m: _breakpoint_ok(m, xi), min(xi, 1.0 - xi))
-        raise MinNTooSmall(
-            f"degree n={n} is too small for the blend window at xi={xi}; "
-            f"need n >= {n_min}",
-            n_min,
-        )
-    root = math.sqrt(n)
-    nums = (
-        math.floor(n * xi - 2.0 * root),
-        math.floor(n * xi - root),
-        math.floor(n * xi + root),
-        math.floor(n * xi + 2.0 * root),
-    )
-    return tuple(m / n for m in nums)
+    window = root >= 2.0 and n * xi - 2.0 * root >= 1.0 and n * (1.0 - xi) - 2.0 * root >= 1.0
+    return distinct and nums[-1] >= 1 and nums[0] <= n - 1 and window
 
 
 def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
@@ -180,8 +139,13 @@ def lagrange_interpolant(f: Callable, nodes: np.ndarray, x):
 
 @dataclass(frozen=True, eq=False)
 class BlendSpec:
-    """The patch geometry of (n, r, weight): the read-only nodes
-    ``interpolation_nodes(n, r, weight)`` and ``breakpoints(n, weight)``."""
+    """The patch geometry of (n, r, weight): the r+1 read-only ``nodes``,
+    strictly decreasing and all left of xi, and the blend window's four
+    lattice ``breaks`` (b1, b2, b3, b4).
+
+    A degree too small for the window or the nodes raises MinNTooSmall
+    naming the smallest degree that admits both.
+    """
 
     n: int
     r: int
@@ -190,13 +154,27 @@ class BlendSpec:
     breaks: tuple[float, float, float, float] = field(init=False)
 
     def __post_init__(self):
-        n, r = _check_degree(self.n), _check_order(self.r)
-        nodes = interpolation_nodes(n, r, self.weight)
+        n, r, xi = _check_degree(self.n), _check_order(self.r), self.weight.xi
+        if not _admissible(n, r, xi):
+            n_min = _first_valid_n(lambda m: _admissible(m, r, xi), min(xi, 1.0 - xi))
+            raise MinNTooSmall(
+                f"degree n={n} is too small for the blend window and {r + 1} "
+                f"distinct interior patch nodes at xi={xi}; need n >= {n_min}",
+                n_min,
+            )
+        nodes = np.array([m / n for m in _node_numerators(n, r, xi)])
         nodes.flags.writeable = False
+        root = math.sqrt(n)
+        breaks = tuple(m / n for m in (
+            math.floor(n * xi - 2.0 * root),
+            math.floor(n * xi - root),
+            math.floor(n * xi + root),
+            math.floor(n * xi + 2.0 * root),
+        ))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "breaks", breakpoints(n, self.weight))
+        object.__setattr__(self, "breaks", breaks)
 
 
 def build_blend_spec(n: int, r: int, weight: Weight) -> BlendSpec:

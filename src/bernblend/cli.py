@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from types import SimpleNamespace
 
@@ -289,6 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     for sub in subs.choices.values():
         # a config file value is parsed by the flag with its key as dest
         sub.set_defaults(flags={a.dest: a for a in sub._actions})
+        # argparse takes only -N and -N.N for negative numbers and reads
+        # "--u -1e3" as a flag without its value; exponents count here too
+        sub._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     return parser
 
 

@@ -19,8 +19,7 @@ import numpy as np
 from . import operators
 from .basis import (SampleVector, _check_degrees, _check_order, _row_sums,
                     basis_matrix, bernstein_apply_grid, sample_function)
-from .blend import (Weight, breakpoints, interpolation_nodes,
-                    lagrange_interpolant)
+from .blend import BlendSpec, Weight, lagrange_interpolant
 from .catalog import make_function, parse_spec
 from .combination import build_scheme, combine_applied, make_schedule
 # uncalled since the sweeps apply per degree; kept only because
@@ -30,12 +29,11 @@ from .errors import DomainError, NumericalError
 from .operators import (ModifiedOperator, build_modified_operator,
                         derivative_applies)
 from .operators import operator_derivative_2r  # noqa: F401
-from .smoothness import (EvaluationGrid, ModulusParams, _check_grid_size,
-                         make_grid, weighted_norm)
+from .smoothness import (_T_CAP, EvaluationGrid, ModulusParams,
+                         _check_grid_size, make_grid, weighted_norm)
 from .smoothness import weighted_modulus
 
 _EXACT_THRESHOLD = 1e-9
-_T_CAP = 0.125
 # largest degree in any n list: a grid row of a sweep's or lemma 1's basis
 # costs O(n) time and memory (a ladder applies up to r * n), and the
 # log-binomial row of every basis costs O(n); the large-n runs README
@@ -69,7 +67,7 @@ class SweepConfig:
         # MinNTooSmall naming, for the first degree that does not, the
         # smallest degree that admits both
         for degree in dict.fromkeys(d for n in ns for d in make_schedule(n, r)):
-            interpolation_nodes(degree, r, self.weight)
+            BlendSpec(degree, r, self.weight)
         object.__setattr__(self, "n_list", ns)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "grid_size", grid_size)
@@ -296,11 +294,11 @@ def lemma3_decay(r: int, weight: Weight, f: Callable, n_list,
     n_list = check_n_list(n_list)
     values = []
     for n in n_list:
-        nodes = interpolation_nodes(n, r, weight)
-        b = breakpoints(n, weight)
+        spec = BlendSpec(n, r, weight)
+        b = spec.breaks
         xs = grid.points[(grid.points >= b[0]) & (grid.points <= b[3])]
         gap = np.abs(np.asarray(f(xs), dtype=float)
-                     - lagrange_interpolant(f, nodes, xs))
+                     - lagrange_interpolant(f, spec.nodes, xs))
         values.append(float(np.max(weight(xs) * gap)))
     return build_report(n_list, values)
 

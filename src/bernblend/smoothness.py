@@ -16,7 +16,7 @@ through the per-point fallback of ``basis.evaluate``, just slowly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,36 +31,52 @@ _GRID_EXCLUSION = 1e-12
 _CLUSTER_SPAN = 0.05
 _CLUSTER_FLOOR = 1e-9
 _ENDPOINT_FLOOR = 1e-7
+# largest modulus argument t, and the steps in each t's ladder t / 2^j
+_T_CAP = 0.125
+_H_COUNT = 8
 # largest accepted grid size: bounds the run time and memory of one sweep
 _MAX_GRID = 10**6
 
 
 @dataclass(frozen=True, eq=False)
 class EvaluationGrid:
-    """Sorted evaluation points in [0, 1] clustered around one interior point.
+    """The read-only, strictly increasing ``points`` in [0, 1] of a grid of
+    about ``size`` points: a uniform backbone, a geometric cluster at
+    weight.xi and refined endpoints.
 
-    ``cluster_center`` itself never appears among the points; weighted
-    quantities are continuous there with limit 0, so no sample is needed.
+    weight.xi itself never appears among the points; weighted quantities
+    are continuous there with limit 0, so no sample is needed.
     """
 
-    size: int
-    points: np.ndarray
-    cluster_center: float
+    weight: Weight
+    size: int = 2001
+    points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 8:
-            raise DomainError("grid needs at least 8 points")
-        if not np.all(np.diff(pts) > 0.0):
-            raise DomainError("grid points must be strictly increasing")
-        if pts[0] != 0.0 or pts[-1] != 1.0:
-            raise DomainError("grid must include both endpoints")
-        if np.any(np.abs(pts - self.cluster_center) <= _GRID_EXCLUSION):
-            raise DomainError("grid point coincides with the cluster center")
-        near = int(np.count_nonzero(np.abs(pts - self.cluster_center) <= _CLUSTER_SPAN))
-        if near < math.ceil(self.size / 4):
-            raise DomainError("grid lacks refinement near the cluster center")
-        pts.setflags(write=False)
+        size, xi = _check_grid_size(self.size), self.weight.xi
+        # so that both endpoints stay on the grid
+        if min(xi, 1.0 - xi) <= _GRID_EXCLUSION:
+            raise DomainError(f"grid cluster center xi={xi!r} lies within "
+                              f"{_GRID_EXCLUSION} of an endpoint")
+        pieces = [np.linspace(0.0, 1.0, size // 2)]
+
+        per_side = max(size // 8, math.ceil(size / 8))
+        # offsets shrink geometrically from 0.05 down to ~1e-9 on each side of xi
+        ratio = (_CLUSTER_FLOOR / _CLUSTER_SPAN) ** (1.0 / (per_side - 1))
+        offs = _CLUSTER_SPAN * ratio ** np.arange(per_side)
+        pieces.append(xi - offs)
+        pieces.append(xi + offs)
+
+        n_end = max(16, size // 16)
+        end = np.geomspace(_ENDPOINT_FLOOR, 0.04, n_end)
+        pieces.append(end)
+        pieces.append(1.0 - end)
+
+        pts = np.unique(np.concatenate(pieces))
+        pts = pts[(pts >= 0.0) & (pts <= 1.0)]
+        pts = pts[np.abs(pts - xi) > _GRID_EXCLUSION]
+        pts.flags.writeable = False
+        object.__setattr__(self, "size", size)
         object.__setattr__(self, "points", pts)
 
 
@@ -69,31 +85,7 @@ def _check_grid_size(size: int) -> int:
 
 
 def make_grid(weight: Weight, size: int = 2001) -> EvaluationGrid:
-    """Uniform backbone, geometric cluster at weight.xi, refined endpoints."""
-    size = _check_grid_size(size)
-    xi = weight.xi
-    pieces = [np.linspace(0.0, 1.0, size // 2)]
-
-    per_side = max(size // 8, math.ceil(size / 8))
-    # offsets shrink geometrically from 0.05 down to ~1e-9 on each side of xi
-    ratio = (_CLUSTER_FLOOR / _CLUSTER_SPAN) ** (1.0 / (per_side - 1))
-    offs = _CLUSTER_SPAN * ratio ** np.arange(per_side)
-    pieces.append(xi - offs)
-    pieces.append(xi + offs)
-
-    n_end = max(16, size // 16)
-    end = np.geomspace(_ENDPOINT_FLOOR, 0.04, n_end)
-    pieces.append(end)
-    pieces.append(1.0 - end)
-
-    pts = np.unique(np.concatenate(pieces))
-    pts = pts[(pts >= 0.0) & (pts <= 1.0)]
-    pts = pts[np.abs(pts - xi) > _GRID_EXCLUSION]
-    if pts[0] != 0.0:
-        pts = np.concatenate(([0.0], pts))
-    if pts[-1] != 1.0:
-        pts = np.concatenate((pts, [1.0]))
-    return EvaluationGrid(size=size, points=pts, cluster_center=xi)
+    return EvaluationGrid(weight, size)
 
 
 def weighted_norm(g, weight: Weight, grid: EvaluationGrid) -> float:
@@ -120,25 +112,23 @@ def _weighted_max(xs: np.ndarray, prod: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ModulusParams:
-    """Difference order (even, at most twice the largest combination order),
-    modulus argument t, and h-ladder depth."""
+    """Difference order (even, at most twice the largest combination order)
+    and modulus argument t."""
 
     r2: int
     t: float
-    h_count: int = 8
 
     def __post_init__(self) -> None:
         r2 = _check_int(self.r2, "difference order", 2, 2 * _MAX_ORDER)
         if r2 % 2 != 0:
             raise DomainError(f"difference order must be even, got {r2}")
-        if not 0.0 < self.t <= 0.125:
+        if not 0.0 < self.t <= _T_CAP:
             raise DomainError("modulus argument t must lie in (0, 1/8]")
         object.__setattr__(self, "r2", r2)
-        object.__setattr__(self, "h_count", _check_int(self.h_count, "h_count", 8))
 
     def h_ladder(self) -> np.ndarray:
         # t, t/2, t/4, ...: halving keeps the ladders nested across t = 2^-k
-        return self.t * 0.5 ** np.arange(self.h_count)
+        return self.t * 0.5 ** np.arange(_H_COUNT)
 
 
 def weighted_modulus(f, weight: Weight, params: ModulusParams | Sequence[ModulusParams],

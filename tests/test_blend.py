@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernblend import (BlendSpec, DomainError, MinNTooSmall, SampleError,
-                       Weight, barycentric_weights, blend_eval, breakpoints,
-                       build_blend_spec, build_smoothstep, interpolation_nodes,
+                       Weight, barycentric_weights, blend_eval,
+                       build_blend_spec, build_smoothstep,
                        lagrange_interpolant, psi_eval)
 
 
@@ -41,32 +41,29 @@ class TestWeight:
 
 class TestNodes:
     def test_r1_nodes_are_left_breakpoints(self):
-        w = Weight(0.5, 1.0)
-        nodes = interpolation_nodes(100, 1, w)
-        b = breakpoints(100, w)
-        assert nodes.tolist() == [0.40, 0.30]
-        assert nodes.tolist() == [b[1], b[0]]
+        spec = BlendSpec(100, 1, Weight(0.5, 1.0))
+        assert spec.nodes.tolist() == [0.40, 0.30]
+        assert spec.nodes.tolist() == [spec.breaks[1], spec.breaks[0]]
 
     def test_r2_nodes(self):
-        nodes = interpolation_nodes(100, 2, Weight(0.5, 1.0))
-        assert nodes.tolist() == [0.40, 0.35, 0.30]
+        assert BlendSpec(100, 2, Weight(0.5, 1.0)).nodes.tolist() == [0.40, 0.35, 0.30]
 
     def test_too_small_degree(self):
+        w = Weight(0.05, 1.0)
         with pytest.raises(MinNTooSmall) as exc:
-            interpolation_nodes(10, 3, Weight(0.05, 1.0))
+            BlendSpec(10, 3, w)
         n_min = exc.value.n_min
         assert n_min > 10
-        nodes = interpolation_nodes(n_min, 3, Weight(0.05, 1.0))
-        assert nodes.shape == (4,)
+        assert BlendSpec(n_min, 3, w).nodes.shape == (4,)
         with pytest.raises(MinNTooSmall):
-            interpolation_nodes(n_min - 1, 3, Weight(0.05, 1.0))
+            BlendSpec(n_min - 1, 3, w)
 
     @pytest.mark.parametrize("n,r,xi", [
         (100, 1, 0.5), (400, 2, 0.5), (1024, 3, 0.513), (4096, 2, 0.2),
     ])
     def test_distance_band(self, n, r, xi):
         # every node sits between 1/sqrt(n) and (2 sqrt(n)+1)/n left of xi
-        nodes = interpolation_nodes(n, r, Weight(xi, 1.0))
+        nodes = BlendSpec(n, r, Weight(xi, 1.0)).nodes
         assert np.all(np.diff(nodes) < 0.0)
         dist = xi - nodes
         root = math.sqrt(n)
@@ -77,30 +74,27 @@ class TestNodes:
         # r and n are integers, never truncated, and r is at most 8
         for n, r in ((100, 0), (400, 2.5), (400, True), (10**6, 9), (400.5, 2)):
             with pytest.raises(DomainError):
-                interpolation_nodes(n, r, Weight(0.5, 1.0))
-        with pytest.raises(DomainError):
-            breakpoints(400.5, Weight(0.5, 1.0))
+                BlendSpec(n, r, Weight(0.5, 1.0))
 
 
 class TestBreakpoints:
     def test_known_values(self):
-        assert breakpoints(100, Weight(0.5, 1.0)) == (0.30, 0.40, 0.60, 0.70)
-        assert breakpoints(400, Weight(0.5, 1.0)) == (0.40, 0.45, 0.55, 0.60)
+        assert BlendSpec(100, 1, Weight(0.5, 1.0)).breaks == (0.30, 0.40, 0.60, 0.70)
+        assert BlendSpec(400, 1, Weight(0.5, 1.0)).breaks == (0.40, 0.45, 0.55, 0.60)
 
     def test_too_small_degree(self):
         with pytest.raises(MinNTooSmall) as exc:
-            breakpoints(16, Weight(0.1, 1.0))
-        n_min = exc.value.n_min
-        b = breakpoints(n_min, Weight(0.1, 1.0))
+            BlendSpec(16, 1, Weight(0.1, 1.0))
+        b = BlendSpec(exc.value.n_min, 1, Weight(0.1, 1.0)).breaks
         assert 0.0 < b[0] < b[1] < 0.1 < b[2] < b[3] < 1.0
 
     def test_off_center_minimum(self, weight513):
+        # at r = 1 the nodes fit from n = 19 on, the window from 21
         with pytest.raises(MinNTooSmall) as exc:
-            breakpoints(20, weight513)
+            BlendSpec(20, 1, weight513)
         assert exc.value.n_min == 21
-        b = breakpoints(21, weight513)
+        b = BlendSpec(21, 1, weight513).breaks
         assert b[1] < 0.513 < b[2]
-
 
 
 def _first_success(build) -> int:
@@ -117,46 +111,37 @@ class TestMinimalDegree:
     @pytest.mark.parametrize("xi", [0.05, 0.1, 0.3, 0.513, 0.9, 0.97])
     def test_n_min_matches_linear_scan(self, xi):
         w = Weight(xi, 1.0)
-        with pytest.raises(MinNTooSmall) as exc:
-            breakpoints(4, w)
-        assert exc.value.n_min == _first_success(lambda m: breakpoints(m, w))
-        for r in (1, 2, 3):
+        for r in range(1, 9):
             with pytest.raises(MinNTooSmall) as exc:
-                interpolation_nodes(4, r, w)
-            assert exc.value.n_min == _first_success(
-                lambda m: interpolation_nodes(m, r, w))
+                BlendSpec(4, r, w)
+            assert exc.value.n_min == _first_success(lambda m: BlendSpec(m, r, w))
 
     @pytest.mark.parametrize("xi", [0.05, 0.3, 0.5, 0.513, 0.9, 0.97])
     @pytest.mark.parametrize("r", range(1, 9))
     def test_n_min_admits_window_and_nodes(self, r, xi):
-        # the named degree builds the whole patch geometry, one less does
-        # not, whichever of the window and the nodes is the tighter
+        # the named degree puts the window and r + 1 distinct nodes inside
+        # [1/n, 1 - 1/n], whichever of the two is the tighter; one less
+        # builds nothing
         w = Weight(xi, 1.0)
-
-        def builds(m):
-            try:
-                breakpoints(m, w)
-                interpolation_nodes(m, r, w)
-            except MinNTooSmall:
-                return False
-            return True
-
         with pytest.raises(MinNTooSmall) as exc:
-            interpolation_nodes(4, r, w)
+            BlendSpec(4, r, w)
         n_min = exc.value.n_min
-        assert builds(n_min) and not builds(n_min - 1)
         assert f"need n >= {n_min}" in str(exc.value)
+        spec = BlendSpec(n_min, r, w)
+        lattice = np.rint(np.concatenate((spec.breaks, spec.nodes)) * n_min)
+        assert 1.0 <= lattice.min() and lattice.max() <= n_min - 1.0
+        assert np.unique(spec.nodes).size == r + 1
+        with pytest.raises(MinNTooSmall):
+            BlendSpec(n_min - 1, r, w)
 
     @pytest.mark.parametrize("xi", [1e-5, 1.0 - 1e-5, 1e-160])
     def test_extreme_center_fails_fast(self, xi):
         # the admissible degree lies far beyond the 1e7 search limit
         w = Weight(xi, 1.0)
         start = time.perf_counter()
-        with pytest.raises(DomainError, match="no admissible degree"):
-            breakpoints(32, w)
-        if xi < 0.5:
+        for r in (1, 2):
             with pytest.raises(DomainError, match="no admissible degree"):
-                interpolation_nodes(32, 2, w)
+                BlendSpec(32, r, w)
         assert time.perf_counter() - start < 0.5
 
 
@@ -200,7 +185,7 @@ class TestLagrange:
     def test_low_degree_reproduction(self, r, coeffs, x, weight_center):
         coeffs = coeffs[: r + 1]
         poly = np.polynomial.Polynomial(coeffs)
-        nodes = interpolation_nodes(400, r, weight_center)
+        nodes = BlendSpec(400, r, weight_center).nodes
         got = lagrange_interpolant(poly, nodes, x)
         scale = 1.0 + sum(abs(c) for c in coeffs)
         assert got == pytest.approx(float(poly(x)), abs=1e-9 * scale)

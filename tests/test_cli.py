@@ -130,6 +130,14 @@ class TestOtherCommands:
         values = [float(r["value"]) for r in rows]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
+    def test_modulus_on_smallest_grid(self, capsys):
+        # the 16-point grid at xi = 0.5 once failed a refinement count that
+        # rounding put one point short of
+        code, out, err = run(capsys, [
+            "modulus", "--xi", "0.5", "--grid", "16", "--function", "smooth_sin:freq=1"])
+        assert (code, err) == (0, "")
+        assert len(csv_rows(out)) == 8
+
     def test_lemma1_trivial_bound(self, capsys):
         code, out, _ = run(capsys, [
             "lemma", "1", "--u", "0", "--v", "0",
@@ -323,6 +331,8 @@ class TestExitCodes:
         ["lemma", "1", "--v", "inf"],
         ["lemma", "6", "--beta", "inf"],
         ["lemma", "6", "--beta", "nan"],
+        ["lemma", "1", "--xi", "1e-13"],
+        ["modulus", "--xi", "0.9999999999999"],
     ])
     def test_bad_numeric_config(self, capsys, argv):
         # non-finite values, catalog misuse and out-of-reach degrees are
@@ -331,6 +341,20 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, spelled", [
+        (["lemma", "1", "--u", "-1e3"], ["lemma", "1", "--u", "-1000"]),
+        (["lemma", "1", "--v", "-2.5E-1"], ["lemma", "1", "--v", "-0.25"]),
+        (["lemma", "5", "--alpha", "-1e308"], ["lemma", "5", "--alpha=-1e308"]),
+        (["approx", "--xi", "-.5e-2"], ["approx", "--xi", "-0.005"]),
+    ])
+    def test_negative_number_with_exponent(self, capsys, argv, spelled):
+        # a negative value written with an exponent reaches its flag's own
+        # check, as the plain spelling does, instead of argparse's usage error
+        code, out, err = run(capsys, argv + ["--grid", "401", "--n-list", "64"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert run(capsys, spelled + ["--grid", "401", "--n-list", "64"]) == (code, out, err)
 
     def test_bad_format_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from bernblend import (DEFAULT_KEYS, DomainError, EvaluationGrid,
                        ModulusParams, SampleError, Weight, make_function,
-                       make_grid, parse_spec, weighted_modulus, weighted_norm)
+                       make_grid, parse_spec, smoothness, weighted_modulus,
+                       weighted_norm)
 
 
 class TestGrid:
@@ -38,20 +39,23 @@ class TestGrid:
             make_grid(weight_center, 100.5)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            EvaluationGrid(8, np.linspace(0.0, 1.0, 5), 0.5)
-        bad = np.linspace(0.0, 1.0, 20)
-        bad[3] = bad[2]
-        with pytest.raises(DomainError):
-            EvaluationGrid(20, bad, 0.5)
-        with pytest.raises(DomainError):
-            EvaluationGrid(20, np.linspace(0.1, 1.0, 20), 0.5)
-        with pytest.raises(DomainError):
-            # 17 uniform points include 0.5 exactly
-            EvaluationGrid(17, np.linspace(0.0, 1.0, 17), 0.5)
-        with pytest.raises(DomainError):
-            # uniform 16-point grid has no refinement near the center
-            EvaluationGrid(16, np.linspace(0.0, 1.0, 16), 0.5)
+        # a center within 1e-12 of an endpoint would push that endpoint off
+        # the grid; the error names the center
+        for xi in (1e-12, 1e-13, 5e-324, 1.0 - 1e-12, 1.0 - 2.0**-53):
+            with pytest.raises(DomainError, match=f"xi={xi!r}"):
+                EvaluationGrid(Weight(xi, 1.0), 401)
+
+    @pytest.mark.parametrize("size", [16, 17, 401, 2001])
+    @pytest.mark.parametrize("xi", [1e-11, 1e-9, 0.05, 0.5, 0.513, 1.0 - 1e-9])
+    def test_properties(self, xi, size):
+        grid = EvaluationGrid(Weight(xi, 1.0), size)
+        pts = grid.points
+        assert grid.size == size
+        assert np.all(np.diff(pts) > 0.0)
+        assert pts[0] == 0.0 and pts[-1] == 1.0
+        assert np.min(np.abs(pts - xi)) > 1e-12
+        assert not pts.flags.writeable
+        assert np.array_equal(make_grid(Weight(xi, 1.0), size).points, pts)
 
 
 class TestWeightedNorm:
@@ -112,16 +116,13 @@ class TestModulusParams:
             ModulusParams(r2=2, t=0.0)
         with pytest.raises(DomainError):
             ModulusParams(r2=2, t=0.3)
-        with pytest.raises(DomainError):
-            ModulusParams(r2=2, t=0.1, h_count=7)
-        # integers, never rounded (8.5 gave a 9-rung ladder), and the order
-        # is at most twice the largest combination order
-        for r2, h_count in ((2.0, 8), (2, 8.5), (18, 8)):
+        # an integer order, at most twice the largest combination order
+        for r2 in (2.0, 18):
             with pytest.raises(DomainError):
-                ModulusParams(r2=r2, t=0.1, h_count=h_count)
+                ModulusParams(r2=r2, t=0.1)
 
     def test_h_ladder(self):
-        params = ModulusParams(r2=2, t=0.125, h_count=8)
+        params = ModulusParams(r2=2, t=0.125)
         np.testing.assert_allclose(
             params.h_ladder(), 0.125 * 0.5 ** np.arange(8), rtol=0
         )
@@ -198,7 +199,7 @@ class TestModulusOracle:
 
         params = ModulusParams(r2=r2, t=0.125)
         weighted_modulus(counted, weight513, params, grid513)
-        assert len(sizes) <= 3 * (r2 + 1) * params.h_count
+        assert len(sizes) <= 3 * (r2 + 1) * smoothness._H_COUNT
         assert sum(sizes) / len(sizes) > 50
 
 
@@ -296,21 +297,21 @@ class TestSharedLadder:
         assert weighted_modulus(f, weight513, [params], grid513) == (got,)
         assert weighted_modulus(f, weight513, [], grid513) == ()
 
-    def test_table_scans_each_step_once(self, weight513, grid513):
+    def test_table_scans_each_step_once(self, monkeypatch, weight513, grid513):
         # the 8-row table t/2^k has the 15 steps t/2^j, j = 0..14
         f = make_function(parse_spec("singular_power:beta=0.5"), weight513)
-        calls = []
+        scan = smoothness._step_sup
+        steps = []
 
-        def counted(x):
-            calls.append(np.size(x))
-            return f(x)
+        def counted(f, weight, pts, order, h):
+            steps.append((order, h))
+            return scan(f, weight, pts, order, h)
 
+        monkeypatch.setattr(smoothness, "_step_sup", counted)
         table = [ModulusParams(4, 0.125 / 2**k) for k in range(8)]
-        weighted_modulus(counted, weight513, table, grid513)
-        shared = len(calls)
-        calls.clear()
-        weighted_modulus(counted, weight513, ModulusParams(4, 0.125, h_count=15), grid513)
-        assert shared == len(calls)
+        weighted_modulus(f, weight513, table, grid513)
+        distinct = len(table) - 1 + smoothness._H_COUNT
+        assert steps == [(4, 0.125 / 2**j) for j in range(distinct)]
 
     @pytest.mark.parametrize("mode", ["raise", "nan"])
     def test_first_failure_is_the_same(self, mode, weight513, grid513):
