@@ -7,10 +7,8 @@ in the |x - xi|^alpha weighted sup norm.  A measurement harness fits the
 observed convergence rates and scans the supporting kernel bounds.
 """
 
-from .basis import (SampleVector, backward_difference, basis_matrix,
-                    basis_row, bernstein_apply_grid, evaluate,
-                    forward_difference, sample_function,
-                    symmetric_difference)
+from .basis import (SampleVector, basis_matrix, basis_row,
+                    bernstein_apply_grid, evaluate, sample_function)
 from .blend import (BlendSpec, Weight, barycentric_weights, blend_eval,
                     build_blend_spec, lagrange_interpolant)
 from .catalog import DEFAULT_KEYS, FunctionSpec, make_function, parse_spec

@@ -1,4 +1,4 @@
-"""Bernstein basis evaluation and finite-difference operators.
+"""Bernstein basis evaluation, lattice samples and compensated sums.
 
 The basis values p_{nk}(x) = C(n,k) x^k (1-x)^(n-k) are evaluated in log
 space so that degrees up to about 1e5 neither overflow nor underflow to
@@ -16,6 +16,9 @@ builds no dense matrix yet reproduces numpy's pairwise sum of each dense
 row bit for bit, so the bytes are those of the dense product.
 
 Endpoint convention: 0^0 = 1, so p_{n0}(0) = 1 and p_{nn}(1) = 1.
+
+Functions take 1-d arrays.  ``_compensated_sum`` serves ``moment_table``,
+the lattice differences and the weighted modulus's stencils.
 """
 
 from __future__ import annotations
@@ -28,9 +31,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, SampleError
-
-# evaluation points this far outside [0,1] are treated as endpoint roundoff
-_EDGE_SLACK = 1e-12
 
 # _band leaves out entries with ln p_nk below -_UNDERFLOW_LOG: exp
 # rounds anything below -745.13 to +0.0, so they are exactly 0.0 anyway
@@ -378,27 +378,20 @@ class SampleVector:
 def sample_function(f: Callable[[np.ndarray], np.ndarray], n: int) -> SampleVector:
     """Sample f on the lattice k/n.  Non-finite samples raise SampleError."""
     n = _check_degree(n)
-    xs = np.arange(n + 1) / n
-    vals = evaluate(f, xs)
-    return SampleVector(n, vals)
+    return SampleVector(n, evaluate(f, np.arange(n + 1) / n))
 
 
 def evaluate(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """Apply f to an array, falling back to a scalar loop if needed.
+    """f applied to the 1-d array ``xs``, as a float array of its shape.
 
-    The fallback serves f that only accept scalars; a SampleError from the
-    array call is raised at once.
+    An f that returns one constant is broadcast.  A non-finite value, also
+    one where f overflows (quietly), raises SampleError naming its x.
     """
-    xs = np.asarray(xs, dtype=float)
-    try:
+    with np.errstate(over="ignore", invalid="ignore"):
         vals = np.asarray(f(xs), dtype=float)
-    except SampleError:
-        # a sampling failure is an answer, not a sign that f is scalar-only
-        raise
-    except (TypeError, ValueError):
-        vals = np.array([float(f(float(x))) for x in xs])
     if vals.shape != xs.shape:
         vals = np.broadcast_to(vals, xs.shape).astype(float)
+    _check_finite(xs, vals, "value of f")
     return vals
 
 
@@ -420,37 +413,6 @@ def bernstein_apply_grid(samples: SampleVector | Sequence[SampleVector],
     return outs[0] if single else outs
 
 
-def _difference_points(x: np.ndarray, offsets: Sequence) -> list[np.ndarray]:
-    """Stencil abscissae x + off, one array per offset, clamped to [0,1].
-
-    Points within _EDGE_SLACK outside [0,1] are roundoff and are clamped;
-    points farther out raise DomainError.
-    """
-    pts = []
-    for off in offsets:
-        p = x + off
-        bad = (p < -_EDGE_SLACK) | (p > 1.0 + _EDGE_SLACK)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DomainError(
-                f"difference stencil leaves [0,1]: point {float(p[i])!r} "
-                f"from x={float(x[i])!r}"
-            )
-        pts.append(np.clip(p, 0.0, 1.0))
-    return pts
-
-
-def _check_diff_args(x, h: float, r: int) -> tuple[np.ndarray, float, int]:
-    xs = _check_unit(x)
-    if xs.ndim > 1:
-        raise DomainError("difference base points must be a scalar or a 1-d array")
-    xs = np.atleast_1d(xs)
-    h = float(h)
-    if not h > 0.0:
-        raise DomainError(f"step h must be positive, got {h!r}")
-    return xs, h, _check_int(r, "difference order", 1)
-
-
 def _compensated_sum(terms: Sequence[np.ndarray]) -> np.ndarray:
     """Elementwise sum of equal-shape arrays by a TwoSum cascade.
 
@@ -465,49 +427,3 @@ def _compensated_sum(terms: Sequence[np.ndarray]) -> np.ndarray:
         comp += (total - (s - bp)) + (term - bp)
         total = s
     return total + comp
-
-
-def _alternating_sum(f: Callable, pts: Sequence[np.ndarray], r: int) -> np.ndarray:
-    # one array call of f per stencil offset k
-    terms = []
-    for k, p in enumerate(pts):
-        c = math.comb(r, k)
-        v = evaluate(f, p)
-        terms.append(-c * v if k % 2 else c * v)
-    return _compensated_sum(terms)
-
-
-def _unwrap(x, vals: np.ndarray):
-    """A float for scalar ``x`` (``vals`` holds its one value), else ``vals``."""
-    return float(np.ravel(vals)[0]) if np.ndim(x) == 0 else vals
-
-
-def forward_difference(f: Callable, x, h: float, r: int):
-    """r-th forward difference: sum_k (-1)^k C(r,k) f(x + (r-k) h).
-
-    ``x`` is a scalar or a 1-d array of base points; the result has the
-    same form.
-    """
-    xs, h, r = _check_diff_args(x, h, r)
-    pts = _difference_points(xs, [(r - k) * h for k in range(r + 1)])
-    return _unwrap(x, _alternating_sum(f, pts, r))
-
-
-def backward_difference(f: Callable, x, h: float, r: int):
-    """r-th backward difference: sum_k (-1)^k C(r,k) f(x - k h)."""
-    xs, h, r = _check_diff_args(x, h, r)
-    pts = _difference_points(xs, [-k * h for k in range(r + 1)])
-    return _unwrap(x, _alternating_sum(f, pts, r))
-
-
-def symmetric_difference(f: Callable, x, h: float, r: int):
-    """r-th central difference with step h*phi(x), phi(x) = sqrt(x(1-x)).
-
-    Evaluation points are x + (r/2 - k) h phi(x), k = 0..r.  Points outside
-    [0,1] (beyond roundoff slack) raise DomainError; callers that scan a
-    grid are expected to filter such x out rather than clamp.
-    """
-    xs, h, r = _check_diff_args(x, h, r)
-    phi = np.sqrt(xs * (1.0 - xs))
-    pts = _difference_points(xs, [(r / 2.0 - k) * h * phi for k in range(r + 1)])
-    return _unwrap(x, _alternating_sum(f, pts, r))

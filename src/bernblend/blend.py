@@ -26,8 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import (_check_degree, _check_finite, _check_order, _unwrap,
-                    evaluate)
+from .basis import _check_degree, _check_order, evaluate
 from .errors import DomainError, MinNTooSmall
 from .smoothstep import SmoothstepPoly, psi_eval
 
@@ -49,12 +48,14 @@ class Weight:
             raise DomainError(f"weight center must lie in (0,1), got {xi!r}")
         if not 0.0 < alpha < math.inf:
             raise DomainError(f"weight exponent must be positive and finite, got {alpha!r}")
+        # the farthest point of [0, 1] from xi has the largest weight
+        if max(xi, 1.0 - xi) ** alpha == 0.0:
+            raise DomainError(f"weight |x - {xi!r}|^{alpha!r} underflows to 0 on all of [0,1]")
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "alpha", alpha)
 
-    def __call__(self, x):
-        vals = np.abs(np.asarray(x, dtype=float) - self.xi) ** self.alpha
-        return _unwrap(x, vals)
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        return np.abs(xs - self.xi) ** self.alpha
 
 
 def _node_numerators(n: int, r: int, xi: float) -> list[int]:
@@ -105,8 +106,9 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
 
 
 def _lagrange_closure(fvals: np.ndarray, nodes: np.ndarray) -> Callable:
-    w = barycentric_weights(nodes)
-    wf = w * fvals
+    # huge node values may overflow; the callers refuse the non-finite results
+    with np.errstate(over="ignore", invalid="ignore"):
+        wf = barycentric_weights(nodes) * fvals
 
     def h(xs: np.ndarray) -> np.ndarray:
         d = xs[:, None] - nodes[None, :]
@@ -115,7 +117,8 @@ def _lagrange_closure(fvals: np.ndarray, nodes: np.ndarray) -> Callable:
         d_safe = np.where(hit, 1.0, d)
         # first barycentric form: stays stable when extrapolating well
         # outside the node cluster, which the blend does routinely
-        out = d.prod(axis=1) * (wf / d_safe).sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = d.prod(axis=1) * (wf / d_safe).sum(axis=1)
         if anyhit.any():
             out[anyhit] = fvals[hit.argmax(axis=1)[anyhit]]
         return out
@@ -123,18 +126,9 @@ def _lagrange_closure(fvals: np.ndarray, nodes: np.ndarray) -> Callable:
     return h
 
 
-def _node_values(f: Callable, nodes: np.ndarray) -> np.ndarray:
-    fvals = evaluate(f, nodes)
-    _check_finite(nodes, fvals, "interpolation node value")
-    return fvals
-
-
-def lagrange_interpolant(f: Callable, nodes: np.ndarray, x):
-    """Lagrange interpolant of f at the given nodes, in first barycentric form."""
-    nodes = np.asarray(nodes, dtype=float)
-    fvals = _node_values(f, nodes)
-    h = _lagrange_closure(fvals, nodes)
-    return _unwrap(x, h(np.atleast_1d(np.asarray(x, dtype=float))))
+def lagrange_interpolant(f: Callable, nodes: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Lagrange interpolant of f at ``nodes``, in first barycentric form, on ``xs``."""
+    return _lagrange_closure(evaluate(f, nodes), nodes)(xs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,8 +175,8 @@ def build_blend_spec(n: int, r: int, weight: Weight) -> BlendSpec:
     return BlendSpec(n, r, weight)
 
 
-def blend_eval(f: Callable, spec: BlendSpec, step: SmoothstepPoly, x):
-    """The blended extension of f for the given patch geometry.
+def blend_eval(f: Callable, spec: BlendSpec, step: SmoothstepPoly, xs: np.ndarray):
+    """The blended extension of f for the given patch geometry, on ``xs``.
 
     Piecewise: f on [0, b1] and [b4, 1] (bit-for-bit, the blend coefficient
     is exactly 1 there), the patch polynomial on [b2, b3], and the
@@ -192,7 +186,6 @@ def blend_eval(f: Callable, spec: BlendSpec, step: SmoothstepPoly, x):
     if step.r != spec.r:
         raise DomainError(f"smoothstep order {step.r} does not match patch order {spec.r}")
     b1, b2, b3, b4 = spec.breaks
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     t1 = psi_eval(step, (xs - b1) / (b2 - b1))
     t2 = psi_eval(step, (xs - b3) / (b4 - b3))
     fcoef = 1.0 - t1 + t2
@@ -204,6 +197,6 @@ def blend_eval(f: Callable, spec: BlendSpec, step: SmoothstepPoly, x):
         out[fmask] = fcoef[fmask] * evaluate(f, xs[fmask])
     hmask = hcoef != 0.0
     if hmask.any():
-        h = _lagrange_closure(_node_values(f, spec.nodes), spec.nodes)
+        h = _lagrange_closure(evaluate(f, spec.nodes), spec.nodes)
         out[hmask] += hcoef[hmask] * h(xs[hmask])
-    return _unwrap(x, out)
+    return out

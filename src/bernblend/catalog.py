@@ -13,7 +13,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .basis import _unwrap
 from .blend import Weight
 from .errors import DomainError, MembershipError, SampleError
 
@@ -99,7 +98,7 @@ def parse_spec(key: str) -> FunctionSpec:
 
 
 def make_function(spec: FunctionSpec, weight: Weight):
-    """Build the evaluation rule for ``spec`` against ``weight``.
+    """Build the evaluation rule for ``spec`` against ``weight``, on 1-d arrays.
 
     Singular kinds require beta < weight.alpha (so the weighted function
     vanishes at the singularity) and refuse evaluation within 1e-12 of it.
@@ -117,13 +116,13 @@ def make_function(spec: FunctionSpec, weight: Weight):
         freq = float(spec.params["freq"])
 
         def f(x):
-            return np.sin(np.pi * freq * np.asarray(x, dtype=float))
+            return np.sin(np.pi * freq * x)
 
     elif spec.kind == "smooth_poly":
         coeffs = np.asarray(spec.params["coeffs"], dtype=float)
 
         def f(x):
-            return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
+            return np.polynomial.polynomial.polyval(x, coeffs)
 
     elif spec.kind == "singular_power":
 
@@ -138,19 +137,13 @@ def make_function(spec: FunctionSpec, weight: Weight):
             d = _checked_distance(x, xi)
             return d ** -beta * np.sin(1.0 / d + freq)
 
-    def wrapped(x):
-        return _unwrap(x, np.asarray(f(x), dtype=float))
-
-    return wrapped
+    return f
 
 
-def _checked_distance(x, xi: float):
-    arr = np.asarray(x, dtype=float)
-    d = np.abs(arr - xi)
-    if np.any(d <= _SINGULAR_EXCLUSION):
-        flat = np.atleast_1d(arr).ravel()
-        bad = np.atleast_1d(d <= _SINGULAR_EXCLUSION).ravel()
-        x_bad = float(flat[np.argmax(bad)])
+def _checked_distance(x: np.ndarray, xi: float) -> np.ndarray:
+    d = np.abs(x - xi)
+    near = d <= _SINGULAR_EXCLUSION
+    if near.any():
+        x_bad = float(x[np.argmax(near)])
         raise SampleError(f"singular function sampled at x={x_bad!r}", x_bad)
     return d
-

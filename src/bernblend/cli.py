@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import re
 import sys
 from types import SimpleNamespace
 
@@ -238,6 +237,15 @@ def _add_sweep(sub: argparse.ArgumentParser) -> None:
                      help="comma-separated ascending degrees")
 
 
+def _negative_number(text: str) -> bool:
+    """Whether ``text`` is "-" and then any spelling float() reads."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.startswith("-")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bernblend",
@@ -291,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
         # a config file value is parsed by the flag with its key as dest
         sub.set_defaults(flags={a.dest: a for a in sub._actions})
         # argparse takes only -N and -N.N for negative numbers and reads
-        # "--u -1e3" as a flag without its value; exponents count here too
-        sub._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        # "--u -1e3" or "--u -inf" as a flag without its value
+        sub._negative_number_matcher = SimpleNamespace(match=_negative_number)
     return parser
 
 

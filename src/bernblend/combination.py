@@ -27,7 +27,6 @@ from .basis import (
     _check_int,
     _check_order,
     _compensated_sum,
-    _unwrap,
     basis_row,
     bernstein_apply_grid,
     sample_function,
@@ -103,23 +102,22 @@ def combine_applied(scheme: CombinationScheme, applied: Mapping[int, np.ndarray]
 
 
 def combine_samples(
-    scheme: CombinationScheme, samples: Sequence[SampleVector], x
-) -> float | np.ndarray:
-    """Apply the combination given one sample vector per ladder degree."""
+    scheme: CombinationScheme, samples: Sequence[SampleVector], xs: np.ndarray
+) -> np.ndarray:
+    """Apply the combination on ``xs``, given one sample vector per ladder degree."""
     if len(samples) != scheme.r:
         raise DomainError("need one sample vector per ladder degree")
     for sv, n in zip(samples, scheme.nodes):
         if sv.n != n:
             raise DomainError(f"sample vector degree {sv.n} does not match node {n}")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     applied = {sv.n: bernstein_apply_grid(sv, xs) for sv in samples}
-    return _unwrap(x, combine_applied(scheme, applied))
+    return combine_applied(scheme, applied)
 
 
-def combine(f: Callable, scheme: CombinationScheme, x) -> float | np.ndarray:
-    """Combined operator sum_i C_i B_{n_i}(f, x); x may be scalar or array."""
+def combine(f: Callable, scheme: CombinationScheme, xs: np.ndarray) -> np.ndarray:
+    """Combined operator sum_i C_i B_{n_i}(f, x) on the 1-d array ``xs``."""
     samples = [sample_function(f, n) for n in scheme.nodes]
-    return combine_samples(scheme, samples, x)
+    return combine_samples(scheme, samples, xs)
 
 
 def moment_table(

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import operators
 from .basis import (SampleVector, _check_degrees, _check_order, _row_sums,
-                    basis_matrix, bernstein_apply_grid, sample_function)
+                    basis_matrix, bernstein_apply_grid, evaluate,
+                    sample_function)
 from .blend import BlendSpec, Weight, lagrange_interpolant
 from .catalog import make_function, parse_spec
 from .combination import build_scheme, combine_applied, make_schedule
@@ -189,7 +190,7 @@ def run_convergence(config: SweepConfig) -> RateReport:
     """
     grid, f = _sweep_pieces(config)
     xs = grid.points
-    f_vals = f(xs)
+    f_vals = evaluate(f, xs)
     ops, blended, _ = _ladder_samples(config, f)
     applied = {d: bernstein_apply_grid(sv, xs) for d, sv in blended.items()}
     errors = [weighted_norm(combine_applied(op.scheme, applied) - f_vals,
@@ -216,7 +217,7 @@ def compare_plain_vs_modified(config: SweepConfig) -> tuple[RateReport, RateRepo
     """
     grid, f = _sweep_pieces(config)
     xs = grid.points
-    f_vals = f(xs)
+    f_vals = evaluate(f, xs)
     ops, blended, direct = _ladder_samples(config, f, plain=True)
     plain_applied, mod_applied = {}, {}
     for d, sv in blended.items():
@@ -297,8 +298,7 @@ def lemma3_decay(r: int, weight: Weight, f: Callable, n_list,
         spec = BlendSpec(n, r, weight)
         b = spec.breaks
         xs = grid.points[(grid.points >= b[0]) & (grid.points <= b[3])]
-        gap = np.abs(np.asarray(f(xs), dtype=float)
-                     - lagrange_interpolant(f, spec.nodes, xs))
+        gap = np.abs(evaluate(f, xs) - lagrange_interpolant(f, spec.nodes, xs))
         values.append(float(np.max(weight(xs) * gap)))
     return build_report(n_list, values)
 

@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .basis import SampleVector, _compensated_sum, _unwrap, bernstein_apply_grid
+from .basis import SampleVector, _compensated_sum, bernstein_apply_grid
 # kept as a module attribute: perfbench/sweeps.py wraps it here to trace calls
 from .basis import basis_matrix  # noqa: F401
 from .blend import BlendSpec, Weight, blend_eval, build_blend_spec
@@ -71,9 +71,9 @@ def blended_samples(op: ModifiedOperator, f: Callable) -> list[SampleVector]:
     return out
 
 
-def modified_operator(op: ModifiedOperator, f: Callable, x):
-    """Apply the blended combination to f at scalar or array x."""
-    return combine_samples(op.scheme, blended_samples(op, f), x)
+def modified_operator(op: ModifiedOperator, f: Callable, xs: np.ndarray) -> np.ndarray:
+    """Apply the blended combination to f on the 1-d array ``xs``."""
+    return combine_samples(op.scheme, blended_samples(op, f), xs)
 
 
 def _lattice_forward_diffs(values: np.ndarray, order: int) -> np.ndarray:
@@ -101,13 +101,12 @@ def derivative_applies(samples: Iterable[SampleVector], order: int, xs: np.ndarr
     return factors, applied
 
 
-def operator_derivative_2r(op: ModifiedOperator, f: Callable, x):
-    """The 2r-th derivative of the blended combination at scalar or array x."""
+def operator_derivative_2r(op: ModifiedOperator, f: Callable, xs: np.ndarray):
+    """The 2r-th derivative of the blended combination on the 1-d array ``xs``."""
     order = 2 * op.scheme.r
     if op.scheme.base_n <= order:
         raise DomainError(
             f"base degree {op.scheme.base_n} must exceed the derivative order {order}"
         )
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     factors, applied = derivative_applies(blended_samples(op, f), order, xs)
-    return _unwrap(x, combine_applied(op.scheme, applied, factors))
+    return combine_applied(op.scheme, applied, factors)

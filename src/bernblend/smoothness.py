@@ -6,11 +6,11 @@ one-sided differences with the fixed step h on the two endpoint strips
 [0, 16h^2] and [1 - 16h^2, 1].  Taking the max over a geometric ladder of h
 values in (0, t] discretizes the supremum over 0 < h <= t.
 
-f is evaluated on arrays: each region of each step h costs one call of f
-per stencil offset, at most 3 * (r2 + 1) calls per distinct step.  A call
-over several t shares the distinct steps of their ladders, which nest when
-the t differ by powers of two.  An f that only accepts scalars still works
-through the per-point fallback of ``basis.evaluate``, just slowly.
+f takes 1-d arrays: each region of each step h costs one call of f per
+stencil offset, at most 3 * (r2 + 1) calls per distinct step.  A call over
+several t shares the distinct steps of their ladders, which nest when the t
+differ by powers of two.  A region's filter uses the same expression as its
+largest stencil offset, so no stencil point leaves [0, 1].
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import (_MAX_ORDER, _check_finite, _check_int,
-                    backward_difference, forward_difference,
-                    symmetric_difference)
+from .basis import (_MAX_ORDER, _check_finite, _check_int, _compensated_sum,
+                    evaluate)
 from .blend import Weight
 from .errors import DomainError
 
@@ -88,19 +87,12 @@ def make_grid(weight: Weight, size: int = 2001) -> EvaluationGrid:
     return EvaluationGrid(weight, size)
 
 
-def weighted_norm(g, weight: Weight, grid: EvaluationGrid) -> float:
-    """max over the grid of |x - xi|^alpha * |g(x)|.
-
-    ``g`` may be a callable on [0, 1] or an array of values already sampled
-    on ``grid.points``.
-    """
+def weighted_norm(vals, weight: Weight, grid: EvaluationGrid) -> float:
+    """max over the grid of |x - xi|^alpha * |vals|, for ``vals`` sampled on
+    ``grid.points``."""
     xs = grid.points
-    if callable(g):
-        vals = np.asarray(g(xs), dtype=float)
-    else:
-        vals = np.asarray(g, dtype=float)
-        if vals.shape != xs.shape:
-            raise DomainError("value array does not match the grid")
+    if vals.shape != xs.shape:
+        raise DomainError("value array does not match the grid")
     return _weighted_max(xs, weight(xs) * vals)
 
 
@@ -162,15 +154,32 @@ def weighted_modulus(f, weight: Weight, params: ModulusParams | Sequence[Modulus
 def _step_sup(f, weight: Weight, pts: np.ndarray, order: int, h: float) -> float:
     """max of the three regional sups of one step h."""
     cut = 16.0 * h * h
-    # skip x whose stencil leaves [0,1]; never clamp
-    reach = order / 2.0 * h * np.sqrt(pts * (1.0 - pts))
-    mid = pts[(pts >= cut) & (pts <= 1.0 - cut) & (reach != 0.0)
-              & (pts - reach >= 0.0) & (pts + reach <= 1.0)]
-    lo = pts[(pts <= cut) & (pts + order * h <= 1.0)]
-    hi = pts[(pts >= 1.0 - cut) & (pts - order * h >= 0.0)]
+    # the middle, the strip at 0 and the strip at 1 take symmetric, forward
+    # and backward stencils; each filter computes its region's largest
+    # offset by the stencil's own expression, so no point leaves [0,1]
+    phi = np.sqrt(pts * (1.0 - pts))
+    reach = order / 2.0 * h * phi
+    inner = ((pts >= cut) & (pts <= 1.0 - cut) & (reach != 0.0)
+             & (pts - reach >= 0.0) & (pts + reach <= 1.0))
+    ks = range(order + 1)
+    regions = ((pts[inner], [(order / 2.0 - k) * h * phi[inner] for k in ks]),
+               (pts[(pts <= cut) & (pts + order * h <= 1.0)], [(order - k) * h for k in ks]),
+               (pts[(pts >= 1.0 - cut) & (pts - order * h >= 0.0)], [-k * h for k in ks]))
     best = 0.0
-    for xs, diff in ((mid, symmetric_difference), (lo, forward_difference),
-                     (hi, backward_difference)):
-        if xs.size:
-            best = max(best, _weighted_max(xs, weight(xs) * diff(f, xs, h, order)))
+    # a huge f may overflow in the sum; _weighted_max raises on the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for xs, offsets in regions:
+            if xs.size:
+                diff = _difference(f, xs, offsets, order)
+                best = max(best, _weighted_max(xs, weight(xs) * diff))
     return best
+
+
+def _difference(f, xs: np.ndarray, offsets, order: int) -> np.ndarray:
+    """sum_k (-1)^k C(order, k) f(xs + offsets[k]) by one call of f per k."""
+    terms = []
+    for k, off in enumerate(offsets):
+        c = math.comb(order, k)
+        v = evaluate(f, xs + off)
+        terms.append(-c * v if k % 2 else c * v)
+    return _compensated_sum(terms)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .basis import _check_order, _unwrap
+from .basis import _check_order
 
 
 def system_matrix(r: int) -> np.ndarray:
@@ -103,14 +103,14 @@ def build_smoothstep(r: int) -> SmoothstepPoly:
     return SmoothstepPoly(r)
 
 
-def psi_eval(poly: SmoothstepPoly, x):
-    """Piecewise step value: 0 for x <= 0, the polynomial on (0,1), 1 for x >= 1.
+def psi_eval(poly: SmoothstepPoly, xs: np.ndarray) -> np.ndarray:
+    """Piecewise step value on a 1-d array: 0 for x <= 0, the polynomial on
+    (0,1), 1 for x >= 1.
 
-    Accepts scalars or arrays.  Values beyond 1 stay exactly 1 (constant
-    extension), so downstream blending coefficients vanish exactly there.
+    Values beyond 1 stay exactly 1 (constant extension), so downstream
+    blending coefficients vanish exactly there.
     """
     asc = poly._ascending
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty(xs.shape)
     lo = xs <= 0.0
     hi = xs >= 1.0
@@ -126,5 +126,5 @@ def psi_eval(poly: SmoothstepPoly, x):
         if (~left).any():
             vals[~left] = 1.0 - npoly.polyval(1.0 - xm[~left], asc)
         out[mid] = vals
-    return _unwrap(x, out)
+    return out
 

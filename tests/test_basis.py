@@ -1,4 +1,5 @@
-"""Bernstein basis values, operator application, and finite differences."""
+"""Bernstein basis values, operator application, and the finite differences
+of the weighted modulus's stencils."""
 
 import math
 from fractions import Fraction
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bernblend import (DomainError, SampleError, SampleVector, basis,
-                       backward_difference, basis_matrix, basis_row,
-                       bernstein_apply_grid, evaluate, forward_difference,
-                       sample_function, symmetric_difference)
+from bernblend import (DomainError, SampleError, SampleVector, Weight, basis,
+                       basis_matrix, basis_row, bernstein_apply_grid, evaluate,
+                       make_grid, sample_function, smoothness)
+from bernblend.smoothness import _difference
 
 
 def exact_basis(n: int, k: int, num: int, den: int) -> float:
@@ -332,16 +333,11 @@ class TestEvaluate:
             evaluate(f, np.linspace(0.0, 1.0, 5))
         assert calls == [1]
 
-    def test_scalar_only_function_falls_back(self):
-        calls = []
-
-        def f(x):
-            calls.append(np.ndim(x))
-            return math.cos(x)
-
-        xs = np.linspace(0.0, 1.0, 5)
-        np.testing.assert_array_equal(evaluate(f, xs), [math.cos(x) for x in xs])
-        assert calls == [1, 0, 0, 0, 0, 0]
+    def test_non_finite_value_named(self):
+        xs = np.array([0.1, 0.2, 0.3])
+        with pytest.raises(SampleError, match="non-finite") as exc:
+            evaluate(lambda x: np.where(x > 0.15, np.inf, x), xs)
+        assert exc.value.x == 0.2
 
     def test_constant_broadcast(self):
         np.testing.assert_array_equal(evaluate(lambda x: 7.0, np.zeros(3)), [7.0] * 3)
@@ -403,84 +399,103 @@ class TestOperatorApply:
         assert np.array_equal(a, b)
 
 
+def stencil(kind: str, xs: np.ndarray, h: float, r: int) -> list:
+    """The offsets of the weighted modulus's order-r stencils at step h."""
+    if kind == "forward_difference":
+        return [(r - k) * h for k in range(r + 1)]
+    if kind == "backward_difference":
+        return [-k * h for k in range(r + 1)]
+    phi = np.sqrt(xs * (1.0 - xs))
+    return [(r / 2.0 - k) * h * phi for k in range(r + 1)]
+
+
+def diff_at(f, kind: str, x: float, h: float, r: int) -> float:
+    xs = np.array([x])
+    return float(_difference(f, xs, stencil(kind, xs, h, r), r)[0])
+
+
+KINDS = ["forward_difference", "backward_difference", "symmetric_difference"]
+
+
 class TestFiniteDifferences:
     def test_forward_examples(self):
-        assert forward_difference(lambda x: 7.0, 0.2, 0.05, 3) == pytest.approx(0.0, abs=1e-14)
-        assert forward_difference(lambda x: x, 0.2, 0.1, 1) == pytest.approx(0.1, rel=1e-13)
+        kind = "forward_difference"
+        assert diff_at(lambda x: 7.0, kind, 0.2, 0.05, 3) == pytest.approx(0.0, abs=1e-14)
+        assert diff_at(lambda x: x, kind, 0.2, 0.1, 1) == pytest.approx(0.1, rel=1e-13)
         # r-th difference of x^r is r! h^r
-        assert forward_difference(lambda x: x * x, 0.2, 0.1, 2) == pytest.approx(0.02, rel=1e-11)
+        assert diff_at(lambda x: x * x, kind, 0.2, 0.1, 2) == pytest.approx(0.02, rel=1e-11)
+        assert diff_at(lambda x: x**3, kind, 0.1, 0.2, 3) == pytest.approx(0.048, rel=1e-11)
 
     def test_backward_examples(self):
-        assert backward_difference(lambda x: 7.0, 0.8, 0.05, 3) == pytest.approx(0.0, abs=1e-14)
-        assert backward_difference(lambda x: x, 0.2, 0.1, 1) == pytest.approx(0.1, rel=1e-13)
-        assert backward_difference(lambda x: x * x, 0.9, 0.1, 2) == pytest.approx(0.02, rel=1e-11)
+        kind = "backward_difference"
+        assert diff_at(lambda x: 7.0, kind, 0.8, 0.05, 3) == pytest.approx(0.0, abs=1e-14)
+        assert diff_at(lambda x: x, kind, 0.2, 0.1, 1) == pytest.approx(0.1, rel=1e-13)
+        assert diff_at(lambda x: x * x, kind, 0.9, 0.1, 2) == pytest.approx(0.02, rel=1e-11)
 
     def test_symmetric_examples(self):
-        assert symmetric_difference(lambda x: 3.0, 0.5, 0.1, 2) == pytest.approx(0.0, abs=1e-14)
-        assert symmetric_difference(lambda x: 2 * x + 1, 0.4, 0.1, 2) == pytest.approx(0.0, abs=1e-13)
+        kind = "symmetric_difference"
+        assert diff_at(lambda x: 3.0, kind, 0.5, 0.1, 2) == pytest.approx(0.0, abs=1e-14)
+        assert diff_at(lambda x: 2 * x + 1, kind, 0.4, 0.1, 2) == pytest.approx(0.0, abs=1e-13)
         # 2! (h phi(x))^2 with phi(0.5) = 0.5
-        assert symmetric_difference(lambda x: x * x, 0.5, 0.2, 2) == pytest.approx(0.02, rel=1e-11)
+        assert diff_at(lambda x: x * x, kind, 0.5, 0.2, 2) == pytest.approx(0.02, rel=1e-11)
 
-    def test_stencils_must_stay_inside(self):
-        with pytest.raises(DomainError):
-            forward_difference(lambda x: x, 0.95, 0.1, 1)
-        with pytest.raises(DomainError):
-            backward_difference(lambda x: x, 0.05, 0.1, 1)
-        with pytest.raises(DomainError):
-            symmetric_difference(lambda x: x, 0.02, 0.5, 2)
-
-    def test_argument_validation(self):
-        with pytest.raises(DomainError):
-            forward_difference(lambda x: x, 0.2, -0.1, 1)
-        with pytest.raises(DomainError):
-            forward_difference(lambda x: x, 0.2, 0.1, 0)
-        with pytest.raises(DomainError):
-            forward_difference(lambda x: x, 1.5, 0.1, 1)
-
-    @pytest.mark.parametrize("diff", [forward_difference, backward_difference,
-                                      symmetric_difference])
+    @pytest.mark.parametrize("diff", KINDS)
     @pytest.mark.parametrize("r", [1, 2, 5])
     def test_array_matches_scalar(self, diff, r):
+        # one array call gives, bit for bit, what each point gives alone;
         # arithmetic-only f, so values cannot depend on the array length
         f = lambda x: x * x * x - 0.3 * x + 0.1
         h = 0.01
         # the extremes put a stencil end within roundoff of 0 or 1
         xs = np.concatenate(([r * h, 0.0, 1.0 - r * h, 1.0],
                              np.linspace(0.2, 0.8, 37)))
-        if diff is forward_difference:
+        if diff == "forward_difference":
             xs = xs[xs + r * h <= 1.0]
-        elif diff is backward_difference:
+        elif diff == "backward_difference":
             xs = xs[xs - r * h >= 0.0]
         else:
             xs = xs[(xs > 0.1) & (xs < 0.9)]
-        got = diff(f, xs, h, r)
-        assert isinstance(got, np.ndarray) and got.shape == xs.shape
-        want = [diff(f, float(x), h, r) for x in xs]
-        assert all(isinstance(w, float) for w in want)
-        np.testing.assert_array_equal(got, want)
+        got = _difference(f, xs, stencil(diff, xs, h, r), r)
+        assert got.shape == xs.shape
+        np.testing.assert_array_equal(got, [diff_at(f, diff, x, h, r) for x in xs])
 
-    def test_array_stencil_leaving_raises(self):
-        xs = np.array([0.2, 0.5, 0.95])
-        with pytest.raises(DomainError):
-            forward_difference(lambda x: x, xs, 0.1, 1)
-        with pytest.raises(DomainError):
-            forward_difference(lambda x: x, np.array([[0.2]]), 0.1, 1)
-        with pytest.raises(DomainError):
-            backward_difference(lambda x: x, np.array([0.5, np.nan]), 0.1, 1)
-
-    def test_array_stencil_clamps_roundoff(self):
-        # x + 3*0.1 overshoots 1 by one ulp; the point is clamped to 1
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_regions_match_step_sup(self, order, monkeypatch):
+        # _step_sup differences, region by region, exactly the x whose whole
+        # stencil lies in [0, 1], and returns the max of |w * difference|
+        weight = Weight(0.513, 1.0)
+        pts = make_grid(weight, 401).points
+        f = lambda x: np.sin(3.0 * x) * np.exp(x)
         seen = []
 
-        def f(x):
-            seen.append(np.max(x))
-            return np.asarray(x)
+        def spy(f, xs, offsets, order):
+            out = _difference(f, xs, offsets, order)
+            seen.append((xs, out))
+            return out
 
-        x = 0.7000000000000002
-        assert x + 3 * 0.1 > 1.0
-        got = forward_difference(f, np.array([x]), 0.1, 3)
-        assert max(seen) == 1.0
-        assert got[0] == pytest.approx(0.0, abs=1e-15)
+        monkeypatch.setattr(smoothness, "_difference", spy)
+        phi = np.sqrt(pts * (1.0 - pts))
+        for h in (0.125, 2.0**-5, 2.0**-9):
+            cut = 16.0 * h * h
+            want, regions = 0.0, []
+            # the middle, the strip at 0 and the strip at 1, in that order
+            for kind, near in (("symmetric_difference",
+                                (pts >= cut) & (pts <= 1.0 - cut) & (phi > 0.0)),
+                               ("forward_difference", pts <= cut),
+                               ("backward_difference", pts >= 1.0 - cut)):
+                xs = pts[near]
+                inside = np.all([(xs + off >= 0.0) & (xs + off <= 1.0)
+                                 for off in stencil(kind, xs, h, order)], axis=0)
+                xs = xs[inside]
+                if xs.size:
+                    vals = _difference(f, xs, stencil(kind, xs, h, order), order)
+                    regions.append((xs, vals))
+                    want = max(want, float(np.max(np.abs(weight(xs) * vals))))
+            seen.clear()
+            assert smoothness._step_sup(f, weight, pts, order, h) == want
+            assert len(seen) == len(regions)
+            for (xs, vals), (got_xs, got_vals) in zip(regions, seen):
+                assert np.array_equal(got_xs, xs) and np.array_equal(got_vals, vals)
 
     @given(
         r=st.integers(1, 4),
@@ -493,6 +508,5 @@ class TestFiniteDifferences:
         coeffs = coeffs[:r]
         poly = np.polynomial.Polynomial(coeffs)
         scale = 1.0 + max(abs(c) for c in coeffs)
-        assert abs(forward_difference(poly, x, h, r)) <= 1e-11 * scale
-        assert abs(backward_difference(poly, x, h, r)) <= 1e-11 * scale
-        assert abs(symmetric_difference(poly, x, h, r)) <= 1e-11 * scale
+        for kind in KINDS:
+            assert abs(diff_at(poly, kind, x, h, r)) <= 1e-11 * scale

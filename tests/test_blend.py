@@ -15,6 +15,11 @@ from bernblend import (BlendSpec, DomainError, MinNTooSmall, SampleError,
                        lagrange_interpolant, psi_eval)
 
 
+def one(x: float) -> np.ndarray:
+    """The single point x as a 1-d array."""
+    return np.array([x], dtype=float)
+
+
 def lebesgue_function(nodes, xs):
     """sum_i |l_i(x)|, with the cardinals l_i(x) = w_i prod_{j != i} (x - x_j)."""
     w = barycentric_weights(nodes)
@@ -26,17 +31,26 @@ def lebesgue_function(nodes, xs):
 class TestWeight:
     def test_values(self):
         w = Weight(0.5, 1.0)
-        assert w(0.75) == 0.25
-        assert w(0.5) == 0.0
-        np.testing.assert_allclose(w(np.array([0.0, 1.0])), [0.5, 0.5], atol=0)
+        assert w(np.array([0.75, 0.5, 0.0, 1.0])).tolist() == [0.25, 0.0, 0.5, 0.5]
         w2 = Weight(0.5, 2.0)
-        assert w2(0.3) == pytest.approx(0.04, rel=1e-14)
+        assert w2(one(0.3))[0] == pytest.approx(0.04, rel=1e-14)
 
     def test_validation(self):
         for xi, alpha in ((0.0, 1.0), (1.0, 1.0), (-0.2, 1.0), (0.5, 0.0), (0.5, -1.0),
                           (0.5, math.inf), (0.5, math.nan), (math.nan, 1.0)):
             with pytest.raises(DomainError):
                 Weight(xi, alpha)
+
+    def test_underflow_everywhere_refused(self):
+        # a weight that is 0.0 on all of [0, 1] would zero every weighted
+        # value; one that underflows only near xi is kept
+        for xi, alpha in ((0.513, 1e308), (0.5, 1075.0), (0.2, 3400.0)):
+            with pytest.raises(DomainError) as exc:
+                Weight(xi, alpha)
+            assert f"|x - {xi!r}|^{alpha!r}" in str(exc.value)
+        assert Weight(0.5, 1074.0)(np.array([0.0, 1.0])).tolist() == [5e-324] * 2
+        w = Weight(0.513, 1100.0)
+        assert 0.0 < w(one(0.0))[0] < 2.2e-308
 
 
 class TestNodes:
@@ -163,18 +177,18 @@ class TestLagrange:
     def test_two_point_example(self):
         # secant of x^2 through 0.48 and 0.49, extrapolated to 0.5
         nodes = np.array([0.48, 0.49])
-        got = lagrange_interpolant(lambda x: x * x, nodes, 0.5)
+        got, = lagrange_interpolant(lambda x: x * x, nodes, one(0.5))
         assert got == pytest.approx(0.2498, rel=1e-12)
 
     def test_node_hit_is_exact(self):
         nodes = np.array([0.48, 0.49])
         f = lambda x: np.sin(x)
-        assert lagrange_interpolant(f, nodes, 0.48) == float(np.sin(0.48))
+        assert lagrange_interpolant(f, nodes, one(0.48))[0] == float(np.sin(0.48))
 
     @given(a=st.floats(-10, 10), b=st.floats(-10, 10), x=st.floats(0.0, 1.0))
     def test_affine_exact_even_extrapolating(self, a, b, x):
         nodes = np.array([0.3, 0.2, 0.1])
-        got = lagrange_interpolant(lambda t: a + b * t, nodes, x)
+        got, = lagrange_interpolant(lambda t: a + b * t, nodes, one(x))
         assert got == pytest.approx(a + b * x, abs=1e-9 * (1 + abs(a) + abs(b)))
 
     @given(
@@ -186,7 +200,7 @@ class TestLagrange:
         coeffs = coeffs[: r + 1]
         poly = np.polynomial.Polynomial(coeffs)
         nodes = BlendSpec(400, r, weight_center).nodes
-        got = lagrange_interpolant(poly, nodes, x)
+        got, = lagrange_interpolant(poly, nodes, one(x))
         scale = 1.0 + sum(abs(c) for c in coeffs)
         assert got == pytest.approx(float(poly(x)), abs=1e-9 * scale)
 
@@ -194,7 +208,7 @@ class TestLagrange:
         nodes = np.array([0.3, 0.2])
         f = lambda x: np.where(x == 0.2, np.nan, x)
         with pytest.raises(SampleError) as exc:
-            lagrange_interpolant(f, nodes, 0.5)
+            lagrange_interpolant(f, nodes, one(0.5))
         assert exc.value.x == 0.2
 
     def test_lebesgue_function(self):
@@ -268,39 +282,36 @@ class TestBlendEval:
     def test_step_order_checked(self, setup, weight_center):
         spec, _ = setup
         with pytest.raises(DomainError):
-            blend_eval(np.sin, spec, build_smoothstep(2), 0.5)
+            blend_eval(np.sin, spec, build_smoothstep(2), one(0.5))
 
     def test_outside_window_is_f_bitwise(self, setup):
         spec, step = setup
-        for x in (0.0, 0.2, spec.breaks[0], spec.breaks[3], 0.9, 1.0):
-            assert blend_eval(np.sin, spec, step, x) == float(np.sin(x))
+        xs = np.array([0.0, 0.2, spec.breaks[0], spec.breaks[3], 0.9, 1.0])
+        assert np.array_equal(blend_eval(np.sin, spec, step, xs), np.sin(xs))
 
     def test_inner_window_is_patch(self, setup):
         spec, step = setup
-        for x in (spec.breaks[1], 0.5, 0.52, spec.breaks[2]):
-            want = lagrange_interpolant(np.sin, spec.nodes, x)
-            assert blend_eval(np.sin, spec, step, x) == want
+        xs = np.array([spec.breaks[1], 0.5, 0.52, spec.breaks[2]])
+        want = lagrange_interpolant(np.sin, spec.nodes, xs)
+        assert np.array_equal(blend_eval(np.sin, spec, step, xs), want)
 
     def test_transition_band_mixture(self, setup):
         spec, step = setup
         b1, b2, b3, b4 = spec.breaks
-        for x in (0.42, 0.44):
-            t1 = psi_eval(step, (x - b1) / (b2 - b1))
-            want = (1 - t1) * np.sin(x) + t1 * lagrange_interpolant(
-                np.sin, spec.nodes, x
-            )
-            assert blend_eval(np.sin, spec, step, x) == pytest.approx(want, rel=1e-14)
-        for x in (0.56, 0.58):
-            t2 = psi_eval(step, (x - b3) / (b4 - b3))
-            want = (1 - t2) * lagrange_interpolant(np.sin, spec.nodes, x) + t2 * np.sin(x)
-            assert blend_eval(np.sin, spec, step, x) == pytest.approx(want, rel=1e-14)
+        xs = np.array([0.42, 0.44])
+        t1 = psi_eval(step, (xs - b1) / (b2 - b1))
+        want = (1 - t1) * np.sin(xs) + t1 * lagrange_interpolant(np.sin, spec.nodes, xs)
+        np.testing.assert_allclose(blend_eval(np.sin, spec, step, xs), want, rtol=1e-14)
+        xs = np.array([0.56, 0.58])
+        t2 = psi_eval(step, (xs - b3) / (b4 - b3))
+        want = (1 - t2) * lagrange_interpolant(np.sin, spec.nodes, xs) + t2 * np.sin(xs)
+        np.testing.assert_allclose(blend_eval(np.sin, spec, step, xs), want, rtol=1e-14)
 
     def test_f_never_sampled_in_inner_window(self, setup):
         spec, step = setup
         b2, b3 = spec.breaks[1], spec.breaks[2]
 
-        def guarded(x):
-            xs = np.atleast_1d(np.asarray(x, dtype=float))
+        def guarded(xs):
             assert not np.any((xs > b2) & (xs < b3)), "f sampled inside the patch core"
             return np.cos(xs)
 
@@ -312,9 +323,9 @@ class TestBlendEval:
         spec, step = setup
 
         def singular(x):
-            return 1.0 / np.abs(np.asarray(x) - weight_center.xi)
+            return 1.0 / np.abs(x - weight_center.xi)
 
-        v = blend_eval(singular, spec, step, weight_center.xi)
+        v, = blend_eval(singular, spec, step, one(weight_center.xi))
         assert np.isfinite(v)
         # the patch replaces the blow-up by the bounded interpolant
         assert abs(v) < 100.0
@@ -322,19 +333,20 @@ class TestBlendEval:
     def test_nan_at_node_rejected(self, setup):
         spec, step = setup
 
-        def bad(x):
-            xs = np.asarray(x, dtype=float)
+        def bad(xs):
             return np.where(xs == spec.nodes[0], np.nan, xs)
 
         with pytest.raises(SampleError):
-            blend_eval(bad, spec, step, 0.5)
+            blend_eval(bad, spec, step, one(0.5))
 
     def test_scalar_and_array_agree(self, setup):
+        # each point alone, as a one-element array, gives its value in the
+        # whole array bit for bit
         spec, step = setup
         xs = np.linspace(0.0, 1.0, 101)
         arr = blend_eval(np.sin, spec, step, xs)
         for x, v in zip(xs, arr):
-            assert blend_eval(np.sin, spec, step, float(x)) == v
+            assert blend_eval(np.sin, spec, step, one(x))[0] == v
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_polynomial_reproduction(self, r, weight_center):
@@ -357,7 +369,7 @@ class TestBlendEval:
     def test_continuous_at_breakpoints(self, setup):
         spec, step = setup
         delta = 1e-7
-        for b in spec.breaks:
-            lo = blend_eval(np.sin, spec, step, b - delta)
-            hi = blend_eval(np.sin, spec, step, b + delta)
-            assert abs(hi - lo) <= 1e-5
+        breaks = np.array(spec.breaks)
+        lo = blend_eval(np.sin, spec, step, breaks - delta)
+        hi = blend_eval(np.sin, spec, step, breaks + delta)
+        assert np.all(np.abs(hi - lo) <= 1e-5)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bernblend import (DEFAULT_KEYS, DomainError, FunctionSpec,
-                       MembershipError, SampleError, Weight, make_function,
-                       make_grid, parse_spec)
+                       MembershipError, SampleError, Weight, evaluate,
+                       make_function, make_grid, parse_spec)
 
 
 def shell_maxima(spec, weight, grid):
@@ -93,8 +93,7 @@ class TestParse:
 class TestMakeFunction:
     def test_smooth_sin(self, weight513):
         f = make_function(parse_spec("smooth_sin:freq=1"), weight513)
-        assert f(0.5) == pytest.approx(1.0, rel=1e-15)
-        assert f(0.0) == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_allclose(f(np.array([0.5, 0.0])), [1.0, 0.0], rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(
             f(np.array([0.25, 0.75])),
             [np.sin(np.pi * 0.25), np.sin(np.pi * 0.75)],
@@ -103,26 +102,26 @@ class TestMakeFunction:
 
     def test_smooth_poly(self, weight513):
         f = make_function(parse_spec("smooth_poly:coeffs=1;0;2"), weight513)
-        assert f(0.5) == pytest.approx(1.5, rel=1e-15)
+        assert f(np.array([0.5]))[0] == pytest.approx(1.5, rel=1e-15)
 
     def test_singular_power_values(self, weight513):
         # f(x) = |x - xi|^(-beta); at distance 0.01 with beta=0.5: 10
         f = make_function(parse_spec("singular_power:beta=0.5"), weight513)
-        assert f(0.513 + 0.01) == pytest.approx(10.0, rel=1e-12)
-        assert f(0.513 - 0.01) == pytest.approx(10.0, rel=1e-12)
+        np.testing.assert_allclose(f(np.array([0.513 + 0.01, 0.513 - 0.01])), 10.0, rtol=1e-12)
 
     def test_singular_osc_formula(self, weight513):
         f = make_function(parse_spec("singular_osc:beta=0.5,freq=2"), weight513)
         d = 0.04
         want = d**-0.5 * np.sin(1.0 / d + 2.0)
-        assert f(0.513 + d) == pytest.approx(want, rel=1e-12)
+        assert f(np.array([0.513 + d]))[0] == pytest.approx(want, rel=1e-12)
 
     def test_scalar_vs_array(self, weight513):
+        # each point alone, as a one-element array, gives its array value
         f = make_function(parse_spec("singular_power:beta=0.5"), weight513)
         xs = np.array([0.1, 0.9])
         arr = f(xs)
-        assert isinstance(f(0.1), float)
-        assert arr[0] == f(0.1) and arr[1] == f(0.9)
+        assert arr.dtype == float
+        assert arr[0] == f(xs[:1])[0] and arr[1] == f(xs[1:])[0]
 
     def test_membership_enforced_at_build(self, weight513):
         with pytest.raises(MembershipError):
@@ -133,12 +132,22 @@ class TestMakeFunction:
     def test_singularity_exclusion_zone(self, weight513):
         f = make_function(parse_spec("singular_power:beta=0.5"), weight513)
         with pytest.raises(SampleError) as exc:
-            f(0.513)
+            f(np.array([0.2, 0.513]))
         assert exc.value.x == 0.513
         with pytest.raises(SampleError):
             f(np.array([0.1, 0.513 + 1e-13]))
         # just outside the exclusion zone evaluation succeeds
-        assert np.isfinite(f(0.513 + 1e-11))
+        assert np.isfinite(f(np.array([0.513 + 1e-11]))).all()
+
+    @pytest.mark.parametrize("key", ["smooth_sin:freq=1e308", "smooth_poly:coeffs=1e308;1e308",
+                                     "singular_power:beta=500",
+                                     "singular_osc:beta=500,freq=1"])
+    def test_overflow_is_quiet(self, key):
+        # a huge parameter makes f overflow: evaluate refuses the value with
+        # no numpy warning (an error in this suite)
+        f = make_function(parse_spec(key), Weight(0.513, 1000.0))
+        with pytest.raises(SampleError, match="non-finite value of f"):
+            evaluate(f, np.linspace(0.3, 0.9, 5))
 
 
 class TestMembership:

@@ -291,7 +291,7 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("which, flag, value", [
         ("1", "u", "1e308"), ("1", "v", "1e308"), ("6", "beta", "1000"),
-        ("6", "alpha", "1e308"),
+        ("6", "alpha", "1000"),
     ])
     def test_lemma_overflow(self, capsys, which, flag, value):
         # a power that leaves double range is bad configuration, reported
@@ -347,14 +347,42 @@ class TestExitCodes:
         (["lemma", "1", "--v", "-2.5E-1"], ["lemma", "1", "--v", "-0.25"]),
         (["lemma", "5", "--alpha", "-1e308"], ["lemma", "5", "--alpha=-1e308"]),
         (["approx", "--xi", "-.5e-2"], ["approx", "--xi", "-0.005"]),
+        (["lemma", "1", "--u", "-inf"], ["lemma", "1", "--u=-inf"]),
+        (["lemma", "1", "--u", "-nan"], ["lemma", "1", "--u=-nan"]),
+        (["lemma", "1", "--u", "-1_000"], ["lemma", "1", "--u", "-1000"]),
+        (["lemma", "1", "--v", "-Infinity"], ["lemma", "1", "--v=-inf"]),
     ])
     def test_negative_number_with_exponent(self, capsys, argv, spelled):
-        # a negative value written with an exponent reaches its flag's own
-        # check, as the plain spelling does, instead of argparse's usage error
+        # a negative value in any spelling float() reads (an exponent, inf,
+        # nan, digit groups) reaches its flag's own check, as the plain
+        # spelling does, instead of argparse's usage error
         code, out, err = run(capsys, argv + ["--grid", "401", "--n-list", "64"])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert run(capsys, spelled + ["--grid", "401", "--n-list", "64"]) == (code, out, err)
+
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--alpha", "1000", "--function", "singular_power:beta=500"],
+        ["compare", "--alpha", "1000", "--function", "singular_power:beta=500"],
+        ["approx", "--function", "smooth_poly:coeffs=1e308;1e308"],
+        ["modulus", "--function", "smooth_poly:coeffs=1e308;1e308"],
+        ["lemma", "3", "--function", "smooth_poly:coeffs=1e308;1e308"],
+        ["modulus", "--function", "smooth_poly:coeffs=1e308"],
+    ])
+    def test_function_overflow(self, capsys, argv):
+        # f or its differences overflow: a numerical failure in one line,
+        # with no numpy warning (an error in this suite) before it
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["approx"], ["modulus"], ["lemma", "5"]])
+    def test_weight_underflow(self, capsys, argv):
+        # |x - xi|^alpha is 0.0 on all of [0, 1]: bad configuration, not a
+        # table of zeros
+        code, out, err = run(capsys, argv + ["--alpha", "1e308"])
+        assert (code, out) == (2, "")
+        assert err == "error: weight |x - 0.513|^1e+308 underflows to 0 on all of [0,1]\n"
 
     def test_bad_format_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

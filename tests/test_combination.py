@@ -29,6 +29,11 @@ def moment(scheme, power, x):
     return moment_table(scheme, [power], [x])[0, 0]
 
 
+def one(x: float) -> np.ndarray:
+    """The single point x as a 1-d array."""
+    return np.array([x], dtype=float)
+
+
 class TestSchedule:
     def test_examples(self):
         assert make_schedule(100, 3) == [100, 200, 300]
@@ -126,40 +131,38 @@ class TestScheme:
 class TestCombine:
     def test_constant_reproduced(self):
         scheme = build_scheme(32, 3)
-        for x in (0.0, 0.3, 1.0):
-            assert combine(lambda t: np.ones_like(t), scheme, x) == pytest.approx(
-                1.0, abs=1e-12
-            )
+        got = combine(lambda t: np.ones_like(t), scheme, np.array([0.0, 0.3, 1.0]))
+        np.testing.assert_allclose(got, 1.0, rtol=0, atol=1e-12)
 
     @given(x=st.floats(0.0, 1.0))
     def test_linear_reproduced(self, x):
         scheme = build_scheme(24, 2)
-        assert combine(lambda t: t, scheme, x) == pytest.approx(x, abs=1e-11)
+        assert combine(lambda t: t, scheme, one(x))[0] == pytest.approx(x, abs=1e-11)
 
     def test_square_exact_for_r2(self):
         # the 1/n term of B_n(t^2) cancels across the two-degree ladder
         scheme = build_scheme(40, 2)
-        for x in (0.1, 0.45, 0.8):
-            assert combine(lambda t: t * t, scheme, x) == pytest.approx(
-                x * x, abs=1e-13
-            )
+        xs = np.array([0.1, 0.45, 0.8])
+        np.testing.assert_allclose(combine(lambda t: t * t, scheme, xs), xs * xs,
+                                   rtol=0, atol=1e-13)
 
     def test_array_path_matches_scalar(self):
         scheme = build_scheme(48, 2)
         xs = np.linspace(0.0, 1.0, 17)
         arr = combine(np.sin, scheme, xs)
+        # each point alone, as a one-element array, gives its array value
         for x, v in zip(xs, arr):
-            assert v == pytest.approx(combine(np.sin, scheme, float(x)), rel=1e-12)
+            assert v == combine(np.sin, scheme, one(x))[0]
 
     def test_combine_samples_validation(self):
         scheme = build_scheme(32, 2)
         good = [sample_function(np.cos, n) for n in scheme.nodes]
         with pytest.raises(DomainError):
-            combine_samples(scheme, good[:1], 0.5)
+            combine_samples(scheme, good[:1], one(0.5))
         with pytest.raises(DomainError):
-            combine_samples(scheme, [good[1], good[0]], 0.5)
-        assert combine_samples(scheme, good, 0.5) == pytest.approx(
-            combine(np.cos, scheme, 0.5), rel=1e-13
+            combine_samples(scheme, [good[1], good[0]], one(0.5))
+        assert combine_samples(scheme, good, one(0.5))[0] == pytest.approx(
+            combine(np.cos, scheme, one(0.5))[0], rel=1e-13
         )
 
 
@@ -204,7 +207,7 @@ class TestMoments:
         np.testing.assert_allclose(table[0], np.ones(3), atol=1e-12)
         np.testing.assert_array_equal(table[1], moment_table(scheme, [2], xs)[0])
         for i, x in enumerate(xs):
-            want = combine(lambda t: (t - x) ** 3, scheme, float(x))
+            want, = combine(lambda t: (t - x) ** 3, scheme, one(x))
             assert table[2, i] == pytest.approx(want, abs=1e-15)
 
     @pytest.mark.parametrize("base,r", [(32, 1), (64, 2), (256, 3)])

@@ -84,10 +84,10 @@ class TestApplication:
         blended = modified_operator(op64, np.sin, xs)
         np.testing.assert_allclose(plain, blended, atol=1e-12)
         # but differ materially inside it for a function the patch replaces
+        at = np.array([0.513])
         assert abs(
-            combine(np.cos, op64.scheme, 0.513)
-            - modified_operator(op64, np.cos, 0.513)
-        ) < 1e-3  # cos is smooth, so even inside the window they stay close
+            combine(np.cos, op64.scheme, at) - modified_operator(op64, np.cos, at)
+        )[0] < 1e-3  # cos is smooth, so even inside the window they stay close
 
 
 class TestDerivative:
@@ -106,12 +106,9 @@ class TestDerivative:
     def test_matches_finite_difference(self, weight513):
         op = build_modified_operator(64, 1, weight513)
         x, h = 0.3, 1e-3
-        want = (
-            modified_operator(op, np.sin, x + h)
-            - 2.0 * modified_operator(op, np.sin, x)
-            + modified_operator(op, np.sin, x - h)
-        ) / h**2
-        got = operator_derivative_2r(op, np.sin, x)
+        vals = modified_operator(op, np.sin, np.array([x + h, x, x - h]))
+        want = (vals[0] - 2.0 * vals[1] + vals[2]) / h**2
+        got, = operator_derivative_2r(op, np.sin, np.array([x]))
         assert got == pytest.approx(want, rel=1e-3)
 
     @pytest.mark.parametrize("order", [1, 2, 4, 6])
@@ -148,8 +145,9 @@ class TestDerivative:
         op = build_modified_operator(64, 1, weight513)
         xs = np.linspace(0.05, 0.95, 7)
         arr = operator_derivative_2r(op, np.sin, xs)
+        # each point alone, as a one-element array, gives its array value
         for x, v in zip(xs, arr):
-            assert operator_derivative_2r(op, np.sin, float(x)) == pytest.approx(
+            assert operator_derivative_2r(op, np.sin, np.array([x]))[0] == pytest.approx(
                 v, rel=1e-12, abs=1e-10
             )
 
@@ -165,7 +163,7 @@ class TestWeightedStability:
         # the weighted sup of the operator output stays comparable to the
         # weighted sup of the input as n grows
         f = make_function(parse_spec(key), weight513)
-        fnorm = weighted_norm(f, weight513, grid513)
+        fnorm = weighted_norm(f(grid513.points), weight513, grid513)
         ratios = []
         for n in (64, 128, 256):
             op = build_modified_operator(n, 2, weight513)

@@ -89,15 +89,13 @@ class TestValidation:
 class TestEvaluation:
     def test_step_values(self):
         poly = build_smoothstep(1)
-        assert psi_eval(poly, 0.0) == 0.0
-        assert psi_eval(poly, 1.0) == 1.0
-        assert psi_eval(poly, -0.5) == 0.0
-        assert psi_eval(poly, 2.0) == 1.0
-        assert psi_eval(poly, 0.5) == pytest.approx(0.5, abs=1e-15)
+        vals = psi_eval(poly, np.array([0.0, 1.0, -0.5, 2.0, 0.5]))
+        assert vals[:4].tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert vals[4] == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_midpoint_is_half(self, r):
-        assert psi_eval(build_smoothstep(r), 0.5) == pytest.approx(0.5, abs=1e-12)
+        assert psi_eval(build_smoothstep(r), np.array([0.5]))[0] == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_range_and_monotonicity(self, r):
@@ -115,15 +113,15 @@ class TestEvaluation:
         poly = build_smoothstep(2)
         xs = np.linspace(-0.2, 1.2, 29)
         arr = psi_eval(poly, xs)
+        # each point alone, as a one-element array, gives its array value
         for x, v in zip(xs, arr):
-            assert psi_eval(poly, float(x)) == v
+            assert psi_eval(poly, np.array([x]))[0] == v
 
     @given(r=st.integers(1, 4), x=st.floats(0.0, 1.0))
     def test_mirror_identity(self, r, x):
         poly = build_smoothstep(r)
-        assert psi_eval(poly, x) + psi_eval(poly, 1.0 - x) == pytest.approx(
-            1.0, abs=1e-13
-        )
+        vals = psi_eval(poly, np.array([x, 1.0 - x]))
+        assert vals[0] + vals[1] == pytest.approx(1.0, abs=1e-13)
 
 
 class TestDerivatives:
