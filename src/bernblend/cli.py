@@ -1,9 +1,13 @@
 """Command line front end for the experiment harness.
 
-Every subcommand builds a deterministic report table; ``--out`` writes it as
-CSV or JSON, otherwise the same bytes go to stdout.  A JSON config file can
-stand in for flags (``--config``); explicit flags win over file values, and
-each file value is parsed as the text of its flag would be.
+Each subcommand, and each scan of ``lemma``, is one ``_COMMANDS`` entry: its
+help, the keys it reads with their defaults and its handler, which returns a
+report (``coeffs``, ``psi`` and ``compare`` write their own).  The parser,
+the config file check and the dispatch all read that table; ``_FLAGS`` gives
+each key's flag.  ``--out`` writes the report as CSV or JSON, otherwise the
+same bytes go to stdout.  ``--config`` names a JSON file of flag values:
+explicit flags win, each file value is parsed as its flag's text would be,
+and a flag or file key that the entry does not read is bad configuration.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
 (including running out of memory).
@@ -16,6 +20,7 @@ import csv
 import json
 import sys
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .blend import Weight
 from .catalog import make_function, parse_spec
@@ -28,33 +33,30 @@ from .harness import (SweepConfig, build_report, check_bernstein_inequality,
 from .smoothness import ModulusParams, make_grid, weighted_modulus
 from .smoothstep import build_smoothstep
 
-_APPROX_NS = "32,64,128,256,512,1024"
-_LEMMA_NS = "64,128,256,512,1024,2048,4096"
-_MODULUS_HALVINGS = 8
 
-_COMMON = {
-    "xi": 0.513,
-    "alpha": 1.0,
-    "grid": 2001,
-    "format": "csv",
-    "out": None,
-}
-_SWEEP = {
-    **_COMMON,
-    "r": 2,
-    "function": "singular_power:beta=0.5",
-    "n_list": _APPROX_NS,
-}
-_DEFAULTS = {
-    "coeffs": {"r": 2, "n": 32},
-    "psi": {"r": 2},
-    "approx": dict(_SWEEP),
-    "compare": dict(_SWEEP),
-    "bernstein-ineq": {**_SWEEP, "lam": 0.0},
-    "modulus": {**_COMMON, "r": 2,
-                "function": "singular_power:beta=0.5", "t": 0.125},
-    "lemma": {**_COMMON, "n_list": _LEMMA_NS, "u": 1.0, "v": 0.0,
-              "beta": 2.0, "r": 2, "function": "smooth_sin:freq=1"},
+class _Flag(NamedTuple):
+    spelling: str
+    type: Callable | None  # None keeps the text
+    help: str
+    choices: list | None = None
+
+
+_FLAGS = {
+    "xi": _Flag("--xi", float, "singularity location in (0,1)"),
+    "alpha": _Flag("--alpha", float, "weight exponent (> 0)"),
+    "grid": _Flag("--grid", int, "evaluation grid size"),
+    "out": _Flag("--out", None, "report file path (default: stdout)"),
+    "format": _Flag("--format", None, "report format (default csv)", choices=["csv", "json"]),
+    "r": _Flag("--r", int, "order r in 1..8 (the modulus takes differences of order 2r)"),
+    "n": _Flag("--n", int, "base degree"),
+    "function": _Flag("--function", None, "catalog key, e.g. singular_power:beta=0.5"),
+    # parsed after the merge by _parse_n_list, which also takes a JSON list
+    "n_list": _Flag("--n-list", None, "comma-separated ascending degrees"),
+    "t": _Flag("--t", float, "largest step parameter (<= 0.125)"),
+    "lam": _Flag("--lambda", float, "step-weight power in [0,1]"),
+    "u": _Flag("--u", float, "left endpoint moment power (scan 1)"),
+    "v": _Flag("--v", float, "right endpoint moment power (scan 1)"),
+    "beta": _Flag("--beta", float, "moment power (scan 6)"),
 }
 
 
@@ -70,8 +72,9 @@ def _parse_n_list(value) -> tuple[int, ...]:
     return check_n_list(value)
 
 
-def _config_value(flag: argparse.Action, key: str, value):
-    """A config file's ``value`` parsed as the text of its ``flag`` would be."""
+def _config_value(key: str, value):
+    """A config file's ``value`` for ``key`` parsed as its flag's text would be."""
+    flag = _FLAGS[key]
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise DomainError(f"config key {key!r} takes a string or a number, got {value!r}")
     text = value if isinstance(value, str) else repr(value)
@@ -99,21 +102,25 @@ def _load_config(path: str) -> dict:
             for key, val in data.items()}
 
 
-def _resolve(args: argparse.Namespace, command: str) -> SimpleNamespace:
-    """Merge flag values over config-file values over built-in defaults, each
-    parsed: file values by their flag's parser, ``n_list`` by _parse_n_list."""
-    defaults = _DEFAULTS[command]
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-    unknown = sorted(set(cfg) - set(defaults))
+def _resolve(args: argparse.Namespace, name: str) -> SimpleNamespace:
+    """Merge flag values over config-file values over entry ``name``'s
+    defaults, each parsed: file values by their flag's parser, ``n_list`` by
+    _parse_n_list.  A flag or file key the entry does not read is refused."""
+    reads = _COMMANDS[name].reads
+    unread = [_FLAGS[key].spelling for key in _FLAGS
+              if key not in reads and getattr(args, key, None) is not None]
+    if unread:
+        raise DomainError(f"flags not used by {name!r}: {unread}")
+    cfg = _load_config(args.config) if args.config else {}
+    unknown = sorted(set(cfg) - set(reads))
     if unknown:
-        raise DomainError(f"config keys not used by {command!r}: {unknown}")
+        raise DomainError(f"config keys not used by {name!r}: {unknown}")
     merged = {}
-    for key, fallback in defaults.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = cfg.get(key, fallback)
-            if key in cfg and key != "n_list":
-                value = _config_value(args.flags[key], key, value)
+    for key, value in reads.items():
+        if getattr(args, key) is not None:
+            value = getattr(args, key)
+        elif key in cfg:
+            value = cfg[key] if key == "n_list" else _config_value(key, cfg[key])
         merged[key] = _parse_n_list(value) if key == "n_list" else value
     return SimpleNamespace(**merged)
 
@@ -123,118 +130,94 @@ def _sweep_config(ns: SimpleNamespace) -> SweepConfig:
                        n_list=ns.n_list, grid_size=ns.grid)
 
 
-def _deliver(report, ns: SimpleNamespace, path=None) -> None:
-    if path is None:
-        path = ns.out
-    if path is None:
-        sys.stdout.write(render_report(report, ns.format))
-    else:
-        emit_report(report, ns.format, path)
+def _on_grid(scan: Callable) -> Callable:
+    """The handler that builds the weight, then the grid, and then calls
+    ``scan(ns, weight, grid)``."""
+    def handler(ns):
+        weight = Weight(ns.xi, ns.alpha)
+        return scan(ns, weight, make_grid(weight, ns.grid))
+    return handler
 
 
-def _plain_sibling(path: str) -> str:
-    stem, dot, suffix = path.rpartition(".")
-    if dot and "/" not in suffix:
-        return f"{stem}.plain.{suffix}"
-    return f"{path}.plain"
-
-
-def _cmd_coeffs(args) -> int:
-    ns = _resolve(args, "coeffs")
+def _coeffs(ns) -> None:
     scheme = build_scheme(ns.n, ns.r)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["i", "degree", "coefficient"])
     for i, (degree, coeff) in enumerate(zip(scheme.nodes, scheme.coeffs)):
         writer.writerow([i, degree, repr(float(coeff))])
-    return 0
 
 
-def _cmd_psi(args) -> int:
-    ns = _resolve(args, "psi")
+def _psi(ns) -> None:
     poly = build_smoothstep(ns.r)
     lowest = 2 * poly.r + 1
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["power", "coefficient"])
     for j, coeff in enumerate(poly.coeffs):
         writer.writerow([lowest + j, repr(float(coeff))])
-    return 0
 
 
-def _cmd_approx(args) -> int:
-    ns = _resolve(args, "approx")
-    _deliver(run_convergence(_sweep_config(ns)), ns)
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    ns = _resolve(args, "compare")
+def _compare(ns) -> None:
     plain, modified = compare_plain_vs_modified(_sweep_config(ns))
     if ns.out is None:
-        sys.stdout.write("# plain\n")
-        sys.stdout.write(render_report(plain, ns.format))
-        sys.stdout.write("# modified\n")
-        sys.stdout.write(render_report(modified, ns.format))
-    else:
-        _deliver(modified, ns)
-        _deliver(plain, ns, path=_plain_sibling(ns.out))
-    return 0
+        for label, report in (("plain", plain), ("modified", modified)):
+            sys.stdout.write(f"# {label}\n" + render_report(report, ns.format))
+        return
+    # the plain table goes to a sibling: x.csv -> x.plain.csv, x -> x.plain
+    stem, dot, suffix = ns.out.rpartition(".")
+    plain_path = f"{stem}.plain.{suffix}" if dot and "/" not in suffix else f"{ns.out}.plain"
+    emit_report(modified, ns.format, ns.out)
+    emit_report(plain, ns.format, plain_path)
 
 
-def _cmd_bernstein_ineq(args) -> int:
-    ns = _resolve(args, "bernstein-ineq")
-    report = check_bernstein_inequality(_sweep_config(ns), ns.lam)
-    _deliver(report, ns)
-    return 0
-
-
-def _cmd_modulus(args) -> int:
-    # table of the order-2r weighted modulus at t, t/2, ..., keyed by the
-    # divisor; the fitted slope is minus the observed decay order in t
-    ns = _resolve(args, "modulus")
-    weight = Weight(ns.xi, ns.alpha)
-    grid = make_grid(weight, ns.grid)
+def _modulus(ns, weight, grid):
+    # table of the order-2r weighted modulus at t, t/2, ..., t/128, keyed by
+    # the divisor; the fitted slope is minus the observed decay order in t
     f = make_function(parse_spec(ns.function), weight)
-    divisors = [2 ** k for k in range(_MODULUS_HALVINGS)]
+    divisors = [2 ** k for k in range(8)]
     values = weighted_modulus(
         f, weight, [ModulusParams(r2=2 * ns.r, t=ns.t / d) for d in divisors], grid)
-    _deliver(build_report(divisors, values, {"t": ns.t}), ns)
-    return 0
+    return build_report(divisors, values, {"t": ns.t})
 
 
-def _cmd_lemma(args) -> int:
-    ns = _resolve(args, "lemma")
-    weight = Weight(ns.xi, ns.alpha)
-    grid = make_grid(weight, ns.grid)
-    which = args.which
-    if which == "1":
-        report = lemma1_scan(ns.u, ns.v, ns.n_list, grid)
-    elif which == "3":
-        f = make_function(parse_spec(ns.function), weight)
-        report = lemma3_decay(ns.r, weight, f, ns.n_list, grid)
-    elif which == "5":
-        report = lemma5_scan(weight, ns.n_list, grid)
-    else:
-        report = lemma6_scan(ns.beta, weight, ns.n_list, grid)
-    _deliver(report, ns)
-    return 0
+def _lemma3(ns, weight, grid):
+    f = make_function(parse_spec(ns.function), weight)
+    return lemma3_decay(ns.r, weight, f, ns.n_list, grid)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file supplying flag values")
-    sub.add_argument("--xi", type=float, help="singularity location in (0,1)")
-    sub.add_argument("--alpha", type=float, help="weight exponent (> 0)")
-    sub.add_argument("--grid", type=int, help="evaluation grid size")
-    sub.add_argument("--out", help="report file path (default: stdout)")
-    sub.add_argument("--format", choices=["csv", "json"],
-                     help="report format (default csv)")
+class _Command(NamedTuple):
+    help: str
+    reads: dict  # key -> default
+    handler: Callable  # resolved values -> report, or None once it wrote
 
 
-def _add_sweep(sub: argparse.ArgumentParser) -> None:
-    _add_common(sub)
-    sub.add_argument("--r", type=int, help="combination order")
-    sub.add_argument("--function", help="catalog key, e.g. singular_power:beta=0.5")
-    sub.add_argument("--n-list", dest="n_list",
-                     help="comma-separated ascending degrees")
+_COMMON = {"xi": 0.513, "alpha": 1.0, "grid": 2001, "format": "csv", "out": None}
+_SWEEP = {**_COMMON, "r": 2, "function": "singular_power:beta=0.5",
+          "n_list": "32,64,128,256,512,1024"}
+_LEMMA = {**_COMMON, "n_list": "64,128,256,512,1024,2048,4096"}
+_LEMMA_HELP = "bound scans for the supporting estimates"
+
+_COMMANDS = {
+    "coeffs": _Command("print the combination coefficients", {"r": 2, "n": 32}, _coeffs),
+    "psi": _Command("print the smoothstep coefficients", {"r": 2}, _psi),
+    "approx": _Command("convergence sweep of the modified combination", _SWEEP,
+                       lambda ns: run_convergence(_sweep_config(ns))),
+    "compare": _Command("plain versus modified error sweep", _SWEEP, _compare),
+    "bernstein-ineq": _Command(
+        "growth of the weighted 2r-th derivative norm", {**_SWEEP, "lam": 0.0},
+        lambda ns: check_bernstein_inequality(_sweep_config(ns), ns.lam)),
+    "modulus": _Command(
+        "weighted modulus along a halving t ladder",
+        {**_COMMON, "r": 2, "function": "singular_power:beta=0.5", "t": 0.125},
+        _on_grid(_modulus)),
+    "lemma 1": _Command(_LEMMA_HELP, {**_LEMMA, "u": 1.0, "v": 0.0}, _on_grid(
+        lambda ns, weight, grid: lemma1_scan(ns.u, ns.v, ns.n_list, grid))),
+    "lemma 3": _Command(_LEMMA_HELP, {**_LEMMA, "r": 2, "function": "smooth_sin:freq=1"},
+                        _on_grid(_lemma3)),
+    "lemma 5": _Command(_LEMMA_HELP, _LEMMA, _on_grid(
+        lambda ns, weight, grid: lemma5_scan(weight, ns.n_list, grid))),
+    "lemma 6": _Command(_LEMMA_HELP, {**_LEMMA, "beta": 2.0}, _on_grid(
+        lambda ns, weight, grid: lemma6_scan(ns.beta, weight, ns.n_list, grid))),
+}
 
 
 def _negative_number(text: str) -> bool:
@@ -252,62 +235,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weighted Bernstein combination experiments around an "
                     "interior algebraic singularity.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("coeffs", help="print the combination coefficients")
-    sub.add_argument("--config", help="JSON file supplying flag values")
-    sub.add_argument("--r", type=int, help="combination order")
-    sub.add_argument("--n", type=int, help="base degree")
-    sub.set_defaults(handler=_cmd_coeffs)
-
-    sub = subs.add_parser("psi", help="print the smoothstep coefficients")
-    sub.add_argument("--config", help="JSON file supplying flag values")
-    sub.add_argument("--r", type=int, help="transition smoothness order")
-    sub.set_defaults(handler=_cmd_psi)
-
-    sub = subs.add_parser("approx", help="convergence sweep of the modified combination")
-    _add_sweep(sub)
-    sub.set_defaults(handler=_cmd_approx)
-
-    sub = subs.add_parser("compare", help="plain versus modified error sweep")
-    _add_sweep(sub)
-    sub.set_defaults(handler=_cmd_compare)
-
-    sub = subs.add_parser("bernstein-ineq",
-                          help="growth of the weighted 2r-th derivative norm")
-    _add_sweep(sub)
-    sub.add_argument("--lambda", dest="lam", type=float,
-                     help="step-weight power in [0,1]")
-    sub.set_defaults(handler=_cmd_bernstein_ineq)
-
-    sub = subs.add_parser("modulus", help="weighted modulus along a halving t ladder")
-    _add_common(sub)
-    sub.add_argument("--r", type=int, help="half the difference order")
-    sub.add_argument("--function", help="catalog key")
-    sub.add_argument("--t", type=float, help="largest step parameter (<= 0.125)")
-    sub.set_defaults(handler=_cmd_modulus)
-
-    sub = subs.add_parser("lemma", help="bound scans for the supporting estimates")
-    sub.add_argument("which", choices=["1", "3", "5", "6"],
-                     help="which estimate to scan")
-    _add_sweep(sub)
-    sub.add_argument("--u", type=float, help="left endpoint moment power (scan 1)")
-    sub.add_argument("--v", type=float, help="right endpoint moment power (scan 1)")
-    sub.add_argument("--beta", type=float, help="moment power (scan 6)")
-    sub.set_defaults(handler=_cmd_lemma)
-
-    for sub in subs.choices.values():
-        # a config file value is parsed by the flag with its key as dest
-        sub.set_defaults(flags={a.dest: a for a in sub._actions})
-        # argparse takes only -N and -N.N for negative numbers and reads
-        # "--u -1e3" or "--u -inf" as a flag without its value
-        sub._negative_number_matcher = SimpleNamespace(match=_negative_number)
+    for name, entry in _COMMANDS.items():
+        command, _, which = name.partition(" ")
+        sub = subs.choices.get(command)
+        if sub is None:
+            # no prefixes: "approx --n 32" would read as --n-list
+            sub = subs.add_parser(command, help=entry.help, allow_abbrev=False)
+            if which:
+                scans = [n.partition(" ")[2] for n in _COMMANDS if n.startswith(command + " ")]
+                sub.add_argument("which", choices=scans, help="which estimate to scan")
+            sub.add_argument("--config", help="JSON file supplying flag values")
+            # argparse takes only -N and -N.N for negative numbers and reads
+            # "--u -1e3" or "--u -inf" as a flag without its value
+            sub._negative_number_matcher = SimpleNamespace(match=_negative_number)
+        for key in entry.reads:
+            flag = _FLAGS[key]
+            if flag.spelling not in sub._option_string_actions:
+                sub.add_argument(flag.spelling, dest=key, type=flag.type,
+                                 choices=flag.choices, help=flag.help)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    name = f"{args.command} {args.which}" if "which" in args else args.command
     try:
-        return args.handler(args)
+        ns = _resolve(args, name)
+        report = _COMMANDS[name].handler(ns)
+        if report is not None and ns.out is None:
+            sys.stdout.write(render_report(report, ns.format))
+        elif report is not None:
+            emit_report(report, ns.format, ns.out)
+        return 0
     except (SampleError, NumericalError, OverflowError, MemoryError) as exc:
         # numerical failures; these two messages do not name their kind
         kind = ("overflow: " if isinstance(exc, OverflowError)

@@ -31,7 +31,8 @@ from .operators import (ModifiedOperator, build_modified_operator,
                         derivative_applies)
 from .operators import operator_derivative_2r  # noqa: F401
 from .smoothness import (_T_CAP, EvaluationGrid, ModulusParams,
-                         _check_grid_size, make_grid, weighted_norm)
+                         _check_grid_size, _weighted_max, make_grid,
+                         weighted_norm)
 from .smoothness import weighted_modulus
 
 _EXACT_THRESHOLD = 1e-9
@@ -298,8 +299,8 @@ def lemma3_decay(r: int, weight: Weight, f: Callable, n_list,
         spec = BlendSpec(n, r, weight)
         b = spec.breaks
         xs = grid.points[(grid.points >= b[0]) & (grid.points <= b[3])]
-        gap = np.abs(evaluate(f, xs) - lagrange_interpolant(f, spec.nodes, xs))
-        values.append(float(np.max(weight(xs) * gap)))
+        gap = evaluate(f, xs) - lagrange_interpolant(f, spec.nodes, xs)
+        values.append(_weighted_max(xs, weight(xs) * gap))
     return build_report(n_list, values)
 
 

@@ -1,6 +1,7 @@
 """End-to-end coverage of the command line interface."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -19,12 +20,32 @@ from bernblend.cli import main
 
 QUICK_APPROX = ["--r", "1", "--function", "smooth_sin:freq=1",
                 "--n-list", "64,128", "--grid", "401"]
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_or_exit(capsys, argv):
+    """``run``, also when argparse refuses ``argv`` and exits."""
+    try:
+        return run(capsys, argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+def load_by_path(monkeypatch, path):
+    """The module in ``path``, imported without writing bytecode beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"_loaded_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def csv_rows(text):
@@ -376,6 +397,45 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_lemma3_interpolant_overflow(self, capsys):
+        # f is finite at the nodes, but the interpolant overflows on the
+        # window: one line naming the x, no numpy warning (an error here)
+        code, out, err = run(capsys, [
+            "lemma", "3", "--function", "smooth_poly:coeffs=1e307;1e307"])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: non-finite weighted value at x=")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, config, named", [
+        (["lemma", "1", "--function", "bogus"], None, "--function"),
+        (["lemma", "5", "--beta", "3"], None, "--beta"),
+        (["lemma", "6", "--u", "1"], None, "--u"),
+        (["lemma", "3", "--v", "0"], None, "--v"),
+        (["approx", "--t", "0.1"], None, "--t"),
+        (["approx", "--n", "32"], None, "--n"),  # not read as --n-list
+        (["lemma", "1"], {"beta": 2}, "'beta'"),
+    ])
+    def test_unread_flag_or_key(self, capsys, tmp_path, argv, config, named):
+        # a value the command (for lemma, its scan) would ignore is bad
+        # configuration, named in the one error line
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        code, out, err = run_or_exit(capsys, argv)
+        assert (code, out) == (2, "")
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and named in errors[0], err
+
+    @pytest.mark.parametrize("workload", ["singular-sweep", "basis-layer"])
+    def test_benchmark_commands_run(self, capsys, monkeypatch, workload):
+        # the benchmark's own CLI runs read only flags of their command
+        inputs = load_by_path(monkeypatch, ROOT / "perfbench" / "inputs.py")
+        argvs = inputs.cli_commands(inputs.make_inputs(workload, 0))
+        for argv in argvs.values():
+            code, out, err = run(capsys, argv)
+            assert (code, err) == (0, ""), argv
+            assert out
+
     @pytest.mark.parametrize("argv", [["approx"], ["modulus"], ["lemma", "5"]])
     def test_weight_underflow(self, capsys, argv):
         # |x - xi|^alpha is 0.0 on all of [0, 1]: bad configuration, not a
@@ -461,8 +521,8 @@ _PAST_CAP = {"9", "3000", "100000000", "1000001", "64,100000000", "2000000"}
 # huge finite values, drawn alone so a run reaches the numerical path
 _HUGE = ["1e308", "-1e308", "1e300"]
 _HUGE_KEYS = {"u", "v", "beta", "alpha"}
-_COMMON_KEYS = ["xi", "alpha", "grid", "format"]
-# the flags each command reads
+_COMMON_KEYS = ["xi", "alpha", "grid", "format", "out"]
+# the flags each command reads; a spec of the test's own, apart from cli.py
 _READS = {
     ("coeffs",): ["r", "n"],
     ("psi",): ["r"],
@@ -490,15 +550,18 @@ def _json_values(text):
 
 @st.composite
 def _invocations(draw):
-    """(argv, config or None, whether some value read is past a cap).
+    """(argv, config or None, whether some value read is past a cap,
+    the spelling of a flag the command does not read or None).
 
     At most two of the values read are bad, so most runs get past the
     first check; the rest are good or left to their defaults.  Or one
     value is huge and all others are good or defaults, with no config
-    file, so no NaN or cap exits first.
+    file, so no NaN or cap exits first.  In about one draw in five a good
+    value for a flag the command does not read is added.  ``--out`` is
+    never drawn: the runs write to stdout.
     """
     command = draw(st.sampled_from(sorted(_READS)))
-    keys = _READS[command]
+    keys = [key for key in _READS[command] if key in _VALUES]
     huge = sorted(_HUGE_KEYS.intersection(keys))
     huge = draw(st.sampled_from(huge)) if huge and draw(st.booleans()) else None
     bad = [] if huge else draw(st.lists(st.sampled_from(keys), unique=True, max_size=2))
@@ -525,7 +588,12 @@ def _invocations(draw):
                 past_cap = True
         if draw(st.booleans()):
             config["bogus"] = 1
-    return argv, config, past_cap
+    unread = None
+    if draw(st.integers(0, 4)) == 0:
+        key = draw(st.sampled_from(sorted(set(_VALUES) - set(keys))))
+        unread = _FLAG.get(key, "--" + key)
+        argv += [unread, draw(st.sampled_from(_VALUES[key][0]))]
+    return argv, config, past_cap, unread
 
 
 class TestFuzz:
@@ -533,8 +601,9 @@ class TestFuzz:
     @given(case=_invocations())
     def test_every_invocation_exits_cleanly(self, case, tmp_path_factory):
         # any mix of flag and config values gives exit 0, 2 or 3 with no
-        # traceback, and a value past a cap exits 2 before any work
-        argv, config, past_cap = case
+        # traceback, and a value past a cap or a flag the command does not
+        # read exits 2 before any work
+        argv, config, past_cap, unread = case
         if config is not None:
             path = tmp_path_factory.getbasetemp() / "fuzz.json"
             path.write_text(json.dumps(config))
@@ -553,5 +622,38 @@ class TestFuzz:
         assert "Traceback" not in err
         if code:
             assert err.startswith(("error:", "usage:")), (argv, config, err)
-        if past_cap:
+        if past_cap or unread:
             assert code == 2, (argv, config, err)
+
+
+def _quick_argv(command, tmp_path):
+    """``command`` with a quick good value for every flag it reads, per
+    ``_READS``, and an empty config file."""
+    (tmp_path / "empty.json").write_text("{}")
+    argv = list(command) + ["--config", str(tmp_path / "empty.json")]
+    for key in _READS[command]:
+        value = str(tmp_path / "out.csv") if key == "out" else _VALUES[key][0][0]
+        argv += [_FLAG.get(key, "--" + key), value]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_READS), ids=" ".join)
+def test_parser_reads_exactly_the_spec(capsys, tmp_path, command):
+    # every flag of _READS plus --config is taken together, and each other
+    # flag, added alone, exits 2 naming itself
+    argv = _quick_argv(command, tmp_path)
+    assert run(capsys, argv)[::2] == (0, "")
+    for key in sorted((set(_VALUES) | {"out"}) - set(_READS[command])):
+        flag = _FLAG.get(key, "--" + key)
+        code, out, err = run_or_exit(capsys, argv + [flag, "1"])
+        assert (code, out) == (2, ""), flag
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and flag in errors[0], err
+
+
+def test_digest_runs_every_command(monkeypatch):
+    # scripts/cli_digest.py guards the printed bytes of each subcommand and
+    # lemma scan only if it runs them all
+    digest = load_by_path(monkeypatch, ROOT / "scripts" / "cli_digest.py")
+    runs = {" ".join(argv) for argv in digest.RUNS}
+    assert set(cli._COMMANDS) <= runs
