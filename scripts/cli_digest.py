@@ -4,11 +4,12 @@
 
 Runs ``python -m bernblend`` from PATH/src (default: this checkout) for
 every subcommand at its defaults, plus ``compare`` and ``bernstein-ineq``
-at r=3 on a large-degree ladder, and prints one ``sha256  argv`` line per
+at r=3 on a large-degree ladder and ``compare`` at degrees up to 65536
+(ladder degrees up to 196608), and prints one ``sha256  argv`` line per
 run.  Diff the output of two checkouts to see whether a change moved any
 printed byte, or save one checkout's output and pass it as ``--against``:
 every line that differs from the saved list is then marked ``MOVED``, and
-the script exits 1 unless all 12 digests match.  A run that exits nonzero
+the script exits 1 unless all 13 digests match.  A run that exits nonzero
 prints ``exit=N`` in place of a digest and makes the script exit 1.
 Standard library only.
 """
@@ -37,6 +38,7 @@ RUNS = (
     ["lemma", "6"],
     ["compare", *LARGE],
     ["bernstein-ineq", *LARGE],
+    ["compare", "--n-list", "16384,32768,65536"],
 )
 
 

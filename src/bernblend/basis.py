@@ -12,8 +12,9 @@ only on each row's Bernstein band, and exp only on the live columns, those
 with some log at or above _ZERO_LOG; every entry left out is one exp would
 round to exactly +0.0.  ``basis_matrix`` scatters the blocks into zeros.
 The applies and the lemma 1 and 5 scans reduce through ``_row_sums``, which
-builds no dense matrix yet reproduces numpy's pairwise sum of each dense
-row bit for bit, so the bytes are those of the dense product.
+builds no dense matrix: it walks numpy's pairwise tree of each dense row
+over the band alone and lets numpy sum every node inside it, so the sums
+are those of the dense product bit for bit.
 
 Endpoint convention: 0^0 = 1, so p_{n0}(0) = 1 and p_{nn}(1) = 1.
 
@@ -40,8 +41,8 @@ _UNDERFLOW_LOG = 760.0
 _ZERO_LOG = -745.2
 # rows of basis values evaluated together on the union of their bands
 _GROUP_ROWS = 32
-# entries (2 MB) that a row group's band or _row_sums's tree nodes may take;
-# groups hold fewer rows where the band is wider than this over 32
+# entries (2 MB) that a row group's band may take; groups hold fewer rows
+# where the band is wider than this over 32
 _BLOCK_ENTRIES = 1 << 18
 # numpy's pairwise float64 sum works on leaves of at most this many entries
 _PAIRWISE_LEAF = 128
@@ -248,64 +249,26 @@ def basis_matrix(n: int, xs: np.ndarray, ks: np.ndarray | None = None) -> np.nda
     return out
 
 
-@lru_cache(maxsize=64)
-def _pairwise_plan(size: int):
-    """The tree numpy's float64 add.reduce sums a contiguous row of ``size`` in.
+def _node_sums(buf: np.ndarray, lo: int, a: int, b: int, start: int,
+               count: int) -> np.ndarray:
+    """numpy's pairwise sum of columns [start, start + count) of buf's rows.
 
-    numpy halves a row of more than _PAIRWISE_LEAF entries at n/2 rounded
-    down to a multiple of 8 and sums each leaf with 8 accumulators.  Returns
-    (starts, runs, levels): each leaf's first column plus ``size`` at the
-    end; runs of consecutive equal-length leaves as (first leaf, stop leaf,
-    length); and per tree height the (parent, left, right) node ids of its
-    adds.  Leaves are nodes 0.. in column order; the root is the last node.
+    buf[..., j] holds column lo + j, and every column outside [a, b) is
+    zero.  numpy halves a row of more than _PAIRWISE_LEAF entries at
+    count/2 rounded down to a multiple of 8, so a node inside [a, b), or a
+    leaf, is summed by numpy itself in the tree of the full row; a half
+    outside [a, b) sums to zero and is skipped.
     """
-    leaves, adds = [], []
-
-    def split(start, count):
-        # (node, height); the i-th add is numbered -1 - i until the leaves
-        # are counted, and children are added before their parent
-        if count <= _PAIRWISE_LEAF:
-            leaves.append((start, count))
-            return len(leaves) - 1, 0
-        half = count // 2
-        half -= half % 8
-        (left, hl), (right, hr) = split(start, half), split(start + half, count - half)
-        adds.append((max(hl, hr) + 1, left, right))
-        return -len(adds), adds[-1][0]
-
-    split(0, size)
-
-    def node(i):
-        return i if i >= 0 else len(leaves) - 1 - i
-
-    levels = []
-    for height in range(1, adds[-1][0] + 1 if adds else 1):
-        ids = [(node(-1 - i), node(left), node(right))
-               for i, (h, left, right) in enumerate(adds) if h == height]
-        levels.append(tuple(np.array(col) for col in zip(*ids)))
-    starts = np.array([s for s, _ in leaves] + [size])
-    runs, first = [], 0
-    for i in range(1, len(leaves) + 1):
-        if i == len(leaves) or leaves[i][1] != leaves[first][1]:
-            runs.append((first, i, leaves[first][1]))
-            first = i
-    return starts, tuple(runs), tuple(levels)
-
-
-def _tree_sums(out: np.ndarray, pending, levels, n_nodes: int) -> None:
-    """Add the leaf sums ``pending`` up the tree into out[weight, row].
-
-    ``pending`` holds (rows, first leaf, sums[weight, row, leaf]) per block.
-    """
-    rows = np.concatenate([r for r, _, _ in pending])
-    nodes = np.zeros((out.shape[0], rows.size, n_nodes))
-    at = 0
-    for r, first, sums in pending:
-        nodes[:, at:at + r.size, first:first + sums.shape[2]] = sums
-        at += r.size
-    for parent, left, right in levels:
-        nodes[:, :, parent] = nodes[:, :, left] + nodes[:, :, right]
-    out[:, rows] = nodes[:, :, -1]
+    if count <= _PAIRWISE_LEAF or (a <= start and start + count <= b):
+        return buf[..., start - lo:start + count - lo].sum(axis=-1)
+    half = count // 2
+    half -= half % 8
+    if start + half <= a:
+        return _node_sums(buf, lo, a, b, start + half, count - half)
+    if start + half >= b:
+        return _node_sums(buf, lo, a, b, start, half)
+    return (_node_sums(buf, lo, a, b, start, half)
+            + _node_sums(buf, lo, a, b, start + half, count - half))
 
 
 def _row_sums(n: int, xs: np.ndarray, ks, weights: Sequence[np.ndarray]
@@ -313,44 +276,19 @@ def _row_sums(n: int, xs: np.ndarray, ks, weights: Sequence[np.ndarray]
     """(basis_matrix(n, xs, ks) * w).sum(axis=1) for each w in ``weights``.
 
     Equal under ==, without building the matrix: each block of
-    ``_band_blocks`` is widened to whole leaves of numpy's pairwise tree
-    (``_pairwise_plan``) in a zeroed buffer, each run of equal leaves is
-    summed by numpy's own leaf kernel, and the leaf sums are added up the
-    tree for about _BLOCK_ENTRIES / (2 leaves) rows at once.  Leaves outside
-    every block hold only zeros, and adding a zero changes no sum.
+    ``_band_blocks`` times the weights goes into a buffer padded with one
+    leaf of zeros on each side, and ``_node_sums`` walks numpy's pairwise
+    tree of the full row over it.  Adding zeros changes no nonzero sum, and
+    no sum is -0.0: numpy starts each one, a node's as the row's, from 0.0.
     """
     n, xs, ks = _basis_args(n, xs, ks)
     w = np.array(weights, dtype=float).reshape(len(weights), ks.size)
     out = np.zeros((w.shape[0], xs.size))
-    if not ks.size:
-        return list(out)
-    starts, runs, levels = _pairwise_plan(ks.size)
-    n_nodes = 2 * (starts.size - 1) - 1
-    cap = _BLOCK_ENTRIES // (w.shape[0] * n_nodes)
-    pending, held = [], 0
+    pad = _PAIRWISE_LEAF
     for rows, a, b, vals in _band_blocks(n, xs, ks):
-        # leaves i0..i1-1 cover columns a:b; buf holds their span from column A
-        i0 = np.searchsorted(starts, a, "right") - 1
-        i1 = np.searchsorted(starts, b, "left")
-        A = starts[i0]
-        buf = np.zeros((w.shape[0], rows.size, starts[i1] - A))
-        np.multiply(vals, w[:, None, a:b], out=buf[:, :, a - A:b - A])
-        sums = np.empty((w.shape[0], rows.size, i1 - i0))
-        for first, stop, length in runs:
-            first, stop = max(first, i0), min(stop, i1)
-            if first >= stop:
-                continue
-            s = starts[first] - A
-            leaves = buf[:, :, s:s + (stop - first) * length]
-            sums[:, :, first - i0:stop - i0] = leaves.reshape(
-                w.shape[0], rows.size, stop - first, length).sum(axis=3)
-        pending.append((rows, i0, sums))
-        held += rows.size
-        if held >= cap:
-            _tree_sums(out, pending, levels, n_nodes)
-            pending, held = [], 0
-    if pending:
-        _tree_sums(out, pending, levels, n_nodes)
+        buf = np.zeros((w.shape[0], rows.size, b - a + 2 * pad))
+        np.multiply(vals, w[:, None, a:b], out=buf[:, :, pad:pad + b - a])
+        out[:, rows] = _node_sums(buf, a - pad, a, b, 0, ks.size)
     return list(out)
 
 

@@ -102,15 +102,16 @@ def _load_config(path: str) -> dict:
             for key, val in data.items()}
 
 
-def _resolve(args: argparse.Namespace, name: str) -> SimpleNamespace:
+def _resolve(args: argparse.Namespace, name: str, extra: list[str]) -> SimpleNamespace:
     """Merge flag values over config-file values over entry ``name``'s
     defaults, each parsed: file values by their flag's parser, ``n_list`` by
-    _parse_n_list.  A flag or file key the entry does not read is refused."""
+    _parse_n_list.  A flag or file key the entry does not read is refused,
+    and so is each argument the parser left over (``extra``)."""
     reads = _COMMANDS[name].reads
     unread = [_FLAGS[key].spelling for key in _FLAGS
               if key not in reads and getattr(args, key, None) is not None]
-    if unread:
-        raise DomainError(f"flags not used by {name!r}: {unread}")
+    if unread or extra:
+        raise DomainError(f"arguments not used by {name!r}: {unread + extra}")
     cfg = _load_config(args.config) if args.config else {}
     unknown = sorted(set(cfg) - set(reads))
     if unknown:
@@ -257,10 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
     name = f"{args.command} {args.which}" if "which" in args else args.command
     try:
-        ns = _resolve(args, name)
+        ns = _resolve(args, name, extra)
         report = _COMMANDS[name].handler(ns)
         if report is not None and ns.out is None:
             sys.stdout.write(render_report(report, ns.format))

@@ -174,8 +174,7 @@ def _oracle_points(n):
         "special": special,
     }
     if n == 12288:
-        # more rows than _row_sums holds (257 for four weights) before it
-        # adds their leaf sums up the tree
+        # 300 rows: one _row_sums call sums about ten _band_blocks blocks
         points["many"] = np.sort(rng.random(300))
     return points
 
@@ -250,8 +249,9 @@ def pairwise_sum(values):
 def _weights(size, seed):
     rng = np.random.default_rng(seed)
     signed = rng.standard_normal(size)
-    return {"signed": signed, "zero": np.zeros(size), "minus_one": -np.ones(size),
-            "tiny": 1e-300 * signed}
+    # minus_zero: every product is -0.0, and numpy's row sum is still +0.0
+    return {"signed": signed, "zero": np.zeros(size), "minus_zero": -np.zeros(size),
+            "minus_one": -np.ones(size), "tiny": 1e-300 * signed}
 
 
 class TestRowSums:
@@ -259,8 +259,9 @@ class TestRowSums:
 
     @pytest.mark.parametrize("size", [7, 8, 129, 2049, 4091, 12289, 65537])
     def test_numpy_sum_is_pairwise_tree(self, size):
-        # the tree _row_sums reproduces; a numpy release that sums rows
-        # differently fails here first
+        # the split rule _row_sums's recursion follows (halves at count/2
+        # rounded down to a multiple of 8, leaves of at most 128); a numpy
+        # release that sums rows differently fails here first
         rng = np.random.default_rng(size)
         rows = rng.standard_normal((2, size)) * np.exp(8.0 * rng.standard_normal((2, size)))
         want = [0.0 + pairwise_sum(row.tolist()) for row in rows]
@@ -274,26 +275,34 @@ class TestRowSums:
         assert np.all(vals == 0.0)
         assert not np.signbit(vals).any()
 
-    @pytest.mark.parametrize("n", ORACLE_DEGREES + [4090, 12282])
-    def test_matches_dense_sum_bit_for_bit(self, n, monkeypatch):
-        tree_sums, calls, flushes = basis._tree_sums, [], {}
-        monkeypatch.setattr(basis, "_tree_sums",
-                            lambda *args: calls.append(tree_sums(*args)))
+    @pytest.mark.parametrize("n", ORACLE_DEGREES + [128, 4090, 12282])
+    def test_matches_dense_sum_bit_for_bit(self, n):
         for xname, xs in _oracle_points(n).items():
             for kname, ks in _oracle_indices(n).items():
                 dense = dense_basis(n, xs, ks)
                 weights = _weights(dense.shape[1], n)
-                calls.clear()
                 got = basis._row_sums(n, xs, ks, list(weights.values()))
-                flushes[xname, kname] = len(calls)
                 for (wname, w), vals in zip(weights.items(), got):
                     want = (dense * w).sum(axis=1)
                     case = (xname, kname, wname)
                     assert np.array_equal(vals, want), case
                     assert np.array_equal(np.signbit(vals), np.signbit(want)), case
-        if n == 12288:
-            # the tree sums ran mid-stream, not only once at the end
-            assert flushes["many", "all"] > 1
+
+    def test_band_edge_beside_a_split(self):
+        # a row of 257 splits at 128: here the band starts on column 127 or
+        # ends on column 128, and every value is subnormal, so the sum is
+        # exact and dropping the edge column beside the split would show
+        n, xs = 262144, np.array([0.5])
+        nonzero = np.flatnonzero(dense_basis(n, xs)[0])
+        first, last = nonzero[0], nonzero[-1]
+        cases = {(127, 257): np.arange(first - 127, first + 130),
+                 (0, 129): np.arange(last - 128, last + 129)}
+        for (a, b), ks in cases.items():
+            (_, got_a, got_b, vals), = basis._band_blocks(n, xs, ks)
+            assert (got_a, got_b) == (a, b)
+            assert vals.max() < np.finfo(float).tiny
+            got, = basis._row_sums(n, xs, ks, [np.ones(ks.size)])
+            assert np.array_equal(got, dense_basis(n, xs, ks).sum(axis=1)), (a, b)
 
     def test_empty_arguments(self):
         got, = basis._row_sums(8, np.array([0.3, 1.0]), np.array([], dtype=int),

@@ -417,14 +417,28 @@ class TestExitCodes:
     ])
     def test_unread_flag_or_key(self, capsys, tmp_path, argv, config, named):
         # a value the command (for lemma, its scan) would ignore is bad
-        # configuration, named in the one error line
+        # configuration, named in one error line of one shape for every
+        # command, with no usage block
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
             argv = argv + ["--config", str(tmp_path / "cfg.json")]
-        code, out, err = run_or_exit(capsys, argv)
+        code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
-        errors = [ln for ln in err.splitlines() if "error:" in ln]
-        assert len(errors) == 1 and named in errors[0], err
+        name = " ".join(argv[:2]) if argv[0] == "lemma" else argv[0]
+        kind = "config keys" if config else "arguments"
+        assert err.startswith(f"error: {kind} not used by {name!r}: [") and err.endswith("]\n")
+        assert err.count("\n") == 1 and named in err, err
+
+    @pytest.mark.parametrize("argv, line", [
+        (["lemma", "1", "--function", "bogus"], "'lemma 1': ['--function']"),
+        (["approx", "--t", "0.1"], "'approx': ['--t', '0.1']"),
+        (["approx", "--t=0.1", "5"], "'approx': ['--t=0.1', '5']"),
+        (["coeffs", "--xi", "0.3", "--u", "1"], "'coeffs': ['--xi', '0.3', '--u', '1']"),
+    ])
+    def test_unread_arguments_listed(self, capsys, argv, line):
+        # flags of another command or scan are named, and whatever no flag
+        # of the command takes is listed as given
+        assert run(capsys, argv) == (2, "", f"error: arguments not used by {line}\n")
 
     @pytest.mark.parametrize("workload", ["singular-sweep", "basis-layer"])
     def test_benchmark_commands_run(self, capsys, monkeypatch, workload):
