@@ -2,7 +2,9 @@
 
 Regression baselines are values of this package recorded from a verified
 run; rerun this script only after re-validating the numerics, then review
-the diff like any other code change.
+the diff like any other code change.  Before it overwrites the file, the
+script prints one line for each entry whose value changes: key, index,
+old value, new value and relative change.
 """
 
 import json
@@ -16,6 +18,26 @@ from bernblend import (ModulusParams, SweepConfig, Weight,  # noqa: E402
                        make_grid, run_convergence, weighted_modulus)
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden.json"
+
+
+def _flat(golden: dict) -> dict:
+    """Each number of ``golden`` keyed by (key, index); index None for a scalar."""
+    return {(key, i): v for key, value in golden.items()
+            for i, v in (enumerate(value) if isinstance(value, list) else [(None, value)])}
+
+
+def _moved_entries(old: dict, new: dict) -> list[str]:
+    """One line per entry whose value differs between ``old`` and ``new``."""
+    before, after = _flat(old), _flat(new)
+    lines = []
+    for key, i in sorted(before.keys() | after.keys(), key=lambda e: (e[0], e[1] or 0)):
+        was, now = before.get((key, i)), after.get((key, i))
+        if was == now:
+            continue
+        rel = f"{(now - was) / abs(was):+.2e}" if was and now is not None else "n/a"
+        label = key if i is None else f"{key}[{i}]"
+        lines.append(f"  {label}: {was!r} -> {now!r} (relative change {rel})")
+    return lines
 
 
 def main() -> None:
@@ -50,6 +72,11 @@ def main() -> None:
     golden["modulus_square_t01"] = weighted_modulus(
         lambda x: x ** 2, center, params, grid)
 
+    old = json.loads(OUT.read_text()) if OUT.exists() else {}
+    moved = _moved_entries(old, golden)
+    print(f"{len(moved)} entries moved" + (":" if moved else ""))
+    for line in moved:
+        print(line)
     OUT.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"wrote {OUT}")
     for key, value in sorted(golden.items()):

@@ -11,10 +11,9 @@ the symmetry p_{nk}(x) = p_{n,n-k}(1-x) hold by construction.
 only on each row's Bernstein band, and exp only on the live columns, those
 with some log at or above _ZERO_LOG; every entry left out is one exp would
 round to exactly +0.0.  ``basis_matrix`` scatters the blocks into zeros.
-The applies and the lemma 1 and 5 scans reduce through ``_row_sums``, which
-builds no dense matrix: it walks numpy's pairwise tree of each dense row
-over the band alone and lets numpy sum every node inside it, so the sums
-are those of the dense product bit for bit.
+The applies and the lemma 1 and 5 scans reduce through ``_row_sums``: one
+numpy sum per block over its band, with no dense matrix.  The sums are the
+same bytes run to run and at any thread count, but not a dense product's.
 
 Endpoint convention: 0^0 = 1, so p_{n0}(0) = 1 and p_{nn}(1) = 1.
 
@@ -44,8 +43,6 @@ _GROUP_ROWS = 32
 # entries (2 MB) that a row group's band may take; groups hold fewer rows
 # where the band is wider than this over 32
 _BLOCK_ENTRIES = 1 << 18
-# numpy's pairwise float64 sum works on leaves of at most this many entries
-_PAIRWISE_LEAF = 128
 # largest combination order r, for the ladder, the patch and the smoothstep
 # alike; the patch's Lebesgue constant already reaches about 25000 at r = 4
 _MAX_ORDER = 8
@@ -249,46 +246,20 @@ def basis_matrix(n: int, xs: np.ndarray, ks: np.ndarray | None = None) -> np.nda
     return out
 
 
-def _node_sums(buf: np.ndarray, lo: int, a: int, b: int, start: int,
-               count: int) -> np.ndarray:
-    """numpy's pairwise sum of columns [start, start + count) of buf's rows.
-
-    buf[..., j] holds column lo + j, and every column outside [a, b) is
-    zero.  numpy halves a row of more than _PAIRWISE_LEAF entries at
-    count/2 rounded down to a multiple of 8, so a node inside [a, b), or a
-    leaf, is summed by numpy itself in the tree of the full row; a half
-    outside [a, b) sums to zero and is skipped.
-    """
-    if count <= _PAIRWISE_LEAF or (a <= start and start + count <= b):
-        return buf[..., start - lo:start + count - lo].sum(axis=-1)
-    half = count // 2
-    half -= half % 8
-    if start + half <= a:
-        return _node_sums(buf, lo, a, b, start + half, count - half)
-    if start + half >= b:
-        return _node_sums(buf, lo, a, b, start, half)
-    return (_node_sums(buf, lo, a, b, start, half)
-            + _node_sums(buf, lo, a, b, start + half, count - half))
-
-
 def _row_sums(n: int, xs: np.ndarray, ks, weights: Sequence[np.ndarray]
               ) -> list[np.ndarray]:
-    """(basis_matrix(n, xs, ks) * w).sum(axis=1) for each w in ``weights``.
+    """Row sums of basis_matrix(n, xs, ks) * w for each w in ``weights``.
 
-    Equal under ==, without building the matrix: each block of
-    ``_band_blocks`` times the weights goes into a buffer padded with one
-    leaf of zeros on each side, and ``_node_sums`` walks numpy's pairwise
-    tree of the full row over it.  Adding zeros changes no nonzero sum, and
-    no sum is -0.0: numpy starts each one, a node's as the row's, from 0.0.
+    One numpy sum per ``_band_blocks`` block, over its columns alone (every
+    entry left out is +0.0).  Deterministic run to run and at any thread
+    count, within a few eps * sum |p w| of the exact sum, but not the dense
+    product's bits.
     """
     n, xs, ks = _basis_args(n, xs, ks)
     w = np.array(weights, dtype=float).reshape(len(weights), ks.size)
     out = np.zeros((w.shape[0], xs.size))
-    pad = _PAIRWISE_LEAF
     for rows, a, b, vals in _band_blocks(n, xs, ks):
-        buf = np.zeros((w.shape[0], rows.size, b - a + 2 * pad))
-        np.multiply(vals, w[:, None, a:b], out=buf[:, :, pad:pad + b - a])
-        out[:, rows] = _node_sums(buf, a - pad, a, b, 0, ks.size)
+        out[:, rows] = (vals * w[:, None, a:b]).sum(axis=-1)
     return list(out)
 
 
@@ -339,9 +310,9 @@ def bernstein_apply_grid(samples: SampleVector | Sequence[SampleVector],
 
     ``samples`` is one SampleVector, giving one array, or a sequence of
     SampleVectors of one degree, giving a list with one array per vector.
-    The basis is evaluated once and reduced against every vector, each sum
-    bit for bit the pairwise sum of the dense basis row times the samples
-    (see ``_row_sums``): identical bytes at any thread count.
+    The basis is evaluated once and reduced against every vector, each row
+    summed over its band alone (see ``_row_sums``): the same bytes for one
+    vector as for several, from run to run and at any thread count.
     """
     single = isinstance(samples, SampleVector)
     vectors = [samples] if single else list(samples)

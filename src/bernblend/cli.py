@@ -6,8 +6,9 @@ report (``coeffs``, ``psi`` and ``compare`` write their own).  The parser,
 the config file check and the dispatch all read that table; ``_FLAGS`` gives
 each key's flag.  ``--out`` writes the report as CSV or JSON, otherwise the
 same bytes go to stdout.  ``--config`` names a JSON file of flag values:
-explicit flags win, each file value is parsed as its flag's text would be,
-and a flag or file key that the entry does not read is bad configuration.
+explicit flags win, and a flag or file key that the entry does not read is
+bad configuration.  ``_parse_value`` parses flag text and file values alike;
+its errors name the flag or the key.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
 (including running out of memory).
@@ -46,11 +47,11 @@ _FLAGS = {
     "alpha": _Flag("--alpha", float, "weight exponent (> 0)"),
     "grid": _Flag("--grid", int, "evaluation grid size"),
     "out": _Flag("--out", None, "report file path (default: stdout)"),
-    "format": _Flag("--format", None, "report format (default csv)", choices=["csv", "json"]),
+    "format": _Flag("--format", None, "csv or json (default csv)", choices=["csv", "json"]),
     "r": _Flag("--r", int, "order r in 1..8 (the modulus takes differences of order 2r)"),
     "n": _Flag("--n", int, "base degree"),
     "function": _Flag("--function", None, "catalog key, e.g. singular_power:beta=0.5"),
-    # parsed after the merge by _parse_n_list, which also takes a JSON list
+    # parsed by _parse_n_list, which also takes a JSON list
     "n_list": _Flag("--n-list", None, "comma-separated ascending degrees"),
     "t": _Flag("--t", float, "largest step parameter (<= 0.125)"),
     "lam": _Flag("--lambda", float, "step-weight power in [0,1]"),
@@ -72,18 +73,21 @@ def _parse_n_list(value) -> tuple[int, ...]:
     return check_n_list(value)
 
 
-def _config_value(key: str, value):
-    """A config file's ``value`` for ``key`` parsed as its flag's text would be."""
+def _parse_value(key: str, value, label: str):
+    """Flag text or a config file's ``value`` for ``key``, parsed as the
+    flag's text; errors name ``label``, the flag or the key."""
+    if key == "n_list":
+        return _parse_n_list(value)
     flag = _FLAGS[key]
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise DomainError(f"config key {key!r} takes a string or a number, got {value!r}")
+        raise DomainError(f"{label} takes a string or a number, got {value!r}")
     text = value if isinstance(value, str) else repr(value)
     try:
         value = flag.type(text) if flag.type else text
     except ValueError:
-        raise DomainError(f"config key {key!r}: invalid {flag.type.__name__} value {text!r}")
+        raise DomainError(f"{label}: invalid {flag.type.__name__} value {text!r}")
     if flag.choices is not None and value not in flag.choices:
-        raise DomainError(f"config key {key!r}: {value!r} is not in {flag.choices}")
+        raise DomainError(f"{label}: {value!r} is not in {flag.choices}")
     return value
 
 
@@ -104,9 +108,9 @@ def _load_config(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace, name: str, extra: list[str]) -> SimpleNamespace:
     """Merge flag values over config-file values over entry ``name``'s
-    defaults, each parsed: file values by their flag's parser, ``n_list`` by
-    _parse_n_list.  A flag or file key the entry does not read is refused,
-    and so is each argument the parser left over (``extra``)."""
+    defaults, each given value parsed by ``_parse_value``.  A flag or file
+    key the entry does not read is refused, and so is each argument the
+    parser left over (``extra``)."""
     reads = _COMMANDS[name].reads
     unread = [_FLAGS[key].spelling for key in _FLAGS
               if key not in reads and getattr(args, key, None) is not None]
@@ -119,10 +123,10 @@ def _resolve(args: argparse.Namespace, name: str, extra: list[str]) -> SimpleNam
     merged = {}
     for key, value in reads.items():
         if getattr(args, key) is not None:
-            value = getattr(args, key)
+            value = _parse_value(key, getattr(args, key), f"flag {_FLAGS[key].spelling}")
         elif key in cfg:
-            value = cfg[key] if key == "n_list" else _config_value(key, cfg[key])
-        merged[key] = _parse_n_list(value) if key == "n_list" else value
+            value = _parse_value(key, cfg[key], f"config key {key!r}")
+        merged[key] = value
     return SimpleNamespace(**merged)
 
 
@@ -193,8 +197,8 @@ class _Command(NamedTuple):
 
 _COMMON = {"xi": 0.513, "alpha": 1.0, "grid": 2001, "format": "csv", "out": None}
 _SWEEP = {**_COMMON, "r": 2, "function": "singular_power:beta=0.5",
-          "n_list": "32,64,128,256,512,1024"}
-_LEMMA = {**_COMMON, "n_list": "64,128,256,512,1024,2048,4096"}
+          "n_list": (32, 64, 128, 256, 512, 1024)}
+_LEMMA = {**_COMMON, "n_list": (64, 128, 256, 512, 1024, 2048, 4096)}
 _LEMMA_HELP = "bound scans for the supporting estimates"
 
 _COMMANDS = {
@@ -252,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key in entry.reads:
             flag = _FLAGS[key]
             if flag.spelling not in sub._option_string_actions:
-                sub.add_argument(flag.spelling, dest=key, type=flag.type,
-                                 choices=flag.choices, help=flag.help)
+                sub.add_argument(flag.spelling, dest=key, help=flag.help)
     return parser
 
 

@@ -317,7 +317,7 @@ def lemma5_scan(weight: Weight, n_list, grid: EvaluationGrid) -> RateReport:
     values = []
     for n in n_list:
         ks = _center_window(n, weight.xi)
-        # unit weights: the same pairwise sums as basis_matrix(...).sum(axis=1)
+        # unit weights: the window's basis sum, band by band
         sums, = _row_sums(n, grid.points, ks, [np.ones(ks.size)])
         a_n = weight(grid.points) * sums
         values.append(float(np.max(a_n)))

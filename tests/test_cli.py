@@ -12,6 +12,11 @@ import warnings
 
 import pytest
 from hypothesis import given, settings
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 from hypothesis import strategies as st
 
 import bernblend
@@ -108,6 +113,20 @@ class TestApprox:
         _, first, _ = run(capsys, ["approx"] + QUICK_APPROX)
         _, second, _ = run(capsys, ["approx"] + QUICK_APPROX)
         assert first == second
+
+    def test_same_bytes_at_any_thread_count(self):
+        # every sum runs in numpy's own single-threaded reduction, so the
+        # size of the BLAS thread pool moves no printed byte
+        src = pathlib.Path(bernblend.__file__).resolve().parents[1]
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "bernblend", "approx", *QUICK_APPROX],
+                                  capture_output=True, text=True, timeout=60, env=env)
+            assert (proc.returncode, proc.stderr) == (0, ""), threads
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestCompare:
@@ -439,6 +458,38 @@ class TestExitCodes:
         # flags of another command or scan are named, and whatever no flag
         # of the command takes is listed as given
         assert run(capsys, argv) == (2, "", f"error: arguments not used by {line}\n")
+
+    @pytest.mark.parametrize("argv, line", [
+        (["approx", "--r", "x"], "--r: invalid int value 'x'"),
+        (["approx", "--format", "yaml"], "--format: 'yaml' is not in ['csv', 'json']"),
+        (["approx", "--xi", "abc"], "--xi: invalid float value 'abc'"),
+        (["lemma", "6", "--beta", "x"], "--beta: invalid float value 'x'"),
+    ], ids=["approx-r", "approx-format", "approx-xi", "lemma6-beta"])
+    def test_malformed_flag_value(self, capsys, tmp_path, argv, line):
+        # one error line naming the flag, of the same shape as for the same
+        # value from a config file, which names the key
+        assert run(capsys, argv) == (2, "", f"error: flag {line}\n")
+        flag, value = argv[-2:]
+        key = flag.lstrip("-")
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        got = run(capsys, argv[:-2] + ["--config", str(tmp_path / "cfg.json")])
+        assert got == (2, "", f"error: config key {key!r}{line.removeprefix(flag)}\n")
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_out_of_memory_exits_3(self):
+        # under a 300 MiB address-space limit the degree-10^6 sweep fails
+        # its first large allocation: exit 3 and one line, no traceback;
+        # the allocation's size moves with the limit, so it is not checked
+        limit = 300 * 2 ** 20
+        src = pathlib.Path(bernblend.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "bernblend", "approx", "--r", "3", "--n-list", "1000000"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: out of memory:")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
     @pytest.mark.parametrize("workload", ["singular-sweep", "basis-layer"])
     def test_benchmark_commands_run(self, capsys, monkeypatch, workload):

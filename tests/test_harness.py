@@ -157,6 +157,19 @@ class TestRunConvergence:
                 assert all(v <= 1.25 * ratios[0] for v in ratios[1:]), key
 
 
+    def test_saturation_constant(self):
+        # r = 1 saturates: n * err tends to the weighted Voronovskaya
+        # constant max_x w(x) x(1-x) |f''(x)| / 2, which for
+        # f = |x - xi|^(-1/2) and w = |x - xi|^4 is the closed form below
+        xi = 0.513
+        cfg = SweepConfig(1, Weight(xi, 4.0), "singular_power:beta=0.5",
+                          (4096, 16384, 65536), 2001)
+        x = np.linspace(0.0, 1.0, 2_000_001)
+        limit = np.max(3.0 / 8.0 * x * (1.0 - x) * np.abs(x - xi) ** 1.5)
+        for n, err in run_convergence(cfg).rows:
+            assert n * err == pytest.approx(limit, rel=0.005), n
+
+
 class TestComparePlainVsModified:
     def test_smooth_function_both_converge(self, weight513):
         cfg = SweepConfig(2, weight513, "smooth_sin:freq=1", (64, 128, 256), 401)
