@@ -7,13 +7,14 @@ which keeps each basis value within a few 1e-13 relative even at n = 4096.
 Evaluation at x > 1/2 is mirrored onto 1-x (exact for x >= 1/2), making
 the symmetry p_{nk}(x) = p_{n,n-k}(1-x) hold by construction.
 
-``_band_blocks`` is the one place basis values are computed.  Logs are taken
-only on each row's Bernstein band, and exp only on the live columns, those
-with some log at or above _ZERO_LOG; every entry left out is one exp would
-round to exactly +0.0.  ``basis_matrix`` scatters the blocks into zeros.
-The applies and the lemma 1 and 5 scans reduce through ``_row_sums``: one
-numpy sum per block over its band, with no dense matrix.  The sums are the
-same bytes run to run and at any thread count, but not a dense product's.
+``_band_blocks`` computes the basis values of every array evaluation.  Logs
+are taken only on each row's Bernstein band, one column range of the sorted
+indices, and exp only on the live columns, those with some log at or above
+_ZERO_LOG; every entry left out is one exp would round to exactly +0.0.
+``basis_matrix`` scatters the blocks into zeros.  The applies and the lemma
+scans sum each block over its band (lemma 6 itself, the rest through
+``_row_sums``): the same bytes run to run and at any thread count, but not
+a dense product's.  ``basis_row`` serves ``moment_table`` alone.
 
 Endpoint convention: 0^0 = 1, so p_{n0}(0) = 1 and p_{nn}(1) = 1.
 
@@ -119,12 +120,13 @@ def _log_binom_row(n: int) -> np.ndarray:
 
 
 def _check_indices(n: int, ks) -> np.ndarray:
-    """Basis indices as int64: all of 0..n for None, else integers in 0..n."""
+    """Basis indices as int64: all of 0..n for None, else sorted ints in 0..n."""
     if ks is None:
         return np.arange(n + 1)
     ks = np.asarray(ks)
-    if ks.size and (ks.dtype.kind not in "iu" or ks.min() < 0 or ks.max() > n):
-        raise DomainError(f"basis indices must be integers in 0..{n}")
+    if ks.size and (ks.dtype.kind not in "iu" or ks.min() < 0 or ks.max() > n
+                    or np.any(np.diff(ks.astype(np.int64).ravel()) < 0)):
+        raise DomainError(f"basis indices must be nondescending integers in 0..{n}")
     return ks.astype(np.int64, copy=False)
 
 
@@ -181,14 +183,13 @@ def _band_blocks(n: int, xs: np.ndarray, ks: np.ndarray):
     Yields blocks (rows, a, b, vals) with vals[i, j] = p_{n, ks[a + j]}(
     xs[rows[i]]); each row lies in at most one block, and every entry outside
     the blocks is exactly +0.0.  Rows are taken in sorted groups of
-    _GROUP_ROWS, fewer where bands are wide (_BLOCK_ENTRIES).  For sorted
-    ``ks`` a group's logs are computed on the union of its rows' Bernstein
-    bands (see ``_band``), with the full-width elementwise expression and
-    order, and exp runs only on the live columns (some log >= _ZERO_LOG),
-    so every value is the one a full-width evaluation gives, bit for bit.
+    _GROUP_ROWS, fewer where bands are wide (_BLOCK_ENTRIES).  A group's
+    logs are computed on the union of its rows' Bernstein bands (see
+    ``_band``), with the full-width elementwise expression and order, and
+    exp runs only on the live columns (some log >= _ZERO_LOG), so every
+    value is the one a full-width evaluation gives, bit for bit.
     Rows at x = 0 or 1 form one block over the columns of index 0 or n.
     """
-    banded = bool(np.all(ks[1:] >= ks[:-1]))
     left = xs <= 0.5
     # x > 1/2 is mirrored: p_{n,k}(x) = p_{n,n-k}(1-x), and 1-x is exact there
     for rows, p, kk in ((np.flatnonzero(left), xs[left], ks),
@@ -208,13 +209,9 @@ def _band_blocks(n: int, xs: np.ndarray, ks: np.ndarray):
         mf = (n - kk).astype(float)
         log_p = np.log(p)
         log_q = np.log1p(-p)
-        if banded:
-            # the band's centre n*x in the coordinates of ks
-            centre = n * p if kk is ks else n - n * p
-            lo, hi = _band(n, ks, centre, p * (1.0 - p))
-        else:
-            lo = np.zeros(p.size, dtype=np.intp)
-            hi = np.full(p.size, ks.size)
+        # the band's centre n*x in the coordinates of ks
+        centre = n * p if kk is ks else n - n * p
+        lo, hi = _band(n, ks, centre, p * (1.0 - p))
         order = np.argsort(p, kind="stable")
         step = min(_GROUP_ROWS, max(1, _BLOCK_ENTRIES // max(1, int((hi - lo).max()))))
         for g in range(0, order.size, step):

@@ -234,8 +234,13 @@ def _negative_number(text: str) -> bool:
     return text.startswith("-")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error: one ``error:`` line, exit 2
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bernblend",
         description="Weighted Bernstein combination experiments around an "
                     "interior algebraic singularity.")
@@ -261,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
-    name = f"{args.command} {args.which}" if "which" in args else args.command
     try:
+        args, extra = build_parser().parse_known_args(argv)
+        name = f"{args.command} {args.which}" if "which" in args else args.command
         ns = _resolve(args, name, extra)
         report = _COMMANDS[name].handler(ns)
         if report is not None and ns.out is None:

@@ -83,20 +83,15 @@ def build_scheme(base_n: int, r: int) -> CombinationScheme:
     return CombinationScheme(base_n, r)
 
 
-def combine_applied(scheme: CombinationScheme, applied: Mapping[int, np.ndarray],
-                    factors: Mapping[int, float] | None = None) -> np.ndarray:
-    """sum_i C_i * applied[n_i] in ladder order, given one apply per degree.
-
-    ``applied[n]`` is a Bernstein apply of degree-n samples on a grid.  With
-    ``factors``, each weight is the float C_i * factors[n_i].  Sweeps share
-    one apply per degree across every ladder that contains it, and get the
-    bytes of ``combine_samples`` and ``operator_derivative_2r`` because both
-    combine through here.
-    """
+def combine_applied(scheme: CombinationScheme, applied: Mapping[int, np.ndarray]
+                    ) -> np.ndarray:
+    """sum_i C_i * applied[n_i] in ladder order, given the grid apply that
+    each ladder degree contributes.  Sweeps share one apply per degree
+    across every ladder that contains it, and get the bytes of
+    ``combine_samples`` and ``operator_derivative_2r``, which both combine
+    through here."""
     out = np.zeros(applied[scheme.nodes[0]].size)
     for c, n in zip(scheme.coeffs.tolist(), scheme.nodes):
-        if factors is not None:
-            c = c * factors[n]
         out += c * applied[n]
     return out
 
@@ -123,7 +118,9 @@ def combine(f: Callable, scheme: CombinationScheme, xs: np.ndarray) -> np.ndarra
 def moment_table(
     scheme: CombinationScheme, powers: Sequence[int], xs: np.ndarray
 ) -> np.ndarray:
-    """Array M[p, i] = sum_j C_j B_{n_j}((t - x)^powers[p], x) at x = xs[i]."""
+    """Array M[p, i] = sum_j C_j B_{n_j}((t - x)^powers[p], x) at x = xs[i].
+
+    Sums ``basis_row`` rows: banded ones move a benchmark entry past 1e-15."""
     powers = [_check_int(p, "moment power", 0) for p in powers]
     xs = np.asarray(xs, dtype=float)
     out = np.zeros((len(powers), xs.size))

@@ -17,18 +17,19 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import operators
-from .basis import (SampleVector, _check_degrees, _check_order, _row_sums,
-                    basis_matrix, bernstein_apply_grid, evaluate,
+from .basis import (SampleVector, _band_blocks, _check_degrees, _check_order,
+                    _row_sums, bernstein_apply_grid, evaluate,
                     sample_function)
 from .blend import BlendSpec, Weight, lagrange_interpolant
 from .catalog import make_function, parse_spec
 from .combination import build_scheme, combine_applied, make_schedule
-# uncalled since the sweeps apply per degree; kept only because
-# perfbench/sweeps.py wraps these names here, so their spans never open
+# uncalled (the sweeps apply per degree, lemma 6 sums its band); kept only
+# because perfbench/sweeps.py wraps these names here: their spans never open
+from .basis import basis_matrix  # noqa: F401
 from .combination import combine  # noqa: F401
 from .errors import DomainError, NumericalError
 from .operators import (ModifiedOperator, build_modified_operator,
-                        derivative_applies)
+                        lattice_derivative)
 from .operators import operator_derivative_2r  # noqa: F401
 from .smoothness import (_T_CAP, EvaluationGrid, ModulusParams,
                          _check_grid_size, _weighted_max, make_grid,
@@ -248,11 +249,10 @@ def check_bernstein_inequality(config: SweepConfig, lam: float) -> RateReport:
     xs = grid.points
     phi_pow = (xs * (1.0 - xs)) ** (config.r * lam)  # phi^(2 r lam)
     ops, blended, _ = _ladder_samples(config, f)
-    factors, applied = derivative_applies(blended.values(), 2 * config.r, xs)
-    values = []
-    for op in ops:
-        deriv = combine_applied(op.scheme, applied, factors)
-        values.append(weighted_norm(phi_pow * deriv, config.weight, grid))
+    applied = {d: bernstein_apply_grid(lattice_derivative(sv, 2 * config.r), xs)
+               for d, sv in blended.items()}
+    values = [weighted_norm(phi_pow * combine_applied(op.scheme, applied),
+                            config.weight, grid) for op in ops]
     return build_report(config.n_list, values, {"lambda": lam})
 
 
@@ -330,10 +330,6 @@ def lemma6_scan(beta: float, weight: Weight, n_list,
 
     value(n) = max_x w(x) sum_{|k-n xi| <= sqrt n} |k - n x|^beta p_nk(x)
                / (n^(beta - alpha/2) phi(x)^beta), x in [1/n, 1-1/n].
-
-    Unlike the other scans it sums a dense ``basis_matrix``: its weights
-    |k - n x|^beta depend on the row, and ``_row_sums`` takes one weight
-    per column.
     """
     if not 0.0 < beta < math.inf:
         raise DomainError(f"beta must be positive and finite, got {beta!r}")
@@ -343,15 +339,17 @@ def lemma6_scan(beta: float, weight: Weight, n_list,
         xs = _interior_points(grid, n)
         ks = _center_window(n, weight.xi)
         with np.errstate(over="ignore"):
-            moment = np.abs(ks[None, :] - n * xs[:, None]) ** beta
+            # the largest |k - n x|: the window's ends against the points' ends
+            peak = np.abs(ks[[0, -1], None] - n * xs[[0, -1]]) ** beta
             scale = np.float64(n) ** (beta - weight.alpha / 2.0)
-        if not (0.0 < scale < math.inf and np.all(np.isfinite(moment))):
+        if not (0.0 < scale < math.inf and np.all(np.isfinite(peak))):
             raise DomainError(f"beta={beta!r}, alpha={weight.alpha!r}: |k - n x|^beta "
                               f"or n^(beta - alpha/2) leaves double range at n={n}")
-        rows = basis_matrix(n, xs, ks)
-        lhs = weight(xs) * (rows * moment).sum(axis=1)
+        lhs = np.zeros(xs.size)
+        for rows, a, b, vals in _band_blocks(n, xs, ks):
+            lhs[rows] = (vals * np.abs(ks[a:b] - n * xs[rows, None]) ** beta).sum(axis=-1)
         phi_b = (xs * (1.0 - xs)) ** (beta / 2.0)
-        values.append(float(np.max(lhs / (scale * phi_b))))
+        values.append(float(np.max(weight(xs) * lhs / (scale * phi_b))))
     return build_report(n_list, values, {"beta": beta})
 
 

@@ -6,28 +6,28 @@ extension per ladder degree.  Everything it needs follows from (base_n, r,
 weight): the scheme from (base_n, r), the smoothstep from r, and each
 degree's blend geometry from (degree, r, weight).
 
-The 2r-th derivative uses the classical identity
+The 2r-th derivative is an ordinary Bernstein apply, by the classical
+identity (Lorentz, Bernstein Polynomials, 1953)
 
-    B_n^{(m)}(g, x) = n!/(n-m)! * sum_k  dm_k  p_{n-m,k}(x),
+    B_n^{(m)}(g, x) = B_{n-m}(h, x),   h_k = n!/(n-m)! * dm_k,
 
 where dm_k is the m-th forward lattice difference of the samples with
-step 1/n.  The falling factorial n!/(n-m)! is taken as an exact integer
-(well inside double range for every degree this package handles), and
-the alternating lattice differences are summed with a compensated (TwoSum)
-cascade.  The sum over k is ``bernstein_apply_grid`` on the differences.
+step 1/n.  ``lattice_derivative`` builds h: the alternating differences
+summed with a compensated (TwoSum) cascade, times the falling factorial
+n!/(n-m)! rounded once to a double.
 
 The blended samples of a degree depend only on (degree, r, weight), not on
 the ladder they serve.  So the harness sweeps apply each distinct ladder
-degree once (``bernstein_apply_grid``, ``derivative_applies``) and combine
-each n from those applies through ``combine_applied``, the same arithmetic
-as ``modified_operator`` and ``operator_derivative_2r``.
+degree once (``bernstein_apply_grid``) and combine each n from those
+applies through ``combine_applied``, the same arithmetic as
+``modified_operator`` and ``operator_derivative_2r``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .basis import basis_matrix  # noqa: F401
 from .blend import BlendSpec, Weight, blend_eval, build_blend_spec
 from .combination import (CombinationScheme, build_scheme, combine_applied,
                           combine_samples)
-from .errors import DomainError
 from .smoothstep import SmoothstepPoly, build_smoothstep
 
 
@@ -76,37 +75,20 @@ def modified_operator(op: ModifiedOperator, f: Callable, xs: np.ndarray) -> np.n
     return combine_samples(op.scheme, blended_samples(op, f), xs)
 
 
-def _lattice_forward_diffs(values: np.ndarray, order: int) -> np.ndarray:
-    m = values.size - order
-    if m < 1:
-        raise DomainError(f"degree too small for order-{order} lattice differences")
+def lattice_derivative(sv: SampleVector, order: int) -> SampleVector:
+    """Samples of degree n - order whose Bernstein apply is B_n^{(order)}:
+    n!/(n-order)! times the order-th forward lattice differences of ``sv``."""
+    # no differences for n < order; SampleVector then refuses the degree
+    m = max(sv.n + 1 - order, 0)
     # dm_k = sum_j (-1)^j C(order, j) values[k + order - j], for all k at once
-    terms = [(-1) ** j * math.comb(order, j) * values[order - j:order - j + m]
+    terms = [(-1) ** j * math.comb(order, j) * sv.values[order - j:order - j + m]
              for j in range(order + 1)]
-    return _compensated_sum(terms)
-
-
-def derivative_applies(samples: Iterable[SampleVector], order: int, xs: np.ndarray
-                       ) -> tuple[dict[int, float], dict[int, np.ndarray]]:
-    """Per degree n of ``samples``: n!/(n-order)!, and the apply on xs of the
-    order-th lattice differences, so that B_n^{(order)} is their product.
-
-    ``combine_applied`` takes the two maps as its applies and factors.
-    """
-    factors, applied = {}, {}
-    for sv in samples:
-        diffs = SampleVector(sv.n - order, _lattice_forward_diffs(sv.values, order))
-        factors[sv.n] = float(math.perm(sv.n, order))
-        applied[sv.n] = bernstein_apply_grid(diffs, xs)
-    return factors, applied
+    return SampleVector(sv.n - order, float(math.perm(sv.n, order)) * _compensated_sum(terms))
 
 
 def operator_derivative_2r(op: ModifiedOperator, f: Callable, xs: np.ndarray):
     """The 2r-th derivative of the blended combination on the 1-d array ``xs``."""
     order = 2 * op.scheme.r
-    if op.scheme.base_n <= order:
-        raise DomainError(
-            f"base degree {op.scheme.base_n} must exceed the derivative order {order}"
-        )
-    factors, applied = derivative_applies(blended_samples(op, f), order, xs)
-    return combine_applied(op.scheme, applied, factors)
+    applied = {sv.n: bernstein_apply_grid(lattice_derivative(sv, order), xs)
+               for sv in blended_samples(op, f)}
+    return combine_applied(op.scheme, applied)

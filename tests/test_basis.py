@@ -182,12 +182,10 @@ def _oracle_points(n):
 def _oracle_indices(n):
     half = int(math.isqrt(n))
     centre = n // 2
-    rng = np.random.default_rng(n + 1)
     return {
         "all": None,
         "inner": np.arange(1, n) if n > 1 else None,
         "window": np.arange(max(0, centre - half), min(n, centre + half) + 1),
-        "unsorted": rng.permutation(n + 1)[: n // 3 + 1],
         "repeated": np.array([0, 0, n // 2, n // 2, n, n]),
     }
 
@@ -211,6 +209,24 @@ class TestBandedMatrix:
             dense = dense_basis(n, xs)
             outside = ~bernstein_band(n, xs)
             assert np.all(dense[outside] == 0.0)
+
+    def test_descending_indices_refused(self):
+        # a band is one column range only of sorted indices; equal
+        # neighbours are sorted
+        xs = np.array([0.2, 0.7])
+        for ks in (np.array([3, 2]), np.array([0, 5, 5, 4])):
+            with pytest.raises(DomainError, match="nondescending"):
+                basis_matrix(8, xs, ks)
+            with pytest.raises(DomainError, match="nondescending"):
+                basis._row_sums(8, xs, ks, [np.ones(ks.size)])
+            with pytest.raises(DomainError, match="nondescending"):
+                basis_row(8, 0.2, ks)
+        ks = np.array([0, 0, 4, 4, 8, 8])
+        want = dense_basis(8, xs, ks)
+        assert np.array_equal(basis_matrix(8, xs, ks), want)
+        got, = basis._row_sums(8, xs, ks, [np.ones(ks.size)])
+        assert got == pytest.approx(want.sum(axis=1), rel=1e-15)
+        assert np.array_equal(basis_row(8, 0.2, ks), basis_row(8, 0.2)[ks])
 
     def test_empty_arguments(self):
         assert basis_matrix(8, np.array([])).shape == (0, 9)

@@ -288,6 +288,7 @@ class TestExitCodes:
         monkeypatch.setattr(harness, "basis_matrix", refuse)
         monkeypatch.setattr(basis, "basis_matrix", refuse)
         monkeypatch.setattr(basis, "_band_blocks", refuse)
+        monkeypatch.setattr(harness, "_band_blocks", refuse)
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
@@ -475,6 +476,26 @@ class TestExitCodes:
         got = run(capsys, argv[:-2] + ["--config", str(tmp_path / "cfg.json")])
         assert got == (2, "", f"error: config key {key!r}{line.removeprefix(flag)}\n")
 
+    @pytest.mark.parametrize("argv, line", [
+        (["approx", "--r"], "argument --r: expected one argument"),
+        (["lemma", "9"], "argument which: invalid choice: '9'"),
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ], ids=["flag-without-value", "unknown-scan", "no-command", "unknown-command"])
+    def test_usage_error(self, capsys, argv, line):
+        # what the parser refuses is bad configuration in one error line,
+        # with no usage block
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {line}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["lemma", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        # help is no usage error: argparse prints it to stdout and exits 0
+        code, out, err = run_or_exit(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: bernblend")
+
     @pytest.mark.skipif(resource is None, reason="needs the resource module")
     def test_out_of_memory_exits_3(self):
         # under a 300 MiB address-space limit the degree-10^6 sweep fails
@@ -545,9 +566,8 @@ class TestExitCodes:
         assert "config keys not used" in err
 
     def test_missing_subcommand(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([])
-        assert exc.value.code == 2
+        assert run(capsys, []) == (
+            2, "", "error: the following arguments are required: command\n")
 
     def test_unwritable_out_path(self, capsys, tmp_path):
         code, _, err = run(capsys, [

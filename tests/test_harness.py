@@ -291,15 +291,61 @@ class TestSharedDegrees:
 
 
 class TestLemmaScans:
-    def test_lemma1_equals_dense(self, weight513):
+    # the worst relative distance of a scanned value from its fsum
+    # reference below is 1.2 eps (lemma 6, n = 65536, beta = 0.5)
+    FSUM_BOUND = 4.0
+
+    def test_lemma1_within_fsum_bound(self, weight513):
+        # the banded sums against math.fsum of the dense terms, all positive
         grid = make_grid(weight513, 1001)
         n = 4096
         xs = grid.points[(grid.points >= 1.0 / n) & (grid.points <= 1.0 - 1.0 / n)]
         kn = np.arange(1, n) / n
-        lhs = (basis_matrix(n, xs, np.arange(1, n)) * (kn ** -1.5 * (1.0 - kn) ** -0.5)
-               ).sum(axis=1)
+        terms = basis_matrix(n, xs, np.arange(1, n)) * (kn ** -1.5 * (1.0 - kn) ** -0.5)
+        lhs = np.array([math.fsum(row) for row in terms.tolist()])
         want = float(np.max(lhs / (xs ** -1.5 * (1.0 - xs) ** -0.5)))
-        assert lemma1_scan(1.5, 0.5, (n,), grid).values == (want,)
+        got, = lemma1_scan(1.5, 0.5, (n,), grid).values
+        assert abs(got - want) <= self.FSUM_BOUND * np.finfo(float).eps * want
+
+    @pytest.mark.parametrize("n", [64, 4096, 65536])
+    def test_lemma6_within_fsum_bound(self, n, weight513, grid513):
+        # the banded scan against a dense reference: the moment terms of the
+        # whole center window, each row summed by math.fsum
+        pts = grid513.points
+        xs = pts[(pts >= 1.0 / n) & (pts <= 1.0 - 1.0 / n)]
+        half = math.sqrt(n)
+        ks = np.arange(math.ceil(n * 0.513 - half), math.floor(n * 0.513 + half) + 1)
+        for beta in (0.5, 2.0, 7.5):
+            terms = basis_matrix(n, xs, ks) * np.abs(ks - n * xs[:, None]) ** beta
+            lhs = np.array([math.fsum(row) for row in terms.tolist()])
+            scale = np.float64(n) ** (beta - 0.5) * (xs * (1.0 - xs)) ** (beta / 2.0)
+            want = float(np.max(weight513(xs) * lhs / scale))
+            got, = lemma6_scan(beta, weight513, (n,), grid513).values
+            assert abs(got - want) <= self.FSUM_BOUND * np.finfo(float).eps * want, beta
+
+    @pytest.mark.parametrize("n", [64, 4096, 65536])
+    def test_lemma6_refuses_exactly_past_double_range(self, n, grid513):
+        # the scan refuses beta exactly when some |k - n x|^beta of the dense
+        # window overflows; alpha = 2 beta keeps n^(beta - alpha/2) at 1
+        pts = grid513.points
+        xs = pts[(pts >= 1.0 / n) & (pts <= 1.0 - 1.0 / n)]
+        half = math.sqrt(n)
+        ks = np.arange(math.ceil(n * 0.513 - half), math.floor(n * 0.513 + half) + 1)
+        dist = np.abs(ks - n * xs[:, None])
+        edge = math.log(np.finfo(float).max) / math.log(dist.max())
+        outcomes = set()
+        for rel in (-1e-3, -1e-12, -4e-16, -2e-16, 0.0, 2e-16, 4e-16, 1e-12, 1e-3):
+            beta = edge * (1.0 + rel)
+            with np.errstate(over="ignore"):
+                overflows = bool(np.isinf(dist ** beta).any())
+            try:
+                lemma6_scan(beta, Weight(0.513, 2.0 * beta), (n,), grid513)
+                refused = False
+            except DomainError:
+                refused = True
+            assert refused == overflows, beta
+            outcomes.add(refused)
+        assert outcomes == {False, True}
 
     def test_lemma1_trivial_case(self, grid513):
         rep = lemma1_scan(0.0, 0.0, (64, 256), grid513)

@@ -1,16 +1,18 @@
 """The blended combination operator and its 2r-th derivative."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from bernblend import (basis_matrix, bernstein_apply_grid, blend_eval,
-                       blended_samples, build_modified_operator, combine,
-                       fit_rate, make_function, modified_operator,
+from bernblend import (DomainError, SampleVector, basis_matrix,
+                       bernstein_apply_grid, blend_eval, blended_samples,
+                       build_modified_operator, combine, fit_rate,
+                       make_function, modified_operator,
                        operator_derivative_2r, parse_spec, sample_function,
                        weighted_norm)
-from bernblend.operators import _lattice_forward_diffs
+from bernblend.operators import lattice_derivative
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +115,8 @@ class TestDerivative:
 
     @pytest.mark.parametrize("order", [1, 2, 4, 6])
     def test_lattice_diffs_match_fsum(self, order, weight513):
-        # each difference within 1 ulp of the per-k math.fsum sum
+        # each derived sample within 1 ulp of n!/(n-order)! times the per-k
+        # math.fsum of the difference's terms
         rng = np.random.default_rng(order)
         lattice = np.arange(257) / 256
         op = build_modified_operator(256, 3, weight513)
@@ -122,24 +125,49 @@ class TestDerivative:
                  1e200 * np.exp(lattice), *(sv.values for sv in blended_samples(op, f))]
         coeffs = [(-1) ** j * math.comb(order, j) for j in range(order + 1)]
         for values in cases:
-            vals = values.tolist()
-            want = np.array([
+            vals, n = values.tolist(), values.size - 1
+            want = float(math.perm(n, order)) * np.array([
                 math.fsum(c * vals[k + order - j] for j, c in enumerate(coeffs))
                 for k in range(len(vals) - order)
             ])
-            got = _lattice_forward_diffs(values, order)
-            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+            got = lattice_derivative(SampleVector(n, values), order)
+            assert got.n == n - order
+            assert np.all(np.abs(got.values - want) <= np.spacing(np.abs(want)))
+
+    def test_lattice_derivative_needs_degree_above_order(self):
+        for n in (1, 3, 4):
+            with pytest.raises(DomainError):
+                lattice_derivative(SampleVector(n, np.ones(n + 1)), 4)
+
+    # the worst |got - fsum| over these cases is 2.5 eps * sum |terms|
+    # (r = 3, base 128)
+    FSUM_BOUND = 4.0
 
     def test_derivative_matches_dense_sum(self, weight513):
-        # the banded apply gives the same bytes as one dense matrix product
-        op = build_modified_operator(64, 2, weight513)
+        # within 4 eps * sum |terms| of math.fsum over the terms
+        # C_i * n_i!/(n_i - 2r)! * p_{n_i - 2r, k}(x) * dm_k of every degree,
+        # with dm_k the correctly rounded lattice difference
+        eps = np.finfo(float).eps
         xs = np.linspace(0.0, 1.0, 301)
-        want = np.zeros(xs.size)
-        for c, n_i, sv in zip(op.scheme.coeffs.tolist(), op.scheme.nodes,
-                              blended_samples(op, np.cos)):
-            diffs = _lattice_forward_diffs(sv.values, 4)
-            want += c * float(math.perm(n_i, 4)) * (basis_matrix(n_i - 4, xs) * diffs).sum(axis=1)
-        assert np.array_equal(operator_derivative_2r(op, np.cos, xs), want)
+        for r, base in itertools.product((1, 2, 3), (64, 128, 256)):
+            order = 2 * r
+            coeffs = [(-1) ** j * math.comb(order, j) for j in range(order + 1)]
+            op = build_modified_operator(base, r, weight513)
+            for f in (np.cos, np.sin, np.exp):
+                parts = []
+                for c, n_i, sv in zip(op.scheme.coeffs.tolist(), op.scheme.nodes,
+                                      blended_samples(op, f)):
+                    vals = sv.values.tolist()
+                    diffs = np.array([
+                        math.fsum(cj * vals[k + order - j] for j, cj in enumerate(coeffs))
+                        for k in range(n_i + 1 - order)])
+                    weight = c * float(math.perm(n_i, order))
+                    parts.append(weight * basis_matrix(n_i - order, xs) * diffs)
+                terms = np.concatenate(parts, axis=1)
+                got = operator_derivative_2r(op, f, xs)
+                for i, row in enumerate(terms):
+                    bound = self.FSUM_BOUND * eps * np.abs(row).sum()
+                    assert abs(got[i] - math.fsum(row.tolist())) <= bound, (r, base, f, i)
 
     def test_scalar_and_array_agree(self, weight513):
         op = build_modified_operator(64, 1, weight513)
