@@ -5,12 +5,13 @@
 Runs ``python -m bernblend`` from PATH/src (default: this checkout) for
 every subcommand at its defaults, plus ``compare`` and ``bernstein-ineq``
 at r=3 on a large-degree ladder, ``compare`` at degrees up to 65536
-(ladder degrees up to 196608) and ``lemma 6`` at degrees up to 262144,
-and prints one ``sha256  argv`` line per run.  Diff the output of two
+(ladder degrees up to 196608), ``lemma 6`` at degrees up to 262144, and
+the blend at r=1 (``approx``) and r=8 (``approx`` and ``lemma 3``), and
+prints one ``sha256  argv`` line per run.  Diff the output of two
 checkouts to see whether a change moved any printed byte, or save one
 checkout's output and pass it as ``--against``: every line that differs
 from the saved list is then marked ``MOVED``, and the script exits 1
-unless all 14 digests match.  A run that exits nonzero
+unless all 17 digests match.  A run that exits nonzero
 prints ``exit=N`` in place of a digest and makes the script exit 1.
 Standard library only.
 """
@@ -41,6 +42,9 @@ RUNS = (
     ["bernstein-ineq", *LARGE],
     ["compare", "--n-list", "16384,32768,65536"],
     ["lemma", "6", "--n-list", "1024,4096,16384,65536,262144"],
+    ["approx", "--r", "1"],
+    ["approx", "--r", "8", "--n-list", "64,128"],
+    ["lemma", "3", "--r", "8", "--n-list", "64,128"],
 )
 
 

@@ -68,9 +68,8 @@ def main() -> None:
 
     # order-2 weighted modulus of x^2 on the default grid; the analytic
     # value for this geometry is exactly t^2
-    params = ModulusParams(r2=2, t=0.1)
-    golden["modulus_square_t01"] = weighted_modulus(
-        lambda x: x ** 2, center, params, grid)
+    golden["modulus_square_t01"], = weighted_modulus(
+        lambda x: x ** 2, [ModulusParams(r2=2, t=0.1)], grid)
 
     old = json.loads(OUT.read_text()) if OUT.exists() else {}
     moved = _moved_entries(old, golden)

@@ -10,7 +10,7 @@ observed convergence rates and scans the supporting kernel bounds.
 from .basis import (SampleVector, basis_matrix, basis_row,
                     bernstein_apply_grid, evaluate, sample_function)
 from .blend import (BlendSpec, Weight, barycentric_weights, blend_eval,
-                    build_blend_spec, lagrange_interpolant)
+                    lagrange_interpolant)
 from .catalog import DEFAULT_KEYS, FunctionSpec, make_function, parse_spec
 from .combination import (CombinationScheme, build_scheme, combine,
                           combine_samples, make_schedule, moment_table,
@@ -27,8 +27,6 @@ from .operators import (ModifiedOperator, blended_samples,
                         operator_derivative_2r)
 from .smoothness import (EvaluationGrid, ModulusParams, make_grid,
                          weighted_modulus, weighted_norm)
-from .smoothstep import (SmoothstepPoly, build_smoothstep, determinant_check,
-                         determinant_reference, psi_eval,
-                         solve_psi_coefficients, system_matrix)
+from .smoothstep import SmoothstepPoly, psi_eval, solve_psi_coefficients
 
 __version__ = "0.1.0"

@@ -12,7 +12,8 @@ smoothsteps anchored at the four lattice breakpoints
     b3 = floor(n*xi + sqrt(n))/n,    b4 = floor(n*xi + 2*sqrt(n))/n.
 
 The blended function equals f outside (b1, b4), equals H on [b2, b3], and
-transitions C^{2r}-smoothly in between.  f is never evaluated inside
+transitions C^{2r}-smoothly in between.  ``BlendSpec(n, r, weight)`` holds
+all of it: the nodes, the breakpoints and the order-r smoothstep.  f is never evaluated inside
 (b2, b3) except at the nodes themselves, so a singularity at xi is never
 touched: the blend coefficients there are exactly 0 by the smoothstep's
 exact saturation.
@@ -105,37 +106,29 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     return 1.0 / diff.prod(axis=1)
 
 
-def _lagrange_closure(fvals: np.ndarray, nodes: np.ndarray) -> Callable:
-    # huge node values may overflow; the callers refuse the non-finite results
-    with np.errstate(over="ignore", invalid="ignore"):
-        wf = barycentric_weights(nodes) * fvals
-
-    def h(xs: np.ndarray) -> np.ndarray:
-        d = xs[:, None] - nodes[None, :]
-        hit = d == 0.0
-        anyhit = hit.any(axis=1)
-        d_safe = np.where(hit, 1.0, d)
-        # first barycentric form: stays stable when extrapolating well
-        # outside the node cluster, which the blend does routinely
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = d.prod(axis=1) * (wf / d_safe).sum(axis=1)
-        if anyhit.any():
-            out[anyhit] = fvals[hit.argmax(axis=1)[anyhit]]
-        return out
-
-    return h
-
-
 def lagrange_interpolant(f: Callable, nodes: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Lagrange interpolant of f at ``nodes``, in first barycentric form, on ``xs``."""
-    return _lagrange_closure(evaluate(f, nodes), nodes)(xs)
+    fvals = evaluate(f, nodes)
+    d = xs[:, None] - nodes[None, :]
+    hit = d == 0.0
+    anyhit = hit.any(axis=1)
+    d_safe = np.where(hit, 1.0, d)
+    # huge node values may overflow; the callers refuse the non-finite
+    # results.  The first barycentric form stays stable when extrapolating
+    # well outside the node cluster, which the blend does routinely
+    with np.errstate(over="ignore", invalid="ignore"):
+        wf = barycentric_weights(nodes) * fvals
+        out = d.prod(axis=1) * (wf / d_safe).sum(axis=1)
+    if anyhit.any():
+        out[anyhit] = fvals[hit.argmax(axis=1)[anyhit]]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class BlendSpec:
-    """The patch geometry of (n, r, weight): the r+1 read-only ``nodes``,
-    strictly decreasing and all left of xi, and the blend window's four
-    lattice ``breaks`` (b1, b2, b3, b4).
+    """The patch of (n, r, weight): the r+1 read-only ``nodes``, strictly
+    decreasing and all left of xi, the blend window's four lattice
+    ``breaks`` (b1, b2, b3, b4) and the order-r smoothstep ``step``.
 
     A degree too small for the window or the nodes raises MinNTooSmall
     naming the smallest degree that admits both.
@@ -146,6 +139,7 @@ class BlendSpec:
     weight: Weight
     nodes: np.ndarray = field(init=False, repr=False)
     breaks: tuple[float, float, float, float] = field(init=False)
+    step: SmoothstepPoly = field(init=False, repr=False)
 
     def __post_init__(self):
         n, r, xi = _check_degree(self.n), _check_order(self.r), self.weight.xi
@@ -169,25 +163,20 @@ class BlendSpec:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "breaks", breaks)
+        object.__setattr__(self, "step", SmoothstepPoly(r))
 
 
-def build_blend_spec(n: int, r: int, weight: Weight) -> BlendSpec:
-    return BlendSpec(n, r, weight)
-
-
-def blend_eval(f: Callable, spec: BlendSpec, step: SmoothstepPoly, xs: np.ndarray):
-    """The blended extension of f for the given patch geometry, on ``xs``.
+def blend_eval(f: Callable, spec: BlendSpec, xs: np.ndarray):
+    """The blended extension of f for the patch ``spec``, on ``xs``.
 
     Piecewise: f on [0, b1] and [b4, 1] (bit-for-bit, the blend coefficient
     is exactly 1 there), the patch polynomial on [b2, b3], and the
     smoothstep mixture on the two transition bands.  f is only evaluated
-    where its coefficient is nonzero, plus at the patch nodes.
+    where its coefficient is nonzero, and then at the patch nodes.
     """
-    if step.r != spec.r:
-        raise DomainError(f"smoothstep order {step.r} does not match patch order {spec.r}")
     b1, b2, b3, b4 = spec.breaks
-    t1 = psi_eval(step, (xs - b1) / (b2 - b1))
-    t2 = psi_eval(step, (xs - b3) / (b4 - b3))
+    t1 = psi_eval(spec.step, (xs - b1) / (b2 - b1))
+    t2 = psi_eval(spec.step, (xs - b3) / (b4 - b3))
     fcoef = 1.0 - t1 + t2
     hcoef = t1 * (1.0 - t2)
     out = np.zeros(xs.shape)
@@ -197,6 +186,5 @@ def blend_eval(f: Callable, spec: BlendSpec, step: SmoothstepPoly, xs: np.ndarra
         out[fmask] = fcoef[fmask] * evaluate(f, xs[fmask])
     hmask = hcoef != 0.0
     if hmask.any():
-        h = _lagrange_closure(evaluate(f, spec.nodes), spec.nodes)
-        out[hmask] += hcoef[hmask] * h(xs[hmask])
+        out[hmask] += hcoef[hmask] * lagrange_interpolant(f, spec.nodes, xs[hmask])
     return out

@@ -32,7 +32,7 @@ from .harness import (SweepConfig, build_report, check_bernstein_inequality,
                       lemma1_scan, lemma3_decay, lemma5_scan, lemma6_scan,
                       render_report, run_convergence)
 from .smoothness import ModulusParams, make_grid, weighted_modulus
-from .smoothstep import build_smoothstep
+from .smoothstep import SmoothstepPoly
 
 
 class _Flag(NamedTuple):
@@ -136,12 +136,9 @@ def _sweep_config(ns: SimpleNamespace) -> SweepConfig:
 
 
 def _on_grid(scan: Callable) -> Callable:
-    """The handler that builds the weight, then the grid, and then calls
-    ``scan(ns, weight, grid)``."""
-    def handler(ns):
-        weight = Weight(ns.xi, ns.alpha)
-        return scan(ns, weight, make_grid(weight, ns.grid))
-    return handler
+    """The handler that builds the weight, then its grid, and then calls
+    ``scan(ns, grid)``."""
+    return lambda ns: scan(ns, make_grid(Weight(ns.xi, ns.alpha), ns.grid))
 
 
 def _coeffs(ns) -> None:
@@ -153,7 +150,7 @@ def _coeffs(ns) -> None:
 
 
 def _psi(ns) -> None:
-    poly = build_smoothstep(ns.r)
+    poly = SmoothstepPoly(ns.r)
     lowest = 2 * poly.r + 1
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["power", "coefficient"])
@@ -174,19 +171,19 @@ def _compare(ns) -> None:
     emit_report(plain, ns.format, plain_path)
 
 
-def _modulus(ns, weight, grid):
+def _modulus(ns, grid):
     # table of the order-2r weighted modulus at t, t/2, ..., t/128, keyed by
     # the divisor; the fitted slope is minus the observed decay order in t
-    f = make_function(parse_spec(ns.function), weight)
+    f = make_function(parse_spec(ns.function), grid.weight)
     divisors = [2 ** k for k in range(8)]
     values = weighted_modulus(
-        f, weight, [ModulusParams(r2=2 * ns.r, t=ns.t / d) for d in divisors], grid)
+        f, [ModulusParams(r2=2 * ns.r, t=ns.t / d) for d in divisors], grid)
     return build_report(divisors, values, {"t": ns.t})
 
 
-def _lemma3(ns, weight, grid):
-    f = make_function(parse_spec(ns.function), weight)
-    return lemma3_decay(ns.r, weight, f, ns.n_list, grid)
+def _lemma3(ns, grid):
+    f = make_function(parse_spec(ns.function), grid.weight)
+    return lemma3_decay(ns.r, f, ns.n_list, grid)
 
 
 class _Command(NamedTuple):
@@ -215,13 +212,13 @@ _COMMANDS = {
         {**_COMMON, "r": 2, "function": "singular_power:beta=0.5", "t": 0.125},
         _on_grid(_modulus)),
     "lemma 1": _Command(_LEMMA_HELP, {**_LEMMA, "u": 1.0, "v": 0.0}, _on_grid(
-        lambda ns, weight, grid: lemma1_scan(ns.u, ns.v, ns.n_list, grid))),
+        lambda ns, grid: lemma1_scan(ns.u, ns.v, ns.n_list, grid))),
     "lemma 3": _Command(_LEMMA_HELP, {**_LEMMA, "r": 2, "function": "smooth_sin:freq=1"},
                         _on_grid(_lemma3)),
     "lemma 5": _Command(_LEMMA_HELP, _LEMMA, _on_grid(
-        lambda ns, weight, grid: lemma5_scan(weight, ns.n_list, grid))),
+        lambda ns, grid: lemma5_scan(grid.weight, ns.n_list, grid))),
     "lemma 6": _Command(_LEMMA_HELP, {**_LEMMA, "beta": 2.0}, _on_grid(
-        lambda ns, weight, grid: lemma6_scan(ns.beta, weight, ns.n_list, grid))),
+        lambda ns, grid: lemma6_scan(ns.beta, grid.weight, ns.n_list, grid))),
 }
 
 

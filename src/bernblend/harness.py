@@ -195,12 +195,12 @@ def run_convergence(config: SweepConfig) -> RateReport:
     f_vals = evaluate(f, xs)
     ops, blended, _ = _ladder_samples(config, f)
     applied = {d: bernstein_apply_grid(sv, xs) for d, sv in blended.items()}
-    errors = [weighted_norm(combine_applied(op.scheme, applied) - f_vals,
-                            config.weight, grid) for op in ops]
+    errors = [weighted_norm(combine_applied(op.scheme, applied) - f_vals, grid)
+              for op in ops]
     t_used = [min(1.0 / math.sqrt(n), _T_CAP) for n in config.n_list]
     moduli = weighted_modulus(
-        f, config.weight, [ModulusParams(r2=2 * config.r, t=t) for t in t_used], grid)
-    f_norm = weighted_norm(f_vals, config.weight, grid)
+        f, [ModulusParams(r2=2 * config.r, t=t) for t in t_used], grid)
+    f_norm = weighted_norm(f_vals, grid)
     extras = {
         "omega": moduli,
         "t": tuple(t_used),
@@ -228,10 +228,10 @@ def compare_plain_vs_modified(config: SweepConfig) -> tuple[RateReport, RateRepo
     mod_errs = []
     for op in ops:
         plain_vals = combine_applied(op.scheme, plain_applied)
-        plain_errs.append(weighted_norm(plain_vals - f_vals, config.weight, grid))
+        plain_errs.append(weighted_norm(plain_vals - f_vals, grid))
         mod_vals = combine_applied(op.scheme, mod_applied)
-        mod_errs.append(weighted_norm(mod_vals - f_vals, config.weight, grid))
-    f_norm = weighted_norm(f_vals, config.weight, grid)
+        mod_errs.append(weighted_norm(mod_vals - f_vals, grid))
+    f_norm = weighted_norm(f_vals, grid)
     return (build_report(config.n_list, plain_errs, scale=f_norm),
             build_report(config.n_list, mod_errs, scale=f_norm))
 
@@ -251,8 +251,8 @@ def check_bernstein_inequality(config: SweepConfig, lam: float) -> RateReport:
     ops, blended, _ = _ladder_samples(config, f)
     applied = {d: bernstein_apply_grid(lattice_derivative(sv, 2 * config.r), xs)
                for d, sv in blended.items()}
-    values = [weighted_norm(phi_pow * combine_applied(op.scheme, applied),
-                            config.weight, grid) for op in ops]
+    values = [weighted_norm(phi_pow * combine_applied(op.scheme, applied), grid)
+              for op in ops]
     return build_report(config.n_list, values, {"lambda": lam})
 
 
@@ -290,17 +290,17 @@ def lemma1_scan(u: float, v: float, n_list, grid: EvaluationGrid) -> RateReport:
     return build_report(n_list, values, {"u": u, "v": v})
 
 
-def lemma3_decay(r: int, weight: Weight, f: Callable, n_list,
-                 grid: EvaluationGrid) -> RateReport:
-    """Weighted sup of f minus its node interpolant over the patch window."""
+def lemma3_decay(r: int, f: Callable, n_list, grid: EvaluationGrid) -> RateReport:
+    """Sup over the patch window, weighted by the grid's weight, of f minus
+    its node interpolant."""
     n_list = check_n_list(n_list)
     values = []
     for n in n_list:
-        spec = BlendSpec(n, r, weight)
+        spec = BlendSpec(n, r, grid.weight)
         b = spec.breaks
         xs = grid.points[(grid.points >= b[0]) & (grid.points <= b[3])]
         gap = evaluate(f, xs) - lagrange_interpolant(f, spec.nodes, xs)
-        values.append(_weighted_max(xs, weight(xs) * gap))
+        values.append(_weighted_max(xs, grid.weight(xs) * gap))
     return build_report(n_list, values)
 
 

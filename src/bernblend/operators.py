@@ -3,8 +3,8 @@
 The operator applies a moment-killing Bernstein combination not to f
 itself but to its blended extension around the weight center, one
 extension per ladder degree.  Everything it needs follows from (base_n, r,
-weight): the scheme from (base_n, r), the smoothstep from r, and each
-degree's blend geometry from (degree, r, weight).
+weight): the scheme from (base_n, r), and each degree's blend spec, its
+smoothstep included, from (degree, r, weight).
 
 The 2r-th derivative is an ordinary Bernstein apply, by the classical
 identity (Lorentz, Bernstein Polynomials, 1953)
@@ -34,26 +34,22 @@ import numpy as np
 from .basis import SampleVector, _compensated_sum, bernstein_apply_grid
 # kept as a module attribute: perfbench/sweeps.py wraps it here to trace calls
 from .basis import basis_matrix  # noqa: F401
-from .blend import BlendSpec, Weight, blend_eval, build_blend_spec
+from .blend import BlendSpec, Weight, blend_eval
 from .combination import (CombinationScheme, build_scheme, combine_applied,
                           combine_samples)
-from .smoothstep import SmoothstepPoly, build_smoothstep
 
 
 @dataclass(frozen=True, eq=False)
 class ModifiedOperator:
-    """A scheme with the order-r smoothstep ``step`` and, in ladder order,
-    each degree's blend spec for ``weight`` in ``specs``."""
+    """A scheme with, in ladder order, each degree's blend spec for
+    ``weight`` in ``specs``."""
 
     scheme: CombinationScheme
     weight: Weight
-    step: SmoothstepPoly = field(init=False)
     specs: tuple[BlendSpec, ...] = field(init=False)
 
     def __post_init__(self):
-        r = self.scheme.r
-        object.__setattr__(self, "step", build_smoothstep(r))
-        object.__setattr__(self, "specs", tuple(build_blend_spec(n, r, self.weight)
+        object.__setattr__(self, "specs", tuple(BlendSpec(n, self.scheme.r, self.weight)
                                                 for n in self.scheme.nodes))
 
 
@@ -63,11 +59,8 @@ def build_modified_operator(base_n: int, r: int, weight: Weight) -> ModifiedOper
 
 def blended_samples(op: ModifiedOperator, f: Callable) -> list[SampleVector]:
     """Blended-extension samples of f on each ladder degree's lattice."""
-    out = []
-    for n_i, spec in zip(op.scheme.nodes, op.specs):
-        lattice = np.arange(n_i + 1) / n_i
-        out.append(SampleVector(n_i, blend_eval(f, spec, op.step, lattice)))
-    return out
+    return [SampleVector(spec.n, blend_eval(f, spec, np.arange(spec.n + 1) / spec.n))
+            for spec in op.specs]
 
 
 def modified_operator(op: ModifiedOperator, f: Callable, xs: np.ndarray) -> np.ndarray:

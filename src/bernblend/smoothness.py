@@ -4,7 +4,9 @@ The modulus measures order-``r2`` differences in three regimes: a symmetric
 difference with the variable step h*sqrt(x(1-x)) away from the endpoints, and
 one-sided differences with the fixed step h on the two endpoint strips
 [0, 16h^2] and [1 - 16h^2, 1].  Taking the max over a geometric ladder of h
-values in (0, t] discretizes the supremum over 0 < h <= t.
+values in (0, t] discretizes the supremum over 0 < h <= t.  Both the norm
+and the modulus are weighted by the weight their EvaluationGrid was built
+for, and read it from the grid.
 
 f takes 1-d arrays: each region of each step h costs one call of f per
 stencil offset, at most 3 * (r2 + 1) calls per distinct step.  A call over
@@ -59,7 +61,7 @@ class EvaluationGrid:
                               f"{_GRID_EXCLUSION} of an endpoint")
         pieces = [np.linspace(0.0, 1.0, size // 2)]
 
-        per_side = max(size // 8, math.ceil(size / 8))
+        per_side = math.ceil(size / 8)
         # offsets shrink geometrically from 0.05 down to ~1e-9 on each side of xi
         ratio = (_CLUSTER_FLOOR / _CLUSTER_SPAN) ** (1.0 / (per_side - 1))
         offs = _CLUSTER_SPAN * ratio ** np.arange(per_side)
@@ -83,17 +85,17 @@ def _check_grid_size(size: int) -> int:
     return _check_int(size, "grid size", 16, _MAX_GRID)
 
 
-def make_grid(weight: Weight, size: int = 2001) -> EvaluationGrid:
+def make_grid(weight: Weight, size: int) -> EvaluationGrid:
     return EvaluationGrid(weight, size)
 
 
-def weighted_norm(vals, weight: Weight, grid: EvaluationGrid) -> float:
-    """max over the grid of |x - xi|^alpha * |vals|, for ``vals`` sampled on
-    ``grid.points``."""
+def weighted_norm(vals, grid: EvaluationGrid) -> float:
+    """max over the grid of the grid's weight times |vals|, for ``vals``
+    sampled on ``grid.points``."""
     xs = grid.points
     if vals.shape != xs.shape:
         raise DomainError("value array does not match the grid")
-    return _weighted_max(xs, weight(xs) * vals)
+    return _weighted_max(xs, grid.weight(xs) * vals)
 
 
 def _weighted_max(xs: np.ndarray, prod: np.ndarray) -> float:
@@ -123,36 +125,35 @@ class ModulusParams:
         return self.t * 0.5 ** np.arange(_H_COUNT)
 
 
-def weighted_modulus(f, weight: Weight, params: ModulusParams | Sequence[ModulusParams],
-                     grid: EvaluationGrid):
-    """Weighted modulus of smoothness of order ``params.r2`` at ``params.t``.
+def weighted_modulus(f, params: Sequence[ModulusParams],
+                     grid: EvaluationGrid) -> tuple[float, ...]:
+    """The modulus of smoothness, weighted by the grid's weight, of order
+    ``entry.r2`` at ``entry.t`` for each entry of ``params``, as a tuple.
 
-    ``params`` is one ModulusParams, giving a float, or a sequence of them,
-    giving a tuple with one modulus per entry.  For each h in a ladder the
-    three regional sups are evaluated on the grid and combined with max; a
-    modulus is the max over its ladder, hence nondecreasing in t by
-    construction.  A step (order, h) shared by several ladders is scanned
-    once per call, on its first visit in entry and ladder order, so each
-    value and the first failure are those of one call per entry.  A
-    non-finite weighted difference raises SampleError, as in
-    ``weighted_norm``.
+    For each h in a ladder the three regional sups are evaluated on the
+    grid and combined with max; a modulus is the max over its ladder, hence
+    nondecreasing in t by construction.  A step (order, h) shared by
+    several ladders is scanned once per call, on its first visit in entry
+    and ladder order, so each value and the first failure are those of one
+    call per entry.  A non-finite weighted difference raises SampleError,
+    as in ``weighted_norm``.
     """
-    single = isinstance(params, ModulusParams)
     sups: dict[tuple[int, float], float] = {}
     values = []
-    for entry in [params] if single else params:
+    for entry in params:
         best = 0.0
         for h in entry.h_ladder().tolist():
             key = (entry.r2, h)
             if key not in sups:
-                sups[key] = _step_sup(f, weight, grid.points, entry.r2, h)
+                sups[key] = _step_sup(f, grid, entry.r2, h)
             best = max(best, sups[key])
         values.append(best)
-    return values[0] if single else tuple(values)
+    return tuple(values)
 
 
-def _step_sup(f, weight: Weight, pts: np.ndarray, order: int, h: float) -> float:
+def _step_sup(f, grid: EvaluationGrid, order: int, h: float) -> float:
     """max of the three regional sups of one step h."""
+    pts = grid.points
     cut = 16.0 * h * h
     # the middle, the strip at 0 and the strip at 1 take symmetric, forward
     # and backward stencils; each filter computes its region's largest
@@ -171,7 +172,7 @@ def _step_sup(f, weight: Weight, pts: np.ndarray, order: int, h: float) -> float
         for xs, offsets in regions:
             if xs.size:
                 diff = _difference(f, xs, offsets, order)
-                best = max(best, _weighted_max(xs, weight(xs) * diff))
+                best = max(best, _weighted_max(xs, grid.weight(xs) * diff))
     return best
 
 

@@ -30,17 +30,6 @@ from numpy.polynomial import polynomial as npoly
 from .basis import _check_order
 
 
-def system_matrix(r: int) -> np.ndarray:
-    """A[m, j] = perm(2r+1+j, m) for m, j = 0..2r (exact integers in float)."""
-    r = _check_order(r)
-    size = 2 * r + 1
-    a = np.empty((size, size))
-    for m in range(size):
-        for j in range(size):
-            a[m, j] = float(math.perm(2 * r + 1 + j, m))
-    return a
-
-
 def solve_psi_coefficients(r: int) -> np.ndarray:
     """Coefficients (a_1, ..., a_{2r+1}) of the order-r smoothstep.
 
@@ -54,30 +43,6 @@ def solve_psi_coefficients(r: int) -> np.ndarray:
     c = math.factorial(4 * r + 1) // math.factorial(2 * r) ** 2
     return np.array([float((-1) ** j * (c * math.comb(2 * r, j) // (2 * r + 1 + j)))
                      for j in range(2 * r + 1)])
-
-
-def determinant_check(r: int) -> float:
-    """Determinant of the defining system by pivoted elimination in doubles.
-
-    Rows are equilibrated first and the row scales multiplied back in;
-    without that the raw LU determinant only reaches ~1e-9 relative at
-    r = 3, right at the edge of what downstream comparisons allow.
-    """
-    a = system_matrix(r)
-    scale = np.abs(a).max(axis=1)
-    det = float(np.linalg.det(a / scale[:, None]))
-    for s in scale.tolist():
-        det *= s
-    return det
-
-
-def determinant_reference(r: int) -> float:
-    """prod_{j=2}^{2r} j!, the closed form of the system determinant."""
-    r = _check_order(r)
-    out = 1
-    for j in range(2, 2 * r + 1):
-        out *= math.factorial(j)
-    return float(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +62,6 @@ class SmoothstepPoly:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_ascending", ascending)
-
-
-def build_smoothstep(r: int) -> SmoothstepPoly:
-    return SmoothstepPoly(r)
 
 
 def psi_eval(poly: SmoothstepPoly, xs: np.ndarray) -> np.ndarray:

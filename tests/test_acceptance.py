@@ -11,14 +11,14 @@ import math
 
 import numpy as np
 
-from bernblend import (DEFAULT_KEYS, ModulusParams, SweepConfig, Weight,
-                       blend_eval, build_blend_spec, build_modified_operator,
-                       build_scheme, build_smoothstep, check_bernstein_inequality,
-                       compare_plain_vs_modified, determinant_check,
-                       determinant_reference, lemma1_scan, lemma5_scan,
+from bernblend import (DEFAULT_KEYS, BlendSpec, ModulusParams, SweepConfig,
+                       Weight, blend_eval, build_modified_operator,
+                       build_scheme, check_bernstein_inequality,
+                       compare_plain_vs_modified, lemma1_scan, lemma5_scan,
                        lemma6_scan, make_function, make_grid, modified_operator,
                        moment_table, parse_spec, run_convergence,
                        solve_psi_coefficients, weighted_modulus, weighted_norm)
+from smoothstep_system import determinant_check, determinant_reference
 
 WEIGHT = Weight(0.513, 1.0)
 
@@ -92,14 +92,13 @@ def test_04_polynomial_reproduction():
     for r in (1, 2, 3):
         coeffs = (0.3, -0.7, 0.41, 0.13)[: r + 1]
         poly = np.polynomial.Polynomial(coeffs)
-        spec = build_blend_spec(64, r, WEIGHT)
-        step = build_smoothstep(r)
-        gap_blend = float(np.max(np.abs(blend_eval(poly, spec, step, xs) - poly(xs))))
+        spec = BlendSpec(64, r, WEIGHT)
+        gap_blend = float(np.max(np.abs(blend_eval(poly, spec, xs) - poly(xs))))
         check(clauses, f"blended function keeps degree-{r} polynomials",
               gap_blend <= 1e-10, f"max pointwise gap {gap_blend:.3e}")
         op = build_modified_operator(64, r, WEIGHT)
         pts = grid.points
-        err = weighted_norm(modified_operator(op, poly, pts) - poly(pts), WEIGHT, grid)
+        err = weighted_norm(modified_operator(op, poly, pts) - poly(pts), grid)
         check(clauses, f"modified operator keeps degree-{r} polynomials",
               err <= 1e-9, f"weighted sup error {err:.3e}")
     assert all(clauses)
@@ -190,14 +189,13 @@ def test_10_modulus_sanity():
     clauses = []
     grid = make_grid(WEIGHT, 401)
     affine = make_function(parse_spec("smooth_poly:coeffs=0;1"), WEIGHT)
-    flat = weighted_modulus(affine, WEIGHT, ModulusParams(r2=4, t=0.125), grid)
+    flat, = weighted_modulus(affine, [ModulusParams(r2=4, t=0.125)], grid)
     check(clauses, "order-4 modulus of an affine function vanishes",
           flat <= 1e-12, f"value {flat:.3e}")
     ts = [2.0 ** -k for k in range(3, 11)]
     for key in DEFAULT_KEYS:
         f = make_function(parse_spec(key), WEIGHT)
-        vals = [weighted_modulus(f, WEIGHT, ModulusParams(r2=4, t=t), grid)
-                for t in ts]
+        vals = weighted_modulus(f, [ModulusParams(r2=4, t=t) for t in ts], grid)
         mono = all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
         check(clauses, f"modulus nondecreasing in t for {key}", mono,
               f"values {[f'{v:.3e}' for v in vals]}")

@@ -461,7 +461,8 @@ class TestFiniteDifferences:
         # _step_sup differences, region by region, exactly the x whose whole
         # stencil lies in [0, 1], and returns the max of |w * difference|
         weight = Weight(0.513, 1.0)
-        pts = make_grid(weight, 401).points
+        grid = make_grid(weight, 401)
+        pts = grid.points
         f = lambda x: np.sin(3.0 * x) * np.exp(x)
         seen = []
 
@@ -489,7 +490,7 @@ class TestFiniteDifferences:
                     regions.append((xs, vals))
                     want = max(want, float(np.max(np.abs(weight(xs) * vals))))
             seen.clear()
-            assert smoothness._step_sup(f, weight, pts, order, h) == want
+            assert smoothness._step_sup(f, grid, order, h) == want
             assert len(seen) == len(regions)
             for (xs, vals), (got_xs, got_vals) in zip(regions, seen):
                 assert np.array_equal(got_xs, xs) and np.array_equal(got_vals, vals)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from bernblend import (BlendSpec, DomainError, MinNTooSmall, SampleError,
                        Weight, barycentric_weights, blend_eval,
-                       build_blend_spec, build_smoothstep,
                        lagrange_interpolant, psi_eval)
 
 
@@ -228,7 +227,7 @@ class TestLagrange:
         # the growth factor over the window does not grow with n
         tops = []
         for n in (400, 4096, 65536):
-            spec = build_blend_spec(n, r, weight513)
+            spec = BlendSpec(n, r, weight513)
             lam = lebesgue_function(spec.nodes, np.linspace(spec.breaks[0], spec.breaks[3], 2001))
             assert lam.min() >= 1.0 - 1e-12
             np.testing.assert_allclose(lebesgue_function(spec.nodes, spec.nodes), 1.0, rtol=1e-15)
@@ -239,10 +238,12 @@ class TestLagrange:
 
 class TestBlendSpec:
     def test_build(self, weight_center):
-        spec = build_blend_spec(400, 1, weight_center)
+        spec = BlendSpec(400, 1, weight_center)
         assert spec.n == 400
         assert spec.breaks == (0.40, 0.45, 0.55, 0.60)
         assert spec.nodes.tolist() == [0.45, 0.40]
+        # the spec holds the smoothstep of its own order
+        assert spec.step.r == 1 and BlendSpec(400, 3, weight_center).step.r == 3
 
     def test_validation(self, weight_center):
         # n and r are integers, never truncated (400.9 used to build n=400)
@@ -257,7 +258,7 @@ class TestBlendSpec:
         # whatever the floor formulas build is ordered around xi, and every
         # node lies between 1/sqrt(n) and (2 sqrt(n) + 1)/n left of it
         try:
-            spec = build_blend_spec(n, r, Weight(xi, 1.0))
+            spec = BlendSpec(n, r, Weight(xi, 1.0))
         except (MinNTooSmall, DomainError):
             return
         b1, b2, b3, b4 = spec.breaks
@@ -272,43 +273,32 @@ class TestBlendSpec:
 
 
 @pytest.fixture(scope="module")
-def setup(weight_center):
-    spec = build_blend_spec(400, 1, weight_center)
-    step = build_smoothstep(1)
-    return spec, step
+def spec(weight_center):
+    return BlendSpec(400, 1, weight_center)
 
 
 class TestBlendEval:
-    def test_step_order_checked(self, setup, weight_center):
-        spec, _ = setup
-        with pytest.raises(DomainError):
-            blend_eval(np.sin, spec, build_smoothstep(2), one(0.5))
-
-    def test_outside_window_is_f_bitwise(self, setup):
-        spec, step = setup
+    def test_outside_window_is_f_bitwise(self, spec):
         xs = np.array([0.0, 0.2, spec.breaks[0], spec.breaks[3], 0.9, 1.0])
-        assert np.array_equal(blend_eval(np.sin, spec, step, xs), np.sin(xs))
+        assert np.array_equal(blend_eval(np.sin, spec, xs), np.sin(xs))
 
-    def test_inner_window_is_patch(self, setup):
-        spec, step = setup
+    def test_inner_window_is_patch(self, spec):
         xs = np.array([spec.breaks[1], 0.5, 0.52, spec.breaks[2]])
         want = lagrange_interpolant(np.sin, spec.nodes, xs)
-        assert np.array_equal(blend_eval(np.sin, spec, step, xs), want)
+        assert np.array_equal(blend_eval(np.sin, spec, xs), want)
 
-    def test_transition_band_mixture(self, setup):
-        spec, step = setup
+    def test_transition_band_mixture(self, spec):
         b1, b2, b3, b4 = spec.breaks
         xs = np.array([0.42, 0.44])
-        t1 = psi_eval(step, (xs - b1) / (b2 - b1))
+        t1 = psi_eval(spec.step, (xs - b1) / (b2 - b1))
         want = (1 - t1) * np.sin(xs) + t1 * lagrange_interpolant(np.sin, spec.nodes, xs)
-        np.testing.assert_allclose(blend_eval(np.sin, spec, step, xs), want, rtol=1e-14)
+        np.testing.assert_allclose(blend_eval(np.sin, spec, xs), want, rtol=1e-14)
         xs = np.array([0.56, 0.58])
-        t2 = psi_eval(step, (xs - b3) / (b4 - b3))
+        t2 = psi_eval(spec.step, (xs - b3) / (b4 - b3))
         want = (1 - t2) * lagrange_interpolant(np.sin, spec.nodes, xs) + t2 * np.sin(xs)
-        np.testing.assert_allclose(blend_eval(np.sin, spec, step, xs), want, rtol=1e-14)
+        np.testing.assert_allclose(blend_eval(np.sin, spec, xs), want, rtol=1e-14)
 
-    def test_f_never_sampled_in_inner_window(self, setup):
-        spec, step = setup
+    def test_f_never_sampled_in_inner_window(self, spec):
         b2, b3 = spec.breaks[1], spec.breaks[2]
 
         def guarded(xs):
@@ -316,60 +306,73 @@ class TestBlendEval:
             return np.cos(xs)
 
         xs = np.linspace(0.0, 1.0, 801)
-        vals = blend_eval(guarded, spec, step, xs)
+        vals = blend_eval(guarded, spec, xs)
         assert np.all(np.isfinite(vals))
 
-    def test_handles_singular_center(self, setup, weight_center):
-        spec, step = setup
+    def test_handles_singular_center(self, spec, weight_center):
 
         def singular(x):
             return 1.0 / np.abs(x - weight_center.xi)
 
-        v, = blend_eval(singular, spec, step, one(weight_center.xi))
+        v, = blend_eval(singular, spec, one(weight_center.xi))
         assert np.isfinite(v)
         # the patch replaces the blow-up by the bounded interpolant
         assert abs(v) < 100.0
 
-    def test_nan_at_node_rejected(self, setup):
-        spec, step = setup
+    def test_nan_at_node_rejected(self, spec):
 
         def bad(xs):
             return np.where(xs == spec.nodes[0], np.nan, xs)
 
         with pytest.raises(SampleError):
-            blend_eval(bad, spec, step, one(0.5))
+            blend_eval(bad, spec, one(0.5))
 
-    def test_scalar_and_array_agree(self, setup):
+    def test_f_calls_in_order(self, spec):
+        # with breaks (0.40, 0.45, 0.55, 0.60), f is called exactly twice:
+        # first on the points whose f-coefficient is nonzero, in their
+        # order, and then on the patch nodes
+        calls = []
+
+        def recorded(xs):
+            calls.append(xs.tolist())
+            return np.sin(xs)
+
+        blend_eval(recorded, spec, np.array([0.1, 0.42, 0.47, 0.5, 0.58, 0.9]))
+        assert calls == [[0.1, 0.42, 0.58, 0.9], spec.nodes.tolist()]
+
+    def test_first_call_failure_wins(self, spec):
+        # an f that fails in both calls raises the first call's SampleError
+        with pytest.raises(SampleError) as exc:
+            blend_eval(lambda xs: np.full(xs.shape, np.nan), spec, np.array([0.5, 0.42]))
+        assert exc.value.x == 0.42
+
+    def test_scalar_and_array_agree(self, spec):
         # each point alone, as a one-element array, gives its value in the
         # whole array bit for bit
-        spec, step = setup
         xs = np.linspace(0.0, 1.0, 101)
-        arr = blend_eval(np.sin, spec, step, xs)
+        arr = blend_eval(np.sin, spec, xs)
         for x, v in zip(xs, arr):
-            assert blend_eval(np.sin, spec, step, one(x))[0] == v
+            assert blend_eval(np.sin, spec, one(x))[0] == v
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_polynomial_reproduction(self, r, weight_center):
-        spec = build_blend_spec(400, r, weight_center)
-        step = build_smoothstep(r)
+        spec = BlendSpec(400, r, weight_center)
         poly = np.polynomial.Polynomial([0.3, -1.2] + [0.7] * (r - 1))
         xs = np.linspace(0.0, 1.0, 401)
         np.testing.assert_allclose(
-            blend_eval(poly, spec, step, xs), poly(xs), atol=1e-10
+            blend_eval(poly, spec, xs), poly(xs), atol=1e-10
         )
 
-    def test_linearity(self, setup):
-        spec, step = setup
+    def test_linearity(self, spec):
         xs = np.linspace(0.0, 1.0, 101)
         f, g = np.sin, np.cos
-        combo = blend_eval(lambda x: 2.0 * f(x) - 0.5 * g(x), spec, step, xs)
-        want = 2.0 * blend_eval(f, spec, step, xs) - 0.5 * blend_eval(g, spec, step, xs)
+        combo = blend_eval(lambda x: 2.0 * f(x) - 0.5 * g(x), spec, xs)
+        want = 2.0 * blend_eval(f, spec, xs) - 0.5 * blend_eval(g, spec, xs)
         np.testing.assert_allclose(combo, want, rtol=1e-10, atol=1e-13)
 
-    def test_continuous_at_breakpoints(self, setup):
-        spec, step = setup
+    def test_continuous_at_breakpoints(self, spec):
         delta = 1e-7
         breaks = np.array(spec.breaks)
-        lo = blend_eval(np.sin, spec, step, breaks - delta)
-        hi = blend_eval(np.sin, spec, step, breaks + delta)
+        lo = blend_eval(np.sin, spec, breaks - delta)
+        hi = blend_eval(np.sin, spec, breaks + delta)
         assert np.all(np.abs(hi - lo) <= 1e-5)

@@ -229,10 +229,9 @@ def per_n_reference(cfg):
     plain, modified, deriv = [], [], []
     for n in cfg.n_list:
         op = build_modified_operator(n, cfg.r, cfg.weight)
-        plain.append(weighted_norm(combine(f, op.scheme, xs) - f_vals, cfg.weight, grid))
-        modified.append(weighted_norm(modified_operator(op, f, xs) - f_vals,
-                                      cfg.weight, grid))
-        deriv.append(weighted_norm(operator_derivative_2r(op, f, xs), cfg.weight, grid))
+        plain.append(weighted_norm(combine(f, op.scheme, xs) - f_vals, grid))
+        modified.append(weighted_norm(modified_operator(op, f, xs) - f_vals, grid))
+        deriv.append(weighted_norm(operator_derivative_2r(op, f, xs), grid))
     return tuple(plain), tuple(modified), tuple(deriv)
 
 
@@ -370,17 +369,17 @@ class TestLemmaScans:
         f = make_function(parse_spec("smooth_sin:freq=1"), weight513)
         for r, ns in ((2, (400.5,)), (2.5, (400,)), (9, (10**6,)), (2, (2 * 10**6,))):
             with pytest.raises(DomainError):
-                lemma3_decay(r, weight513, f, ns, grid513)
+                lemma3_decay(r, f, ns, grid513)
 
     def test_lemma3_polynomial_exact(self, weight513, grid513):
         f = make_function(parse_spec("smooth_poly:coeffs=0;1"), weight513)
-        rep = lemma3_decay(1, weight513, f, (64, 128), grid513)
+        rep = lemma3_decay(1, f, (64, 128), grid513)
         assert all(v <= 1e-11 for v in rep.values)
 
     @pytest.mark.parametrize("r,cap", [(1, -0.8), (2, -1.6)])
     def test_lemma3_sin_decay(self, r, cap, weight513, grid513):
         f = make_function(parse_spec("smooth_sin:freq=1"), weight513)
-        rep = lemma3_decay(r, weight513, f, (64, 128, 256, 512), grid513)
+        rep = lemma3_decay(r, f, (64, 128, 256, 512), grid513)
         assert rep.slope <= cap
 
     @pytest.mark.parametrize("alpha,target", [(1.0, -0.5), (2.0, -1.0)])

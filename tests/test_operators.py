@@ -24,9 +24,8 @@ class TestConstruction:
     def test_build(self, op64):
         assert op64.scheme.nodes == (64, 128)
         assert tuple(s.n for s in op64.specs) == (64, 128)
-        assert op64.step.r == 2
-        # every spec has the operator's order and weight
-        assert all(s.r == 2 and s.weight is op64.weight for s in op64.specs)
+        # every spec has the operator's order, smoothstep order and weight
+        assert all(s.r == s.step.r == 2 and s.weight is op64.weight for s in op64.specs)
 
 
 class TestApplication:
@@ -59,7 +58,7 @@ class TestApplication:
         want = np.zeros_like(xs)
         for c, n_i, spec in zip(op64.scheme.coeffs, op64.scheme.nodes, op64.specs):
             sv = sample_function(
-                lambda t, s=spec: blend_eval(np.sin, s, op64.step, t), n_i
+                lambda t, s=spec: blend_eval(np.sin, s, t), n_i
             )
             want = want + c * bernstein_apply_grid(sv, xs)
         got = modified_operator(op64, np.sin, xs)
@@ -191,12 +190,12 @@ class TestWeightedStability:
         # the weighted sup of the operator output stays comparable to the
         # weighted sup of the input as n grows
         f = make_function(parse_spec(key), weight513)
-        fnorm = weighted_norm(f(grid513.points), weight513, grid513)
+        fnorm = weighted_norm(f(grid513.points), grid513)
         ratios = []
         for n in (64, 128, 256):
             op = build_modified_operator(n, 2, weight513)
             vals = modified_operator(op, f, grid513.points)
-            ratios.append(weighted_norm(vals, weight513, grid513) / fnorm)
+            ratios.append(weighted_norm(vals, grid513) / fnorm)
         slope, _, _ = fit_rate((64, 128, 256), ratios)
         # boundedness means no growth with n; the constant itself can be
         # sizable for oscillatory singular inputs (about 35 here), and a

@@ -59,47 +59,53 @@ class TestGrid:
         assert np.array_equal(make_grid(Weight(xi, 1.0), size).points, pts)
 
 
-def norm_of(f, weight, grid):
+def norm_of(f, grid):
     """The weighted norm of f's values on the grid points."""
-    return weighted_norm(f(grid.points), weight, grid)
+    return weighted_norm(f(grid.points), grid)
+
+
+def modulus(f, params, grid):
+    """The weighted modulus of the one ModulusParams ``params``."""
+    value, = weighted_modulus(f, [params], grid)
+    return value
 
 
 class TestWeightedNorm:
     def test_zero(self, weight_center, grid_center):
-        assert norm_of(lambda x: np.zeros_like(x), weight_center, grid_center) == 0.0
+        assert norm_of(lambda x: np.zeros_like(x), grid_center) == 0.0
 
     def test_constant(self, weight_center, grid_center):
-        got = norm_of(lambda x: np.ones_like(x), weight_center, grid_center)
+        got = norm_of(lambda x: np.ones_like(x), grid_center)
         assert got == 0.5
 
     def test_identity(self, weight_center, grid_center):
         # max of x|x-1/2| on [0,1] sits at x=1
-        got = norm_of(lambda x: np.asarray(x), weight_center, grid_center)
+        got = norm_of(lambda x: np.asarray(x), grid_center)
         assert got == 0.5
 
     def test_array_input(self, weight_center, grid_center):
         vals = np.ones_like(grid_center.points)
-        assert weighted_norm(vals, weight_center, grid_center) == 0.5
+        assert weighted_norm(vals, grid_center) == 0.5
         with pytest.raises(DomainError):
-            weighted_norm(vals[:-1], weight_center, grid_center)
+            weighted_norm(vals[:-1], grid_center)
 
     def test_singular_function_is_finite(self, weight_center, grid_center):
         f = lambda x: 1.0 / np.abs(np.asarray(x) - 0.5)
-        assert norm_of(f, weight_center, grid_center) == pytest.approx(
+        assert norm_of(f, grid_center) == pytest.approx(
             1.0, rel=1e-12
         )
 
     def test_non_finite_named(self, weight_center, grid_center):
         f = lambda x: np.where(np.asarray(x) == 0.0, np.nan, 1.0)
         with pytest.raises(SampleError) as exc:
-            norm_of(f, weight_center, grid_center)
+            norm_of(f, grid_center)
         assert exc.value.x == 0.0
 
     @given(c=st.floats(-1e6, 1e6))
     def test_homogeneity(self, c, weight_center, grid_center):
-        base = norm_of(np.sin, weight_center, grid_center)
+        base = norm_of(np.sin, grid_center)
         scaled = norm_of(
-            lambda x: c * np.sin(np.asarray(x)), weight_center, grid_center
+            lambda x: c * np.sin(np.asarray(x)), grid_center
         )
         assert scaled == pytest.approx(abs(c) * base, rel=1e-13, abs=1e-300)
 
@@ -107,8 +113,8 @@ class TestWeightedNorm:
     def test_grid_refinement_guard(self, key, weight513):
         # doubling the grid moves the discretized sup by well under 2%
         f = make_function(parse_spec(key), weight513)
-        coarse = norm_of(f, weight513, make_grid(weight513, 401))
-        fine = norm_of(f, weight513, make_grid(weight513, 802))
+        coarse = norm_of(f, make_grid(weight513, 401))
+        fine = norm_of(f, make_grid(weight513, 802))
         assert abs(fine - coarse) <= 0.02 * coarse
 
 
@@ -180,9 +186,9 @@ class TestModulusOracle:
             except SampleError:
                 # a stencil lands on xi: the modulus must refuse it too
                 with pytest.raises(SampleError):
-                    weighted_modulus(f, weight, params, grid)
+                    modulus(f, params, grid)
                 continue
-            got = weighted_modulus(f, weight, params, grid)
+            got = modulus(f, params, grid)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), (t, got, want)
 
     @pytest.mark.parametrize("r2", [2, 6])
@@ -196,7 +202,7 @@ class TestModulusOracle:
             return f(x)
 
         params = ModulusParams(r2=r2, t=0.125)
-        weighted_modulus(counted, weight513, params, grid513)
+        modulus(counted, params, grid513)
         assert len(sizes) <= 3 * (r2 + 1) * smoothness._H_COUNT
         assert sum(sizes) / len(sizes) > 50
 
@@ -210,28 +216,28 @@ class TestWeightedModulus:
 
         params = ModulusParams(r2=2, t=0.1)
         with pytest.raises(SampleError, match="non-finite") as exc:
-            weighted_modulus(f, weight_center, params, grid_center)
+            modulus(f, params, grid_center)
         assert exc.value.x > 0.8
 
     def test_affine_vanishes(self, weight_center, grid_center):
         params = ModulusParams(r2=2, t=0.125)
         f = lambda x: 2.0 - 3.0 * np.asarray(x)
-        assert weighted_modulus(f, weight_center, params, grid_center) <= 1e-12
+        assert modulus(f, params, grid_center) <= 1e-12
 
     def test_square_analytic(self, weight_center, grid_center, golden):
         # the max sits at the forward difference from x=0: w(0)*2t^2 = t^2
         f = lambda x: np.asarray(x) ** 2
-        v = weighted_modulus(f, weight_center, ModulusParams(r2=2, t=0.1), grid_center)
+        v = modulus(f, ModulusParams(r2=2, t=0.1), grid_center)
         assert v == pytest.approx(0.01, abs=1e-12)
         assert v == pytest.approx(golden["modulus_square_t01"], rel=1e-12)
-        v2 = weighted_modulus(f, weight_center, ModulusParams(r2=2, t=0.05), grid_center)
+        v2 = modulus(f, ModulusParams(r2=2, t=0.05), grid_center)
         assert v2 == pytest.approx(0.0025, abs=1e-12)
 
     @pytest.mark.parametrize("key", ["smooth_sin:freq=1", "singular_power:beta=0.5"])
     def test_monotone_in_t(self, key, weight_center, grid_center):
         f = make_function(parse_spec(key), weight_center)
         vals = [
-            weighted_modulus(f, weight_center, ModulusParams(r2=2, t=t), grid_center)
+            modulus(f, ModulusParams(r2=2, t=t), grid_center)
             for t in (0.125, 0.0625, 0.03125, 0.015625)
         ]
         for bigger, smaller in zip(vals, vals[1:]):
@@ -239,10 +245,8 @@ class TestWeightedModulus:
 
     def test_vanishes_for_small_t(self, weight_center, grid_center):
         f = make_function(parse_spec("singular_power:beta=0.5"), weight_center)
-        big = weighted_modulus(f, weight_center, ModulusParams(r2=2, t=0.125), grid_center)
-        small = weighted_modulus(
-            f, weight_center, ModulusParams(r2=2, t=2.0**-10), grid_center
-        )
+        big = modulus(f, ModulusParams(r2=2, t=0.125), grid_center)
+        small = modulus(f, ModulusParams(r2=2, t=2.0**-10), grid_center)
         assert small < big / 4
 
     def test_stencils_stay_inside(self):
@@ -258,7 +262,7 @@ class TestWeightedModulus:
                 return np.cos(x)
 
             params = [ModulusParams(r2=r2, t=t) for t in (0.125, 2.0**-7)]
-            v = weighted_modulus(guarded, weight, params, make_grid(weight, size))
+            v = weighted_modulus(guarded, params, make_grid(weight, size))
             case = (r2, size, xi)
             assert np.all(np.isfinite(v)), case
             assert seen and all(0.0 <= lo and hi <= 1.0 for lo, hi in seen), case
@@ -266,13 +270,13 @@ class TestWeightedModulus:
     def test_higher_order(self, weight_center, grid_center):
         # order-4 differences annihilate cubics
         f = lambda x: np.asarray(x) ** 3 - 0.2 * np.asarray(x)
-        v = weighted_modulus(f, weight_center, ModulusParams(r2=4, t=0.1), grid_center)
+        v = modulus(f, ModulusParams(r2=4, t=0.1), grid_center)
         assert v <= 1e-11
 
 
-def _per_entry(f, weight, entries, grid):
+def _per_entry(f, entries, grid):
     """The moduli of one call per entry: the reference for the shared ladder."""
-    return tuple(weighted_modulus(f, weight, p, grid) for p in entries)
+    return tuple(modulus(f, p, grid) for p in entries)
 
 
 class TestSharedLadder:
@@ -292,17 +296,15 @@ class TestSharedLadder:
     @pytest.mark.parametrize("key", ["singular_power:beta=0.5", "smooth_sin:freq=1"])
     def test_equals_one_call_per_entry(self, entries, key, weight513, grid513):
         f = make_function(parse_spec(key), weight513)
-        got = weighted_modulus(f, weight513, entries, grid513)
+        got = weighted_modulus(f, entries, grid513)
         assert type(got) is tuple
-        assert got == _per_entry(f, weight513, entries, grid513)
+        assert got == _per_entry(f, entries, grid513)
 
     def test_single_entry_is_a_float(self, weight513, grid513):
         f = make_function(parse_spec("smooth_sin:freq=1"), weight513)
-        params = ModulusParams(4, 0.125)
-        got = weighted_modulus(f, weight513, params, grid513)
-        assert type(got) is float
-        assert weighted_modulus(f, weight513, [params], grid513) == (got,)
-        assert weighted_modulus(f, weight513, [], grid513) == ()
+        got = weighted_modulus(f, [ModulusParams(4, 0.125)], grid513)
+        assert type(got) is tuple and len(got) == 1 and type(got[0]) is float
+        assert weighted_modulus(f, [], grid513) == ()
 
     def test_table_scans_each_step_once(self, monkeypatch, weight513, grid513):
         # the 8-row table t/2^k has the 15 steps t/2^j, j = 0..14
@@ -310,13 +312,13 @@ class TestSharedLadder:
         scan = smoothness._step_sup
         steps = []
 
-        def counted(f, weight, pts, order, h):
+        def counted(f, grid, order, h):
             steps.append((order, h))
-            return scan(f, weight, pts, order, h)
+            return scan(f, grid, order, h)
 
         monkeypatch.setattr(smoothness, "_step_sup", counted)
         table = [ModulusParams(4, 0.125 / 2**k) for k in range(8)]
-        weighted_modulus(f, weight513, table, grid513)
+        weighted_modulus(f, table, grid513)
         distinct = len(table) - 1 + smoothness._H_COUNT
         assert steps == [(4, 0.125 / 2**j) for j in range(distinct)]
 
@@ -334,11 +336,11 @@ class TestSharedLadder:
             return np.where(hit, np.nan, np.sin(x))
 
         table = [ModulusParams(2, 0.125 / 2**k) for k in range(8)]
-        weighted_modulus(flawed, weight513, table[:3], grid513)
+        weighted_modulus(flawed, table[:3], grid513)
         with pytest.raises(SampleError) as loop:
-            _per_entry(flawed, weight513, table, grid513)
+            _per_entry(flawed, table, grid513)
         with pytest.raises(SampleError) as shared:
-            weighted_modulus(flawed, weight513, table, grid513)
+            weighted_modulus(flawed, table, grid513)
         # f's NaN is refused where f is called, at the stencil point itself
         assert shared.value.x == loop.value.x == bad
         assert str(shared.value) == str(loop.value)

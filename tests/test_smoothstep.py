@@ -8,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from bernblend import (DomainError, build_smoothstep, determinant_check,
-                       determinant_reference, psi_eval, solve_psi_coefficients,
-                       system_matrix)
+from bernblend import (DomainError, SmoothstepPoly, psi_eval,
+                       solve_psi_coefficients)
+from smoothstep_system import (determinant_check, determinant_reference,
+                               system_matrix)
 
 
 def psi_derivative(poly, x, m):
@@ -81,25 +82,25 @@ class TestDeterminant:
 
 class TestValidation:
     def test_coeffs_frozen(self):
-        poly = build_smoothstep(2)
+        poly = SmoothstepPoly(2)
         with pytest.raises(ValueError):
             poly.coeffs[0] = 0.0
 
 
 class TestEvaluation:
     def test_step_values(self):
-        poly = build_smoothstep(1)
+        poly = SmoothstepPoly(1)
         vals = psi_eval(poly, np.array([0.0, 1.0, -0.5, 2.0, 0.5]))
         assert vals[:4].tolist() == [0.0, 1.0, 0.0, 1.0]
         assert vals[4] == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_midpoint_is_half(self, r):
-        assert psi_eval(build_smoothstep(r), np.array([0.5]))[0] == pytest.approx(0.5, abs=1e-12)
+        assert psi_eval(SmoothstepPoly(r), np.array([0.5]))[0] == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_range_and_monotonicity(self, r):
-        poly = build_smoothstep(r)
+        poly = SmoothstepPoly(r)
         xs = np.linspace(-0.5, 1.5, 2001)
         vals = psi_eval(poly, xs)
         assert vals.min() >= -1e-12
@@ -110,7 +111,7 @@ class TestEvaluation:
         assert psi_derivative(poly, inner, 1).min() >= -1e-12
 
     def test_scalar_and_array_agree(self):
-        poly = build_smoothstep(2)
+        poly = SmoothstepPoly(2)
         xs = np.linspace(-0.2, 1.2, 29)
         arr = psi_eval(poly, xs)
         # each point alone, as a one-element array, gives its array value
@@ -119,7 +120,7 @@ class TestEvaluation:
 
     @given(r=st.integers(1, 4), x=st.floats(0.0, 1.0))
     def test_mirror_identity(self, r, x):
-        poly = build_smoothstep(r)
+        poly = SmoothstepPoly(r)
         vals = psi_eval(poly, np.array([x, 1.0 - x]))
         assert vals[0] + vals[1] == pytest.approx(1.0, abs=1e-13)
 
@@ -127,14 +128,14 @@ class TestEvaluation:
 class TestDerivatives:
     def test_first_derivative_values(self):
         # psi'(x) = 30 x^2 (1-x)^2 for r = 1
-        assert psi_derivative(build_smoothstep(1), 0.5, 1) == pytest.approx(1.875, rel=1e-13)
+        assert psi_derivative(SmoothstepPoly(1), 0.5, 1) == pytest.approx(1.875, rel=1e-13)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_seam_smoothness(self, r):
         # derivatives through order 2r vanish at both seams, and the
         # one-sided polynomial limit decays like h^(2r+1-i), so halving h
         # must shrink the inside/outside gap by at least a factor ~2
-        poly = build_smoothstep(r)
+        poly = SmoothstepPoly(r)
         for i in range(1, 2 * r + 1):
             assert psi_derivative(poly, 0.0, i) == 0.0
             assert psi_derivative(poly, 1.0, i) == 0.0
@@ -151,6 +152,6 @@ class TestDerivatives:
         # psi'(x) = c x^(2r) (1-x)^(2r), so psi'(x) = psi'(1-x) and
         # psi''(x) = -psi''(1-x): the identity psi_eval mirrors through
         for r in range(1, 5):
-            der = npoly.polyder(build_smoothstep(r)._ascending, 1)
+            der = npoly.polyder(SmoothstepPoly(r)._ascending, 1)
             shape = npoly.polymul(npoly.polypow([0, 1], 2 * r), npoly.polypow([1, -1], 2 * r))
             np.testing.assert_allclose(der, der[2 * r] * shape, rtol=1e-12, atol=0)
