@@ -1,20 +1,30 @@
 """Bernstein basis evaluation, lattice samples and compensated sums.
 
 The basis values p_{nk}(x) = C(n,k) x^k (1-x)^(n-k) are evaluated in log
-space so that degrees up to about 1e5 neither overflow nor underflow to
-garbage.  Log-binomials are accumulated with a compensated running sum,
-which keeps each basis value within a few 1e-13 relative even at n = 4096.
-Evaluation at x > 1/2 is mirrored onto 1-x (exact for x >= 1/2), making
-the symmetry p_{nk}(x) = p_{n,n-k}(1-x) hold by construction.
+space, so that no degree up to the commands' cap (``harness._MAX_DEGREE``,
+10^6) overflows or underflows to garbage.  Log-binomials are accumulated
+with a compensated running sum, which keeps each basis value within a few
+1e-13 relative even at n = 4096.  Evaluation at x > 1/2 is mirrored onto
+1-x (exact for x >= 1/2), making the symmetry p_{nk}(x) = p_{n,n-k}(1-x)
+hold by construction.
+
+Every basis path keeps one contract: an entry whose log lies below
+_NORMAL_LOG is exactly +0.0, and every other entry is exp of its log, a
+normal double.  No value is subnormal (below 2^-1022): numpy's exp takes
+about a hundred times longer for a subnormal result than for a normal
+one, and a row sum loses at most 2^-1022 * sum |w_k| over the flushed
+columns.
 
 ``_band_blocks`` computes the basis values of every array evaluation.  Logs
 are taken only on each row's Bernstein band, one column range of the sorted
 indices, and exp only on the live columns, those with some log at or above
-_ZERO_LOG; every entry left out is one exp would round to exactly +0.0.
-``basis_matrix`` scatters the blocks into zeros.  The applies and the lemma
-scans sum each block over its band (lemma 6 itself, the rest through
-``_row_sums``): the same bytes run to run and at any thread count, but not
-a dense product's.  ``basis_row`` serves ``moment_table`` alone.
+_ZERO_LOG, below which exp itself gives +0.0.  That cut, not _NORMAL_LOG,
+sets each block's columns and so the shape of numpy's pairwise sum over
+them, the shape it had before the flush.  ``basis_matrix`` scatters the
+blocks into zeros.  The applies and the lemma scans sum each block over
+its band (lemma 6 itself, the rest through ``_row_sums``): the same bytes
+run to run and at any thread count, but not a dense product's.
+``basis_row`` serves ``moment_table`` alone.
 
 Endpoint convention: 0^0 = 1, so p_{n0}(0) = 1 and p_{nn}(1) = 1.
 
@@ -39,6 +49,9 @@ _UNDERFLOW_LOG = 760.0
 # exp of any double below ln 2^-1075 = -745.133 is exactly +0.0, so basis
 # columns whose logs all lie below this are cut before exp
 _ZERO_LOG = -745.2
+# ln 2^-1022 = -708.3964: exp of a log at or above this is a normal double
+# (exp(-708.39) = 2.2394e-308); basis values with lower logs are +0.0
+_NORMAL_LOG = -708.39
 # rows of basis values evaluated together on the union of their bands
 _GROUP_ROWS = 32
 # entries (2 MB) that a row group's band may take; groups hold fewer rows
@@ -134,11 +147,15 @@ def _row_interior(n: int, x: float, ks: np.ndarray) -> np.ndarray:
     # assumes 0 < x <= 0.5; mirroring is handled by the callers
     logc = _log_binom_row(n)[ks]
     logp = logc + ks * math.log(x) + (n - ks) * math.log1p(-x)
-    return np.exp(logp)
+    np.exp(logp, out=logp, where=logp >= _NORMAL_LOG)
+    return np.maximum(logp, 0.0, out=logp)
 
 
 def basis_row(n: int, x: float, ks: np.ndarray | None = None) -> np.ndarray:
-    """p_{nk}(x) for k in ``ks`` (default: all of 0..n)."""
+    """p_{nk}(x) for k in ``ks`` (default: all of 0..n).
+
+    Values below 2^-1022 (logs below _NORMAL_LOG) are +0.0.
+    """
     n = _check_degree(n)
     x = float(_check_unit(x))
     ks = _check_indices(n, ks)
@@ -186,8 +203,9 @@ def _band_blocks(n: int, xs: np.ndarray, ks: np.ndarray):
     _GROUP_ROWS, fewer where bands are wide (_BLOCK_ENTRIES).  A group's
     logs are computed on the union of its rows' Bernstein bands (see
     ``_band``), with the full-width elementwise expression and order, and
-    exp runs only on the live columns (some log >= _ZERO_LOG), so every
-    value is the one a full-width evaluation gives, bit for bit.
+    exp runs only on the live columns (some log >= _ZERO_LOG) and there
+    only on logs >= _NORMAL_LOG, so every value is the one a full-width
+    evaluation gives, with entries under 2^-1022 as +0.0.
     Rows at x = 0 or 1 form one block over the columns of index 0 or n.
     """
     left = xs <= 0.5
@@ -204,9 +222,7 @@ def _band_blocks(n: int, xs: np.ndarray, ks: np.ndarray):
         rows, p = rows[~edge], p[~edge]
         if not rows.size:
             continue
-        lc = _log_binom_row(n)[kk]
-        kf = kk.astype(float)
-        mf = (n - kk).astype(float)
+        logc = _log_binom_row(n)
         log_p = np.log(p)
         log_q = np.log1p(-p)
         # the band's centre n*x in the coordinates of ks
@@ -220,21 +236,25 @@ def _band_blocks(n: int, xs: np.ndarray, ks: np.ndarray):
             if a >= b:
                 continue
             # the full-width expression and order, restricted to columns a:b
-            m = lc[a:b] + log_p[sel, None] * kf[a:b]
-            m += log_q[sel, None] * mf[a:b]
+            kb = kk[a:b]
+            m = logc[kb] + log_p[sel, None] * kb.astype(float)
+            m += log_q[sel, None] * (n - kb).astype(float)
             live = np.flatnonzero(m.max(axis=0) >= _ZERO_LOG)
             if not live.size:
                 continue
             i, j = live[0], live[-1] + 1
             m = np.ascontiguousarray(m[:, i:j])
-            yield rows[sel], a + i, a + j, np.exp(m, out=m)
+            # logs left below _NORMAL_LOG are negative: maximum makes them +0.0
+            np.exp(m, out=m, where=m >= _NORMAL_LOG)
+            yield rows[sel], a + i, a + j, np.maximum(m, 0.0, out=m)
 
 
 def basis_matrix(n: int, xs: np.ndarray, ks: np.ndarray | None = None) -> np.ndarray:
     """Matrix P[i, j] = p_{n, ks[j]}(xs[i]).
 
-    The blocks of ``_band_blocks`` scattered into zeros: the same matrix,
-    bit for bit, as a full-width evaluation of every entry.
+    The blocks of ``_band_blocks`` scattered into zeros: the same matrix
+    as a full-width evaluation of every entry, with entries under 2^-1022
+    as +0.0.
     """
     n, xs, ks = _basis_args(n, xs, ks)
     out = np.zeros((xs.size, ks.size))

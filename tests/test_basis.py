@@ -132,11 +132,11 @@ class TestRowsAndMatrices:
         assert left == pytest.approx(right, rel=1e-13, abs=1e-300)
 
 
-def dense_basis(n, xs, ks=None):
-    """Full-width basis matrix: log, outer products and exp for every entry.
+def dense_logs(n, xs, ks=None):
+    """Full-width ln p_nk: log and outer products for every entry.
 
     The same elementwise expression and order as ``basis_matrix``, with no
-    band, so the two must agree bit for bit.
+    band; rows at x = 0 or 1 read 0.0 at index 0 or n and -inf elsewhere.
     """
     ks = np.arange(n + 1) if ks is None else np.asarray(ks, dtype=np.int64)
     logc = basis._log_binom_row(n)
@@ -147,10 +147,19 @@ def dense_basis(n, xs, ks=None):
         p = pts[mask]
         with np.errstate(divide="ignore", invalid="ignore"):
             m = logc[kk] + np.outer(np.log(p), kk) + np.outer(np.log1p(-p), n - kk)
-        rows = np.exp(m)
-        rows[p == 0.0] = kk == 0
-        out[mask] = rows
+        m[p == 0.0] = np.where(kk == 0, 0.0, -np.inf)
+        out[mask] = m
     return out
+
+
+def dense_basis(n, xs, ks=None):
+    """Full-width basis matrix: exp of ``dense_logs``, +0.0 below _NORMAL_LOG.
+
+    The contract of every basis path applied to every entry, so
+    ``basis_matrix`` must agree with it bit for bit.
+    """
+    m = dense_logs(n, xs, ks)
+    return np.where(m >= basis._NORMAL_LOG, np.exp(m), 0.0)
 
 
 def bernstein_band(n, xs, ks=None):
@@ -206,7 +215,8 @@ class TestBandedMatrix:
     @pytest.mark.parametrize("n", ORACLE_DEGREES)
     def test_dense_is_zero_outside_band(self, n):
         for xs in _oracle_points(n).values():
-            dense = dense_basis(n, xs)
+            # unflushed: exp itself gives +0.0 outside the band
+            dense = np.exp(dense_logs(n, xs))
             outside = ~bernstein_band(n, xs)
             assert np.all(dense[outside] == 0.0)
 
@@ -227,6 +237,30 @@ class TestBandedMatrix:
         got, = basis._row_sums(8, xs, ks, [np.ones(ks.size)])
         assert got == pytest.approx(want.sum(axis=1), rel=1e-15)
         assert np.array_equal(basis_row(8, 0.2, ks), basis_row(8, 0.2)[ks])
+
+    @pytest.mark.parametrize("n", ORACLE_DEGREES)
+    def test_no_subnormal_or_negative_zero(self, n):
+        # every path flushes values under 2^-1022 to +0.0; the band of the
+        # larger degrees holds logs in [-745.13, _NORMAL_LOG), which a plain
+        # exp would make subnormal
+        tiny = np.finfo(float).tiny
+        flushed = 0
+        for xs in _oracle_points(n).values():
+            for ks in _oracle_indices(n).values():
+                logs = dense_logs(n, xs, ks)
+                flushed += np.count_nonzero((logs >= -745.13) & (logs < basis._NORMAL_LOG))
+                outs = [basis_matrix(n, xs, ks)]
+                outs += [vals for *_, vals in basis._band_blocks(*basis._basis_args(n, xs, ks))]
+                outs += [basis_row(n, float(x), ks) for x in xs]
+                for vals in outs:
+                    assert not np.any((vals > 0.0) & (vals < tiny))
+                    assert not np.signbit(vals).any()
+        assert flushed > 0 or n < 64
+
+    def test_normal_log_gives_normal_doubles(self):
+        # the cut flushes no value above 1.01 times the smallest normal
+        tiny = np.finfo(float).tiny
+        assert tiny <= np.exp(basis._NORMAL_LOG) <= 1.01 * tiny
 
     def test_empty_arguments(self):
         assert basis_matrix(8, np.array([])).shape == (0, 9)
@@ -250,7 +284,9 @@ class TestRowSums:
     FSUM_BOUND = 4.0
 
     def test_exp_underflows_to_positive_zero(self):
-        # _band_blocks skips exp on columns whose logs all lie below _ZERO_LOG
+        # the flush makes these values +0.0 anyway, but _band_blocks cuts
+        # its columns where exp itself reaches +0.0 (_ZERO_LOG): the column
+        # range fixes the shape of each row sum's pairwise tree
         logs = np.concatenate([np.linspace(-1000.0, basis._ZERO_LOG, 2_000_001),
                                np.nextafter(basis._ZERO_LOG, -np.inf) - np.arange(1000) * 1e-12])
         vals = np.exp(logs)
@@ -263,7 +299,9 @@ class TestRowSums:
         eps = np.finfo(float).eps
         for xname, xs in _oracle_points(n).items():
             for kname, ks in _oracle_indices(n).items():
-                dense = dense_basis(n, xs, ks)
+                # the oracle keeps the values the flush makes +0.0
+                logs = dense_logs(n, xs, ks)
+                dense = np.exp(logs)
                 weights = _weights(dense.shape[1], n)
                 default = basis._row_sums(n, xs, ks, list(weights.values()))
                 with monkeypatch.context() as m:
@@ -274,11 +312,14 @@ class TestRowSums:
                     for i, row in enumerate(dense * w):
                         # fsum of the terms above 2^-100 of the largest, and
                         # the rest, which sum to under 2^-83 of it, added to
-                        # the bound: fsum then keeps few partials
+                        # the bound: fsum then keeps few partials.  The mass
+                        # of the flushed terms is added to the bound too
                         mags = np.abs(row)
                         big = mags > 2.0 ** -100 * mags.max()
                         exact = math.fsum(row[big].tolist())
-                        bound = self.FSUM_BOUND * eps * mags.sum() + mags[~big].sum()
+                        dropped = mags[logs[i] < basis._NORMAL_LOG].sum()
+                        bound = (self.FSUM_BOUND * eps * mags.sum() + mags[~big].sum()
+                                 + dropped)
                         case = (xname, kname, wname, i)
                         assert abs(got[i] - exact) <= bound, case
                         assert abs(split[i] - exact) <= bound, case
