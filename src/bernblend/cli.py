@@ -10,8 +10,8 @@ explicit flags win, and a flag or file key that the entry does not read is
 bad configuration.  ``_parse_value`` parses flag text and file values alike;
 its errors name the flag or the key.
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
-(including running out of memory).
+Exit codes: 0 success, 1 an ``--out`` file that cannot be written, 2 invalid
+configuration, 3 numerical failure (including running out of memory).
 """
 
 from __future__ import annotations

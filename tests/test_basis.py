@@ -163,10 +163,10 @@ def dense_basis(n, xs, ks=None):
 
 
 def bernstein_band(n, xs, ks=None):
-    """True where |k - n x| <= t(x), Bernstein's-inequality band at ln p = -760."""
+    """True where |k - n x| <= t(x), Bernstein's-inequality band at ln p = _NORMAL_LOG."""
     ks = np.arange(n + 1) if ks is None else np.asarray(ks)
     xs = np.asarray(xs, dtype=float)[:, None]
-    L = 760.0
+    L = -basis._NORMAL_LOG
     t = L / 3.0 + np.sqrt(L * L / 9.0 + 2.0 * L * n * xs * (1.0 - xs))
     return np.abs(ks - n * xs) <= t
 
@@ -214,11 +214,21 @@ class TestBandedMatrix:
 
     @pytest.mark.parametrize("n", ORACLE_DEGREES)
     def test_dense_is_zero_outside_band(self, n):
+        # outside the band every full-width log lies below _NORMAL_LOG, so
+        # the flush makes the entry +0.0 (a plain exp may give a subnormal)
         for xs in _oracle_points(n).values():
-            # unflushed: exp itself gives +0.0 outside the band
-            dense = np.exp(dense_logs(n, xs))
             outside = ~bernstein_band(n, xs)
-            assert np.all(dense[outside] == 0.0)
+            assert np.all(dense_logs(n, xs)[outside] < basis._NORMAL_LOG)
+
+    def test_band_at_degree_cap(self):
+        # the band's margin under _NORMAL_LOG shrinks with n (50 at 65536,
+        # 17.6 at 10^6, least near x = 0.25); 10^6 is the commands' cap
+        n = 10 ** 6
+        for x in (0.5, 0.513, 0.25, 1e-3, 1e-300, 0.999):
+            outside = ~bernstein_band(n, [x])
+            assert outside.any(), x
+            assert dense_logs(n, [x])[outside].max() < basis._NORMAL_LOG, x
+            assert np.array_equal(basis_matrix(n, [x]), dense_basis(n, [x])), x
 
     def test_descending_indices_refused(self):
         # a band is one column range only of sorted indices; equal
@@ -282,16 +292,6 @@ class TestRowSums:
     # at the default block split and at one row per block alike (n = 255,
     # "inner" indices, weights -1); the bound leaves a factor 2 of margin
     FSUM_BOUND = 4.0
-
-    def test_exp_underflows_to_positive_zero(self):
-        # the flush makes these values +0.0 anyway, but _band_blocks cuts
-        # its columns where exp itself reaches +0.0 (_ZERO_LOG): the column
-        # range fixes the shape of each row sum's pairwise tree
-        logs = np.concatenate([np.linspace(-1000.0, basis._ZERO_LOG, 2_000_001),
-                               np.nextafter(basis._ZERO_LOG, -np.inf) - np.arange(1000) * 1e-12])
-        vals = np.exp(logs)
-        assert np.all(vals == 0.0)
-        assert not np.signbit(vals).any()
 
     @pytest.mark.parametrize("n", ORACLE_DEGREES + [128, 4090, 12282])
     def test_within_fsum_bound(self, n, monkeypatch):

@@ -255,6 +255,14 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+    def test_centered_approx_runs(self, capsys):
+        # the blend never samples xi, but the weighted modulus's t = 1/8
+        # forward strip stencil from x = 0 reaches 4 * (1/8) = xi exactly
+        code, _, err = run(capsys, [
+            "approx", "--xi", "0.5", "--n-list", "64,128", "--grid", "401"])
+        assert (code, err) == (0, "")
+
     def test_modulus_step_too_large(self, capsys):
         code, _, err = run(capsys, [
             "modulus", "--r", "1", "--function", "smooth_sin:freq=1",
