@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -182,13 +182,18 @@ def _band(n: int, ks: np.ndarray, centre: np.ndarray,
             np.searchsorted(ks, centre + t, "right"))
 
 
-def _basis_args(n: int, xs, ks) -> tuple[int, np.ndarray, np.ndarray]:
-    """Checked (n, xs, ks) of a basis evaluation: xs a 1-d array in [0,1]."""
-    n = _check_degree(n)
+def _check_points(xs) -> np.ndarray:
+    """``xs`` as a 1-d float array; DomainError unless it lies in [0,1]."""
     xs = _check_unit(xs)
     if xs.ndim != 1:
         raise DomainError("xs must be a 1-d array")
-    return n, xs, _check_indices(n, ks)
+    return xs
+
+
+def _basis_args(n: int, xs, ks) -> tuple[int, np.ndarray, np.ndarray]:
+    """Checked (n, xs, ks) of a basis evaluation: xs a 1-d array in [0,1]."""
+    n = _check_degree(n)
+    return n, _check_points(xs), _check_indices(n, ks)
 
 
 def _band_blocks(n: int, xs: np.ndarray, ks: np.ndarray):
@@ -330,15 +335,17 @@ def bernstein_apply_grid(samples: SampleVector | Sequence[SampleVector],
     return outs[0] if single else outs
 
 
-def _compensated_sum(terms: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise sum of equal-shape arrays by a TwoSum cascade.
+def _compensated_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
+    """Elementwise sum of an iterable of equal-shape arrays, in its order,
+    by a TwoSum cascade.
 
     Ogita-Rump-Oishi Sum2 (SIAM J. Sci. Comput. 2005): the result is as
     accurate as if summed in twice the working precision and then rounded.
     """
-    total = terms[0]
+    terms = iter(terms)
+    total = next(terms)
     comp = np.zeros_like(total)
-    for term in terms[1:]:
+    for term in terms:
         s = total + term
         bp = s - total
         comp += (total - (s - bp)) + (term - bp)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,12 +26,16 @@ from .basis import (
     _check_degrees,
     _check_int,
     _check_order,
+    _check_points,
     _compensated_sum,
     basis_row,
     bernstein_apply_grid,
     sample_function,
 )
 from .errors import DomainError
+
+# values of k per block of moment_table's streamed terms
+_MOMENT_BLOCK = 64
 
 
 def make_schedule(base_n: int, r: int) -> list[int]:
@@ -115,21 +119,45 @@ def combine(f: Callable, scheme: CombinationScheme, xs: np.ndarray) -> np.ndarra
     return combine_samples(scheme, samples, xs)
 
 
+def _power(d: np.ndarray, m: int) -> np.ndarray:
+    """d**m by square-and-multiply: O(log m) products, no libm pow.
+
+    m = 0, 1 and 2 give ones, d and d*d, the bits of numpy's d**m."""
+    out = None
+    while True:
+        if m & 1:
+            out = d if out is None else out * d
+        m >>= 1
+        if not m:
+            return np.ones_like(d) if out is None else out
+        d = d * d
+
+
+def _moment_terms(n: int, cols: np.ndarray, powers: Sequence[int],
+                  xs: np.ndarray) -> Iterator[np.ndarray]:
+    """terms[p, i] = cols[k, i] * (k/n - xs[i])^powers[p] for k = 0..n in
+    order, _MOMENT_BLOCK values of k at a time: no (n+1) x powers x points
+    array is held."""
+    for a in range(0, n + 1, _MOMENT_BLOCK):
+        b = min(a + _MOMENT_BLOCK, n + 1)
+        d = (np.arange(a, b) / n)[:, None] - xs
+        terms = np.empty((b - a, len(powers), xs.size))
+        for p, power in enumerate(powers):
+            np.multiply(cols[a:b], _power(d, power), out=terms[:, p])
+        yield from terms
+
+
 def moment_table(
     scheme: CombinationScheme, powers: Sequence[int], xs: np.ndarray
 ) -> np.ndarray:
     """Array M[p, i] = sum_j C_j B_{n_j}((t - x)^powers[p], x) at x = xs[i].
 
-    Sums ``basis_row`` rows: banded ones move a benchmark entry past 1e-15."""
+    Sums ``basis_row`` rows (banded ones move a benchmark entry past 1e-15)
+    times ``_power`` products, streamed in k order by ``_moment_terms``."""
     powers = [_check_int(p, "moment power", 0) for p in powers]
-    xs = np.asarray(xs, dtype=float)
+    xs = _check_points(xs)
     out = np.zeros((len(powers), xs.size))
     for c, n in zip(scheme.coeffs.tolist(), scheme.nodes):
         rows = np.array([basis_row(n, x) for x in xs.tolist()]).reshape(xs.size, n + 1)
-        d = (np.arange(n + 1) / n)[:, None] - xs
-        # terms[k, p, i] = p_nk(x_i) (k/n - x_i)^powers[p], summed over k
-        terms = np.empty((n + 1, len(powers), xs.size))
-        for p, power in enumerate(powers):
-            np.multiply(rows.T, d**power, out=terms[:, p])
-        out += c * _compensated_sum(terms)
+        out += c * _compensated_sum(_moment_terms(n, rows.T, powers, xs))
     return out

@@ -1,6 +1,9 @@
 """Degree ladders, combination weights, and combined moments."""
 
 import math
+import time
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,17 +13,39 @@ from hypothesis import strategies as st
 from bernblend import (CombinationScheme, DomainError, basis_row, build_scheme,
                        combine, combine_samples, make_schedule, moment_table,
                        sample_function, solve_coefficients)
+from bernblend.basis import _compensated_sum
+from bernblend.combination import _MOMENT_BLOCK, _power
+
+
+def exact_power(d: float, m: int) -> float:
+    """float(Fraction(d) ** m): the exact power, rounded once (Python's
+    int / int is correctly rounded)."""
+    num, den = d.as_integer_ratio()
+    return num**m / den**m
 
 
 def fsum_moment_table(scheme, powers, xs):
-    """moment_table summed point by point with math.fsum."""
+    """moment_table summed point by point with math.fsum, each power of
+    k/n - x taken exactly and rounded once."""
     out = np.zeros((len(powers), len(xs)))
     for i, x in enumerate(xs):
         for c, n in zip(scheme.coeffs.tolist(), scheme.nodes):
-            row = basis_row(n, x)
-            d = np.arange(n + 1) / n - x
+            row = basis_row(n, x).tolist()
+            d = (np.arange(n + 1) / n - x).tolist()
             for p, power in enumerate(powers):
-                out[p, i] += c * math.fsum((row * d**power).tolist())
+                out[p, i] += c * math.fsum(
+                    pk * exact_power(dk, power) for pk, dk in zip(row, d))
+    return out
+
+
+def one_shot_moment_table(scheme, powers, xs, power=_power):
+    """moment_table's sums with every term of a degree built at once."""
+    out = np.zeros((len(powers), xs.size))
+    for c, n in zip(scheme.coeffs.tolist(), scheme.nodes):
+        rows = np.array([basis_row(n, x) for x in xs.tolist()]).reshape(xs.size, n + 1)
+        d = (np.arange(n + 1) / n)[:, None] - xs
+        terms = np.stack([rows.T * power(d, m) for m in powers], axis=1)
+        out += c * _compensated_sum(terms)
     return out
 
 
@@ -210,15 +235,66 @@ class TestMoments:
             want, = combine(lambda t: (t - x) ** 3, scheme, one(x))
             assert table[2, i] == pytest.approx(want, abs=1e-15)
 
+    def test_exact_power_rounds_once(self):
+        for d in (0.1, -0.7, 1.0 - 2.0**-52, 3e-5, -1e-200):
+            for m in (0, 1, 3, 12, 40):
+                assert exact_power(d, m) == float(Fraction(d) ** m)
+
     @pytest.mark.parametrize("base,r", [(32, 1), (64, 2), (256, 3)])
     def test_table_matches_fsum_reference(self, base, r):
         scheme = build_scheme(base, r)
         rng = np.random.default_rng(base)
         xs = np.concatenate([[0.0, 1.0, 0.5, 1e-9, 1.0 - 1e-9], rng.random(40)])
-        powers = list(range(7))
-        want = fsum_moment_table(scheme, powers, xs.tolist())
-        got = moment_table(scheme, powers, xs)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        for powers in ([*range(7), 12, 40], [3, 0, 3, 1]):
+            want = fsum_moment_table(scheme, powers, xs.tolist())
+            got = moment_table(scheme, powers, xs)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [_MOMENT_BLOCK - 2, _MOMENT_BLOCK - 1,
+                                   _MOMENT_BLOCK, 2 * _MOMENT_BLOCK - 1])
+    def test_blocks_match_one_shot_sum(self, n):
+        # n + 1 below, at, one above and twice the block of streamed k
+        scheme = CombinationScheme(n, 1)
+        xs = np.array([0.0, 1e-9, 0.3, 0.5, 0.77, 1.0])
+        powers = [0, 1, 2, 3, 5, 6]
+        np.testing.assert_array_equal(moment_table(scheme, powers, xs),
+                                      one_shot_moment_table(scheme, powers, xs))
+
+    def test_low_powers_keep_numpy_power_bits(self):
+        # the benchmark reference stores these rows' roundoff
+        scheme = build_scheme(64, 3)
+        xs = np.concatenate([[0.0, 1.0, 0.5], np.random.default_rng(7).random(30)])
+        want = one_shot_moment_table(scheme, [0, 1, 2], xs, lambda d, m: d**m)
+        np.testing.assert_array_equal(moment_table(scheme, [0, 1, 2], xs), want)
+
+    def test_huge_powers_bounded(self):
+        # square-and-multiply takes O(log m) products per power
+        xs = np.random.default_rng(2).random(400)
+        start = time.perf_counter()
+        table = moment_table(build_scheme(256, 3), [10**6, 2**40], xs)
+        assert time.perf_counter() - start < 5.0
+        assert table.shape == (2, 400) and np.isfinite(table).all()
+
+    def test_no_terms_cube(self):
+        # about 2.7 row matrices streamed, 13 with every term held at once
+        scheme, xs = build_scheme(256, 3), np.random.default_rng(3).random(400)
+        tracemalloc.start()
+        try:
+            moment_table(scheme, range(7), xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * xs.size * (scheme.nodes[-1] + 1) * 8
+
+    def test_points_validation(self):
+        scheme = build_scheme(32, 1)
+        for bad in ([[0.1, 0.2]], 0.3):
+            with pytest.raises(DomainError, match="xs must be a 1-d array"):
+                moment_table(scheme, [1], bad)
+        with pytest.raises(DomainError, match=r"x must lie in \[0,1\], got nan"):
+            moment_table(scheme, [1], [0.5, float("nan")])
+        assert moment_table(scheme, [0, 1], []).shape == (2, 0)
+        assert moment_table(scheme, [], [0.2, 0.4, 0.6]).shape == (0, 3)
 
     def test_power_validation(self):
         scheme = build_scheme(32, 1)
