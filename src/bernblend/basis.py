@@ -51,6 +51,9 @@ _GROUP_ROWS = 32
 # entries (2 MB) that a row group's band may take; groups hold fewer rows
 # where the band is wider than this over 32
 _BLOCK_ENTRIES = 1 << 18
+# entries (512 KB) up to which adjacent groups with one band share a block, to
+# pay its fixed numpy cost once; 2^17 and 2^18 ran slower, 2^18 with 4 MB more RSS
+_MERGE_ENTRIES = 1 << 16
 # largest combination order r, for the ladder, the patch and the smoothstep
 # alike; the patch's Lebesgue constant already reaches about 25000 at r = 4
 _MAX_ORDER = 8
@@ -207,6 +210,8 @@ def _band_blocks(n: int, xs: np.ndarray, ks: np.ndarray):
     (see ``_band``), with the full-width elementwise expression and order,
     and exp runs only on logs >= _NORMAL_LOG, so every value is the one a
     full-width evaluation gives, with entries under 2^-1022 as +0.0.
+    Adjacent groups with the same [a, b) share a block of at most
+    _MERGE_ENTRIES entries, which changes no row's columns, values or sum.
     Rows at x = 0 or 1 form one block over the columns of index 0 or n.
     """
     left = xs <= 0.5
@@ -231,11 +236,18 @@ def _band_blocks(n: int, xs: np.ndarray, ks: np.ndarray):
         lo, hi = _band(n, ks, centre, p * (1.0 - p))
         order = np.argsort(p, kind="stable")
         step = min(_GROUP_ROWS, max(1, _BLOCK_ENTRIES // max(1, int((hi - lo).max()))))
-        for g in range(0, order.size, step):
-            sel = order[g:g + step]
-            a, b = lo[sel].min(), hi[sel].max()
+        starts = range(0, order.size, step)
+        cuts = []  # (first row, a, b) of each block
+        for g, a, b in zip(starts, np.minimum.reduceat(lo[order], starts).tolist(),
+                           np.maximum.reduceat(hi[order], starts).tolist()):
+            end = min(g + step, order.size)
+            if not (cuts and cuts[-1][1:] == (a, b)
+                    and (end - cuts[-1][0]) * (b - a) <= _MERGE_ENTRIES):
+                cuts.append((g, a, b))
+        for (g, a, b), end in zip(cuts, [c[0] for c in cuts[1:]] + [order.size]):
             if a >= b:
                 continue
+            sel = order[g:end]
             # the full-width expression and order, restricted to columns a:b
             kb = kk[a:b]
             m = logc[kb] + log_p[sel, None] * kb.astype(float)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .blend import Weight
 from .errors import DomainError, MembershipError, SampleError
+from .smoothstep import _horner
 
 # the parameters each kind accepts
 _PARAMS = {
@@ -122,7 +123,7 @@ def make_function(spec: FunctionSpec, weight: Weight):
         coeffs = np.asarray(spec.params["coeffs"], dtype=float)
 
         def f(x):
-            return np.polynomial.polynomial.polyval(x, coeffs)
+            return _horner(x, coeffs)
 
     elif spec.kind == "singular_power":
 

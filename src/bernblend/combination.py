@@ -14,8 +14,8 @@ cardinal polynomial through the reciprocal degrees 1/n_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -45,21 +45,12 @@ def make_schedule(base_n: int, r: int) -> list[int]:
     return [(i + 1) * base_n for i in range(r)]
 
 
-def _coefficient_fractions(nodes: Sequence[int]) -> list[Fraction]:
-    cs = []
-    for i, ni in enumerate(nodes):
-        c = Fraction(1)
-        for j, nj in enumerate(nodes):
-            if j == i:
-                continue
-            c *= Fraction(ni, ni - nj)
-        cs.append(c)
-    return cs
-
-
 def solve_coefficients(nodes: Sequence[int]) -> np.ndarray:
-    """Combination weights C_i for a strictly increasing degree schedule."""
-    return np.array([float(c) for c in _coefficient_fractions(_check_degrees(nodes))])
+    """Combination weights C_i for a strictly increasing degree schedule,
+    each an int / int division: correctly rounded, as float(Fraction) is."""
+    nodes = _check_degrees(nodes)
+    return np.array([ni ** (len(nodes) - 1) / math.prod(ni - nj for nj in nodes if nj != ni)
+                     for ni in nodes])
 
 
 @dataclass(frozen=True, eq=False)

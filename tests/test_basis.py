@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bernblend import (DomainError, SampleError, SampleVector, Weight, basis,
                        basis_matrix, basis_row, bernstein_apply_grid, evaluate,
-                       make_grid, sample_function, smoothness)
+                       lemma6_scan, make_grid, sample_function, smoothness)
 from bernblend.smoothness import _difference
 
 
@@ -275,6 +275,45 @@ class TestBandedMatrix:
     def test_empty_arguments(self):
         assert basis_matrix(8, np.array([])).shape == (0, 9)
         assert basis_matrix(8, np.array([0.3, 1.0]), np.array([], dtype=int)).shape == (2, 0)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestMergedBlocks:
+    """Adjacent row groups with one band merge into a block; no bit moves."""
+
+    def test_merging_moves_no_bit(self, monkeypatch):
+        def run():
+            out = []
+            for n in ORACLE_DEGREES:
+                for xs in _oracle_points(n).values():
+                    for ks in _oracle_indices(n).values():
+                        size = n + 1 if ks is None else ks.size
+                        out.append(basis_matrix(n, xs, ks))
+                        out += basis._row_sums(n, xs, ks, list(_weights(size, n).values()))
+            grid = make_grid(Weight(0.513, 1.0), 2001)
+            for beta in (0.5, 1.0, 2.0):
+                rep = lemma6_scan(beta, grid.weight, [n for n in ORACLE_DEGREES if n >= 5], grid)
+                out.append(np.array(rep.values))
+            return out
+
+        merged = run()
+        monkeypatch.setattr(basis, "_MERGE_ENTRIES", 0)
+        apart = run()
+        assert len(merged) == len(apart)
+        assert all(_same_bits(a, b) for a, b in zip(merged, apart))
+
+    def test_block_count_and_cap(self):
+        xs = make_grid(Weight(0.513, 1.0), 2001).points
+        # n = 32: every band is all 33 columns; each side of 1/2 gives one
+        # block and its x = 0 or 1 row another
+        assert len(list(basis._band_blocks(*basis._basis_args(32, xs, None)))) <= 4
+        for n in (32, 255, 1024, 4096, 65536):
+            for rows, a, b, _ in basis._band_blocks(*basis._basis_args(n, xs, None)):
+                if rows.size > basis._GROUP_ROWS:
+                    assert rows.size * (b - a) <= basis._MERGE_ENTRIES, (n, rows.size)
 
 
 def _weights(size, seed):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from bernblend import (DEFAULT_KEYS, DomainError, FunctionSpec,
                        MembershipError, SampleError, Weight, evaluate,
@@ -103,6 +104,18 @@ class TestMakeFunction:
     def test_smooth_poly(self, weight513):
         f = make_function(parse_spec("smooth_poly:coeffs=1;0;2"), weight513)
         assert f(np.array([0.5]))[0] == pytest.approx(1.5, rel=1e-15)
+
+    @pytest.mark.parametrize("coeffs", ["0;1", "1;0;2", "0.2;-1.0;0.5;0.3", "-0",
+                                        "0;-0", "-0;0;-0", "1e308;1e308"])
+    def test_smooth_poly_is_polyval(self, coeffs, weight513):
+        # the values of numpy.polynomial's polyval, sign bits included
+        spec = parse_spec(f"smooth_poly:coeffs={coeffs}")
+        xs = np.concatenate((np.linspace(0.0, 1.0, 101), [5e-324, 1.0 - 2.0**-53]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = make_function(spec, weight513)(xs)
+            want = npoly.polyval(xs, np.array(spec.params["coeffs"]))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_singular_power_values(self, weight513):
         # f(x) = |x - xi|^(-beta); at distance 0.01 with beta=0.5: 10

@@ -324,7 +324,7 @@ class TestExitCodes:
         ["approx", "--xi", "1e-160"],
     ])
     def test_order_and_degree_search_bounded(self, argv):
-        # r is capped at 8 before any ladder, Fraction product or patch
+        # r is capped at 8 before any ladder, weight product or patch
         # node is built, and the search for the smallest admissible degree
         # gives up cleanly however close xi lies to 0; in a child process,
         # so an unbounded run fails by its timeout instead of hanging

@@ -109,6 +109,15 @@ class TestCoefficients:
                 cs = solve_coefficients(make_schedule(base, r))
                 assert np.abs(cs).sum() == pytest.approx(total, rel=1e-15)
 
+    @pytest.mark.parametrize("base", [1, 7, 256, 10**6])
+    def test_matches_rounded_fractions(self, base):
+        # the exact weights as Fraction products, rounded once by float()
+        for r in range(1, 9):
+            nodes = make_schedule(base, r)
+            want = [float(math.prod(Fraction(ni, ni - nj) for nj in nodes if nj != ni))
+                    for ni in nodes]
+            assert solve_coefficients(nodes).tolist() == want, r
+
     def test_rejects_bad_schedules(self):
         with pytest.raises(DomainError):
             solve_coefficients([128, 64])

@@ -3,6 +3,10 @@
 import collections
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +20,16 @@ from bernblend import (DEFAULT_KEYS, DomainError, MinNTooSmall,
                        make_function, make_grid, modified_operator,
                        operator_derivative_2r, parse_spec, render_report,
                        run_convergence, weighted_norm)
+import bernblend
 from bernblend import basis, operators
+
+_STARTUP_PROBE = """
+import sys
+from bernblend import SweepConfig, Weight, run_convergence
+for key in ("singular_power:beta=0.5", "smooth_poly:coeffs=0;1;2"):
+    run_convergence(SweepConfig(2, Weight(0.513, 1.0), key, (32, 64), 401))
+print(*[m for m in ("numpy.ma", "numpy.polynomial", "fractions") if m in sys.modules])
+"""
 
 
 class TestFitRate:
@@ -471,3 +484,14 @@ class TestEmission:
     def test_emit_unwritable_path(self, report, tmp_path):
         with pytest.raises(OSError):
             emit_report(report, "csv", tmp_path / "missing_dir" / "x.csv")
+
+
+def test_startup_imports():
+    # np.unique's numpy.ma (about 10 ms), numpy.polynomial (2 ms) and
+    # fractions with decimal (2 ms) are start-up no command needs; checked
+    # in a fresh interpreter, since this one has imported them
+    src = pathlib.Path(bernblend.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

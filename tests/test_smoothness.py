@@ -59,6 +59,28 @@ class TestGrid:
         assert np.array_equal(make_grid(Weight(xi, 1.0), size).points, pts)
 
 
+def grid_pieces(xi, size):
+    """The pieces EvaluationGrid joins: backbone, cluster sides, end strips."""
+    per_side = math.ceil(size / 8)
+    ratio = (smoothness._CLUSTER_FLOOR / smoothness._CLUSTER_SPAN) ** (1.0 / (per_side - 1))
+    offs = smoothness._CLUSTER_SPAN * ratio ** np.arange(per_side)
+    end = np.geomspace(smoothness._ENDPOINT_FLOOR, 0.04, max(16, size // 16))
+    return [np.linspace(0.0, 1.0, size // 2), xi - offs, xi + offs, end, 1.0 - end]
+
+
+class TestGridOracle:
+    @pytest.mark.parametrize("size", [16, 401, 2001, 20001])
+    @pytest.mark.parametrize("xi", [0.3, 0.513, 0.9])
+    def test_points_are_unique_of_pieces(self, xi, size):
+        # the sort and duplicate mask give np.unique's points, bit for bit
+        pts = np.unique(np.concatenate(grid_pieces(xi, size)))
+        pts = pts[(pts >= 0.0) & (pts <= 1.0)]
+        want = pts[np.abs(pts - xi) > smoothness._GRID_EXCLUSION]
+        got = EvaluationGrid(Weight(xi, 1.0), size).points
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def norm_of(f, grid):
     """The weighted norm of f's values on the grid points."""
     return weighted_norm(f(grid.points), grid)
@@ -193,7 +215,8 @@ class TestModulusOracle:
 
     @pytest.mark.parametrize("r2", [2, 6])
     def test_calls_per_stencil_offset(self, r2, weight513, grid513):
-        # one array call per offset, region and h; never one per grid point
+        # at most one array call per offset, region and h; never one per
+        # grid point (TestModulusCalls pins one call per region)
         f = make_function(parse_spec("singular_power:beta=0.5"), weight513)
         sizes = []
 
@@ -205,6 +228,80 @@ class TestModulusOracle:
         modulus(counted, params, grid513)
         assert len(sizes) <= 3 * (r2 + 1) * smoothness._H_COUNT
         assert sum(sizes) / len(sizes) > 50
+
+
+class TestModulusCalls:
+    """One call of f per nonempty region of each distinct step."""
+
+    @pytest.mark.parametrize("key", ["singular_power:beta=0.5", "smooth_poly:coeffs=0;1;2"])
+    def test_one_call_per_region(self, key, monkeypatch, weight513, grid513):
+        f = make_function(parse_spec(key), weight513)
+        sizes, regions, steps = [], [], []
+        difference, step_sup = smoothness._difference, smoothness._step_sup
+
+        def counted(x):
+            sizes.append(x.size)
+            return f(x)
+
+        def region(f, xs, offsets, order):
+            regions.append((order + 1) * xs.size)
+            return difference(f, xs, offsets, order)
+
+        def step(f, grid, order, h):
+            before = len(sizes), len(regions)
+            out = step_sup(f, grid, order, h)
+            steps.append((len(sizes) - before[0], len(regions) - before[1]))
+            return out
+
+        monkeypatch.setattr(smoothness, "_difference", region)
+        monkeypatch.setattr(smoothness, "_step_sup", step)
+        # approx's defaults: 19 distinct steps
+        entries = [ModulusParams(4, min(1.0 / math.sqrt(n), 0.125))
+                   for n in (32, 64, 128, 256, 512, 1024)]
+        weighted_modulus(counted, entries, grid513)
+        assert len(steps) == 19
+        assert all(1 <= calls == nonempty <= 3 for calls, nonempty in steps)
+        # each call takes every stencil point of its region
+        assert sizes == regions
+
+    @pytest.mark.parametrize("cap", [1, 500, 2000])
+    def test_call_cap_moves_no_bit(self, cap, monkeypatch, weight513):
+        # fewer offsets per call give the same moduli; no call takes more
+        # than the cap unless one offset's points alone exceed it
+        grid = make_grid(weight513, 2001)
+        f = make_function(parse_spec("singular_power:beta=0.5"), weight513)
+        entries = [ModulusParams(r2, 0.125 / 2**k) for r2 in (2, 8) for k in range(4)]
+        want = weighted_modulus(f, entries, grid)
+        sizes, regions = [], []
+        difference = smoothness._difference
+
+        def counted(x):
+            sizes.append(x.size)
+            return f(x)
+
+        def region(f, xs, offsets, order):
+            regions.append(xs.size)
+            return difference(f, xs, offsets, order)
+
+        monkeypatch.setattr(smoothness, "_CALL_POINTS", cap)
+        monkeypatch.setattr(smoothness, "_difference", region)
+        assert weighted_modulus(counted, entries, grid) == want
+        assert max(sizes) <= max(cap, max(regions))
+        assert len(sizes) > len(regions)
+
+    def test_first_failure_among_offsets(self):
+        # a NaN at offset 0 comes before a refusal at offset 1, as it does
+        # for one call of f per offset
+        xs = np.array([0.25, 0.5])
+        offsets = [0.125, 0.0, -0.125]
+
+        def f(x):
+            if np.any(x == 0.5):
+                raise SampleError("refused x=0.5", 0.5)
+            return np.where(x == 0.625, np.nan, x)
+
+        with pytest.raises(SampleError, match="non-finite value of f at x=0.625"):
+            smoothness._difference(f, xs, offsets, 2)
 
 
 class TestWeightedModulus:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from bernblend import (DomainError, SmoothstepPoly, psi_eval,
-                       solve_psi_coefficients)
+                       smoothstep, solve_psi_coefficients)
 from smoothstep_system import (determinant_check, determinant_reference,
                                system_matrix)
 
@@ -117,6 +117,33 @@ class TestEvaluation:
         # each point alone, as a one-element array, gives its array value
         for x, v in zip(xs, arr):
             assert psi_eval(poly, np.array([x]))[0] == v
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_matches_polyval_bits(self, r):
+        # the polynomial pieces are numpy.polynomial's polyval, bit for bit
+        poly = SmoothstepPoly(r)
+        xs = np.concatenate((np.linspace(-0.5, 1.5, 2001),
+                             [-0.0, 0.0, 5e-324, 1e-300, np.nextafter(0.5, 1.0),
+                              1.0 - 2.0**-53, np.nextafter(1.0, 2.0)]))
+        mid = (xs > 0.0) & (xs < 1.0)
+        left, right = mid & (xs <= 0.5), mid & (xs > 0.5)
+        want = np.where(xs >= 1.0, 1.0, 0.0)
+        want[left] = npoly.polyval(xs[left], poly._ascending)
+        want[right] = 1.0 - npoly.polyval(1.0 - xs[right], poly._ascending)
+        got = psi_eval(poly, xs)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("coeffs", [[0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0, -0.0],
+                                        [1.0, -2.0, 3.0], [0.2, -1.0, 0.5, 0.3],
+                                        [1e308, 1e308]])
+    def test_horner_is_polyval(self, coeffs):
+        xs = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.25, 1.0, 3.0, 1e-300, -1e300])
+        c = np.array(coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = smoothstep._horner(xs, c), npoly.polyval(xs, c)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @given(r=st.integers(1, 4), x=st.floats(0.0, 1.0))
     def test_mirror_identity(self, r, x):
