@@ -2,11 +2,10 @@
 
 The basis values p_{nk}(x) = C(n,k) x^k (1-x)^(n-k) are evaluated in log
 space, so that no degree up to the commands' cap (``harness._MAX_DEGREE``,
-10^6) overflows or underflows to garbage.  Log-binomials are accumulated
-with a compensated running sum, which keeps each basis value within a few
-1e-13 relative even at n = 4096.  Evaluation at x > 1/2 is mirrored onto
-1-x (exact for x >= 1/2), making the symmetry p_{nk}(x) = p_{n,n-k}(1-x)
-hold by construction.
+10^6) overflows or underflows to garbage; each is within a few 1e-13
+relative at n = 4096 (see ``_log_binom_row``).  Evaluation at x > 1/2 is
+mirrored onto 1-x (exact for x >= 1/2), so p_{nk}(x) = p_{n,n-k}(1-x)
+holds by construction.
 
 Every basis path keeps one contract: an entry whose log lies below
 _NORMAL_LOG is exactly +0.0, and every other entry is exp of its log, a
@@ -15,15 +14,13 @@ about a hundred times longer for a subnormal result than for a normal
 one, and a row sum loses at most 2^-1022 * sum |w_k| over the flushed
 columns.
 
-``_band_blocks`` computes the basis values of every array evaluation.  Logs
-and exps are taken only on each row's Bernstein band, one column range of
-the sorted indices, outside which every log lies below _NORMAL_LOG (see
-``_band``): _NORMAL_LOG is the one threshold of the basis layer.
-``basis_matrix`` scatters the blocks into zeros.  The applies and the
-lemma scans sum each block over its band (lemma 6 itself, the rest
-through ``_row_sums``): the same bytes run to run and at any thread
-count, but not a dense product's.  ``basis_row`` serves ``moment_table``
-alone.
+``_band_blocks`` computes the basis values of every array evaluation, on
+each row's Bernstein band alone (``_band``), block by block in two scratch
+arrays per call, which the consumer owns until it asks for the next block.
+``basis_matrix`` scatters the blocks into zeros.  The applies and the lemma
+scans sum each block over its band in place (lemma 6 itself, the rest
+through ``_row_sums``): the same bytes run to run and at any thread count,
+but not a dense product's.  ``basis_row`` serves ``moment_table`` alone.
 
 Endpoint convention: 0^0 = 1, so p_{n0}(0) = 1 and p_{nn}(1) = 1.
 
@@ -52,7 +49,7 @@ _GROUP_ROWS = 32
 # where the band is wider than this over 32
 _BLOCK_ENTRIES = 1 << 18
 # entries (512 KB) up to which adjacent groups with one band share a block, to
-# pay its fixed numpy cost once; 2^17 and 2^18 ran slower, 2^18 with 4 MB more RSS
+# pay its fixed numpy cost once; the fastest of 2^15..2^17 on both benchmarks
 _MERGE_ENTRIES = 1 << 16
 # largest combination order r, for the ladder, the patch and the smoothstep
 # alike; the patch's Lebesgue constant already reaches about 25000 at r = 4
@@ -140,14 +137,6 @@ def _check_indices(n: int, ks) -> np.ndarray:
     return ks.astype(np.int64, copy=False)
 
 
-def _row_interior(n: int, x: float, ks: np.ndarray) -> np.ndarray:
-    # assumes 0 < x <= 0.5; mirroring is handled by the callers
-    logc = _log_binom_row(n)[ks]
-    logp = logc + ks * math.log(x) + (n - ks) * math.log1p(-x)
-    np.exp(logp, out=logp, where=logp >= _NORMAL_LOG)
-    return np.maximum(logp, 0.0, out=logp)
-
-
 def basis_row(n: int, x: float, ks: np.ndarray | None = None) -> np.ndarray:
     """p_{nk}(x) for k in ``ks`` (default: all of 0..n).
 
@@ -160,9 +149,11 @@ def basis_row(n: int, x: float, ks: np.ndarray | None = None) -> np.ndarray:
         return (ks == 0).astype(float)
     if x == 1.0:
         return (ks == n).astype(float)
-    if x > 0.5:
-        return _row_interior(n, 1.0 - x, n - ks)
-    return _row_interior(n, x, ks)
+    if x > 0.5:  # mirrored, as in _band_blocks
+        x, ks = 1.0 - x, n - ks
+    logp = _log_binom_row(n)[ks] + ks * math.log(x) + (n - ks) * math.log1p(-x)
+    np.exp(logp, out=logp, where=logp >= _NORMAL_LOG)
+    return np.maximum(logp, 0.0, out=logp)
 
 
 def _band(n: int, ks: np.ndarray, centre: np.ndarray,
@@ -202,71 +193,80 @@ def _basis_args(n: int, xs, ks) -> tuple[int, np.ndarray, np.ndarray]:
 def _band_blocks(n: int, xs: np.ndarray, ks: np.ndarray):
     """The nonzero basis values p_{n, ks[j]}(xs[i]) of checked arguments.
 
-    Yields blocks (rows, a, b, vals) with vals[i, j] = p_{n, ks[a + j]}(
+    Yields blocks (rows, a, b, vals, spare) with vals[i, j] = p_{n, ks[a + j]}(
     xs[rows[i]]); each row lies in at most one block, and every entry outside
-    the blocks is exactly +0.0.  Rows are taken in sorted groups of
-    _GROUP_ROWS, fewer where bands are wide (_BLOCK_ENTRIES).  A group's
-    logs are computed on the union [a, b) of its rows' Bernstein bands
-    (see ``_band``), with the full-width elementwise expression and order,
-    and exp runs only on logs >= _NORMAL_LOG, so every value is the one a
-    full-width evaluation gives, with entries under 2^-1022 as +0.0.
-    Adjacent groups with the same [a, b) share a block of at most
-    _MERGE_ENTRIES entries, which changes no row's columns, values or sum.
-    Rows at x = 0 or 1 form one block over the columns of index 0 or n.
+    the blocks is exactly +0.0.  vals and spare, of one shape, view two
+    scratch arrays made once per call at its largest block's size: they are
+    the consumer's, to overwrite too, until it asks for the next block.
+    Rows are taken in sorted groups of _GROUP_ROWS, fewer where bands are
+    wide (_BLOCK_ENTRIES).  A group's logs are computed on the union [a, b)
+    of its rows' bands (see ``_band``) by the full-width elementwise
+    expression and order, and exp runs only on logs >= _NORMAL_LOG, so every
+    value is the one a full-width evaluation gives.  Adjacent groups with the
+    same [a, b) share a block of at most _MERGE_ENTRIES entries, which
+    changes no row's columns, values or sum.  Rows at x = 0 or 1 form one
+    block over the columns of index 0 or n.
     """
+    logc = _log_binom_row(n)
+    k = ks.astype(float)
+    nk = n - k
     left = xs <= 0.5
+    plan = []  # (k, n - k, ln C(n, k) by k, blocks) of each side of 1/2
     # x > 1/2 is mirrored: p_{n,k}(x) = p_{n,n-k}(1-x), and 1-x is exact there
-    for rows, p, kk in ((np.flatnonzero(left), xs[left], ks),
-                        (np.flatnonzero(~left), 1.0 - xs[~left], n - ks)):
+    for rows, p, kk, qq, lc in ((np.flatnonzero(left), xs[left], k, nk, logc),
+                                (np.flatnonzero(~left), 1.0 - xs[~left], nk, k, logc[::-1])):
+        blocks = []  # (rows, ln x, ln(1-x), a, b); ln x is None at x = 0
         edge = p == 0.0
-        ones = np.flatnonzero(kk == 0)
+        ones = np.flatnonzero(kk == 0.0)
         if edge.any() and ones.size:
-            a, b = ones[0], ones[-1] + 1
-            vals = np.zeros((int(edge.sum()), b - a))
-            vals[:] = kk[a:b] == 0
-            yield rows[edge], a, b, vals
+            blocks.append((rows[edge], None, None, ones[0], ones[-1] + 1))
         rows, p = rows[~edge], p[~edge]
-        if not rows.size:
-            continue
-        logc = _log_binom_row(n)
-        log_p = np.log(p)
-        log_q = np.log1p(-p)
-        # the band's centre n*x in the coordinates of ks
-        centre = n * p if kk is ks else n - n * p
-        lo, hi = _band(n, ks, centre, p * (1.0 - p))
-        order = np.argsort(p, kind="stable")
-        step = min(_GROUP_ROWS, max(1, _BLOCK_ENTRIES // max(1, int((hi - lo).max()))))
-        starts = range(0, order.size, step)
-        cuts = []  # (first row, a, b) of each block
-        for g, a, b in zip(starts, np.minimum.reduceat(lo[order], starts).tolist(),
-                           np.maximum.reduceat(hi[order], starts).tolist()):
-            end = min(g + step, order.size)
-            if not (cuts and cuts[-1][1:] == (a, b)
-                    and (end - cuts[-1][0]) * (b - a) <= _MERGE_ENTRIES):
-                cuts.append((g, a, b))
-        for (g, a, b), end in zip(cuts, [c[0] for c in cuts[1:]] + [order.size]):
-            if a >= b:
-                continue
-            sel = order[g:end]
-            # the full-width expression and order, restricted to columns a:b
-            kb = kk[a:b]
-            m = logc[kb] + log_p[sel, None] * kb.astype(float)
-            m += log_q[sel, None] * (n - kb).astype(float)
-            # logs left below _NORMAL_LOG are negative: maximum makes them +0.0
-            np.exp(m, out=m, where=m >= _NORMAL_LOG)
-            yield rows[sel], a, b, np.maximum(m, 0.0, out=m)
+        if rows.size:
+            # the band's centre n*x in the coordinates of ks
+            lo, hi = _band(n, ks, n * p if kk is k else n - n * p, p * (1.0 - p))
+            order = np.argsort(p, kind="stable")
+            rows, p, lo, hi = rows[order], p[order], lo[order], hi[order]
+            log_p, log_q = np.log(p), np.log1p(-p)
+            step = min(_GROUP_ROWS, max(1, _BLOCK_ENTRIES // max(1, int((hi - lo).max()))))
+            starts = range(0, p.size, step)
+            cuts = []  # [first row, end, a, b] of each block
+            for g, a, b in zip(starts, np.minimum.reduceat(lo, starts).tolist(),
+                               np.maximum.reduceat(hi, starts).tolist()):
+                end = min(g + step, p.size)
+                if (cuts and cuts[-1][2:] == [a, b]
+                        and (end - cuts[-1][0]) * (b - a) <= _MERGE_ENTRIES):
+                    cuts[-1][1] = end
+                else:
+                    cuts.append([g, end, a, b])
+            blocks += [(rows[g:e], log_p[g:e], log_q[g:e], a, b) for g, e, a, b in cuts if a < b]
+        plan.append((kk, qq, lc, blocks))
+    size = max([r.size * (b - a) for *_, blocks in plan for r, *_, a, b in blocks], default=0)
+    logs, spare = np.empty(size), np.empty(size)
+    for kk, qq, lc, blocks in plan:
+        lc = lc[ks]
+        for rows, log_p, log_q, a, b in blocks:
+            m, t = (s[:rows.size * (b - a)].reshape(rows.size, b - a) for s in (logs, spare))
+            if log_p is None:
+                m[:] = kk[a:b] == 0.0
+            else:
+                # (ln C(n,k) + ln x * k) + ln(1-x) * (n-k) on columns a:b; einsum's product
+                # has a multiply's bits, up to a zero's sign that adding ln C(n,k) drops
+                np.einsum("i,j->ij", log_p, kk[a:b], out=m)
+                m += lc[a:b]
+                m += np.einsum("i,j->ij", log_q, qq[a:b], out=t)
+                # logs left below _NORMAL_LOG are negative: maximum makes them +0.0
+                np.exp(m, out=m, where=m >= _NORMAL_LOG)
+                np.maximum(m, 0.0, out=m)
+            yield rows, a, b, m, t
 
 
 def basis_matrix(n: int, xs: np.ndarray, ks: np.ndarray | None = None) -> np.ndarray:
-    """Matrix P[i, j] = p_{n, ks[j]}(xs[i]).
-
-    The blocks of ``_band_blocks`` scattered into zeros: the same matrix
-    as a full-width evaluation of every entry, with entries under 2^-1022
-    as +0.0.
-    """
+    """Matrix P[i, j] = p_{n, ks[j]}(xs[i]): the blocks of ``_band_blocks``
+    scattered into zeros, which is the full-width matrix with entries under
+    2^-1022 as +0.0."""
     n, xs, ks = _basis_args(n, xs, ks)
     out = np.zeros((xs.size, ks.size))
-    for rows, a, b, vals in _band_blocks(n, xs, ks):
+    for rows, a, b, vals, _ in _band_blocks(n, xs, ks):
         out[rows, a:b] = vals
     return out
 
@@ -275,16 +275,18 @@ def _row_sums(n: int, xs: np.ndarray, ks, weights: Sequence[np.ndarray]
               ) -> list[np.ndarray]:
     """Row sums of basis_matrix(n, xs, ks) * w for each w in ``weights``.
 
-    One numpy sum per ``_band_blocks`` block, over its columns alone (every
-    entry left out is +0.0).  Deterministic run to run and at any thread
-    count, within a few eps * sum |p w| of the exact sum, but not the dense
-    product's bits.
+    One numpy sum per ``_band_blocks`` block and weight over its columns
+    alone (every entry left out is +0.0), of products formed in the block's
+    spare (the last weight's in vals): deterministic run to run and at any
+    thread count, within a few eps * sum |p w| of the exact sum.
     """
     n, xs, ks = _basis_args(n, xs, ks)
     w = np.array(weights, dtype=float).reshape(len(weights), ks.size)
     out = np.zeros((w.shape[0], xs.size))
-    for rows, a, b, vals in _band_blocks(n, xs, ks):
-        out[:, rows] = (vals * w[:, None, a:b]).sum(axis=-1)
+    for rows, a, b, vals, spare in _band_blocks(n, xs, ks):
+        for j in range(w.shape[0]):
+            prod = vals if j == w.shape[0] - 1 else spare
+            out[j, rows] = np.multiply(vals, w[j, a:b], out=prod).sum(axis=-1)
     return list(out)
 
 

@@ -153,12 +153,8 @@ class BlendSpec:
         nodes = np.array([m / n for m in _node_numerators(n, r, xi)])
         nodes.flags.writeable = False
         root = math.sqrt(n)
-        breaks = tuple(m / n for m in (
-            math.floor(n * xi - 2.0 * root),
-            math.floor(n * xi - root),
-            math.floor(n * xi + root),
-            math.floor(n * xi + 2.0 * root),
-        ))
+        # n*xi + (-c)*root is n*xi - c*root exactly
+        breaks = tuple(math.floor(n * xi + c * root) / n for c in (-2.0, -1.0, 1.0, 2.0))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "nodes", nodes)

@@ -143,12 +143,16 @@ def moment_table(
 ) -> np.ndarray:
     """Array M[p, i] = sum_j C_j B_{n_j}((t - x)^powers[p], x) at x = xs[i].
 
-    Sums ``basis_row`` rows (banded ones move a benchmark entry past 1e-15)
-    times ``_power`` products, streamed in k order by ``_moment_terms``."""
+    Sums ``basis_row`` rows (banded ones move a benchmark entry past 1e-15),
+    filled into one matrix per degree, times ``_power`` products, streamed
+    in k order by ``_moment_terms``."""
     powers = [_check_int(p, "moment power", 0) for p in powers]
     xs = _check_points(xs)
     out = np.zeros((len(powers), xs.size))
     for c, n in zip(scheme.coeffs.tolist(), scheme.nodes):
-        rows = np.array([basis_row(n, x) for x in xs.tolist()]).reshape(xs.size, n + 1)
+        rows = None  # the previous degree's matrix goes before the next is built
+        rows = np.empty((xs.size, n + 1))
+        for i, x in enumerate(xs.tolist()):
+            rows[i] = basis_row(n, x)
         out += c * _compensated_sum(_moment_terms(n, rows.T, powers, xs))
     return out

@@ -224,16 +224,12 @@ def compare_plain_vs_modified(config: SweepConfig) -> tuple[RateReport, RateRepo
     plain_applied, mod_applied = {}, {}
     for d, sv in blended.items():
         plain_applied[d], mod_applied[d] = bernstein_apply_grid([direct[d], sv], xs)
-    plain_errs = []
-    mod_errs = []
-    for op in ops:
-        plain_vals = combine_applied(op.scheme, plain_applied)
-        plain_errs.append(weighted_norm(plain_vals - f_vals, grid))
-        mod_vals = combine_applied(op.scheme, mod_applied)
-        mod_errs.append(weighted_norm(mod_vals - f_vals, grid))
     f_norm = weighted_norm(f_vals, grid)
-    return (build_report(config.n_list, plain_errs, scale=f_norm),
-            build_report(config.n_list, mod_errs, scale=f_norm))
+    reports = []
+    for applied in (plain_applied, mod_applied):
+        errs = [weighted_norm(combine_applied(op.scheme, applied) - f_vals, grid) for op in ops]
+        reports.append(build_report(config.n_list, errs, scale=f_norm))
+    return tuple(reports)
 
 
 def check_bernstein_inequality(config: SweepConfig, lam: float) -> RateReport:
@@ -346,8 +342,10 @@ def lemma6_scan(beta: float, weight: Weight, n_list,
             raise DomainError(f"beta={beta!r}, alpha={weight.alpha!r}: |k - n x|^beta "
                               f"or n^(beta - alpha/2) leaves double range at n={n}")
         lhs = np.zeros(xs.size)
-        for rows, a, b, vals in _band_blocks(n, xs, ks):
-            lhs[rows] = (vals * np.abs(ks[a:b] - n * xs[rows, None]) ** beta).sum(axis=-1)
+        for rows, a, b, vals, d in _band_blocks(n, xs, ks):
+            np.abs(np.subtract(ks[a:b], n * xs[rows, None], out=d), out=d)
+            d **= beta
+            lhs[rows] = np.multiply(vals, d, out=vals).sum(axis=-1)
         phi_b = (xs * (1.0 - xs)) ** (beta / 2.0)
         values.append(float(np.max(weight(xs) * lhs / (scale * phi_b))))
     return build_report(n_list, values, {"beta": beta})

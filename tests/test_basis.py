@@ -2,6 +2,7 @@
 of the weighted modulus's stencils."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from bernblend import (DomainError, SampleError, SampleVector, Weight, basis,
                        basis_matrix, basis_row, bernstein_apply_grid, evaluate,
-                       lemma6_scan, make_grid, sample_function, smoothness)
+                       harness, lemma6_scan, make_grid, sample_function,
+                       smoothness)
 from bernblend.smoothness import _difference
 
 
@@ -254,17 +256,22 @@ class TestBandedMatrix:
         # larger degrees holds logs in [-745.13, _NORMAL_LOG), which a plain
         # exp would make subnormal
         tiny = np.finfo(float).tiny
+
+        def check(vals):
+            assert not np.any((vals > 0.0) & (vals < tiny))
+            assert not np.signbit(vals).any()
+
         flushed = 0
         for xs in _oracle_points(n).values():
             for ks in _oracle_indices(n).values():
                 logs = dense_logs(n, xs, ks)
                 flushed += np.count_nonzero((logs >= -745.13) & (logs < basis._NORMAL_LOG))
-                outs = [basis_matrix(n, xs, ks)]
-                outs += [vals for *_, vals in basis._band_blocks(*basis._basis_args(n, xs, ks))]
-                outs += [basis_row(n, float(x), ks) for x in xs]
-                for vals in outs:
-                    assert not np.any((vals > 0.0) & (vals < tiny))
-                    assert not np.signbit(vals).any()
+                check(basis_matrix(n, xs, ks))
+                # each block as it is yielded: the next one reuses its scratch
+                for *_, vals, _ in basis._band_blocks(*basis._basis_args(n, xs, ks)):
+                    check(vals)
+                for x in xs:
+                    check(basis_row(n, float(x), ks))
         assert flushed > 0 or n < 64
 
     def test_normal_log_gives_normal_doubles(self):
@@ -311,7 +318,7 @@ class TestMergedBlocks:
         # block and its x = 0 or 1 row another
         assert len(list(basis._band_blocks(*basis._basis_args(32, xs, None)))) <= 4
         for n in (32, 255, 1024, 4096, 65536):
-            for rows, a, b, _ in basis._band_blocks(*basis._basis_args(n, xs, None)):
+            for rows, a, b, *_ in basis._band_blocks(*basis._basis_args(n, xs, None)):
                 if rows.size > basis._GROUP_ROWS:
                     assert rows.size * (b - a) <= basis._MERGE_ENTRIES, (n, rows.size)
 
@@ -380,6 +387,103 @@ class TestRowSums:
         assert got.tolist() == [0.0, 0.0]
         got, = basis._row_sums(8, np.array([]), None, [np.ones(9)])
         assert got.shape == (0,)
+
+
+def per_block_kernel(n, xs, ks):
+    """The blocks of ``_band_blocks`` with values by the per-block expression
+    the scratch kernel replaced: new arrays in every block (ln C(n,k) by
+    fancy index, k and n - k cast, two broadcast products, the exp mask)."""
+    n, xs, ks = basis._basis_args(n, xs, ks)
+    logc = basis._log_binom_row(n)
+    for rows, a, b, *_ in basis._band_blocks(n, xs, ks):
+        x = xs[rows]
+        # a block's rows lie on one side of 1/2; x > 1/2 is mirrored
+        p, kk = (1.0 - x, n - ks) if x[0] > 0.5 else (x, ks)
+        kb = kk[a:b]
+        if p[0] == 0.0:
+            vals = np.zeros((rows.size, b - a))
+            vals[:] = kb == 0
+        else:
+            m = logc[kb] + np.log(p)[:, None] * kb.astype(float)
+            m += np.log1p(-p)[:, None] * (n - kb).astype(float)
+            np.exp(m, out=m, where=m >= basis._NORMAL_LOG)
+            vals = np.maximum(m, 0.0, out=m)
+        yield rows.copy(), a, b, vals
+
+
+class TestScratchKernel:
+    """The scratch kernel and its in-place reductions against
+    ``per_block_kernel`` and the reductions it had: equal bits, sign bits too."""
+
+    @pytest.mark.parametrize("n", ORACLE_DEGREES)
+    def test_matrix_and_row_sums_keep_bits(self, n):
+        for xname, xs in _oracle_points(n).items():
+            for kname, ks in _oracle_indices(n).items():
+                size = n + 1 if ks is None else ks.size
+                weights = list(_weights(size, n).values())
+                w = np.array(weights)
+                matrix = np.zeros((xs.size, size))
+                sums = np.zeros((w.shape[0], xs.size))
+                for rows, a, b, vals in per_block_kernel(n, xs, ks):
+                    matrix[rows, a:b] = vals
+                    sums[:, rows] = (vals * w[:, None, a:b]).sum(axis=-1)
+                case = (xname, kname)
+                assert _same_bits(basis_matrix(n, xs, ks), matrix), case
+                several = basis._row_sums(n, xs, ks, weights)
+                for wname, one, got, want in zip(_weights(size, n), weights, several, sums):
+                    assert _same_bits(got, want), case + (wname,)
+                    assert _same_bits(basis._row_sums(n, xs, ks, [one])[0], want), case + (wname,)
+
+    def test_lemma6_keeps_bits(self, monkeypatch):
+        # lemma 6 owns each block until it asks for the next: then vals holds
+        # its products p_nk |k - n x|^beta, which the check reads
+        beta, checked = None, []
+
+        def checking(n, xs, ks):
+            for block, (rows, a, b, vals) in zip(basis._band_blocks(n, xs, ks),
+                                                 per_block_kernel(n, xs, ks)):
+                yield block
+                want = vals * np.abs(ks[a:b] - n * xs[rows, None]) ** beta
+                checked.append((n, beta, _same_bits(block[3], want)))
+
+        grid = make_grid(Weight(0.513, 1.0), 2001)
+        ns = [n for n in ORACLE_DEGREES if n >= 5]
+        betas = (0.5, 1.0, 1.5, 2.0, 3.0)
+        for beta in betas:
+            plain = lemma6_scan(beta, grid.weight, ns, grid).values
+            with monkeypatch.context() as m:
+                m.setattr(harness, "_band_blocks", checking)
+                assert lemma6_scan(beta, grid.weight, ns, grid).values == plain
+        assert {case[:2] for case in checked} == {(n, b) for n in ns for b in betas}
+        assert all(same for *_, same in checked), [case for case in checked if not case[2]]
+
+
+class TestRowSumsMemory:
+    # tracemalloc peak of the call over the bytes of its largest block: 2.69
+    # at n = 12288 on the 2001-point grid with two weight vectors (the two
+    # scratch arrays, the exp mask, the per-call k, n - k and ln C(n, k)
+    # arrays, the weights).  New arrays in every block, as ``per_block_kernel``
+    # makes them, gave 3.42
+    PEAK_BLOCKS = 3.0
+
+    def test_peak_within_block_multiple(self):
+        n = 12288
+        xs = make_grid(Weight(0.513, 1.0), 2001).points
+        weights = list(_weights(n + 1, n).values())[:2]
+        basis._row_sums(n, xs, None, weights)  # caches the ln C(n, k) row
+        largest = 8 * max(rows.size * (b - a) for rows, a, b, *_ in
+                          basis._band_blocks(*basis._basis_args(n, xs, None)))
+        tracemalloc.start()
+        try:
+            sums = basis._row_sums(n, xs, None, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+            del sums
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_BLOCKS * largest, peak / largest
+        # no scratch is kept for the next call
+        assert held <= largest / 64, held
 
 
 class TestSampleVector:
