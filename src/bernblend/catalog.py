@@ -91,10 +91,13 @@ def parse_spec(key: str) -> FunctionSpec:
             if not sep:
                 raise DomainError(f"malformed parameter {chunk!r} in key {key!r}")
             name = name.strip()
-            if ";" in value:
-                params[name] = tuple(float(v) for v in value.split(";"))
-            else:
-                params[name] = float(value)
+            if name in params:
+                raise DomainError(f"parameter {name} given twice in key {key!r}")
+            try:
+                params[name] = tuple(map(float, value.split(";"))) if ";" in value else float(value)
+            except ValueError:
+                raise DomainError(f"parameter {name} takes numbers, got {value!r} "
+                                  f"in key {key!r}") from None
     return FunctionSpec(kind=kind, params=params)
 
 

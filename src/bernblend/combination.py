@@ -127,15 +127,17 @@ def _power(d: np.ndarray, m: int) -> np.ndarray:
 def _moment_terms(n: int, cols: np.ndarray, powers: Sequence[int],
                   xs: np.ndarray) -> Iterator[np.ndarray]:
     """terms[p, i] = cols[k, i] * (k/n - xs[i])^powers[p] for k = 0..n in
-    order, _MOMENT_BLOCK values of k at a time: no (n+1) x powers x points
-    array is held."""
+    order, _MOMENT_BLOCK values of k at a time, as views of one block that
+    is refilled: no (n+1) x powers x points array is held, nor a second
+    block.  The refill is safe for ``_compensated_sum``, which rebinds its
+    total, the first term's view, before it takes the block's second term."""
+    terms = np.empty((min(_MOMENT_BLOCK, n + 1), len(powers), xs.size))
     for a in range(0, n + 1, _MOMENT_BLOCK):
         b = min(a + _MOMENT_BLOCK, n + 1)
         d = (np.arange(a, b) / n)[:, None] - xs
-        terms = np.empty((b - a, len(powers), xs.size))
         for p, power in enumerate(powers):
-            np.multiply(cols[a:b], _power(d, power), out=terms[:, p])
-        yield from terms
+            np.multiply(cols[a:b], _power(d, power), out=terms[:b - a, p])
+        yield from terms[:b - a]
 
 
 def moment_table(

@@ -22,11 +22,11 @@ from .basis import (SampleVector, _band_blocks, _check_degrees, _check_order,
                     sample_function)
 from .blend import BlendSpec, Weight, lagrange_interpolant
 from .catalog import make_function, parse_spec
-from .combination import build_scheme, combine_applied, make_schedule
-# uncalled (the sweeps apply per degree, lemma 6 sums its band); kept only
-# because perfbench/sweeps.py wraps these names here: their spans never open
+from .combination import combine_applied
+# not called through these names (the sweeps apply per degree, lemma 6 sums its
+# band, operators build the schemes); kept because perfbench/sweeps.py wraps them
 from .basis import basis_matrix  # noqa: F401
-from .combination import combine  # noqa: F401
+from .combination import build_scheme, combine  # noqa: F401
 from .errors import DomainError, NumericalError
 from .operators import (ModifiedOperator, build_modified_operator,
                         lattice_derivative)
@@ -54,26 +54,27 @@ def check_n_list(n_list) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class SweepConfig:
-    """Deterministic description of one experiment sweep."""
+    """Deterministic description of one experiment sweep, with each n's
+    operator (``ops``, in n-list order) and the ``grid`` built once, here.
+    Building the operators n by n checks every ladder degree's patch before
+    any work: MinNTooSmall names the first degree that fails."""
 
     r: int
     weight: Weight
     function_key: str
     n_list: tuple[int, ...]
     grid_size: int = 2001
+    ops: tuple[ModifiedOperator, ...] = field(init=False, repr=False)
+    grid: EvaluationGrid = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ns = check_n_list(self.n_list)
         r = _check_order(self.r)
         grid_size = _check_grid_size(self.grid_size)
-        # every ladder degree must admit the patch window and nodes; raises
-        # MinNTooSmall naming, for the first degree that does not, the
-        # smallest degree that admits both
-        for degree in dict.fromkeys(d for n in ns for d in make_schedule(n, r)):
-            BlendSpec(degree, r, self.weight)
-        object.__setattr__(self, "n_list", ns)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "grid_size", grid_size)
+        ops = tuple(build_modified_operator(n, r, self.weight) for n in ns)
+        for name, value in (("n_list", ns), ("r", r), ("grid_size", grid_size),
+                            ("ops", ops), ("grid", make_grid(self.weight, grid_size))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,40 +146,30 @@ def build_report(ns, values, extras: Mapping[str, object] | None = None,
                       gamma_hat=gamma, extras=dict(extras or {}))
 
 
-def _sweep_pieces(config: SweepConfig):
-    grid = make_grid(config.weight, config.grid_size)
-    f = make_function(parse_spec(config.function_key), config.weight)
-    return grid, f
-
-
 def _ladder_samples(config: SweepConfig, f: Callable, plain: bool = False
-                    ) -> tuple[list[ModifiedOperator], dict[int, SampleVector],
-                               dict[int, SampleVector]]:
-    """Each n's operator, and samples of f per distinct ladder degree.
+                    ) -> tuple[dict[int, SampleVector], dict[int, SampleVector]]:
+    """Samples of f per distinct ladder degree of ``config.ops``.
 
-    Returns (ops, blended, direct): each n's operator, then the blended
-    samples and, with ``plain``, f's own lattice samples, keyed by degree.
-    A blend spec depends only on (degree, r, weight), so a degree that
-    several ladders share keeps the samples of its first ladder.  Every
-    ladder is still sampled whole through ``operators.blended_samples``,
-    looked up on the module so that a wrapper put there (the benchmark's
-    blend-gap trace) sees each ladder's samples; f costs little next to the
-    applies.
+    Returns (blended, direct): the blended samples and, with ``plain``,
+    f's own lattice samples, keyed by degree.  A blend spec depends only on
+    (degree, r, weight), so a degree that several ladders share keeps the
+    samples of its first ladder.  Every ladder is still sampled whole
+    through ``operators.blended_samples``, looked up on the module so that
+    a wrapper put there (the benchmark's blend-gap trace) sees each
+    ladder's samples; f costs little next to the applies.
     Degrees are visited n by n in ladder order, direct samples of a ladder
-    before its operator is built, so the first failure is the one a per-n
-    sweep would meet first.
+    before its blended ones, so the first failure is the one a per-n sweep
+    would meet first.
     """
-    ops, blended, direct = [], {}, {}
-    for n in config.n_list:
+    blended, direct = {}, {}
+    for op in config.ops:
         if plain:
-            for d in build_scheme(n, config.r).nodes:
+            for d in op.scheme.nodes:
                 if d not in direct:
                     direct[d] = sample_function(f, d)
-        op = build_modified_operator(n, config.r, config.weight)
         for sv in operators.blended_samples(op, f):
             blended.setdefault(sv.n, sv)
-        ops.append(op)
-    return ops, blended, direct
+    return blended, direct
 
 
 def run_convergence(config: SweepConfig) -> RateReport:
@@ -190,13 +181,13 @@ def run_convergence(config: SweepConfig) -> RateReport:
     Each distinct ladder degree is applied once, and each distinct modulus
     step h scanned once, for all n.
     """
-    grid, f = _sweep_pieces(config)
-    xs = grid.points
+    grid, xs = config.grid, config.grid.points
+    f = make_function(parse_spec(config.function_key), config.weight)
     f_vals = evaluate(f, xs)
-    ops, blended, _ = _ladder_samples(config, f)
+    blended, _ = _ladder_samples(config, f)
     applied = {d: bernstein_apply_grid(sv, xs) for d, sv in blended.items()}
     errors = [weighted_norm(combine_applied(op.scheme, applied) - f_vals, grid)
-              for op in ops]
+              for op in config.ops]
     t_used = [min(1.0 / math.sqrt(n), _T_CAP) for n in config.n_list]
     moduli = weighted_modulus(
         f, [ModulusParams(r2=2 * config.r, t=t) for t in t_used], grid)
@@ -217,17 +208,18 @@ def compare_plain_vs_modified(config: SweepConfig) -> tuple[RateReport, RateRepo
     lattice; for singular f this is exactly the construction the blend is
     meant to repair.  Both sample vectors of a degree share one basis build.
     """
-    grid, f = _sweep_pieces(config)
-    xs = grid.points
+    grid, xs = config.grid, config.grid.points
+    f = make_function(parse_spec(config.function_key), config.weight)
     f_vals = evaluate(f, xs)
-    ops, blended, direct = _ladder_samples(config, f, plain=True)
+    blended, direct = _ladder_samples(config, f, plain=True)
     plain_applied, mod_applied = {}, {}
     for d, sv in blended.items():
         plain_applied[d], mod_applied[d] = bernstein_apply_grid([direct[d], sv], xs)
     f_norm = weighted_norm(f_vals, grid)
     reports = []
     for applied in (plain_applied, mod_applied):
-        errs = [weighted_norm(combine_applied(op.scheme, applied) - f_vals, grid) for op in ops]
+        errs = [weighted_norm(combine_applied(op.scheme, applied) - f_vals, grid)
+                for op in config.ops]
         reports.append(build_report(config.n_list, errs, scale=f_norm))
     return tuple(reports)
 
@@ -241,14 +233,14 @@ def check_bernstein_inequality(config: SweepConfig, lam: float) -> RateReport:
     """
     if not 0.0 <= lam <= 1.0:
         raise DomainError("lambda must lie in [0, 1]")
-    grid, f = _sweep_pieces(config)
-    xs = grid.points
+    grid, xs = config.grid, config.grid.points
+    f = make_function(parse_spec(config.function_key), config.weight)
     phi_pow = (xs * (1.0 - xs)) ** (config.r * lam)  # phi^(2 r lam)
-    ops, blended, _ = _ladder_samples(config, f)
+    blended, _ = _ladder_samples(config, f)
     applied = {d: bernstein_apply_grid(lattice_derivative(sv, 2 * config.r), xs)
                for d, sv in blended.items()}
     values = [weighted_norm(phi_pow * combine_applied(op.scheme, applied), grid)
-              for op in ops]
+              for op in config.ops]
     return build_report(config.n_list, values, {"lambda": lam})
 
 

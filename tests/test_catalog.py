@@ -54,6 +54,22 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_spec("singular_power:beta=abc")
 
+    def test_repeated_parameter(self):
+        key = "singular_power:beta=0.5,beta=0.6"
+        with pytest.raises(DomainError, match=f"parameter beta given twice in key '{key}'"):
+            parse_spec(key)
+
+    @pytest.mark.parametrize("key, name, value", [
+        ("smooth_poly:coeffs=1;;2", "coeffs", "1;;2"),
+        ("singular_osc:beta=x", "beta", "x"),
+        ("singular_osc:beta=0.5,freq=", "freq", ""),
+    ])
+    def test_non_numeric_value_named(self, key, name, value):
+        with pytest.raises(DomainError) as info:
+            parse_spec(key)
+        assert str(info.value) == (f"parameter {name} takes numbers, got {value!r} "
+                                   f"in key {key!r}")
+
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             FunctionSpec("smooth_sin", {"freq": -1.0})

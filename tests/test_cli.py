@@ -382,6 +382,9 @@ class TestExitCodes:
         ["lemma", "6", "--beta", "nan"],
         ["lemma", "1", "--xi", "1e-13"],
         ["modulus", "--xi", "0.9999999999999"],
+        ["approx", "--function", "singular_power:beta=0.5,beta=0.6"],
+        ["approx", "--function", "smooth_poly:coeffs=1;;2"],
+        ["approx", "--function", "singular_osc:beta=x"],
     ])
     def test_bad_numeric_config(self, capsys, argv):
         # non-finite values, catalog misuse and out-of-reach degrees are

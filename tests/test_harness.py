@@ -1,6 +1,7 @@
 """Experiment engine: sweeps, lemma scans, rate fits, report emission."""
 
 import collections
+import itertools
 import json
 import math
 import os
@@ -11,17 +12,22 @@ import sys
 import numpy as np
 import pytest
 
-from bernblend import (DEFAULT_KEYS, DomainError, MinNTooSmall,
-                       NumericalError, RateReport, SampleError, SweepConfig,
-                       Weight, basis_matrix, build_modified_operator,
-                       build_report, check_bernstein_inequality, combine,
+from bernblend import (DEFAULT_KEYS, BlendSpec, CombinationScheme,
+                       DomainError, EvaluationGrid, MinNTooSmall,
+                       ModifiedOperator, NumericalError, RateReport,
+                       SampleError, SweepConfig, Weight, basis_matrix,
+                       build_modified_operator, build_report,
+                       check_bernstein_inequality, combine,
                        compare_plain_vs_modified, emit_report, fit_rate,
                        lemma1_scan, lemma3_decay, lemma5_scan, lemma6_scan,
-                       make_function, make_grid, modified_operator,
-                       operator_derivative_2r, parse_spec, render_report,
-                       run_convergence, weighted_norm)
+                       make_function, make_grid, make_schedule,
+                       modified_operator, operator_derivative_2r, parse_spec,
+                       render_report, run_convergence, weighted_norm)
 import bernblend
 from bernblend import basis, operators
+from bernblend.basis import _check_order
+from bernblend.harness import check_n_list
+from bernblend.smoothness import _check_grid_size
 
 _STARTUP_PROBE = """
 import sys
@@ -88,6 +94,26 @@ class TestReports:
             build_report((64.5, 128), (0.5, 0.25))
 
 
+def distinct_degree_checks(r, weight, n_list, grid_size):
+    """The checks SweepConfig made before it held its operators: the n list,
+    r and the grid size, then one BlendSpec per distinct ladder degree in
+    order of first appearance, then the grid."""
+    ns = check_n_list(n_list)
+    r = _check_order(r)
+    _check_grid_size(grid_size)
+    for degree in dict.fromkeys(d for n in ns for d in make_schedule(n, r)):
+        BlendSpec(degree, r, weight)
+    make_grid(weight, grid_size)
+
+
+def raised(build, *args):
+    try:
+        build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
 class TestSweepConfig:
     def test_validation(self, weight513):
         with pytest.raises(DomainError):
@@ -116,6 +142,46 @@ class TestSweepConfig:
         # n = 49 admits the blend window but not nine distinct patch nodes
         with pytest.raises(MinNTooSmall, match="need n >= 51"):
             SweepConfig(8, weight513, "smooth_sin:freq=1", (49,), 401)
+
+    def test_operators_and_grid_built_once(self, weight513, monkeypatch):
+        built = collections.Counter()
+        for cls in (BlendSpec, CombinationScheme, ModifiedOperator, EvaluationGrid):
+            def counting(self, original=cls.__post_init__):
+                built[type(self).__name__] += 1
+                original(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        ns = (256, 512, 1024)
+        cfg = SweepConfig(3, weight513, "singular_power:beta=0.5", ns, 2001)
+        assert built == {"ModifiedOperator": 3, "CombinationScheme": 3,
+                         "BlendSpec": 9, "EvaluationGrid": 1}
+        assert [op.scheme.base_n for op in cfg.ops] == list(ns)
+        assert cfg.grid.size == 2001 and cfg.grid.weight is weight513
+        built.clear()
+        run_convergence(cfg)
+        compare_plain_vs_modified(cfg)
+        check_bernstein_inequality(cfg, 0.5)
+        assert not built
+
+    def test_operators_and_grid_not_settable(self, weight513):
+        for name in ("ops", "grid"):
+            with pytest.raises(TypeError, match=name):
+                SweepConfig(1, weight513, "smooth_sin:freq=1", (64,), 401, **{name: None})
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_errors_match_distinct_degree_checks(self, r):
+        n_lists = [(8,), (49,), (32, 64, 128), (64, 128, 256, 512, 1024), (96, 4096),
+                   (64, 32)]
+        seen = set()
+        for xi in (1e-13, 0.001, 0.5, 0.513, 0.999):
+            weight = Weight(xi, 1.0)
+            for ns, grid_size in itertools.product(n_lists, (401, 8)):
+                want = raised(distinct_degree_checks, r, weight, ns, grid_size)
+                got = raised(SweepConfig, r, weight, "smooth_sin:freq=1", ns, grid_size)
+                assert got == want, (r, xi, ns, grid_size)
+                seen.add(want and want[0])
+        # every stage is reached: the n list or grid size, the geometry, none
+        assert {DomainError, MinNTooSmall, None} <= seen
+
 
 
 class TestRunConvergence:
