@@ -7,12 +7,13 @@ every subcommand at its defaults, plus ``compare`` and ``bernstein-ineq``
 at r=3 on a large-degree ladder, ``compare`` at degrees up to 65536
 (ladder degrees up to 196608), ``lemma 5`` and ``lemma 6`` at degrees up
 to 262144, the blend at r=1 (``approx``) and r=8 (``approx`` and
-``lemma 3``), and ``compare`` on the oscillating singular function, and
-prints one ``sha256  argv`` line per run.  Diff the
+``lemma 3``), ``compare`` on the oscillating singular function, and
+``modulus`` at order 8 and a non-dyadic t on that function, and prints
+one ``sha256  argv`` line per run.  Diff the
 output of two checkouts to see whether a change moved any printed byte,
 or save one checkout's output and pass it as ``--against``: every line
 that differs from the saved list is then marked ``MOVED``, and the script
-exits 1 unless all 19 digests match.  A run that exits nonzero prints
+exits 1 unless all 20 digests match.  A run that exits nonzero prints
 ``exit=N`` in place of a digest and makes the script exit 1.
 Standard library only.
 """
@@ -49,6 +50,7 @@ RUNS = (
     ["lemma", "3", "--r", "8", "--n-list", "64,128"],
     ["compare", "--function", "singular_osc:beta=0.5,freq=1", "--r", "3",
      "--n-list", "256,512,1024"],
+    ["modulus", "--r", "4", "--t", "0.1", "--function", "singular_osc:beta=0.5,freq=1"],
 )
 
 

@@ -13,9 +13,9 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from bernblend import (ModulusParams, SweepConfig, Weight,  # noqa: E402
-                       compare_plain_vs_modified, lemma1_scan, lemma6_scan,
-                       make_grid, run_convergence, weighted_modulus)
+from bernblend import (SweepConfig, Weight, compare_plain_vs_modified,  # noqa: E402
+                       lemma1_scan, lemma6_scan, make_grid, run_convergence,
+                       weighted_modulus)
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden.json"
 
@@ -68,8 +68,7 @@ def main() -> None:
 
     # order-2 weighted modulus of x^2 on the default grid; the analytic
     # value for this geometry is exactly t^2
-    golden["modulus_square_t01"], = weighted_modulus(
-        lambda x: x ** 2, [ModulusParams(r2=2, t=0.1)], grid)
+    golden["modulus_square_t01"], = weighted_modulus(lambda x: x ** 2, 2, [0.1], grid)
 
     old = json.loads(OUT.read_text()) if OUT.exists() else {}
     moved = _moved_entries(old, golden)

@@ -13,8 +13,7 @@ from .blend import (BlendSpec, Weight, barycentric_weights, blend_eval,
                     lagrange_interpolant)
 from .catalog import DEFAULT_KEYS, FunctionSpec, make_function, parse_spec
 from .combination import (CombinationScheme, build_scheme, combine,
-                          combine_samples, make_schedule, moment_table,
-                          solve_coefficients)
+                          combine_samples, moment_table, solve_coefficients)
 from .errors import (DomainError, MembershipError, MinNTooSmall,
                      NumericalError, SampleError)
 from .harness import (RateReport, SweepConfig, build_report,
@@ -25,8 +24,8 @@ from .harness import (RateReport, SweepConfig, build_report,
 from .operators import (ModifiedOperator, blended_samples,
                         build_modified_operator, modified_operator,
                         operator_derivative_2r)
-from .smoothness import (EvaluationGrid, ModulusParams, make_grid,
-                         weighted_modulus, weighted_norm)
+from .smoothness import (EvaluationGrid, make_grid, weighted_modulus,
+                         weighted_norm)
 from .smoothstep import SmoothstepPoly, psi_eval, solve_psi_coefficients
 
 __version__ = "0.1.0"

@@ -137,14 +137,12 @@ def _check_indices(n: int, ks) -> np.ndarray:
     return ks.astype(np.int64, copy=False)
 
 
-def basis_row(n: int, x: float, ks: np.ndarray | None = None) -> np.ndarray:
-    """p_{nk}(x) for k in ``ks`` (default: all of 0..n).
-
-    Values below 2^-1022 (logs below _NORMAL_LOG) are +0.0.
-    """
+def basis_row(n: int, x: float) -> np.ndarray:
+    """p_{nk}(x) for k = 0..n; values below 2^-1022 (logs below _NORMAL_LOG)
+    are +0.0."""
     n = _check_degree(n)
     x = float(_check_unit(x))
-    ks = _check_indices(n, ks)
+    ks = np.arange(n + 1)
     if x == 0.0:
         return (ks == 0).astype(float)
     if x == 1.0:
@@ -331,22 +329,11 @@ def evaluate(f: Callable, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def bernstein_apply_grid(samples: SampleVector | Sequence[SampleVector],
-                         xs: np.ndarray):
-    """Vectorized B_n(f, .) on an array of points.
-
-    ``samples`` is one SampleVector, giving one array, or a sequence of
-    SampleVectors of one degree, giving a list with one array per vector.
-    The basis is evaluated once and reduced against every vector, each row
-    summed over its band alone (see ``_row_sums``): the same bytes for one
-    vector as for several, from run to run and at any thread count.
-    """
-    single = isinstance(samples, SampleVector)
-    vectors = [samples] if single else list(samples)
-    if not vectors or any(sv.n != vectors[0].n for sv in vectors):
-        raise DomainError("bernstein_apply_grid needs sample vectors of one degree")
-    outs = _row_sums(vectors[0].n, xs, None, [sv.values for sv in vectors])
-    return outs[0] if single else outs
+def bernstein_apply_grid(sv: SampleVector, xs: np.ndarray) -> np.ndarray:
+    """Vectorized B_n(f, .) on an array of points, each row summed over its
+    band alone (see ``_row_sums``): the same bytes run to run and at any
+    thread count."""
+    return _row_sums(sv.n, xs, None, [sv.values])[0]
 
 
 def _compensated_sum(terms: Iterable[np.ndarray]) -> np.ndarray:

@@ -31,7 +31,7 @@ from .harness import (SweepConfig, build_report, check_bernstein_inequality,
                       check_n_list, compare_plain_vs_modified, emit_report,
                       lemma1_scan, lemma3_decay, lemma5_scan, lemma6_scan,
                       render_report, run_convergence)
-from .smoothness import ModulusParams, make_grid, weighted_modulus
+from .smoothness import make_grid, weighted_modulus
 from .smoothstep import SmoothstepPoly
 
 
@@ -176,8 +176,7 @@ def _modulus(ns, grid):
     # the divisor; the fitted slope is minus the observed decay order in t
     f = make_function(parse_spec(ns.function), grid.weight)
     divisors = [2 ** k for k in range(8)]
-    values = weighted_modulus(
-        f, [ModulusParams(r2=2 * ns.r, t=ns.t / d) for d in divisors], grid)
+    values = weighted_modulus(f, 2 * ns.r, [ns.t / d for d in divisors], grid)
     return build_report(divisors, values, {"t": ns.t})
 
 

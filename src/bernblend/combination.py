@@ -38,13 +38,6 @@ from .errors import DomainError
 _MOMENT_BLOCK = 64
 
 
-def make_schedule(base_n: int, r: int) -> list[int]:
-    """Degree ladder (base_n, 2*base_n, ..., r*base_n)."""
-    base_n = _check_degree(base_n)
-    r = _check_order(r)
-    return [(i + 1) * base_n for i in range(r)]
-
-
 def solve_coefficients(nodes: Sequence[int]) -> np.ndarray:
     """Combination weights C_i for a strictly increasing degree schedule,
     each an int / int division: correctly rounded, as float(Fraction) is."""
@@ -55,7 +48,7 @@ def solve_coefficients(nodes: Sequence[int]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CombinationScheme:
-    """The ladder ``make_schedule(base_n, r)`` as ``nodes``, with its
+    """The ladder (base_n, 2*base_n, ..., r*base_n) as ``nodes``, with its
     read-only weights ``solve_coefficients(nodes)`` as ``coeffs``."""
 
     base_n: int
@@ -65,7 +58,7 @@ class CombinationScheme:
 
     def __post_init__(self):
         base_n, r = _check_degree(self.base_n), _check_order(self.r)
-        nodes = tuple(make_schedule(base_n, r))
+        nodes = tuple((i + 1) * base_n for i in range(r))
         coeffs = solve_coefficients(nodes)
         coeffs.flags.writeable = False
         object.__setattr__(self, "base_n", base_n)

@@ -31,10 +31,9 @@ from .errors import DomainError, NumericalError
 from .operators import (ModifiedOperator, build_modified_operator,
                         lattice_derivative)
 from .operators import operator_derivative_2r  # noqa: F401
-from .smoothness import (_T_CAP, EvaluationGrid, ModulusParams,
-                         _check_grid_size, _weighted_max, make_grid,
+from .smoothness import (_T_CAP, EvaluationGrid, _check_grid_size,
+                         _weighted_max, make_grid, weighted_modulus,
                          weighted_norm)
-from .smoothness import weighted_modulus
 
 _EXACT_THRESHOLD = 1e-9
 # largest degree in any n list: a grid row of a sweep's or lemma 1's basis
@@ -189,8 +188,7 @@ def run_convergence(config: SweepConfig) -> RateReport:
     errors = [weighted_norm(combine_applied(op.scheme, applied) - f_vals, grid)
               for op in config.ops]
     t_used = [min(1.0 / math.sqrt(n), _T_CAP) for n in config.n_list]
-    moduli = weighted_modulus(
-        f, [ModulusParams(r2=2 * config.r, t=t) for t in t_used], grid)
+    moduli = weighted_modulus(f, 2 * config.r, t_used, grid)
     f_norm = weighted_norm(f_vals, grid)
     extras = {
         "omega": moduli,
@@ -214,7 +212,7 @@ def compare_plain_vs_modified(config: SweepConfig) -> tuple[RateReport, RateRepo
     blended, direct = _ladder_samples(config, f, plain=True)
     plain_applied, mod_applied = {}, {}
     for d, sv in blended.items():
-        plain_applied[d], mod_applied[d] = bernstein_apply_grid([direct[d], sv], xs)
+        plain_applied[d], mod_applied[d] = _row_sums(d, xs, None, [direct[d].values, sv.values])
     f_norm = weighted_norm(f_vals, grid)
     reports = []
     for applied in (plain_applied, mod_applied):

@@ -1,25 +1,26 @@
 """Weighted sup norms and the weighted modulus of smoothness.
 
-The modulus measures order-``r2`` differences in three regimes: a symmetric
-difference with the variable step h*sqrt(x(1-x)) away from the endpoints, and
-one-sided differences with the fixed step h on the two endpoint strips
-[0, 16h^2] and [1 - 16h^2, 1].  Taking the max over a geometric ladder of h
-values in (0, t] discretizes the supremum over 0 < h <= t.  Both the norm
-and the modulus are weighted by the weight their EvaluationGrid was built
-for, and read it from the grid.
+The modulus of one even order measures differences of that order in three
+regimes: a symmetric difference with the variable step h*sqrt(x(1-x)) away
+from the endpoints, and one-sided differences with the fixed step h on the
+two endpoint strips [0, 16h^2] and [1 - 16h^2, 1].  Taking the max over a
+geometric ladder of h values in (0, t] discretizes the supremum over
+0 < h <= t.  Both the norm and the modulus are weighted by the weight their
+EvaluationGrid was built for, and read it from the grid.
 
 f takes 1-d arrays.  A region of a step h calls f on the points of as many
 stencil offsets at once as fit in 2^16 (at least one), so a step costs at
-most 3 calls while each region holds at most 2^16 / (r2 + 1) points.  A call
-over several t shares the distinct steps of their ladders.  A region's filter
-uses the expression of its largest stencil offset, so no point leaves [0, 1].
+most 3 calls while each region holds at most 2^16 / (order + 1) points.  A
+call over several t shares the distinct steps of their ladders.  A region's
+filter uses the expression of its largest stencil offset, so no point
+leaves [0, 1].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -110,49 +111,34 @@ def _weighted_max(xs: np.ndarray, prod: np.ndarray) -> float:
     return float(np.max(np.abs(prod)))
 
 
-@dataclass(frozen=True)
-class ModulusParams:
-    """Difference order (even, at most twice the largest combination order)
-    and modulus argument t."""
-
-    r2: int
-    t: float
-
-    def __post_init__(self) -> None:
-        r2 = _check_int(self.r2, "difference order", 2, 2 * _MAX_ORDER)
-        if r2 % 2 != 0:
-            raise DomainError(f"difference order must be even, got {r2}")
-        if not 0.0 < self.t <= _T_CAP:
-            raise DomainError("modulus argument t must lie in (0, 1/8]")
-        object.__setattr__(self, "r2", r2)
-
-    def h_ladder(self) -> np.ndarray:
-        # t, t/2, t/4, ...: halving keeps the ladders nested across t = 2^-k
-        return self.t * 0.5 ** np.arange(_H_COUNT)
-
-
-def weighted_modulus(f, params: Sequence[ModulusParams],
+def weighted_modulus(f, order: int, ts: Iterable[float],
                      grid: EvaluationGrid) -> tuple[float, ...]:
-    """The modulus of smoothness, weighted by the grid's weight, of order
-    ``entry.r2`` at ``entry.t`` for each entry of ``params``, as a tuple.
+    """The modulus of smoothness of the even ``order`` (2..16), weighted by
+    the grid's weight, at each t in (0, 1/8] of ``ts``, as a tuple.
 
-    For each h in a ladder the three regional sups are evaluated on the
+    For each h in t's ladder t, t/2, ..., t/2^7 (halving keeps the ladders
+    nested across t = 2^-k) the three regional sups are evaluated on the
     grid and combined with max; a modulus is the max over its ladder, hence
-    nondecreasing in t by construction.  A step (order, h) shared by
-    several ladders is scanned once per call, on its first visit in entry
-    and ladder order, so each value and the first failure are those of one
-    call per entry.  A non-finite weighted difference raises SampleError,
-    as in ``weighted_norm``.
+    nondecreasing in t by construction.  A step h shared by several ladders
+    is scanned once per call, on its first visit in t and ladder order, so
+    each value and the first failure are those of one call per t.  The
+    order and every t are checked before f is called.  A non-finite
+    weighted difference raises SampleError, as in ``weighted_norm``.
     """
-    sups: dict[tuple[int, float], float] = {}
+    order = _check_int(order, "difference order", 2, 2 * _MAX_ORDER)
+    if order % 2 != 0:
+        raise DomainError(f"difference order must be even, got {order}")
+    ts = list(ts)  # an iterator too is checked in full before the first scan
+    if not all(0.0 < t <= _T_CAP for t in ts):
+        raise DomainError("modulus argument t must lie in (0, 1/8]")
+    sups: dict[float, float] = {}
     values = []
-    for entry in params:
+    for t in ts:
         best = 0.0
-        for h in entry.h_ladder().tolist():
-            key = (entry.r2, h)
-            if key not in sups:
-                sups[key] = _step_sup(f, grid, entry.r2, h)
-            best = max(best, sups[key])
+        for h in (t * 0.5 ** np.arange(_H_COUNT)).tolist():
+            if h not in sups:
+                sups[h] = _step_sup(f, grid, order, h)
+            best = max(best, sups[h])
         values.append(best)
     return tuple(values)
 

@@ -11,13 +11,13 @@ import math
 
 import numpy as np
 
-from bernblend import (DEFAULT_KEYS, BlendSpec, ModulusParams, SweepConfig,
-                       Weight, blend_eval, build_modified_operator,
-                       build_scheme, check_bernstein_inequality,
-                       compare_plain_vs_modified, lemma1_scan, lemma5_scan,
-                       lemma6_scan, make_function, make_grid, modified_operator,
-                       moment_table, parse_spec, run_convergence,
-                       solve_psi_coefficients, weighted_modulus, weighted_norm)
+from bernblend import (DEFAULT_KEYS, BlendSpec, SweepConfig, Weight,
+                       blend_eval, build_modified_operator, build_scheme,
+                       check_bernstein_inequality, compare_plain_vs_modified,
+                       lemma1_scan, lemma5_scan, lemma6_scan, make_function,
+                       make_grid, modified_operator, moment_table, parse_spec,
+                       run_convergence, solve_psi_coefficients,
+                       weighted_modulus, weighted_norm)
 from smoothstep_system import determinant_check, determinant_reference
 
 WEIGHT = Weight(0.513, 1.0)
@@ -189,13 +189,13 @@ def test_10_modulus_sanity():
     clauses = []
     grid = make_grid(WEIGHT, 401)
     affine = make_function(parse_spec("smooth_poly:coeffs=0;1"), WEIGHT)
-    flat, = weighted_modulus(affine, [ModulusParams(r2=4, t=0.125)], grid)
+    flat, = weighted_modulus(affine, 4, [0.125], grid)
     check(clauses, "order-4 modulus of an affine function vanishes",
           flat <= 1e-12, f"value {flat:.3e}")
     ts = [2.0 ** -k for k in range(3, 11)]
     for key in DEFAULT_KEYS:
         f = make_function(parse_spec(key), WEIGHT)
-        vals = weighted_modulus(f, [ModulusParams(r2=4, t=t) for t in ts], grid)
+        vals = weighted_modulus(f, 4, ts, grid)
         mono = all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
         check(clauses, f"modulus nondecreasing in t for {key}", mono,
               f"values {[f'{v:.3e}' for v in vals]}")

@@ -11,8 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bernblend import (CombinationScheme, DomainError, basis_row, build_scheme,
-                       combine, combine_samples, make_schedule, moment_table,
-                       sample_function, solve_coefficients)
+                       combine, combine_samples, moment_table, sample_function,
+                       solve_coefficients)
 from bernblend.basis import _compensated_sum
 from bernblend.combination import _MOMENT_BLOCK, _power
 
@@ -61,19 +61,14 @@ def one(x: float) -> np.ndarray:
 
 class TestSchedule:
     def test_examples(self):
-        assert make_schedule(100, 3) == [100, 200, 300]
-        assert make_schedule(7, 1) == [7]
-        assert make_schedule(50, 5) == [50, 100, 150, 200, 250]
+        assert CombinationScheme(100, 3).nodes == (100, 200, 300)
+        assert CombinationScheme(7, 1).nodes == (7,)
+        assert CombinationScheme(50, 5).nodes == (50, 100, 150, 200, 250)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            make_schedule(0, 2)
-        with pytest.raises(DomainError):
-            make_schedule(10, 0)
-        with pytest.raises(DomainError):
-            make_schedule(10, 2.5)
-        with pytest.raises(DomainError):
-            make_schedule(10, 9)
+        for base_n, r in ((0, 2), (10, 0), (10, 2.5), (10, 9)):
+            with pytest.raises(DomainError):
+                CombinationScheme(base_n, r)
 
 
 class TestCoefficients:
@@ -87,14 +82,14 @@ class TestCoefficients:
     def test_base_independent(self):
         # weights depend only on the ladder shape, not on base_n
         for r in range(1, 7):
-            ref = solve_coefficients(make_schedule(32, r))
+            ref = solve_coefficients(CombinationScheme(32, r).nodes)
             for base in (100, 997):
-                got = solve_coefficients(make_schedule(base, r))
+                got = solve_coefficients(CombinationScheme(base, r).nodes)
                 assert np.array_equal(ref, got)
 
     @pytest.mark.parametrize("r", range(2, 7))
     def test_against_linear_solver(self, r):
-        nodes = make_schedule(32, r)
+        nodes = CombinationScheme(32, r).nodes
         ys = 1.0 / np.array(nodes, dtype=float)
         vander = np.vander(ys, r, increasing=True).T
         rhs = np.zeros(r)
@@ -106,14 +101,14 @@ class TestCoefficients:
         # sum_i |C_i| of the (i+1)*base_n ladder, README's table
         for r, total in [(1, 1.0), (2, 3.0), (3, 9.0), (4, 85 / 3)]:
             for base in (16, 997):
-                cs = solve_coefficients(make_schedule(base, r))
+                cs = solve_coefficients(CombinationScheme(base, r).nodes)
                 assert np.abs(cs).sum() == pytest.approx(total, rel=1e-15)
 
     @pytest.mark.parametrize("base", [1, 7, 256, 10**6])
     def test_matches_rounded_fractions(self, base):
         # the exact weights as Fraction products, rounded once by float()
         for r in range(1, 9):
-            nodes = make_schedule(base, r)
+            nodes = CombinationScheme(base, r).nodes
             want = [float(math.prod(Fraction(ni, ni - nj) for nj in nodes if nj != ni))
                     for ni in nodes]
             assert solve_coefficients(nodes).tolist() == want, r

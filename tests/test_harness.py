@@ -20,9 +20,9 @@ from bernblend import (DEFAULT_KEYS, BlendSpec, CombinationScheme,
                        check_bernstein_inequality, combine,
                        compare_plain_vs_modified, emit_report, fit_rate,
                        lemma1_scan, lemma3_decay, lemma5_scan, lemma6_scan,
-                       make_function, make_grid, make_schedule,
-                       modified_operator, operator_derivative_2r, parse_spec,
-                       render_report, run_convergence, weighted_norm)
+                       make_function, make_grid, modified_operator,
+                       operator_derivative_2r, parse_spec, render_report,
+                       run_convergence, weighted_norm)
 import bernblend
 from bernblend import basis, operators
 from bernblend.basis import _check_order
@@ -101,7 +101,7 @@ def distinct_degree_checks(r, weight, n_list, grid_size):
     ns = check_n_list(n_list)
     r = _check_order(r)
     _check_grid_size(grid_size)
-    for degree in dict.fromkeys(d for n in ns for d in make_schedule(n, r)):
+    for degree in dict.fromkeys(d for n in ns for d in CombinationScheme(n, r).nodes):
         BlendSpec(degree, r, weight)
     make_grid(weight, grid_size)
 

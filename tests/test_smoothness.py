@@ -2,16 +2,16 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bernblend import (DEFAULT_KEYS, DomainError, EvaluationGrid,
-                       ModulusParams, SampleError, Weight, make_function,
-                       make_grid, parse_spec, smoothness, weighted_modulus,
-                       weighted_norm)
+from bernblend import (DEFAULT_KEYS, DomainError, EvaluationGrid, SampleError,
+                       Weight, make_function, make_grid, parse_spec,
+                       smoothness, weighted_modulus, weighted_norm)
 
 
 class TestGrid:
@@ -86,9 +86,9 @@ def norm_of(f, grid):
     return weighted_norm(f(grid.points), grid)
 
 
-def modulus(f, params, grid):
-    """The weighted modulus of the one ModulusParams ``params``."""
-    value, = weighted_modulus(f, [params], grid)
+def modulus(f, order, t, grid):
+    """The weighted modulus of order ``order`` at the one argument ``t``."""
+    value, = weighted_modulus(f, order, [t], grid)
     return value
 
 
@@ -141,25 +141,43 @@ class TestWeightedNorm:
 
 
 class TestModulusParams:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            ModulusParams(r2=3, t=0.1)
-        with pytest.raises(DomainError):
-            ModulusParams(r2=0, t=0.1)
-        with pytest.raises(DomainError):
-            ModulusParams(r2=2, t=0.0)
-        with pytest.raises(DomainError):
-            ModulusParams(r2=2, t=0.3)
-        # an integer order, at most twice the largest combination order
-        for r2 in (2.0, 18):
-            with pytest.raises(DomainError):
-                ModulusParams(r2=r2, t=0.1)
+    """The order and the arguments t of weighted_modulus."""
 
-    def test_h_ladder(self):
-        params = ModulusParams(r2=2, t=0.125)
-        np.testing.assert_allclose(
-            params.h_ladder(), 0.125 * 0.5 ** np.arange(8), rtol=0
-        )
+    def test_validation(self, grid_center):
+        # every refusal comes before f is called once
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return x
+
+        for order, ts, message in [
+            (3, [0.1], "difference order must be even, got 3"),
+            (0, [0.1], "difference order must be >= 2, got 0"),
+            (2.0, [0.1], "difference order must be an integer, got 2.0"),
+            # an integer order, at most twice the largest combination order
+            (18, [0.1], "difference order must be at most 16, got 18"),
+            (2, [0.0], "modulus argument t"),
+            (2, [0.2], "modulus argument t"),
+            # a bad t late in the list is refused before the first t's scan
+            (2, [0.1, 0.05, math.nan], "modulus argument t"),
+            (2, [math.nan, 0.1], "modulus argument t"),
+        ]:
+            with pytest.raises(DomainError, match=re.escape(message)):
+                weighted_modulus(counted, order, ts, grid_center)
+        assert calls == []
+
+    def test_h_ladder(self, monkeypatch, grid_center):
+        # one t scans t, t/2, ..., t/128, in that order
+        steps = []
+
+        def step(f, grid, order, h):
+            steps.append(h)
+            return 0.0
+
+        monkeypatch.setattr(smoothness, "_step_sup", step)
+        assert weighted_modulus(np.sin, 2, [0.125], grid_center) == (0.0,)
+        assert np.array_equal(steps, 0.125 * 0.5 ** np.arange(8))
 
 
 def oracle_modulus(f, weight, r2, t, grid, h_count=8):
@@ -202,15 +220,14 @@ class TestModulusOracle:
         grid = make_grid(weight, 401)
         f = make_function(parse_spec(key), weight)
         for t in (0.125, 2.0**-5, 2.0**-8):
-            params = ModulusParams(r2=r2, t=t)
             try:
                 want = oracle_modulus(f, weight, r2, t, grid)
             except SampleError:
                 # a stencil lands on xi: the modulus must refuse it too
                 with pytest.raises(SampleError):
-                    modulus(f, params, grid)
+                    modulus(f, r2, t, grid)
                 continue
-            got = modulus(f, params, grid)
+            got = modulus(f, r2, t, grid)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), (t, got, want)
 
     @pytest.mark.parametrize("r2", [2, 6])
@@ -224,8 +241,7 @@ class TestModulusOracle:
             sizes.append(np.size(x))
             return f(x)
 
-        params = ModulusParams(r2=r2, t=0.125)
-        modulus(counted, params, grid513)
+        modulus(counted, r2, 0.125, grid513)
         assert len(sizes) <= 3 * (r2 + 1) * smoothness._H_COUNT
         assert sum(sizes) / len(sizes) > 50
 
@@ -256,9 +272,8 @@ class TestModulusCalls:
         monkeypatch.setattr(smoothness, "_difference", region)
         monkeypatch.setattr(smoothness, "_step_sup", step)
         # approx's defaults: 19 distinct steps
-        entries = [ModulusParams(4, min(1.0 / math.sqrt(n), 0.125))
-                   for n in (32, 64, 128, 256, 512, 1024)]
-        weighted_modulus(counted, entries, grid513)
+        ts = [min(1.0 / math.sqrt(n), 0.125) for n in (32, 64, 128, 256, 512, 1024)]
+        weighted_modulus(counted, 4, ts, grid513)
         assert len(steps) == 19
         assert all(1 <= calls == nonempty <= 3 for calls, nonempty in steps)
         # each call takes every stencil point of its region
@@ -270,8 +285,8 @@ class TestModulusCalls:
         # than the cap unless one offset's points alone exceed it
         grid = make_grid(weight513, 2001)
         f = make_function(parse_spec("singular_power:beta=0.5"), weight513)
-        entries = [ModulusParams(r2, 0.125 / 2**k) for r2 in (2, 8) for k in range(4)]
-        want = weighted_modulus(f, entries, grid)
+        ts = [0.125 / 2**k for k in range(4)]
+        want = [weighted_modulus(f, r2, ts, grid) for r2 in (2, 8)]
         sizes, regions = [], []
         difference = smoothness._difference
 
@@ -285,7 +300,7 @@ class TestModulusCalls:
 
         monkeypatch.setattr(smoothness, "_CALL_POINTS", cap)
         monkeypatch.setattr(smoothness, "_difference", region)
-        assert weighted_modulus(counted, entries, grid) == want
+        assert [weighted_modulus(counted, r2, ts, grid) for r2 in (2, 8)] == want
         assert max(sizes) <= max(cap, max(regions))
         assert len(sizes) > len(regions)
 
@@ -311,30 +326,28 @@ class TestWeightedModulus:
             x = np.asarray(x, dtype=float)
             return np.where(x > 0.9, np.nan, x * x)
 
-        params = ModulusParams(r2=2, t=0.1)
         with pytest.raises(SampleError, match="non-finite") as exc:
-            modulus(f, params, grid_center)
+            modulus(f, 2, 0.1, grid_center)
         assert exc.value.x > 0.8
 
     def test_affine_vanishes(self, weight_center, grid_center):
-        params = ModulusParams(r2=2, t=0.125)
         f = lambda x: 2.0 - 3.0 * np.asarray(x)
-        assert modulus(f, params, grid_center) <= 1e-12
+        assert modulus(f, 2, 0.125, grid_center) <= 1e-12
 
     def test_square_analytic(self, weight_center, grid_center, golden):
         # the max sits at the forward difference from x=0: w(0)*2t^2 = t^2
         f = lambda x: np.asarray(x) ** 2
-        v = modulus(f, ModulusParams(r2=2, t=0.1), grid_center)
+        v = modulus(f, 2, 0.1, grid_center)
         assert v == pytest.approx(0.01, abs=1e-12)
         assert v == pytest.approx(golden["modulus_square_t01"], rel=1e-12)
-        v2 = modulus(f, ModulusParams(r2=2, t=0.05), grid_center)
+        v2 = modulus(f, 2, 0.05, grid_center)
         assert v2 == pytest.approx(0.0025, abs=1e-12)
 
     @pytest.mark.parametrize("key", ["smooth_sin:freq=1", "singular_power:beta=0.5"])
     def test_monotone_in_t(self, key, weight_center, grid_center):
         f = make_function(parse_spec(key), weight_center)
         vals = [
-            modulus(f, ModulusParams(r2=2, t=t), grid_center)
+            modulus(f, 2, t, grid_center)
             for t in (0.125, 0.0625, 0.03125, 0.015625)
         ]
         for bigger, smaller in zip(vals, vals[1:]):
@@ -342,8 +355,8 @@ class TestWeightedModulus:
 
     def test_vanishes_for_small_t(self, weight_center, grid_center):
         f = make_function(parse_spec("singular_power:beta=0.5"), weight_center)
-        big = modulus(f, ModulusParams(r2=2, t=0.125), grid_center)
-        small = modulus(f, ModulusParams(r2=2, t=2.0**-10), grid_center)
+        big = modulus(f, 2, 0.125, grid_center)
+        small = modulus(f, 2, 2.0**-10, grid_center)
         assert small < big / 4
 
     def test_stencils_stay_inside(self):
@@ -358,8 +371,7 @@ class TestWeightedModulus:
                 seen.append((x.min(), x.max()))
                 return np.cos(x)
 
-            params = [ModulusParams(r2=r2, t=t) for t in (0.125, 2.0**-7)]
-            v = weighted_modulus(guarded, params, make_grid(weight, size))
+            v = weighted_modulus(guarded, r2, [0.125, 2.0**-7], make_grid(weight, size))
             case = (r2, size, xi)
             assert np.all(np.isfinite(v)), case
             assert seen and all(0.0 <= lo and hi <= 1.0 for lo, hi in seen), case
@@ -367,41 +379,39 @@ class TestWeightedModulus:
     def test_higher_order(self, weight_center, grid_center):
         # order-4 differences annihilate cubics
         f = lambda x: np.asarray(x) ** 3 - 0.2 * np.asarray(x)
-        v = modulus(f, ModulusParams(r2=4, t=0.1), grid_center)
+        v = modulus(f, 4, 0.1, grid_center)
         assert v <= 1e-11
 
 
-def _per_entry(f, entries, grid):
-    """The moduli of one call per entry: the reference for the shared ladder."""
-    return tuple(modulus(f, p, grid) for p in entries)
+def _per_t(f, order, ts, grid):
+    """The moduli of one call per t: the reference for the shared ladder."""
+    return tuple(modulus(f, order, t, grid) for t in ts)
 
 
 class TestSharedLadder:
-    """One call over several ModulusParams scans each distinct step once."""
+    """One call over several t scans each distinct step once."""
 
-    @pytest.mark.parametrize("entries", [
+    @pytest.mark.parametrize("order, ts", [
         # approx's defaults: r = 2, t = min(n^-1/2, 1/8) for n = 32..1024
-        [ModulusParams(4, min(1.0 / math.sqrt(n), 0.125))
-         for n in (32, 64, 128, 256, 512, 1024)],
+        (4, [min(1.0 / math.sqrt(n), 0.125) for n in (32, 64, 128, 256, 512, 1024)]),
         # the modulus table: t / 2^k
-        [ModulusParams(4, 0.125 / 2**k) for k in range(8)],
+        (4, [0.125 / 2**k for k in range(8)]),
         # ladders that share no step
-        [ModulusParams(4, 0.1), ModulusParams(4, 0.07)],
-        # one h under two orders is two steps
-        [ModulusParams(2, 0.125), ModulusParams(4, 0.0625), ModulusParams(2, 0.03125)],
-    ], ids=["approx", "table", "disjoint", "mixed-order"])
+        (4, [0.1, 0.07]),
+    ], ids=["approx", "table", "disjoint"])
     @pytest.mark.parametrize("key", ["singular_power:beta=0.5", "smooth_sin:freq=1"])
-    def test_equals_one_call_per_entry(self, entries, key, weight513, grid513):
+    def test_equals_one_call_per_entry(self, order, ts, key, weight513, grid513):
         f = make_function(parse_spec(key), weight513)
-        got = weighted_modulus(f, entries, grid513)
+        got = weighted_modulus(f, order, ts, grid513)
         assert type(got) is tuple
-        assert got == _per_entry(f, entries, grid513)
+        assert got == _per_t(f, order, ts, grid513)
+        assert weighted_modulus(f, order, iter(ts), grid513) == got
 
     def test_single_entry_is_a_float(self, weight513, grid513):
         f = make_function(parse_spec("smooth_sin:freq=1"), weight513)
-        got = weighted_modulus(f, [ModulusParams(4, 0.125)], grid513)
+        got = weighted_modulus(f, 4, [0.125], grid513)
         assert type(got) is tuple and len(got) == 1 and type(got[0]) is float
-        assert weighted_modulus(f, [], grid513) == ()
+        assert weighted_modulus(f, 4, [], grid513) == ()
 
     def test_table_scans_each_step_once(self, monkeypatch, weight513, grid513):
         # the 8-row table t/2^k has the 15 steps t/2^j, j = 0..14
@@ -414,15 +424,15 @@ class TestSharedLadder:
             return scan(f, grid, order, h)
 
         monkeypatch.setattr(smoothness, "_step_sup", counted)
-        table = [ModulusParams(4, 0.125 / 2**k) for k in range(8)]
-        weighted_modulus(f, table, grid513)
+        table = [0.125 / 2**k for k in range(8)]
+        weighted_modulus(f, 4, table, grid513)
         distinct = len(table) - 1 + smoothness._H_COUNT
         assert steps == [(4, 0.125 / 2**j) for j in range(distinct)]
 
     @pytest.mark.parametrize("mode", ["raise", "nan"])
     def test_first_failure_is_the_same(self, mode, weight513, grid513):
-        # only h = 2^-13, first on entry 3's ladder, reaches the bad point:
-        # entries 0..2 succeed, then entry 3 fails on its one new step
+        # only h = 2^-13, first on t 3's ladder, reaches the bad point:
+        # t 0..2 succeed, then t 3 fails on its one new step
         bad = 2.0**-13
 
         def flawed(x):
@@ -432,12 +442,12 @@ class TestSharedLadder:
                 raise SampleError(f"refused x={bad!r}", bad)
             return np.where(hit, np.nan, np.sin(x))
 
-        table = [ModulusParams(2, 0.125 / 2**k) for k in range(8)]
-        weighted_modulus(flawed, table[:3], grid513)
+        table = [0.125 / 2**k for k in range(8)]
+        weighted_modulus(flawed, 2, table[:3], grid513)
         with pytest.raises(SampleError) as loop:
-            _per_entry(flawed, table, grid513)
+            _per_t(flawed, 2, table, grid513)
         with pytest.raises(SampleError) as shared:
-            weighted_modulus(flawed, table, grid513)
+            weighted_modulus(flawed, 2, table, grid513)
         # f's NaN is refused where f is called, at the stencil point itself
         assert shared.value.x == loop.value.x == bad
         assert str(shared.value) == str(loop.value)
