@@ -1,4 +1,4 @@
-"""Print a sha256 digest of the stdout of every bernblend subcommand.
+"""Print a sha256 digest of the output of every bernblend subcommand.
 
     python scripts/cli_digest.py [--repo PATH] [--against FILE]
 
@@ -9,12 +9,16 @@ at r=3 on a large-degree ladder, ``compare`` at degrees up to 65536
 to 262144, the blend at r=1 (``approx``) and r=8 (``approx`` and
 ``lemma 3``), ``compare`` on the oscillating singular function, and
 ``modulus`` at order 8 and a non-dyadic t on that function, and prints
-one ``sha256  argv`` line per run.  Diff the
+one ``sha256  argv`` line per run of its stdout.  The runs in FAILING
+must exit nonzero: each prints ``exit=N:sha256  argv``, the digest taken
+over its stdout and then its stderr, so their error messages and exit
+codes are pinned too.  Diff the
 output of two checkouts to see whether a change moved any printed byte,
 or save one checkout's output and pass it as ``--against``: every line
 that differs from the saved list is then marked ``MOVED``, and the script
-exits 1 unless all 20 digests match.  A run that exits nonzero prints
-``exit=N`` in place of a digest and makes the script exit 1.
+exits 1 unless all 23 digests match.  A run of RUNS that exits nonzero
+prints ``exit=N`` in place of a digest, and a run of FAILING that exits
+0 prints ``exit=0:sha256``; either makes the script exit 1.
 Standard library only.
 """
 
@@ -53,12 +57,24 @@ RUNS = (
     ["modulus", "--r", "4", "--t", "0.1", "--function", "singular_osc:beta=0.5,freq=1"],
 )
 
+# runs that must fail: the first point a sweep meets where f is singular or
+# overflows, and the message and exit code it prints for it
+FAILING = (
+    ["compare", "--xi", "0.5"],
+    ["approx", "--xi", "0.5"],
+    ["bernstein-ineq", "--function", "smooth_poly:coeffs=0;1e308;1e308",
+     "--n-list", "48,96"],
+)
 
-def digest(src: Path, argv: list[str]) -> tuple[str, int]:
+
+def digest(src: Path, argv: list[str], stderr: bool) -> tuple[str, int]:
+    """sha256 of the run's stdout (then its stderr, with ``stderr``), and
+    its exit code."""
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-m", "bernblend", *argv],
                           capture_output=True, env=env, check=False)
-    return hashlib.sha256(proc.stdout).hexdigest(), proc.returncode
+    out = proc.stdout + proc.stderr if stderr else proc.stdout
+    return hashlib.sha256(out).hexdigest(), proc.returncode
 
 
 def main() -> int:
@@ -75,9 +91,13 @@ def main() -> int:
         lines = args.against.read_text().splitlines()
         saved = {cmd: sha for sha, _, cmd in (ln.partition("  ") for ln in lines)}
     status = 0
-    for argv in RUNS:
-        sha, code = digest(src, argv)
-        if code:
+    for argv, failing in [(a, False) for a in RUNS] + [(a, True) for a in FAILING]:
+        sha, code = digest(src, argv, failing)
+        if failing:
+            sha = f"exit={code}:{sha}"
+            if not code:
+                status = 1
+        elif code:
             sha, status = f"exit={code}", 1
         line = f"{sha}  {' '.join(argv)}"
         if saved is not None and saved.get(" ".join(argv)) != sha:

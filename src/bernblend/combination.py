@@ -74,8 +74,8 @@ def build_scheme(base_n: int, r: int) -> CombinationScheme:
 def combine_applied(scheme: CombinationScheme, applied: Mapping[int, np.ndarray]
                     ) -> np.ndarray:
     """sum_i C_i * applied[n_i] in ladder order, given the grid apply that
-    each ladder degree contributes.  Sweeps share one apply per degree
-    across every ladder that contains it, and get the bytes of
+    each ladder degree contributes.  The harness sweep shares one apply
+    per degree across every ladder that contains it, and gets the bytes of
     ``combine_samples`` and ``operator_derivative_2r``, which both combine
     through here."""
     out = np.zeros(applied[scheme.nodes[0]].size)

@@ -17,9 +17,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import operators
-from .basis import (SampleVector, _band_blocks, _check_degrees, _check_order,
-                    _row_sums, bernstein_apply_grid, evaluate,
-                    sample_function)
+from .basis import (_band_blocks, _check_degrees, _check_order, _row_sums,
+                    evaluate, sample_function)
 from .blend import BlendSpec, Weight, lagrange_interpolant
 from .catalog import make_function, parse_spec
 from .combination import combine_applied
@@ -145,30 +144,36 @@ def build_report(ns, values, extras: Mapping[str, object] | None = None,
                       gamma_hat=gamma, extras=dict(extras or {}))
 
 
-def _ladder_samples(config: SweepConfig, f: Callable, plain: bool = False
-                    ) -> tuple[dict[int, SampleVector], dict[int, SampleVector]]:
-    """Samples of f per distinct ladder degree of ``config.ops``.
+def _sweep(config: SweepConfig, f: Callable, value: Callable[[np.ndarray], float],
+           plain: bool = False, order: int = 0) -> list[list[float]]:
+    """``value`` of each n's combination on the grid, one list per sample set.
 
-    Returns (blended, direct): the blended samples and, with ``plain``,
-    f's own lattice samples, keyed by degree.  A blend spec depends only on
+    The sample sets of a ladder degree are f's own lattice samples (with
+    ``plain``) and its blended samples, in that order; with ``order``, each
+    goes through ``lattice_derivative`` first.  A blend spec depends only on
     (degree, r, weight), so a degree that several ladders share keeps the
-    samples of its first ladder.  Every ladder is still sampled whole
-    through ``operators.blended_samples``, looked up on the module so that
-    a wrapper put there (the benchmark's blend-gap trace) sees each
-    ladder's samples; f costs little next to the applies.
-    Degrees are visited n by n in ladder order, direct samples of a ladder
-    before its blended ones, so the first failure is the one a per-n sweep
-    would meet first.
+    samples of its first ladder, and all its sets are applied in one
+    ``_row_sums`` call shared by every n.  Every ladder is still sampled
+    whole through ``operators.blended_samples``, looked up on the module so
+    that a wrapper put there (the benchmark's blend-gap trace) sees each
+    ladder's samples.  Degrees are visited n by n in ladder order, direct
+    samples of a ladder before its blended ones, so the first failure is
+    the one a per-n sweep would meet first.
     """
-    blended, direct = {}, {}
+    sets = {}  # degree -> its sample vectors
     for op in config.ops:
-        if plain:
-            for d in op.scheme.nodes:
-                if d not in direct:
-                    direct[d] = sample_function(f, d)
+        new = [d for d in op.scheme.nodes if d not in sets]
+        for d in new:
+            sets[d] = [sample_function(f, d)] if plain else []
         for sv in operators.blended_samples(op, f):
-            blended.setdefault(sv.n, sv)
-    return blended, direct
+            if sv.n in new:
+                sets[sv.n].append(sv)
+    applied = [{} for _ in range(1 + plain)]
+    for d, svs in sets.items():
+        weights = [lattice_derivative(sv, order).values if order else sv.values for sv in svs]
+        for out, row in zip(applied, _row_sums(d - order, config.grid.points, None, weights)):
+            out[d] = row
+    return [[value(combine_applied(op.scheme, a)) for op in config.ops] for a in applied]
 
 
 def run_convergence(config: SweepConfig) -> RateReport:
@@ -180,13 +185,10 @@ def run_convergence(config: SweepConfig) -> RateReport:
     Each distinct ladder degree is applied once, and each distinct modulus
     step h scanned once, for all n.
     """
-    grid, xs = config.grid, config.grid.points
+    grid = config.grid
     f = make_function(parse_spec(config.function_key), config.weight)
-    f_vals = evaluate(f, xs)
-    blended, _ = _ladder_samples(config, f)
-    applied = {d: bernstein_apply_grid(sv, xs) for d, sv in blended.items()}
-    errors = [weighted_norm(combine_applied(op.scheme, applied) - f_vals, grid)
-              for op in config.ops]
+    f_vals = evaluate(f, grid.points)
+    errors, = _sweep(config, f, lambda g: weighted_norm(g - f_vals, grid))
     t_used = [min(1.0 / math.sqrt(n), _T_CAP) for n in config.n_list]
     moduli = weighted_modulus(f, 2 * config.r, t_used, grid)
     f_norm = weighted_norm(f_vals, grid)
@@ -206,20 +208,12 @@ def compare_plain_vs_modified(config: SweepConfig) -> tuple[RateReport, RateRepo
     lattice; for singular f this is exactly the construction the blend is
     meant to repair.  Both sample vectors of a degree share one basis build.
     """
-    grid, xs = config.grid, config.grid.points
+    grid = config.grid
     f = make_function(parse_spec(config.function_key), config.weight)
-    f_vals = evaluate(f, xs)
-    blended, direct = _ladder_samples(config, f, plain=True)
-    plain_applied, mod_applied = {}, {}
-    for d, sv in blended.items():
-        plain_applied[d], mod_applied[d] = _row_sums(d, xs, None, [direct[d].values, sv.values])
+    f_vals = evaluate(f, grid.points)
+    errors = _sweep(config, f, lambda g: weighted_norm(g - f_vals, grid), plain=True)
     f_norm = weighted_norm(f_vals, grid)
-    reports = []
-    for applied in (plain_applied, mod_applied):
-        errs = [weighted_norm(combine_applied(op.scheme, applied) - f_vals, grid)
-                for op in config.ops]
-        reports.append(build_report(config.n_list, errs, scale=f_norm))
-    return tuple(reports)
+    return tuple(build_report(config.n_list, errs, scale=f_norm) for errs in errors)
 
 
 def check_bernstein_inequality(config: SweepConfig, lam: float) -> RateReport:
@@ -234,11 +228,8 @@ def check_bernstein_inequality(config: SweepConfig, lam: float) -> RateReport:
     grid, xs = config.grid, config.grid.points
     f = make_function(parse_spec(config.function_key), config.weight)
     phi_pow = (xs * (1.0 - xs)) ** (config.r * lam)  # phi^(2 r lam)
-    blended, _ = _ladder_samples(config, f)
-    applied = {d: bernstein_apply_grid(lattice_derivative(sv, 2 * config.r), xs)
-               for d, sv in blended.items()}
-    values = [weighted_norm(phi_pow * combine_applied(op.scheme, applied), grid)
-              for op in config.ops]
+    values, = _sweep(config, f, lambda g: weighted_norm(phi_pow * g, grid),
+                     order=2 * config.r)
     return build_report(config.n_list, values, {"lambda": lam})
 
 

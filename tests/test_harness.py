@@ -24,7 +24,7 @@ from bernblend import (DEFAULT_KEYS, BlendSpec, CombinationScheme,
                        operator_derivative_2r, parse_spec, render_report,
                        run_convergence, weighted_norm)
 import bernblend
-from bernblend import basis, operators
+from bernblend import basis, harness, operators
 from bernblend.basis import _check_order
 from bernblend.harness import check_n_list
 from bernblend.smoothness import _check_grid_size
@@ -341,11 +341,45 @@ class TestSharedDegrees:
         assert len(degrees) == 7
 
         # one basis evaluation per distinct degree, serving every vector
-        compare_plain_vs_modified(cfg)
-        assert collections.Counter(built) == {d: 1 for d in degrees}
-        built.clear()
-        check_bernstein_inequality(cfg, 0.0)
-        assert collections.Counter(built) == {d - 6: 1 for d in degrees}
+        for sweep, shift in ((run_convergence, 0), (compare_plain_vs_modified, 0),
+                             (lambda c: check_bernstein_inequality(c, 0.0), 6)):
+            built.clear()
+            sweep(cfg)
+            assert collections.Counter(built) == {d - shift: 1 for d in degrees}
+
+    def test_first_failure_is_the_per_n_one(self, weight513, monkeypatch):
+        # NaN planted on the lattices of both ladders (64, 128) and (128,
+        # 256), off the grid.  Degree 64's first blended point among them is
+        # 50/64, since 30/64 lies in its window; its direct samples meet
+        # 30/64 first.  A sweep that visited degree 128 first would name 3/128.
+        planted = (30 / 64, 50 / 64, 3 / 128)
+        smooth = make_function(parse_spec("smooth_sin:freq=1"), weight513)
+
+        def f(x):
+            return np.where(np.isin(x, planted), np.nan, smooth(x))
+
+        monkeypatch.setattr(harness, "make_function", lambda spec, weight: f)
+        cfg = SweepConfig(2, weight513, "smooth_sin:freq=1", (64, 128), 401)
+        xs = cfg.grid.points
+        assert not np.isin(xs, planted).any()
+
+        def first_failure(sweep):
+            with pytest.raises(SampleError) as err:
+                sweep()
+            return err.value.x
+
+        def per_n(*applies):
+            # the per-n entry points, n by n in n-list order
+            return first_failure(lambda: [apply(op) for op in cfg.ops for apply in applies])
+
+        modified = per_n(lambda op: modified_operator(op, f, xs))
+        plain = per_n(lambda op: combine(f, op.scheme, xs),
+                      lambda op: modified_operator(op, f, xs))
+        deriv = per_n(lambda op: operator_derivative_2r(op, f, xs))
+        assert (modified, plain, deriv) == (50 / 64, 30 / 64, 50 / 64)
+        assert first_failure(lambda: run_convergence(cfg)) == modified
+        assert first_failure(lambda: compare_plain_vs_modified(cfg)) == plain
+        assert first_failure(lambda: check_bernstein_inequality(cfg, 0.0)) == deriv
 
     def test_every_ladder_sampled_through_blended_samples(self, weight513,
                                                           monkeypatch):
