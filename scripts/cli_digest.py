@@ -6,7 +6,8 @@ Runs ``python -m bernblend`` from PATH/src (default: this checkout) for
 every subcommand at its defaults, plus ``compare`` and ``bernstein-ineq``
 at r=3 on a large-degree ladder, ``compare`` at degrees up to 65536
 (ladder degrees up to 196608), ``lemma 5`` and ``lemma 6`` at degrees up
-to 262144, the blend at r=1 (``approx``) and r=8 (``approx`` and
+to 262144, ``lemma 5`` at degrees 1..8, whose centre windows reach column
+0 or n while the grid's rows at x = 0 and 1 lie in them, the blend at r=1 (``approx``) and r=8 (``approx`` and
 ``lemma 3``), ``compare`` on the oscillating singular function, and
 ``modulus`` at order 8 and a non-dyadic t on that function, and prints
 one ``sha256  argv`` line per run of its stdout.  The runs in FAILING
@@ -16,7 +17,7 @@ codes are pinned too.  Diff the
 output of two checkouts to see whether a change moved any printed byte,
 or save one checkout's output and pass it as ``--against``: every line
 that differs from the saved list is then marked ``MOVED``, and the script
-exits 1 unless all 23 digests match.  A run of RUNS that exits nonzero
+exits 1 unless all 24 digests match.  A run of RUNS that exits nonzero
 prints ``exit=N`` in place of a digest, and a run of FAILING that exits
 0 prints ``exit=0:sha256``; either makes the script exit 1.
 Standard library only.
@@ -48,6 +49,7 @@ RUNS = (
     ["bernstein-ineq", *LARGE],
     ["compare", "--n-list", "16384,32768,65536"],
     ["lemma", "5", "--n-list", "1024,4096,16384,65536,262144"],
+    ["lemma", "5", "--n-list", "1,2,3,4,8"],
     ["lemma", "6", "--n-list", "1024,4096,16384,65536,262144"],
     ["approx", "--r", "1"],
     ["approx", "--r", "8", "--n-list", "64,128"],

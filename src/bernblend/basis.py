@@ -1,8 +1,8 @@
 """Bernstein basis evaluation, lattice samples and compensated sums.
 
 The basis values p_{nk}(x) = C(n,k) x^k (1-x)^(n-k) are evaluated in log
-space, so that no degree up to the commands' cap (``harness._MAX_DEGREE``,
-10^6) overflows or underflows to garbage; each is within a few 1e-13
+space, so that no degree up to the commands' cap (``_MAX_DEGREE``, 10^6)
+overflows or underflows to garbage; each is within a few 1e-13
 relative at n = 4096 (see ``_log_binom_row``).  Evaluation at x > 1/2 is
 mirrored onto 1-x (exact for x >= 1/2), so p_{nk}(x) = p_{n,n-k}(1-x)
 holds by construction.
@@ -14,13 +14,13 @@ about a hundred times longer for a subnormal result than for a normal
 one, and a row sum loses at most 2^-1022 * sum |w_k| over the flushed
 columns.
 
-``_band_blocks`` computes the basis values of every array evaluation, on
-each row's Bernstein band alone (``_band``), block by block in two scratch
-arrays per call, which the consumer owns until it asks for the next block.
-``basis_matrix`` scatters the blocks into zeros.  The applies and the lemma
-scans sum each block over its band in place (lemma 6 itself, the rest
-through ``_row_sums``): the same bytes run to run and at any thread count,
-but not a dense product's.  ``basis_row`` serves ``moment_table`` alone.
+``_band_blocks`` computes the basis values of every array evaluation on one
+column range, each row on its Bernstein band alone (``_band``), block by
+block in two scratch arrays per call, which the consumer owns until it asks
+for the next block.  ``basis_matrix`` scatters the blocks into zeros.  The
+applies and lemma scans sum each block over its band in place (lemma 6
+itself, the rest through ``_row_sums``): the same bytes run to run and at any
+thread count, but not a dense product's.  ``basis_row`` serves moment_table.
 
 Endpoint convention: 0^0 = 1, so p_{n0}(0) = 1 and p_{nn}(1) = 1.
 
@@ -54,6 +54,12 @@ _MERGE_ENTRIES = 1 << 16
 # largest combination order r, for the ladder, the patch and the smoothstep
 # alike; the patch's Lebesgue constant already reaches about 25000 at r = 4
 _MAX_ORDER = 8
+# largest degree in any n list, and the last the smallest-degree search
+# tries: a grid row of a sweep's or lemma 1's basis costs O(n) time and
+# memory (a ladder applies up to r * n), and the log-binomial row of every
+# basis costs O(n); the large-n runs README records (compare at 65536,
+# lemma 6 at 262144) stay well inside.
+_MAX_DEGREE = 10**6
 
 
 def _check_int(value, what: str, low: int, high: int | None = None) -> int:
@@ -126,17 +132,6 @@ def _log_binom_row(n: int) -> np.ndarray:
     return out
 
 
-def _check_indices(n: int, ks) -> np.ndarray:
-    """Basis indices as int64: all of 0..n for None, else sorted ints in 0..n."""
-    if ks is None:
-        return np.arange(n + 1)
-    ks = np.asarray(ks)
-    if ks.size and (ks.dtype.kind not in "iu" or ks.min() < 0 or ks.max() > n
-                    or np.any(np.diff(ks.astype(np.int64).ravel()) < 0)):
-        raise DomainError(f"basis indices must be nondescending integers in 0..{n}")
-    return ks.astype(np.int64, copy=False)
-
-
 def basis_row(n: int, x: float) -> np.ndarray:
     """p_{nk}(x) for k = 0..n; values below 2^-1022 (logs below _NORMAL_LOG)
     are +0.0."""
@@ -154,9 +149,9 @@ def basis_row(n: int, x: float) -> np.ndarray:
     return np.maximum(logp, 0.0, out=logp)
 
 
-def _band(n: int, ks: np.ndarray, centre: np.ndarray,
+def _band(n: int, k: np.ndarray, centre: np.ndarray,
           var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column range [lo, hi) of sorted ``ks`` outside which p_nk is +0.0.
+    """Positions [lo, hi) in ascending columns ``k`` outside which p_nk is +0.0.
 
     Bernstein's inequality bounds p_nk(x) <= exp(-d^2 / (2(n v + d/3)))
     with d = |k - n x| and v = x(1-x).  With L = -_NORMAL_LOG that exponent
@@ -170,8 +165,8 @@ def _band(n: int, ks: np.ndarray, centre: np.ndarray,
     """
     L = -_NORMAL_LOG
     t = L / 3.0 + np.sqrt(L * L / 9.0 + 2.0 * L * n * var) + 1.0
-    return (np.searchsorted(ks, centre - t, "left"),
-            np.searchsorted(ks, centre + t, "right"))
+    return (np.searchsorted(k, centre - t, "left"),
+            np.searchsorted(k, centre + t, "right"))
 
 
 def _check_points(xs) -> np.ndarray:
@@ -182,20 +177,16 @@ def _check_points(xs) -> np.ndarray:
     return xs
 
 
-def _basis_args(n: int, xs, ks) -> tuple[int, np.ndarray, np.ndarray]:
-    """Checked (n, xs, ks) of a basis evaluation: xs a 1-d array in [0,1]."""
-    n = _check_degree(n)
-    return n, _check_points(xs), _check_indices(n, ks)
+def _band_blocks(n: int, xs: np.ndarray, lo: int, hi: int):
+    """The nonzero basis values p_{nk}(xs[i]), lo <= k < hi, of checked
+    arguments, with 0 <= lo <= hi <= n + 1.
 
-
-def _band_blocks(n: int, xs: np.ndarray, ks: np.ndarray):
-    """The nonzero basis values p_{n, ks[j]}(xs[i]) of checked arguments.
-
-    Yields blocks (rows, a, b, vals, spare) with vals[i, j] = p_{n, ks[a + j]}(
+    Yields blocks (rows, a, b, vals, spare) with vals[i, j] = p_{n, lo+a+j}(
     xs[rows[i]]); each row lies in at most one block, and every entry outside
     the blocks is exactly +0.0.  vals and spare, of one shape, view two
-    scratch arrays made once per call at its largest block's size: they are
-    the consumer's, to overwrite too, until it asks for the next block.
+    scratch arrays made once per call at its largest block's size, as k and
+    n - k are made once: they are the consumer's, to overwrite too, until it
+    asks for the next block.
     Rows are taken in sorted groups of _GROUP_ROWS, fewer where bands are
     wide (_BLOCK_ENTRIES).  A group's logs are computed on the union [a, b)
     of its rows' bands (see ``_band``) by the full-width elementwise
@@ -203,33 +194,33 @@ def _band_blocks(n: int, xs: np.ndarray, ks: np.ndarray):
     value is the one a full-width evaluation gives.  Adjacent groups with the
     same [a, b) share a block of at most _MERGE_ENTRIES entries, which
     changes no row's columns, values or sum.  Rows at x = 0 or 1 form one
-    block over the columns of index 0 or n.
+    block over column 0 or n, where that column lies in [lo, hi).
     """
     logc = _log_binom_row(n)
-    k = ks.astype(float)
+    k = np.arange(lo, hi, dtype=float)
     nk = n - k
     left = xs <= 0.5
     plan = []  # (k, n - k, ln C(n, k) by k, blocks) of each side of 1/2
     # x > 1/2 is mirrored: p_{n,k}(x) = p_{n,n-k}(1-x), and 1-x is exact there
-    for rows, p, kk, qq, lc in ((np.flatnonzero(left), xs[left], k, nk, logc),
-                                (np.flatnonzero(~left), 1.0 - xs[~left], nk, k, logc[::-1])):
+    for rows, p, kk, qq, lc, edge_k in (
+            (np.flatnonzero(left), xs[left], k, nk, logc[lo:hi], 0),
+            (np.flatnonzero(~left), 1.0 - xs[~left], nk, k, logc[::-1][lo:hi], n)):
         blocks = []  # (rows, ln x, ln(1-x), a, b); ln x is None at x = 0
         edge = p == 0.0
-        ones = np.flatnonzero(kk == 0.0)
-        if edge.any() and ones.size:
-            blocks.append((rows[edge], None, None, ones[0], ones[-1] + 1))
+        if edge.any() and lo <= edge_k < hi:
+            blocks.append((rows[edge], None, None, edge_k - lo, edge_k - lo + 1))
         rows, p = rows[~edge], p[~edge]
         if rows.size:
-            # the band's centre n*x in the coordinates of ks
-            lo, hi = _band(n, ks, n * p if kk is k else n - n * p, p * (1.0 - p))
+            # the band's centre n*x in the coordinates of k
+            first, last = _band(n, k, n * p if kk is k else n - n * p, p * (1.0 - p))
             order = np.argsort(p, kind="stable")
-            rows, p, lo, hi = rows[order], p[order], lo[order], hi[order]
+            rows, p, first, last = rows[order], p[order], first[order], last[order]
             log_p, log_q = np.log(p), np.log1p(-p)
-            step = min(_GROUP_ROWS, max(1, _BLOCK_ENTRIES // max(1, int((hi - lo).max()))))
+            step = min(_GROUP_ROWS, max(1, _BLOCK_ENTRIES // max(1, int((last - first).max()))))
             starts = range(0, p.size, step)
-            cuts = []  # [first row, end, a, b] of each block
-            for g, a, b in zip(starts, np.minimum.reduceat(lo, starts).tolist(),
-                               np.maximum.reduceat(hi, starts).tolist()):
+            cuts = []  # [row start, row end, a, b] of each block
+            for g, a, b in zip(starts, np.minimum.reduceat(first, starts).tolist(),
+                               np.maximum.reduceat(last, starts).tolist()):
                 end = min(g + step, p.size)
                 if (cuts and cuts[-1][2:] == [a, b]
                         and (end - cuts[-1][0]) * (b - a) <= _MERGE_ENTRIES):
@@ -241,11 +232,10 @@ def _band_blocks(n: int, xs: np.ndarray, ks: np.ndarray):
     size = max([r.size * (b - a) for *_, blocks in plan for r, *_, a, b in blocks], default=0)
     logs, spare = np.empty(size), np.empty(size)
     for kk, qq, lc, blocks in plan:
-        lc = lc[ks]
         for rows, log_p, log_q, a, b in blocks:
             m, t = (s[:rows.size * (b - a)].reshape(rows.size, b - a) for s in (logs, spare))
             if log_p is None:
-                m[:] = kk[a:b] == 0.0
+                m.fill(1.0)
             else:
                 # (ln C(n,k) + ln x * k) + ln(1-x) * (n-k) on columns a:b; einsum's product
                 # has a multiply's bits, up to a zero's sign that adding ln C(n,k) drops
@@ -258,30 +248,31 @@ def _band_blocks(n: int, xs: np.ndarray, ks: np.ndarray):
             yield rows, a, b, m, t
 
 
-def basis_matrix(n: int, xs: np.ndarray, ks: np.ndarray | None = None) -> np.ndarray:
-    """Matrix P[i, j] = p_{n, ks[j]}(xs[i]): the blocks of ``_band_blocks``
-    scattered into zeros, which is the full-width matrix with entries under
-    2^-1022 as +0.0."""
-    n, xs, ks = _basis_args(n, xs, ks)
-    out = np.zeros((xs.size, ks.size))
-    for rows, a, b, vals, _ in _band_blocks(n, xs, ks):
+def basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
+    """Matrix P[i, k] = p_{nk}(xs[i]), k = 0..n: the blocks of
+    ``_band_blocks`` scattered into zeros, which is the full-width matrix
+    with entries under 2^-1022 as +0.0."""
+    n, xs = _check_degree(n), _check_points(xs)
+    out = np.zeros((xs.size, n + 1))
+    for rows, a, b, vals, _ in _band_blocks(n, xs, 0, n + 1):
         out[rows, a:b] = vals
     return out
 
 
-def _row_sums(n: int, xs: np.ndarray, ks, weights: Sequence[np.ndarray]
+def _row_sums(n: int, xs: np.ndarray, weights: Sequence[np.ndarray], lo: int = 0
               ) -> list[np.ndarray]:
-    """Row sums of basis_matrix(n, xs, ks) * w for each w in ``weights``.
+    """Row sums of basis_matrix(n, xs)[:, lo:lo + m] * w for each w in
+    ``weights``, all of length m, at a checked degree n.
 
     One numpy sum per ``_band_blocks`` block and weight over its columns
     alone (every entry left out is +0.0), of products formed in the block's
     spare (the last weight's in vals): deterministic run to run and at any
     thread count, within a few eps * sum |p w| of the exact sum.
     """
-    n, xs, ks = _basis_args(n, xs, ks)
-    w = np.array(weights, dtype=float).reshape(len(weights), ks.size)
+    xs = _check_points(xs)
+    w = np.array(weights, dtype=float)
     out = np.zeros((w.shape[0], xs.size))
-    for rows, a, b, vals, spare in _band_blocks(n, xs, ks):
+    for rows, a, b, vals, spare in _band_blocks(n, xs, lo, lo + w.shape[1]):
         for j in range(w.shape[0]):
             prod = vals if j == w.shape[0] - 1 else spare
             out[j, rows] = np.multiply(vals, w[j, a:b], out=prod).sum(axis=-1)
@@ -333,7 +324,7 @@ def bernstein_apply_grid(sv: SampleVector, xs: np.ndarray) -> np.ndarray:
     """Vectorized B_n(f, .) on an array of points, each row summed over its
     band alone (see ``_row_sums``): the same bytes run to run and at any
     thread count."""
-    return _row_sums(sv.n, xs, None, [sv.values])[0]
+    return _row_sums(sv.n, xs, [sv.values])[0]
 
 
 def _compensated_sum(terms: Iterable[np.ndarray]) -> np.ndarray:

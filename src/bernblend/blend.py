@@ -27,12 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import _check_degree, _check_order, evaluate
+from .basis import _MAX_DEGREE, _check_degree, _check_order, evaluate
 from .errors import DomainError, MinNTooSmall
 from .smoothstep import SmoothstepPoly, psi_eval
-
-# the degree search gives up at this n
-_MAX_N = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,12 +76,12 @@ def _first_valid_n(ok: Callable[[int], bool], d: float) -> int:
     # scan starts just below the root, so roundoff cannot skip the answer;
     # the root is compared before it is squared, which overflows for tiny d
     root = (1.0 + math.sqrt(1.0 + d)) / d
-    n = max(4, math.floor(root * root) - 1) if root < math.sqrt(_MAX_N) else _MAX_N
-    while n < _MAX_N:
+    n = max(4, math.floor(root * root) - 1) if root < math.sqrt(_MAX_DEGREE) else _MAX_DEGREE
+    while n <= _MAX_DEGREE:
         if ok(n):
             return n
         n += 1
-    raise DomainError(f"no admissible degree below {_MAX_N:.0e}")
+    raise DomainError(f"no admissible degree up to {_MAX_DEGREE}")
 
 
 def _admissible(n: int, r: int, xi: float) -> bool:

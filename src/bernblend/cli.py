@@ -93,11 +93,11 @@ def _parse_value(key: str, value, label: str):
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read config {path!r}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DomainError(f"config {path!r} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise DomainError(f"config {path!r} must hold a JSON object")

@@ -17,8 +17,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import operators
-from .basis import (_band_blocks, _check_degrees, _check_order, _row_sums,
-                    evaluate, sample_function)
+from .basis import (_MAX_DEGREE, _band_blocks, _check_degrees, _check_order,
+                    _row_sums, evaluate, sample_function)
 from .blend import BlendSpec, Weight, lagrange_interpolant
 from .catalog import make_function, parse_spec
 from .combination import combine_applied
@@ -35,11 +35,6 @@ from .smoothness import (_T_CAP, EvaluationGrid, _check_grid_size,
                          weighted_norm)
 
 _EXACT_THRESHOLD = 1e-9
-# largest degree in any n list: a grid row of a sweep's or lemma 1's basis
-# costs O(n) time and memory (a ladder applies up to r * n), and the
-# log-binomial row of every basis costs O(n); the large-n runs README
-# records (compare at 65536, lemma 6 at 262144) stay well inside.
-_MAX_DEGREE = 10**6
 
 
 def check_n_list(n_list) -> tuple[int, ...]:
@@ -171,7 +166,7 @@ def _sweep(config: SweepConfig, f: Callable, value: Callable[[np.ndarray], float
     applied = [{} for _ in range(1 + plain)]
     for d, svs in sets.items():
         weights = [lattice_derivative(sv, order).values if order else sv.values for sv in svs]
-        for out, row in zip(applied, _row_sums(d - order, config.grid.points, None, weights)):
+        for out, row in zip(applied, _row_sums(d - order, config.grid.points, weights)):
             out[d] = row
     return [[value(combine_applied(op.scheme, a)) for op in config.ops] for a in applied]
 
@@ -254,15 +249,14 @@ def lemma1_scan(u: float, v: float, n_list, grid: EvaluationGrid) -> RateReport:
     values = []
     for n in n_list:
         xs = _interior_points(grid, n)
-        ks = np.arange(1, n)
-        kn = ks / n
+        kn = np.arange(1, n) / n
         with np.errstate(over="ignore"):
             coef = kn ** -u * (1.0 - kn) ** -v
             bound = xs ** -u * (1.0 - xs) ** -v
         if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(bound))):
             raise DomainError(f"u={u!r}, v={v!r}: the weights x^-u (1-x)^-v "
                               f"overflow at n={n}")
-        lhs, = _row_sums(n, xs, ks, [coef])
+        lhs, = _row_sums(n, xs, [coef], 1)
         values.append(float(np.max(lhs / bound)))
     return build_report(n_list, values, {"u": u, "v": v})
 
@@ -281,11 +275,10 @@ def lemma3_decay(r: int, f: Callable, n_list, grid: EvaluationGrid) -> RateRepor
     return build_report(n_list, values)
 
 
-def _center_window(n: int, xi: float) -> np.ndarray:
+def _center_window(n: int, xi: float) -> tuple[int, int]:
+    """The columns [lo, hi) of the k in 0..n with |k - n xi| <= sqrt(n)."""
     half = math.sqrt(n)
-    lo = max(0, math.ceil(n * xi - half))
-    hi = min(n, math.floor(n * xi + half))
-    return np.arange(lo, hi + 1)
+    return max(0, math.ceil(n * xi - half)), min(n, math.floor(n * xi + half)) + 1
 
 
 def lemma5_scan(weight: Weight, n_list, grid: EvaluationGrid) -> RateReport:
@@ -293,9 +286,9 @@ def lemma5_scan(weight: Weight, n_list, grid: EvaluationGrid) -> RateReport:
     n_list = check_n_list(n_list)
     values = []
     for n in n_list:
-        ks = _center_window(n, weight.xi)
+        lo, hi = _center_window(n, weight.xi)
         # unit weights: the window's basis sum, band by band
-        sums, = _row_sums(n, grid.points, ks, [np.ones(ks.size)])
+        sums, = _row_sums(n, grid.points, [np.ones(hi - lo)], lo)
         a_n = weight(grid.points) * sums
         values.append(float(np.max(a_n)))
     return build_report(n_list, values)
@@ -314,7 +307,8 @@ def lemma6_scan(beta: float, weight: Weight, n_list,
     values = []
     for n in n_list:
         xs = _interior_points(grid, n)
-        ks = _center_window(n, weight.xi)
+        lo, hi = _center_window(n, weight.xi)
+        ks = np.arange(lo, hi)
         with np.errstate(over="ignore"):
             # the largest |k - n x|: the window's ends against the points' ends
             peak = np.abs(ks[[0, -1], None] - n * xs[[0, -1]]) ** beta
@@ -323,7 +317,7 @@ def lemma6_scan(beta: float, weight: Weight, n_list,
             raise DomainError(f"beta={beta!r}, alpha={weight.alpha!r}: |k - n x|^beta "
                               f"or n^(beta - alpha/2) leaves double range at n={n}")
         lhs = np.zeros(xs.size)
-        for rows, a, b, vals, d in _band_blocks(n, xs, ks):
+        for rows, a, b, vals, d in _band_blocks(n, xs, lo, hi):
             np.abs(np.subtract(ks[a:b], n * xs[rows, None], out=d), out=d)
             d **= beta
             lhs[rows] = np.multiply(vals, d, out=vals).sum(axis=-1)

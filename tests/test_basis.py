@@ -65,11 +65,6 @@ class TestBasisValues:
             basis_row(0, 0.5)
         with pytest.raises(DomainError):
             basis_row(5, 1.5)
-        # an index outside 0..n, or a float one, is rejected, never
-        # truncated to an integer
-        for k in (6, -1, 2.0, 2.7):
-            with pytest.raises(DomainError):
-                basis_matrix(5, np.array([0.5]), [k])
 
     def test_log_binomial_matches_exact(self):
         for n, k in [(10, 3), (100, 50), (4096, 2000)]:
@@ -84,11 +79,12 @@ class TestRowsAndMatrices:
             assert row[k] == pytest.approx(exact_basis(37, k, 3, 10), rel=1e-13)
 
     def test_restricted_indices(self):
-        ks = np.array([2, 5, 9])
+        # a window's values are the full row's columns lo..hi-1, and its row
+        # sum their sum
         full = basis_row(12, 0.41)
-        np.testing.assert_allclose(basis_matrix(12, [0.41], ks)[0], full[ks], rtol=1e-14)
-        with pytest.raises(DomainError):
-            basis_matrix(12, [0.41], np.array([13]))
+        np.testing.assert_allclose(window_matrix(12, [0.41], 2, 10)[0], full[2:10], rtol=1e-14)
+        got, = basis._row_sums(12, [0.41], [np.ones(8)], 2)
+        assert got[0] == pytest.approx(full[2:10].sum(), rel=1e-14)
 
     def test_matrix_matches_rows(self):
         xs = np.array([0.0, 0.2, 0.5, 0.77, 1.0])
@@ -128,13 +124,23 @@ class TestRowsAndMatrices:
         assert left == pytest.approx(right, rel=1e-13, abs=1e-300)
 
 
-def dense_logs(n, xs, ks=None):
+def window_matrix(n, xs, lo, hi):
+    """Columns lo..hi-1 of the basis matrix: the blocks of ``_band_blocks``
+    on that range scattered into zeros, as ``basis_matrix`` scatters all n + 1."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros((xs.size, hi - lo))
+    for rows, a, b, vals, _ in basis._band_blocks(n, xs, lo, hi):
+        out[rows, a:b] = vals
+    return out
+
+
+def dense_logs(n, xs):
     """Full-width ln p_nk: log and outer products for every entry.
 
     The same elementwise expression and order as ``basis_matrix``, with no
     band; rows at x = 0 or 1 read 0.0 at index 0 or n and -inf elsewhere.
     """
-    ks = np.arange(n + 1) if ks is None else np.asarray(ks, dtype=np.int64)
+    ks = np.arange(n + 1)
     logc = basis._log_binom_row(n)
     xs = np.asarray(xs, dtype=float)
     out = np.empty((xs.size, ks.size))
@@ -148,19 +154,19 @@ def dense_logs(n, xs, ks=None):
     return out
 
 
-def dense_basis(n, xs, ks=None):
+def dense_basis(n, xs):
     """Full-width basis matrix: exp of ``dense_logs``, +0.0 below _NORMAL_LOG.
 
     The contract of every basis path applied to every entry, so
     ``basis_matrix`` must agree with it bit for bit.
     """
-    m = dense_logs(n, xs, ks)
+    m = dense_logs(n, xs)
     return np.where(m >= basis._NORMAL_LOG, np.exp(m), 0.0)
 
 
-def bernstein_band(n, xs, ks=None):
+def bernstein_band(n, xs):
     """True where |k - n x| <= t(x), Bernstein's-inequality band at ln p = _NORMAL_LOG."""
-    ks = np.arange(n + 1) if ks is None else np.asarray(ks)
+    ks = np.arange(n + 1)
     xs = np.asarray(xs, dtype=float)[:, None]
     L = -basis._NORMAL_LOG
     t = L / 3.0 + np.sqrt(L * L / 9.0 + 2.0 * L * n * xs * (1.0 - xs))
@@ -184,14 +190,18 @@ def _oracle_points(n):
     return points
 
 
-def _oracle_indices(n):
+def _oracle_windows(n):
+    """Column ranges [lo, hi): the head holds column 0 alone of the edge
+    columns and the tail column n alone, so the x = 0 and x = 1 rows meet a
+    window that ends or starts inside 0..n."""
     half = int(math.isqrt(n))
     centre = n // 2
     return {
-        "all": None,
-        "inner": np.arange(1, n) if n > 1 else None,
-        "window": np.arange(max(0, centre - half), min(n, centre + half) + 1),
-        "repeated": np.array([0, 0, n // 2, n // 2, n, n]),
+        "all": (0, n + 1),
+        "inner": (1, n) if n > 1 else (0, n + 1),
+        "window": (max(0, centre - half), min(n, centre + half) + 1),
+        "head": (0, half + 1),
+        "tail": (n - half, n + 1),
     }
 
 
@@ -202,10 +212,11 @@ class TestBandedMatrix:
     @pytest.mark.parametrize("n", ORACLE_DEGREES)
     def test_matches_dense_bit_for_bit(self, n):
         for xname, xs in _oracle_points(n).items():
-            for kname, ks in _oracle_indices(n).items():
-                got = basis_matrix(n, xs, ks)
-                want = dense_basis(n, xs, ks)
-                assert np.array_equal(got, want), (xname, kname)
+            full = dense_basis(n, xs)
+            assert _same_bits(basis_matrix(n, xs), full), xname
+            for kname, (lo, hi) in _oracle_windows(n).items():
+                got = window_matrix(n, xs, lo, hi)
+                assert np.array_equal(got, full[:, lo:hi]), (xname, kname)
                 assert not np.signbit(got).any(), (xname, kname)
 
     @pytest.mark.parametrize("n", ORACLE_DEGREES)
@@ -226,21 +237,6 @@ class TestBandedMatrix:
             assert dense_logs(n, [x])[outside].max() < basis._NORMAL_LOG, x
             assert np.array_equal(basis_matrix(n, [x]), dense_basis(n, [x])), x
 
-    def test_descending_indices_refused(self):
-        # a band is one column range only of sorted indices; equal
-        # neighbours are sorted
-        xs = np.array([0.2, 0.7])
-        for ks in (np.array([3, 2]), np.array([0, 5, 5, 4])):
-            with pytest.raises(DomainError, match="nondescending"):
-                basis_matrix(8, xs, ks)
-            with pytest.raises(DomainError, match="nondescending"):
-                basis._row_sums(8, xs, ks, [np.ones(ks.size)])
-        ks = np.array([0, 0, 4, 4, 8, 8])
-        want = dense_basis(8, xs, ks)
-        assert np.array_equal(basis_matrix(8, xs, ks), want)
-        got, = basis._row_sums(8, xs, ks, [np.ones(ks.size)])
-        assert got == pytest.approx(want.sum(axis=1), rel=1e-15)
-
     @pytest.mark.parametrize("n", ORACLE_DEGREES)
     def test_no_subnormal_or_negative_zero(self, n):
         # every path flushes values under 2^-1022 to +0.0; the band of the
@@ -254,12 +250,13 @@ class TestBandedMatrix:
 
         flushed = 0
         for xs in _oracle_points(n).values():
-            for ks in _oracle_indices(n).values():
-                logs = dense_logs(n, xs, ks)
-                flushed += np.count_nonzero((logs >= -745.13) & (logs < basis._NORMAL_LOG))
-                check(basis_matrix(n, xs, ks))
+            logs = dense_logs(n, xs)
+            check(basis_matrix(n, xs))
+            for lo, hi in _oracle_windows(n).values():
+                window = logs[:, lo:hi]
+                flushed += np.count_nonzero((window >= -745.13) & (window < basis._NORMAL_LOG))
                 # each block as it is yielded: the next one reuses its scratch
-                for *_, vals, _ in basis._band_blocks(*basis._basis_args(n, xs, ks)):
+                for *_, vals, _ in basis._band_blocks(n, xs, lo, hi):
                     check(vals)
             for x in xs:
                 check(basis_row(n, float(x)))
@@ -272,11 +269,34 @@ class TestBandedMatrix:
 
     def test_empty_arguments(self):
         assert basis_matrix(8, np.array([])).shape == (0, 9)
-        assert basis_matrix(8, np.array([0.3, 1.0]), np.array([], dtype=int)).shape == (2, 0)
+        assert window_matrix(8, np.array([0.3, 1.0]), 4, 4).shape == (2, 0)
 
 
 def _same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestMirror:
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 255, 4096, 12288])
+    def test_matrix_mirrors_bit_for_bit(self, n):
+        # p_nk(x) = p_{n,n-k}(1-x); on the 2^-20 grid 1-x is exact, so the
+        # mirrored evaluation of 1-x gives x's row reversed, sign bits too
+        rng = np.random.default_rng(n)
+        js = np.concatenate(([0, 1, 2**19 - 1, 2**19 + 1, 2**20 - 1, 2**20],
+                             rng.integers(0, 2**20 + 1, 64)))
+        xs = js[js != 2**19] / 2.0**20
+        assert _same_bits(basis_matrix(n, 1.0 - xs)[:, ::-1], basis_matrix(n, xs))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 255, 4096, 12288])
+    def test_half_row_mirrors_within_n_eps(self, n):
+        # x = 1/2 is its own mirror and is evaluated unmirrored, so its row
+        # reversed is p_{n,n-k}(1/2) from ln C(n, n-k), whose bits differ from
+        # ln C(n, k)'s: the reversal moves entries by up to 0.67 n eps relative
+        row, = basis_matrix(n, np.array([0.5]))
+        assert np.array_equal(row[::-1] > 0.0, row > 0.0)
+        nz = row > 0.0
+        gap = np.abs(row[::-1] - row)[nz] / row[nz]
+        assert gap.max() <= n * np.finfo(float).eps
 
 
 class TestMergedBlocks:
@@ -287,10 +307,9 @@ class TestMergedBlocks:
             out = []
             for n in ORACLE_DEGREES:
                 for xs in _oracle_points(n).values():
-                    for ks in _oracle_indices(n).values():
-                        size = n + 1 if ks is None else ks.size
-                        out.append(basis_matrix(n, xs, ks))
-                        out += basis._row_sums(n, xs, ks, list(_weights(size, n).values()))
+                    for lo, hi in _oracle_windows(n).values():
+                        out.append(window_matrix(n, xs, lo, hi))
+                        out += basis._row_sums(n, xs, list(_weights(hi - lo, n).values()), lo)
             grid = make_grid(Weight(0.513, 1.0), 2001)
             for beta in (0.5, 1.0, 2.0):
                 rep = lemma6_scan(beta, grid.weight, [n for n in ORACLE_DEGREES if n >= 5], grid)
@@ -307,9 +326,9 @@ class TestMergedBlocks:
         xs = make_grid(Weight(0.513, 1.0), 2001).points
         # n = 32: every band is all 33 columns; each side of 1/2 gives one
         # block and its x = 0 or 1 row another
-        assert len(list(basis._band_blocks(*basis._basis_args(32, xs, None)))) <= 4
+        assert len(list(basis._band_blocks(32, xs, 0, 33))) <= 4
         for n in (32, 255, 1024, 4096, 65536):
-            for rows, a, b, *_ in basis._band_blocks(*basis._basis_args(n, xs, None)):
+            for rows, a, b, *_ in basis._band_blocks(n, xs, 0, n + 1):
                 if rows.size > basis._GROUP_ROWS:
                     assert rows.size * (b - a) <= basis._MERGE_ENTRIES, (n, rows.size)
 
@@ -327,7 +346,7 @@ class TestRowSums:
 
     # the worst |got - fsum(p w)| over these cases is 2.0 eps * fsum(|p w|),
     # at the default block split and at one row per block alike (n = 255,
-    # "inner" indices, weights -1); the bound leaves a factor 2 of margin
+    # "inner" window, weights -1); the bound leaves a factor 2 of margin
     FSUM_BOUND = 4.0
 
     @pytest.mark.parametrize("n", ORACLE_DEGREES + [128, 4090, 12282])
@@ -335,16 +354,17 @@ class TestRowSums:
         # any block split may give other bits, but each must hold the bound
         eps = np.finfo(float).eps
         for xname, xs in _oracle_points(n).items():
-            for kname, ks in _oracle_indices(n).items():
+            full = dense_logs(n, xs)
+            for kname, (lo, hi) in _oracle_windows(n).items():
                 # the oracle keeps the values the flush makes +0.0
-                logs = dense_logs(n, xs, ks)
+                logs = full[:, lo:hi]
                 dense = np.exp(logs)
                 weights = _weights(dense.shape[1], n)
-                default = basis._row_sums(n, xs, ks, list(weights.values()))
+                default = basis._row_sums(n, xs, list(weights.values()), lo)
                 with monkeypatch.context() as m:
                     m.setattr(basis, "_GROUP_ROWS", 1)
                     m.setattr(basis, "_BLOCK_ENTRIES", 64)
-                    one_row = basis._row_sums(n, xs, ks, list(weights.values()))
+                    one_row = basis._row_sums(n, xs, list(weights.values()), lo)
                 for (wname, w), got, split in zip(weights.items(), default, one_row):
                     for i, row in enumerate(dense * w):
                         # fsum of the terms above 2^-100 of the largest, and
@@ -369,24 +389,23 @@ class TestRowSums:
         n = 12288
         xs = _oracle_points(n)["many"]
         weights = list(_weights(n + 1, n).values())
-        for w, got in zip(weights, basis._row_sums(n, xs, None, weights)):
-            assert np.array_equal(got, basis._row_sums(n, xs, None, [w])[0])
+        for w, got in zip(weights, basis._row_sums(n, xs, weights)):
+            assert np.array_equal(got, basis._row_sums(n, xs, [w])[0])
 
     def test_empty_arguments(self):
-        got, = basis._row_sums(8, np.array([0.3, 1.0]), np.array([], dtype=int),
-                               [np.array([])])
+        got, = basis._row_sums(8, np.array([0.3, 1.0]), [np.array([])], 4)
         assert got.tolist() == [0.0, 0.0]
-        got, = basis._row_sums(8, np.array([]), None, [np.ones(9)])
+        got, = basis._row_sums(8, np.array([]), [np.ones(9)])
         assert got.shape == (0,)
 
 
-def per_block_kernel(n, xs, ks):
+def per_block_kernel(n, xs, lo, hi):
     """The blocks of ``_band_blocks`` with values by the per-block expression
     the scratch kernel replaced: new arrays in every block (ln C(n,k) by
     fancy index, k and n - k cast, two broadcast products, the exp mask)."""
-    n, xs, ks = basis._basis_args(n, xs, ks)
+    ks = np.arange(lo, hi)
     logc = basis._log_binom_row(n)
-    for rows, a, b, *_ in basis._band_blocks(n, xs, ks):
+    for rows, a, b, *_ in basis._band_blocks(n, xs, lo, hi):
         x = xs[rows]
         # a block's rows lie on one side of 1/2; x > 1/2 is mirrored
         p, kk = (1.0 - x, n - ks) if x[0] > 0.5 else (x, ks)
@@ -409,30 +428,33 @@ class TestScratchKernel:
     @pytest.mark.parametrize("n", ORACLE_DEGREES)
     def test_matrix_and_row_sums_keep_bits(self, n):
         for xname, xs in _oracle_points(n).items():
-            for kname, ks in _oracle_indices(n).items():
-                size = n + 1 if ks is None else ks.size
+            for kname, (lo, hi) in _oracle_windows(n).items():
+                size = hi - lo
                 weights = list(_weights(size, n).values())
                 w = np.array(weights)
                 matrix = np.zeros((xs.size, size))
                 sums = np.zeros((w.shape[0], xs.size))
-                for rows, a, b, vals in per_block_kernel(n, xs, ks):
+                for rows, a, b, vals in per_block_kernel(n, xs, lo, hi):
                     matrix[rows, a:b] = vals
                     sums[:, rows] = (vals * w[:, None, a:b]).sum(axis=-1)
                 case = (xname, kname)
-                assert _same_bits(basis_matrix(n, xs, ks), matrix), case
-                several = basis._row_sums(n, xs, ks, weights)
+                assert _same_bits(window_matrix(n, xs, lo, hi), matrix), case
+                if size == n + 1:
+                    assert _same_bits(basis_matrix(n, xs), matrix), case
+                several = basis._row_sums(n, xs, weights, lo)
                 for wname, one, got, want in zip(_weights(size, n), weights, several, sums):
                     assert _same_bits(got, want), case + (wname,)
-                    assert _same_bits(basis._row_sums(n, xs, ks, [one])[0], want), case + (wname,)
+                    assert _same_bits(basis._row_sums(n, xs, [one], lo)[0], want), case + (wname,)
 
     def test_lemma6_keeps_bits(self, monkeypatch):
         # lemma 6 owns each block until it asks for the next: then vals holds
         # its products p_nk |k - n x|^beta, which the check reads
         beta, checked = None, []
 
-        def checking(n, xs, ks):
-            for block, (rows, a, b, vals) in zip(basis._band_blocks(n, xs, ks),
-                                                 per_block_kernel(n, xs, ks)):
+        def checking(n, xs, lo, hi):
+            ks = np.arange(lo, hi)
+            for block, (rows, a, b, vals) in zip(basis._band_blocks(n, xs, lo, hi),
+                                                 per_block_kernel(n, xs, lo, hi)):
                 yield block
                 want = vals * np.abs(ks[a:b] - n * xs[rows, None]) ** beta
                 checked.append((n, beta, _same_bits(block[3], want)))
@@ -450,23 +472,23 @@ class TestScratchKernel:
 
 
 class TestRowSumsMemory:
-    # tracemalloc peak of the call over the bytes of its largest block: 2.69
+    # tracemalloc peak of the call over the bytes of its largest block: 2.54
     # at n = 12288 on the 2001-point grid with two weight vectors (the two
-    # scratch arrays, the exp mask, the per-call k, n - k and ln C(n, k)
-    # arrays, the weights).  New arrays in every block, as ``per_block_kernel``
-    # makes them, gave 3.42
+    # scratch arrays, the exp mask, the per-call k and n - k arrays, the
+    # weights).  New arrays in every block, as ``per_block_kernel`` makes
+    # them, gave 3.42
     PEAK_BLOCKS = 3.0
 
     def test_peak_within_block_multiple(self):
         n = 12288
         xs = make_grid(Weight(0.513, 1.0), 2001).points
         weights = list(_weights(n + 1, n).values())[:2]
-        basis._row_sums(n, xs, None, weights)  # caches the ln C(n, k) row
+        basis._row_sums(n, xs, weights)  # caches the ln C(n, k) row
         largest = 8 * max(rows.size * (b - a) for rows, a, b, *_ in
-                          basis._band_blocks(*basis._basis_args(n, xs, None)))
+                          basis._band_blocks(n, xs, 0, n + 1))
         tracemalloc.start()
         try:
-            sums = basis._row_sums(n, xs, None, weights)
+            sums = basis._row_sums(n, xs, weights)
             peak = tracemalloc.get_traced_memory()[1]
             del sums
             held = tracemalloc.get_traced_memory()[0]
@@ -553,7 +575,7 @@ class TestOperatorApply:
         vectors = [sample_function(np.sin, n), SampleVector(n, rng.standard_normal(n + 1)),
                    sample_function(lambda t: np.exp(-5.0 * t), n)]
         for some in (vectors[:2], vectors):
-            got = basis._row_sums(n, xs, None, [sv.values for sv in some])
+            got = basis._row_sums(n, xs, [sv.values for sv in some])
             assert len(got) == len(some)
             for sv, vals in zip(some, got):
                 assert np.array_equal(vals, bernstein_apply_grid(sv, xs))

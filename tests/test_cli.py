@@ -225,6 +225,20 @@ class TestConfigFile:
         assert code == 0
         assert out == run(capsys, ["approx"] + QUICK_APPROX)[1]
 
+    @pytest.mark.parametrize("content", [None, "directory", b"{", b"[1, 2]", b"\xff\xfe{"],
+                             ids=["missing", "directory", "invalid", "list", "not-utf8"])
+    def test_unusable_config_file(self, capsys, tmp_path, content):
+        # bad configuration: exit 2, nothing on stdout, and one error line
+        # that names the file
+        cfg = tmp_path / "cfg.json"
+        if content == "directory":
+            cfg.mkdir()
+        elif content is not None:
+            cfg.write_bytes(content)
+        code, out, err = run(capsys, ["coeffs", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and repr(str(cfg)) in err
+
 
 class TestExitCodes:
     def test_degree_too_small(self, capsys):
@@ -247,6 +261,13 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         code, _, err = run(capsys, argv + ["--n-list", str(n_min - 1)])
         assert code == 2 and f"need n >= {n_min}" in err
+
+    @pytest.mark.parametrize("xi", ["0.998", "0.9985", "0.999"])
+    def test_degree_hint_within_cap(self, capsys, xi):
+        # the smallest-degree search stops at the n-list's cap, so it never
+        # names a degree that the cap then refuses
+        code, out, err = run(capsys, ["approx", "--xi", xi, "--n-list", "1000000"])
+        assert (code, out, err) == (2, "", "error: no admissible degree up to 1000000\n")
 
     def test_centered_compare_hits_singularity(self, capsys):
         code, _, err = run(capsys, [
@@ -335,7 +356,7 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
         if "--xi" in argv:
-            assert proc.stderr == "error: no admissible degree below 1e+07\n"
+            assert proc.stderr == "error: no admissible degree up to 1000000\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("which, flag, value", [

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bernblend import (CombinationScheme, DomainError, basis_row, build_scheme,
-                       combine, combine_samples, moment_table, sample_function,
+from bernblend import (CombinationScheme, DomainError, SampleVector, basis_row,
+                       bernstein_apply_grid, build_scheme, combine, combine_samples,
+                       make_function, moment_table, parse_spec, sample_function,
                        solve_coefficients)
 from bernblend.basis import _compensated_sum
 from bernblend.combination import _MOMENT_BLOCK, _power
@@ -193,6 +194,25 @@ class TestCombine:
         assert combine_samples(scheme, good, one(0.5))[0] == pytest.approx(
             combine(np.cos, scheme, one(0.5))[0], rel=1e-13
         )
+
+
+    @pytest.mark.parametrize("base_n", [64, 256, 1024])
+    def test_mirrored_samples_mirror_the_combination(self, base_n, weight513):
+        # B_n(f(1-.))(1-x) = B_n(f)(x): the same terms summed in reverse order,
+        # so the two differ by roundoff, bounded by c eps sum_i |C_i| B_{n_i}(|f|)(x);
+        # the worst c measured on these cases is 1.99
+        f = make_function(parse_spec("singular_power:beta=0.5"), weight513)
+        xs = np.arange(257) / 256.0
+        eps = np.finfo(float).eps
+        for r in range(1, 9):
+            scheme = build_scheme(base_n, r)
+            samples = [sample_function(f, n) for n in scheme.nodes]
+            mirrored = [SampleVector(sv.n, sv.values[::-1]) for sv in samples]
+            got = combine_samples(scheme, mirrored, 1.0 - xs)
+            want = combine_samples(scheme, samples, xs)
+            size = sum(abs(c) * bernstein_apply_grid(SampleVector(sv.n, np.abs(sv.values)), xs)
+                       for c, sv in zip(scheme.coeffs.tolist(), samples))
+            assert np.all(np.abs(got - want) <= 8.0 * eps * size), r
 
 
 class TestMoments:

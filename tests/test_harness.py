@@ -331,9 +331,9 @@ class TestSharedDegrees:
         built = []
         original = basis._band_blocks
 
-        def counting(n, xs, ks):
+        def counting(n, xs, lo, hi):
             built.append(n)
-            return original(n, xs, ks)
+            return original(n, xs, lo, hi)
 
         monkeypatch.setattr(basis, "_band_blocks", counting)
         cfg = SweepConfig(3, weight513, "singular_power:beta=0.5", (256, 512, 1024), 2001)
@@ -413,7 +413,7 @@ class TestLemmaScans:
         n = 4096
         xs = grid.points[(grid.points >= 1.0 / n) & (grid.points <= 1.0 - 1.0 / n)]
         kn = np.arange(1, n) / n
-        terms = basis_matrix(n, xs, np.arange(1, n)) * (kn ** -1.5 * (1.0 - kn) ** -0.5)
+        terms = basis_matrix(n, xs)[:, 1:n] * (kn ** -1.5 * (1.0 - kn) ** -0.5)
         lhs = np.array([math.fsum(row) for row in terms.tolist()])
         want = float(np.max(lhs / (xs ** -1.5 * (1.0 - xs) ** -0.5)))
         got, = lemma1_scan(1.5, 0.5, (n,), grid).values
@@ -427,8 +427,11 @@ class TestLemmaScans:
         xs = pts[(pts >= 1.0 / n) & (pts <= 1.0 - 1.0 / n)]
         half = math.sqrt(n)
         ks = np.arange(math.ceil(n * 0.513 - half), math.floor(n * 0.513 + half) + 1)
+        # full-width rows, 16 at a time, cut to the window's columns
+        window = np.vstack([basis_matrix(n, xs[i:i + 16])[:, ks[0]:ks[-1] + 1]
+                            for i in range(0, xs.size, 16)])
         for beta in (0.5, 2.0, 7.5):
-            terms = basis_matrix(n, xs, ks) * np.abs(ks - n * xs[:, None]) ** beta
+            terms = window * np.abs(ks - n * xs[:, None]) ** beta
             lhs = np.array([math.fsum(row) for row in terms.tolist()])
             scale = np.float64(n) ** (beta - 0.5) * (xs * (1.0 - xs)) ** (beta / 2.0)
             want = float(np.max(weight513(xs) * lhs / scale))
