@@ -7,17 +7,18 @@ every subcommand at its defaults, plus ``compare`` and ``bernstein-ineq``
 at r=3 on a large-degree ladder, ``compare`` at degrees up to 65536
 (ladder degrees up to 196608), ``lemma 5`` and ``lemma 6`` at degrees up
 to 262144, ``lemma 5`` at degrees 1..8, whose centre windows reach column
-0 or n while the grid's rows at x = 0 and 1 lie in them, the blend at r=1 (``approx``) and r=8 (``approx`` and
-``lemma 3``), ``compare`` on the oscillating singular function, and
-``modulus`` at order 8 and a non-dyadic t on that function, and prints
-one ``sha256  argv`` line per run of its stdout.  The runs in FAILING
-must exit nonzero: each prints ``exit=N:sha256  argv``, the digest taken
-over its stdout and then its stderr, so their error messages and exit
-codes are pinned too.  Diff the
+0 or n while the grid's rows at x = 0 and 1 lie in them, the blend at r=1
+(``approx``) and r=8 (``approx`` and ``lemma 3``), ``compare`` on the
+oscillating singular function, ``modulus`` at order 8 and a non-dyadic t
+on that function, and ``approx`` on a cubic and on sin(3 pi x), so that
+every catalog kind is pinned.  It prints one ``sha256  argv`` line per run
+of its stdout.  The runs in FAILING must exit nonzero: each prints
+``exit=N:sha256  argv``, the digest taken over its stdout and then its
+stderr, so their error messages and exit codes are pinned too.  Diff the
 output of two checkouts to see whether a change moved any printed byte,
 or save one checkout's output and pass it as ``--against``: every line
 that differs from the saved list is then marked ``MOVED``, and the script
-exits 1 unless all 24 digests match.  A run of RUNS that exits nonzero
+exits 1 unless all 27 digests match.  A run of RUNS that exits nonzero
 prints ``exit=N`` in place of a digest, and a run of FAILING that exits
 0 prints ``exit=0:sha256``; either makes the script exit 1.
 Standard library only.
@@ -57,15 +58,19 @@ RUNS = (
     ["compare", "--function", "singular_osc:beta=0.5,freq=1", "--r", "3",
      "--n-list", "256,512,1024"],
     ["modulus", "--r", "4", "--t", "0.1", "--function", "singular_osc:beta=0.5,freq=1"],
+    ["approx", "--function", "smooth_poly:coeffs=0.5;-1;0;2", "--n-list", "64,128,256"],
+    ["approx", "--function", "smooth_sin:freq=3"],
 )
 
 # runs that must fail: the first point a sweep meets where f is singular or
-# overflows, and the message and exit code it prints for it
+# overflows, and a singular input outside the weighted class; the message
+# and exit code each prints
 FAILING = (
     ["compare", "--xi", "0.5"],
     ["approx", "--xi", "0.5"],
     ["bernstein-ineq", "--function", "smooth_poly:coeffs=0;1e308;1e308",
      "--n-list", "48,96"],
+    ["approx", "--function", "singular_power:beta=1.5"],
 )
 
 

@@ -3,6 +3,10 @@
 Keys look like ``"singular_power:beta=0.5"`` or
 ``"smooth_poly:coeffs=0;1;2"``: kind, colon, comma-separated ``name=value``
 pairs, with ``;`` separating the entries of a coefficient list.
+
+Each kind is one ``_KINDS`` entry: its parameters with their defaults, and
+its rule ``f(x, params, xi)``.  A kind is singular at xi when it takes
+``beta``; the weighted class then needs beta < alpha.
 """
 
 from __future__ import annotations
@@ -17,12 +21,14 @@ from .blend import Weight
 from .errors import DomainError, MembershipError, SampleError
 from .smoothstep import _horner
 
-# the parameters each kind accepts
-_PARAMS = {
-    "smooth_sin": ("freq",),
-    "smooth_poly": ("coeffs",),
-    "singular_power": ("beta",),
-    "singular_osc": ("beta", "freq"),
+# kind -> (its parameters with their defaults, its rule f(x, params, xi));
+# the defaults of beta and coeffs fail the checks, so those must be given
+_KINDS = {
+    "smooth_sin": ({"freq": 1.0}, lambda x, p, xi: np.sin(np.pi * p["freq"] * x)),
+    "smooth_poly": ({"coeffs": ()}, lambda x, p, xi: _horner(x, p["coeffs"])),
+    "singular_power": ({"beta": 0.0}, lambda x, p, xi: _checked_distance(x, xi) ** -p["beta"]),
+    "singular_osc": ({"beta": 0.0, "freq": 1.0}, lambda x, p, xi: (
+        (d := _checked_distance(x, xi)) ** -p["beta"] * np.sin(1.0 / d + p["freq"]))),
 }
 _SINGULAR_EXCLUSION = 1e-12
 
@@ -40,35 +46,31 @@ class FunctionSpec:
     params: Mapping[str, object]
 
     def __post_init__(self) -> None:
-        allowed = _PARAMS.get(self.kind)
-        if allowed is None:
-            raise DomainError(f"unknown function kind {self.kind!r}")
-        p = dict(self.params)
-        unknown = sorted(set(p) - set(allowed))
+        if self.kind not in _KINDS:
+            raise DomainError(f"unknown function kind {self.kind!r}; "
+                              f"choose from {', '.join(_KINDS)}")
+        defaults = _KINDS[self.kind][0]
+        unknown = sorted(set(self.params) - set(defaults))
         if unknown:
-            raise DomainError(f"{self.kind} takes only {'/'.join(allowed)}, got {unknown}")
-        if "freq" in allowed:
-            p["freq"] = _finite("freq", p.get("freq", 1.0))
+            raise DomainError(f"{self.kind} takes only {'/'.join(defaults)}, got {unknown}")
+        p = {**defaults, **self.params}
+        if "freq" in p:
+            p["freq"] = _finite("freq", p["freq"])
         if self.kind == "smooth_sin" and p["freq"] <= 0:
             raise DomainError("smooth_sin frequency must be positive")
-        if self.kind == "smooth_poly":
-            coeffs = tuple(_finite("coeffs", c) for c in np.ravel(p.get("coeffs", ())))
-            if not coeffs:
+        if "coeffs" in p:
+            p["coeffs"] = tuple(_finite("coeffs", c) for c in np.ravel(p["coeffs"]))
+            if not p["coeffs"]:
                 raise DomainError("smooth_poly needs at least one coefficient")
-            p["coeffs"] = coeffs
-        if self.is_singular:
-            p["beta"] = _finite("beta", p.get("beta", 0.0))
+        if "beta" in p:
+            p["beta"] = _finite("beta", p["beta"])
             if not p["beta"] > 0.0:
                 raise DomainError("singular kinds need beta > 0")
         object.__setattr__(self, "params", p)
 
     @property
-    def is_smooth(self) -> bool:
-        return self.kind.startswith("smooth")
-
-    @property
     def is_singular(self) -> bool:
-        return not self.is_smooth
+        return "beta" in _KINDS[self.kind][0]
 
 
 def _finite(name: str, value) -> float:
@@ -107,39 +109,14 @@ def make_function(spec: FunctionSpec, weight: Weight):
     Singular kinds require beta < weight.alpha (so the weighted function
     vanishes at the singularity) and refuse evaluation within 1e-12 of it.
     """
-    xi = weight.xi
-    if spec.is_singular:
-        beta = float(spec.params["beta"])
-        if beta >= weight.alpha:
-            raise MembershipError(
-                f"beta={beta} >= alpha={weight.alpha}: weighted function "
-                "does not vanish at the singularity"
-            )
+    # read once: a later change to spec.params leaves f as built
+    p, rule, xi = dict(spec.params), _KINDS[spec.kind][1], weight.xi
+    if spec.is_singular and p["beta"] >= weight.alpha:
+        raise MembershipError(f"beta={p['beta']} >= alpha={weight.alpha}: weighted function "
+                              "does not vanish at the singularity")
 
-    if spec.kind == "smooth_sin":
-        freq = float(spec.params["freq"])
-
-        def f(x):
-            return np.sin(np.pi * freq * x)
-
-    elif spec.kind == "smooth_poly":
-        coeffs = np.asarray(spec.params["coeffs"], dtype=float)
-
-        def f(x):
-            return _horner(x, coeffs)
-
-    elif spec.kind == "singular_power":
-
-        def f(x):
-            d = _checked_distance(x, xi)
-            return d ** -beta
-
-    else:  # singular_osc
-        freq = float(spec.params["freq"])
-
-        def f(x):
-            d = _checked_distance(x, xi)
-            return d ** -beta * np.sin(1.0 / d + freq)
+    def f(x):
+        return rule(x, p, xi)
 
     return f
 

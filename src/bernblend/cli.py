@@ -27,7 +27,7 @@ from .blend import Weight
 from .catalog import make_function, parse_spec
 from .combination import build_scheme
 from .errors import DomainError, NumericalError, SampleError
-from .harness import (SweepConfig, build_report, check_bernstein_inequality,
+from .harness import (SweepConfig, _payload, build_report, check_bernstein_inequality,
                       check_n_list, compare_plain_vs_modified, emit_report,
                       lemma1_scan, lemma3_decay, lemma5_scan, lemma6_scan,
                       render_report, run_convergence)
@@ -160,6 +160,10 @@ def _psi(ns) -> None:
 
 def _compare(ns) -> None:
     plain, modified = compare_plain_vs_modified(_sweep_config(ns))
+    if ns.out is None and ns.format == "json":  # one document: both files' payloads
+        both = {"modified": _payload(modified), "plain": _payload(plain)}
+        sys.stdout.write(json.dumps(both, indent=2, sort_keys=True) + "\n")
+        return
     if ns.out is None:
         for label, report in (("plain", plain), ("modified", modified)):
             sys.stdout.write(f"# {label}\n" + render_report(report, ns.format))

@@ -349,14 +349,14 @@ def render_report(report: RateReport, fmt: str) -> str:
                              _cell(report.r_squared), _cell(report.gamma_hat)])
         return buf.getvalue()
     if fmt == "json":
-        payload = {
-            "rows": [[n, value] for n, value in report.rows],
-            "slope": report.slope,
-            "r_squared": report.r_squared,
-            "gamma_hat": report.gamma_hat,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(_payload(report), indent=2, sort_keys=True) + "\n"
     raise DomainError(f"unknown report format {fmt!r}")
+
+
+def _payload(report: RateReport) -> dict:
+    """The JSON report's object; ``compare`` prints two under one."""
+    return {"rows": [[n, value] for n, value in report.rows], "slope": report.slope,
+            "r_squared": report.r_squared, "gamma_hat": report.gamma_hat}
 
 
 def emit_report(report: RateReport, fmt: str, path) -> None:

@@ -26,11 +26,11 @@ class TestParse:
         spec = parse_spec("singular_power:beta=0.5")
         assert spec.kind == "singular_power"
         assert spec.params["beta"] == 0.5
-        assert spec.is_singular and not spec.is_smooth
+        assert spec.is_singular
 
         spec = parse_spec("smooth_poly:coeffs=0;1;2")
         assert spec.params["coeffs"] == (0.0, 1.0, 2.0)
-        assert spec.is_smooth
+        assert not spec.is_singular
 
         spec = parse_spec("smooth_sin:freq=2")
         assert spec.params["freq"] == 2.0
@@ -132,6 +132,31 @@ class TestMakeFunction:
             want = npoly.polyval(xs, np.array(spec.params["coeffs"]))
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("key, closed_form", [
+        ("smooth_sin:freq=1", lambda x, d: np.sin(np.pi * 1.0 * x)),
+        ("smooth_sin:freq=3", lambda x, d: np.sin(np.pi * 3.0 * x)),
+        ("singular_power:beta=0.5", lambda x, d: d ** -0.5),
+        ("singular_osc:beta=0.25,freq=-2", lambda x, d: d ** -0.25 * np.sin(1.0 / d + -2.0)),
+    ])
+    def test_values_are_closed_form(self, key, closed_form, weight513):
+        # each kind's values are its closed form's bits, sign bits included,
+        # on a uniform grid (less the grid point at xi) and at 1e-11 and
+        # 1e-6 from xi on either side
+        xi = weight513.xi
+        xs = np.linspace(0.0, 1.0, 1001)
+        xs = np.concatenate((xs[np.abs(xs - xi) > 1e-12],
+                             [xi - 1e-6, xi - 1e-11, xi + 1e-11, xi + 1e-6]))
+        got = make_function(parse_spec(key), weight513)(xs)
+        want = closed_form(xs, np.abs(xs - xi))
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_parameters_read_at_build(self, weight513):
+        spec = parse_spec("smooth_sin:freq=1")
+        f = make_function(spec, weight513)
+        spec.params["freq"] = 3.0
+        assert f(np.array([0.5]))[0] == 1.0
 
     def test_singular_power_values(self, weight513):
         # f(x) = |x - xi|^(-beta); at distance 0.01 with beta=0.5: 10

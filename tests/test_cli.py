@@ -150,6 +150,18 @@ class TestCompare:
             assert raw.count(b"\r\n") == 3
         assert target.read_bytes() != sibling.read_bytes()
 
+    def test_json_stdout_is_one_document(self, capsys, tmp_path):
+        # stdout holds both reports, each the payload its --out file holds
+        code, out, _ = run(capsys, ["compare", "--format", "json"] + QUICK_APPROX)
+        assert code == 0
+        target = tmp_path / "cmp.json"
+        assert run(capsys, ["compare", "--format", "json", "--out", str(target)]
+                   + QUICK_APPROX) == (0, "", "")
+        with open(target) as modified, open(tmp_path / "cmp.plain.json") as plain:
+            files = {"modified": json.load(modified), "plain": json.load(plain)}
+        assert json.loads(out) == files
+        assert out == json.dumps(files, indent=2, sort_keys=True) + "\n"
+
 
 class TestOtherCommands:
     def test_bernstein_ineq(self, capsys):
@@ -268,6 +280,12 @@ class TestExitCodes:
         # names a degree that the cap then refuses
         code, out, err = run(capsys, ["approx", "--xi", xi, "--n-list", "1000000"])
         assert (code, out, err) == (2, "", "error: no admissible degree up to 1000000\n")
+
+    def test_unknown_function_kind_names_the_known_ones(self, capsys):
+        code, out, err = run(capsys, ["approx", "--function", "SINGULAR_POWER:beta=0.5"])
+        assert (code, out) == (2, "")
+        assert err == ("error: unknown function kind 'SINGULAR_POWER'; choose from "
+                       "smooth_sin, smooth_poly, singular_power, singular_osc\n")
 
     def test_centered_compare_hits_singularity(self, capsys):
         code, _, err = run(capsys, [

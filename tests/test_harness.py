@@ -232,7 +232,7 @@ class TestRunConvergence:
                 for (n, e), om in zip(rep.rows, rep.extras["omega"])
             ]
             assert max(ratios) <= 2.0, key
-            if parse_spec(key).is_smooth:
+            if not parse_spec(key).is_singular:
                 assert all(v <= 1.25 * ratios[0] for v in ratios[1:]), key
 
 

@@ -3,8 +3,10 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from operator_oracle import modified_operator_oracle
 
 from bernblend import (DomainError, SampleVector, basis_matrix,
                        bernstein_apply_grid, blend_eval, blended_samples,
@@ -202,3 +204,31 @@ class TestWeightedStability:
         # decaying ratio is fine
         assert max(ratios) <= 64.0
         assert slope <= 0.2
+
+
+class TestIndependentOracle:
+    # the closed forms of the two kinds, in mpmath at the exact xi = 0.513
+    CLOSED_FORMS = {
+        "singular_power:beta=0.5": lambda x: abs(x - mpmath.mpf(0.513)) ** mpmath.mpf(-0.5),
+        "smooth_sin:freq=1": lambda x: mpmath.sin(mpmath.pi * x),
+    }
+    POINTS = [0.1, 0.3, 0.45, 0.513, 0.58, 0.7, 0.9]
+
+    @pytest.mark.parametrize("key", CLOSED_FORMS)
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_agrees_to_its_conditioning(self, n, r, key, weight513):
+        # |L* f - oracle| / |oracle| <= c eps cond n, with
+        # cond = sum_i,k |C_i p_k g_k| / |L* f|; the measured max of
+        # err / (eps cond n) is 0.70 (n = 64, r = 3, sin at x = 0.58) and at
+        # most 0.29 elsewhere, so c = 2
+        op = build_modified_operator(n, r, weight513)
+        b1, *_, b4 = op.specs[0].breaks
+        assert any(b1 < x < b4 for x in self.POINTS) and not all(b1 < x < b4 for x in self.POINTS)
+        got = modified_operator(op, make_function(parse_spec(key), weight513),
+                                np.array(self.POINTS))
+        want = modified_operator_oracle(self.CLOSED_FORMS[key], n, r, 0.513, self.POINTS)
+        eps = np.finfo(float).eps
+        for x, value, (exact, size) in zip(self.POINTS, got.tolist(), want):
+            err = abs((value - exact) / exact)
+            assert err <= 2.0 * eps * (size / abs(exact)) * n, x
