@@ -3,24 +3,26 @@
     python scripts/cli_digest.py [--repo PATH] [--against FILE]
 
 Runs ``python -m bernblend`` from PATH/src (default: this checkout) for
-every subcommand at its defaults, plus ``compare`` and ``bernstein-ineq``
-at r=3 on a large-degree ladder, ``compare`` at degrees up to 65536
-(ladder degrees up to 196608), ``lemma 5`` and ``lemma 6`` at degrees up
-to 262144, ``lemma 5`` at degrees 1..8, whose centre windows reach column
-0 or n while the grid's rows at x = 0 and 1 lie in them, the blend at r=1
-(``approx``) and r=8 (``approx`` and ``lemma 3``), ``compare`` on the
-oscillating singular function, ``modulus`` at order 8 and a non-dyadic t
-on that function, and ``approx`` on a cubic and on sin(3 pi x), so that
-every catalog kind is pinned.  It prints one ``sha256  argv`` line per run
-of its stdout.  The runs in FAILING must exit nonzero: each prints
-``exit=N:sha256  argv``, the digest taken over its stdout and then its
-stderr, so their error messages and exit codes are pinned too.  Diff the
-output of two checkouts to see whether a change moved any printed byte,
-or save one checkout's output and pass it as ``--against``: every line
-that differs from the saved list is then marked ``MOVED``, and the script
-exits 1 unless all 27 digests match.  A run of RUNS that exits nonzero
-prints ``exit=N`` in place of a digest, and a run of FAILING that exits
-0 prints ``exit=0:sha256``; either makes the script exit 1.
+every subcommand at its defaults, plus ``psi`` at r=8, ``compare`` and
+``bernstein-ineq`` at r=3 on a large-degree ladder, ``compare`` at
+degrees up to 65536 (ladder degrees up to 196608), ``lemma 5`` and
+``lemma 6`` at degrees up to 262144, ``lemma 5`` at degrees 1..8, whose
+centre windows reach column 0 or n while the grid's rows at x = 0 and 1
+lie in them, the blend at r=1 (``approx``) and r=8 (``approx`` and
+``lemma 3``), ``compare`` on the oscillating singular function,
+``modulus`` at order 8 and a non-dyadic t on that function, and
+``approx`` on a cubic and on sin(3 pi x), so that every catalog kind is
+pinned.  It prints one ``sha256  argv`` line per run of its stdout.  The
+runs in FAILING must exit nonzero: each prints ``exit=N:sha256  argv``,
+the digest taken over its stdout and then its stderr, so their error
+messages and exit codes are pinned too, among them both exits of the
+smallest-degree search.  Diff the output of two checkouts to see whether
+a change moved any printed byte, or save one checkout's output and pass
+it as ``--against``: every line that differs from the saved list is then
+marked ``MOVED``, and the script exits 1 unless all 31 digests match.  A
+run of RUNS that exits nonzero prints ``exit=N`` in place of a digest,
+and a run of FAILING that exits 0 prints ``exit=0:sha256``; either makes
+the script exit 1.
 Standard library only.
 """
 
@@ -38,6 +40,7 @@ LARGE = ["--r", "3", "--n-list", "256,512,1024,2048,4096"]
 RUNS = (
     ["coeffs"],
     ["psi"],
+    ["psi", "--r", "8"],
     ["approx"],
     ["compare"],
     ["bernstein-ineq"],
@@ -63,14 +66,19 @@ RUNS = (
 )
 
 # runs that must fail: the first point a sweep meets where f is singular or
-# overflows, and a singular input outside the weighted class; the message
-# and exit code each prints
+# overflows, a singular input outside the weighted class, and both exits of
+# the smallest-degree search (a degree below it, the right-hand window test
+# binding, and no admissible degree up to the cap); the message and exit
+# code each prints
 FAILING = (
     ["compare", "--xi", "0.5"],
     ["approx", "--xi", "0.5"],
     ["bernstein-ineq", "--function", "smooth_poly:coeffs=0;1e308;1e308",
      "--n-list", "48,96"],
     ["approx", "--function", "singular_power:beta=1.5"],
+    ["approx", "--r", "8", "--n-list", "49"],
+    ["lemma", "3", "--r", "3", "--xi", "0.9", "--n-list", "400"],
+    ["approx", "--xi", "1e-160"],
 )
 
 

@@ -26,6 +26,6 @@ from .operators import (ModifiedOperator, blended_samples,
                         operator_derivative_2r)
 from .smoothness import (EvaluationGrid, make_grid, weighted_modulus,
                          weighted_norm)
-from .smoothstep import SmoothstepPoly, psi_eval, solve_psi_coefficients
+from .smoothstep import psi_eval, solve_psi_coefficients
 
 __version__ = "0.1.0"

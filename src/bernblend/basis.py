@@ -90,12 +90,14 @@ def _check_degrees(ns, high: int | None = None) -> tuple[int, ...]:
     return ns
 
 
-def _check_unit(x) -> np.ndarray:
-    """``x`` as a float array; DomainError unless every entry lies in [0,1]."""
-    xs = np.asarray(x, dtype=float)
+def _check_points(xs) -> np.ndarray:
+    """``xs`` as a 1-d float array; DomainError unless it lies in [0,1]."""
+    xs = np.asarray(xs, dtype=float)
     bad = ~((xs >= 0.0) & (xs <= 1.0))
     if bad.any():
         raise DomainError(f"x must lie in [0,1], got {float(xs[bad][0])!r}")
+    if xs.ndim != 1:
+        raise DomainError("xs must be a 1-d array")
     return xs
 
 
@@ -136,7 +138,7 @@ def basis_row(n: int, x: float) -> np.ndarray:
     """p_{nk}(x) for k = 0..n; values below 2^-1022 (logs below _NORMAL_LOG)
     are +0.0."""
     n = _check_degree(n)
-    x = float(_check_unit(x))
+    x, = _check_points([x]).tolist()
     ks = np.arange(n + 1)
     if x == 0.0:
         return (ks == 0).astype(float)
@@ -167,14 +169,6 @@ def _band(n: int, k: np.ndarray, centre: np.ndarray,
     t = L / 3.0 + np.sqrt(L * L / 9.0 + 2.0 * L * n * var) + 1.0
     return (np.searchsorted(k, centre - t, "left"),
             np.searchsorted(k, centre + t, "right"))
-
-
-def _check_points(xs) -> np.ndarray:
-    """``xs`` as a 1-d float array; DomainError unless it lies in [0,1]."""
-    xs = _check_unit(xs)
-    if xs.ndim != 1:
-        raise DomainError("xs must be a 1-d array")
-    return xs
 
 
 def _band_blocks(n: int, xs: np.ndarray, lo: int, hi: int):

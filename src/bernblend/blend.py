@@ -12,8 +12,9 @@ smoothsteps anchored at the four lattice breakpoints
     b3 = floor(n*xi + sqrt(n))/n,    b4 = floor(n*xi + 2*sqrt(n))/n.
 
 The blended function equals f outside (b1, b4), equals H on [b2, b3], and
-transitions C^{2r}-smoothly in between.  ``BlendSpec(n, r, weight)`` holds
-all of it: the nodes, the breakpoints and the order-r smoothstep.  f is never evaluated inside
+transitions C^{2r}-smoothly in between, through the order-r smoothstep.
+``_patch`` declares the nodes, the breakpoints and the degrees that admit
+them; ``BlendSpec(n, r, weight)`` holds them.  f is never evaluated inside
 (b2, b3) except at the nodes themselves, so a singularity at xi is never
 touched: the blend coefficients there are exactly 0 by the smoothstep's
 exact saturation.
@@ -29,7 +30,7 @@ import numpy as np
 
 from .basis import _MAX_DEGREE, _check_degree, _check_order, evaluate
 from .errors import DomainError, MinNTooSmall
-from .smoothstep import SmoothstepPoly, psi_eval
+from .smoothstep import psi_eval
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,41 +57,43 @@ class Weight:
         return np.abs(xs - self.xi) ** self.alpha
 
 
-def _node_numerators(n: int, r: int, xi: float) -> list[int]:
-    # r+1 lattice nodes spread evenly across the left transition zone,
-    # from n*xi - sqrt(n) down to n*xi - 2*sqrt(n).  Spreading at the
-    # sqrt(n) scale keeps every Lagrange cardinal function bounded on the
-    # whole patch window (spread comparable to window width), which is what
-    # keeps the weighted interpolant controlled by the weighted norm of f.
-    # Nodes clustered at the 1/n scale instead would make the cardinal
-    # functions grow like n^(r/2) on the window and the patched operator
-    # diverge on singular inputs; for r = 1 the two outermost choices
-    # coincide (the nodes are exactly the two left breakpoints).
+def _patch(n: int, r: int, xi: float) -> tuple[list[int], list[int]] | None:
+    """The lattice numerators (nodes, breaks b1..b4) of the patch at degree
+    n, or None unless n >= 4 and the real window n*xi -+ 2*sqrt(n) and the
+    r+1 distinct nodes all lie in [1, n-1]."""
     root = math.sqrt(n)
-    return [math.floor(n * xi - (1.0 + j / r) * root) for j in range(r + 1)]
+    if not (root >= 2.0 and n * xi - 2.0 * root >= 1.0 and n * (1.0 - xi) - 2.0 * root >= 1.0):
+        return None
+    # r+1 nodes spread evenly across the left transition zone, from
+    # n*xi - sqrt(n) down to n*xi - 2*sqrt(n).  Spreading at the sqrt(n)
+    # scale keeps every Lagrange cardinal function bounded on the whole
+    # patch window (spread comparable to window width), which is what keeps
+    # the weighted interpolant controlled by the weighted norm of f.  Nodes
+    # clustered at the 1/n scale instead would make the cardinal functions
+    # grow like n^(r/2) on the window and the patched operator diverge on
+    # singular inputs; for r = 1 the two outermost choices coincide (the
+    # nodes are exactly the two left breakpoints).
+    nodes = [math.floor(n * xi - (1.0 + j / r) * root) for j in range(r + 1)]
+    if not (all(a > b for a, b in zip(nodes, nodes[1:])) and nodes[-1] >= 1 and nodes[0] <= n - 1):
+        return None
+    # n*xi + (-c)*root is n*xi - c*root exactly
+    return nodes, [math.floor(n * xi + c * root) for c in (-2.0, -1.0, 1.0, 2.0)]
 
 
-def _first_valid_n(ok: Callable[[int], bool], d: float) -> int:
-    """Smallest n >= 4 with ok(n), for an ok(n) that implies n*d - 2*sqrt(n) >= 1."""
-    # that condition holds exactly for sqrt(n) >= (1 + sqrt(1 + d)) / d; the
-    # scan starts just below the root, so roundoff cannot skip the answer;
-    # the root is compared before it is squared, which overflows for tiny d
+def _first_valid_n(r: int, xi: float) -> int:
+    """Smallest n >= 4 that ``_patch`` admits."""
+    # admissible n have n*d - 2*sqrt(n) >= 1, which holds exactly for
+    # sqrt(n) >= (1 + sqrt(1 + d)) / d; the scan starts just below the
+    # root, so roundoff cannot skip the answer; the root is compared before
+    # it is squared, which overflows for tiny d
+    d = min(xi, 1.0 - xi)
     root = (1.0 + math.sqrt(1.0 + d)) / d
     n = max(4, math.floor(root * root) - 1) if root < math.sqrt(_MAX_DEGREE) else _MAX_DEGREE
     while n <= _MAX_DEGREE:
-        if ok(n):
+        if _patch(n, r, xi) is not None:
             return n
         n += 1
     raise DomainError(f"no admissible degree up to {_MAX_DEGREE}")
-
-
-def _admissible(n: int, r: int, xi: float) -> bool:
-    """The r+1 nodes are distinct and in 1..n-1, and so is the window [b1, b4]."""
-    nums = _node_numerators(n, r, xi)
-    distinct = all(a > b for a, b in zip(nums, nums[1:]))
-    root = math.sqrt(n)
-    window = root >= 2.0 and n * xi - 2.0 * root >= 1.0 and n * (1.0 - xi) - 2.0 * root >= 1.0
-    return distinct and nums[-1] >= 1 and nums[0] <= n - 1 and window
 
 
 def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
@@ -124,8 +127,8 @@ def lagrange_interpolant(f: Callable, nodes: np.ndarray, xs: np.ndarray) -> np.n
 @dataclass(frozen=True, eq=False)
 class BlendSpec:
     """The patch of (n, r, weight): the r+1 read-only ``nodes``, strictly
-    decreasing and all left of xi, the blend window's four lattice
-    ``breaks`` (b1, b2, b3, b4) and the order-r smoothstep ``step``.
+    decreasing and all left of xi, and the blend window's four lattice
+    ``breaks`` (b1, b2, b3, b4), both from ``_patch``.
 
     A degree too small for the window or the nodes raises MinNTooSmall
     naming the smallest degree that admits both.
@@ -136,27 +139,23 @@ class BlendSpec:
     weight: Weight
     nodes: np.ndarray = field(init=False, repr=False)
     breaks: tuple[float, float, float, float] = field(init=False)
-    step: SmoothstepPoly = field(init=False, repr=False)
 
     def __post_init__(self):
         n, r, xi = _check_degree(self.n), _check_order(self.r), self.weight.xi
-        if not _admissible(n, r, xi):
-            n_min = _first_valid_n(lambda m: _admissible(m, r, xi), min(xi, 1.0 - xi))
+        patch = _patch(n, r, xi)
+        if patch is None:
+            n_min = _first_valid_n(r, xi)
             raise MinNTooSmall(
                 f"degree n={n} is too small for the blend window and {r + 1} "
                 f"distinct interior patch nodes at xi={xi}; need n >= {n_min}",
                 n_min,
             )
-        nodes = np.array([m / n for m in _node_numerators(n, r, xi)])
+        nodes = np.array([m / n for m in patch[0]])
         nodes.flags.writeable = False
-        root = math.sqrt(n)
-        # n*xi + (-c)*root is n*xi - c*root exactly
-        breaks = tuple(math.floor(n * xi + c * root) / n for c in (-2.0, -1.0, 1.0, 2.0))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "breaks", breaks)
-        object.__setattr__(self, "step", SmoothstepPoly(r))
+        object.__setattr__(self, "breaks", tuple(m / n for m in patch[1]))
 
 
 def blend_eval(f: Callable, spec: BlendSpec, xs: np.ndarray):
@@ -168,8 +167,8 @@ def blend_eval(f: Callable, spec: BlendSpec, xs: np.ndarray):
     where its coefficient is nonzero, and then at the patch nodes.
     """
     b1, b2, b3, b4 = spec.breaks
-    t1 = psi_eval(spec.step, (xs - b1) / (b2 - b1))
-    t2 = psi_eval(spec.step, (xs - b3) / (b4 - b3))
+    t1 = psi_eval(spec.r, (xs - b1) / (b2 - b1))
+    t2 = psi_eval(spec.r, (xs - b3) / (b4 - b3))
     fcoef = 1.0 - t1 + t2
     hcoef = t1 * (1.0 - t2)
     out = np.zeros(xs.shape)

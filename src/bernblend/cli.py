@@ -32,7 +32,7 @@ from .harness import (SweepConfig, _payload, build_report, check_bernstein_inequ
                       lemma1_scan, lemma3_decay, lemma5_scan, lemma6_scan,
                       render_report, run_convergence)
 from .smoothness import make_grid, weighted_modulus
-from .smoothstep import SmoothstepPoly
+from .smoothstep import solve_psi_coefficients
 
 
 class _Flag(NamedTuple):
@@ -101,6 +101,8 @@ def _load_config(path: str) -> dict:
         raise DomainError(f"config {path!r} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise DomainError(f"config {path!r} must hold a JSON object")
+    if "lambda" in data and "lam" in data:
+        raise DomainError(f"config {path!r} gives --lambda twice, as 'lambda' and as 'lam'")
     # the flag is spelled --lambda; the attribute cannot be
     return {("lam" if key == "lambda" else key): val
             for key, val in data.items()}
@@ -150,12 +152,11 @@ def _coeffs(ns) -> None:
 
 
 def _psi(ns) -> None:
-    poly = SmoothstepPoly(ns.r)
-    lowest = 2 * poly.r + 1
+    coeffs = solve_psi_coefficients(ns.r)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["power", "coefficient"])
-    for j, coeff in enumerate(poly.coeffs):
-        writer.writerow([lowest + j, repr(float(coeff))])
+    for j, coeff in enumerate(coeffs):
+        writer.writerow([2 * ns.r + 1 + j, repr(float(coeff))])
 
 
 def _compare(ns) -> None:

@@ -77,7 +77,8 @@ class RateReport:
     slope is None when the sweep is exact (all values at rounding level) or
     has too few usable rows; r_squared is None below 3 usable rows;
     gamma_hat = -2 * slope translates the slope in n to an exponent in
-    1/sqrt(n).  extras carries sweep-specific side channels (not emitted).
+    1/sqrt(n).  extras carries sweep-specific side channels, which the
+    JSON report prints and the CSV leaves out.
     """
 
     rows: tuple[tuple[int, float], ...]
@@ -356,7 +357,8 @@ def render_report(report: RateReport, fmt: str) -> str:
 def _payload(report: RateReport) -> dict:
     """The JSON report's object; ``compare`` prints two under one."""
     return {"rows": [[n, value] for n, value in report.rows], "slope": report.slope,
-            "r_squared": report.r_squared, "gamma_hat": report.gamma_hat}
+            "r_squared": report.r_squared, "gamma_hat": report.gamma_hat,
+            "extras": dict(report.extras)}
 
 
 def emit_report(report: RateReport, fmt: str, path) -> None:

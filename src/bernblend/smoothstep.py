@@ -14,15 +14,16 @@ prod_{j=2}^{2r} j!.
 Counting roots of psi' (order 2r at both endpoints, degree 4r) shows
 psi'(x) = c x^(2r) (1-x)^(2r) with c = (4r+1)! / ((2r)!)^2, so the system
 is never solved: expanding (1-x)^(2r) and integrating gives every a_j in
-closed form.  It also gives psi(x) + psi(1-x) = 1.  Evaluation uses that
-identity for x > 1/2, which avoids the cancellation the raw monomial form
-suffers near 1 once r gets large.
+closed form.  It also gives psi(x) + psi(1-x) = 1.  ``psi_eval(r, xs)``
+uses that identity for x > 1/2, which avoids the cancellation the raw
+monomial form suffers near 1 once r gets large; it reads each order's
+coefficients from one read-only array, made on first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,33 +54,25 @@ def _horner(xs, coeffs: np.ndarray):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class SmoothstepPoly:
-    """The order-r smoothstep; ``coeffs`` is ``solve_psi_coefficients(r)``."""
-
-    r: int
-    coeffs: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        r = _check_order(self.r)
-        coeffs = solve_psi_coefficients(r)
-        ascending = np.zeros(4 * r + 2)
-        ascending[2 * r + 1 :] = coeffs
-        coeffs.flags.writeable = False
-        ascending.flags.writeable = False
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_ascending", ascending)
+@lru_cache(maxsize=None)
+def _ascending(r: int) -> np.ndarray:
+    """The order-r step's read-only coefficients by ascending power, from
+    x^0: zeros up to x^(2r), then ``solve_psi_coefficients(r)``."""
+    coeffs = solve_psi_coefficients(r)
+    ascending = np.zeros(2 * coeffs.size)
+    ascending[coeffs.size :] = coeffs
+    ascending.flags.writeable = False
+    return ascending
 
 
-def psi_eval(poly: SmoothstepPoly, xs: np.ndarray) -> np.ndarray:
-    """Piecewise step value on a 1-d array: 0 for x <= 0, the polynomial on
+def psi_eval(r: int, xs: np.ndarray) -> np.ndarray:
+    """The order-r step on a 1-d array: 0 for x <= 0, the polynomial on
     (0,1), 1 for x >= 1.
 
     Values beyond 1 stay exactly 1 (constant extension), so downstream
     blending coefficients vanish exactly there.
     """
-    asc = poly._ascending
+    asc = _ascending(_check_order(r))
     out = np.where(xs >= 1.0, 1.0, 0.0)
     left = (xs > 0.0) & (xs <= 0.5)
     # NaN joins the right piece, as x in (1/2, 1) does

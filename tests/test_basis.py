@@ -66,6 +66,12 @@ class TestBasisValues:
         with pytest.raises(DomainError):
             basis_row(5, 1.5)
 
+    def test_rejects_malformed_point(self):
+        # x is checked as a one-point array, as every basis entry point does
+        for bad in (np.array([[0.5]]), np.array([0.5]), [0.2, 0.4]):
+            with pytest.raises(DomainError, match="xs must be a 1-d array"):
+                basis_row(4, bad)
+
     def test_log_binomial_matches_exact(self):
         for n, k in [(10, 3), (100, 50), (4096, 2000)]:
             want = math.log(math.comb(n, k))

@@ -242,8 +242,8 @@ class TestBlendSpec:
         assert spec.n == 400
         assert spec.breaks == (0.40, 0.45, 0.55, 0.60)
         assert spec.nodes.tolist() == [0.45, 0.40]
-        # the spec holds the smoothstep of its own order
-        assert spec.step.r == 1 and BlendSpec(400, 3, weight_center).step.r == 3
+        # blend_eval reads the smoothstep of the spec's own order
+        assert spec.r == 1 and BlendSpec(400, 3, weight_center).r == 3
 
     def test_validation(self, weight_center):
         # n and r are integers, never truncated (400.9 used to build n=400)
@@ -290,11 +290,11 @@ class TestBlendEval:
     def test_transition_band_mixture(self, spec):
         b1, b2, b3, b4 = spec.breaks
         xs = np.array([0.42, 0.44])
-        t1 = psi_eval(spec.step, (xs - b1) / (b2 - b1))
+        t1 = psi_eval(spec.r, (xs - b1) / (b2 - b1))
         want = (1 - t1) * np.sin(xs) + t1 * lagrange_interpolant(np.sin, spec.nodes, xs)
         np.testing.assert_allclose(blend_eval(np.sin, spec, xs), want, rtol=1e-14)
         xs = np.array([0.56, 0.58])
-        t2 = psi_eval(spec.step, (xs - b3) / (b4 - b3))
+        t2 = psi_eval(spec.r, (xs - b3) / (b4 - b3))
         want = (1 - t2) * lagrange_interpolant(np.sin, spec.nodes, xs) + t2 * np.sin(xs)
         np.testing.assert_allclose(blend_eval(np.sin, spec, xs), want, rtol=1e-14)
 

@@ -109,6 +109,19 @@ class TestApprox:
         assert [row[0] for row in payload["rows"]] == [64, 128]
         assert payload["slope"] < 0.0
 
+    def test_json_carries_extras(self, capsys):
+        # the JSON report prints the sweep's extras; tuples come back as lists
+        code, out, _ = run(capsys, ["approx", "--format", "json"] + QUICK_APPROX)
+        assert code == 0
+        cfg = bernblend.SweepConfig(r=1, weight=bernblend.Weight(0.513, 1.0),
+                                    function_key="smooth_sin:freq=1", n_list=(64, 128),
+                                    grid_size=401)
+        extras = harness.run_convergence(cfg).extras
+        assert set(extras) == {"omega", "t", "weighted_f_norm", "exact"}
+        assert json.loads(out)["extras"] == {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in extras.items()}
+
     def test_deterministic_bytes(self, capsys):
         _, first, _ = run(capsys, ["approx"] + QUICK_APPROX)
         _, second, _ = run(capsys, ["approx"] + QUICK_APPROX)
@@ -225,6 +238,16 @@ class TestConfigFile:
         code, out, _ = run(capsys, ["bernstein-ineq", "--config", str(cfg)])
         assert code == 0
         assert len(csv_rows(out)) == 1
+
+    def test_lambda_key_given_twice(self, capsys, tmp_path):
+        # "lambda" and "lam" spell one key; a file giving both is refused
+        # rather than letting one value silently win
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda": 0.0, "lam": 1.0, "n_list": [32, 64]}))
+        code, out, err = run(capsys, ["bernstein-ineq", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'lambda'" in err and "'lam'" in err
 
     def test_config_values_parse_like_flags(self, capsys, tmp_path):
         # numbers may be given as JSON numbers or as flag text, and the

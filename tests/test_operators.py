@@ -26,8 +26,8 @@ class TestConstruction:
     def test_build(self, op64):
         assert op64.scheme.nodes == (64, 128)
         assert tuple(s.n for s in op64.specs) == (64, 128)
-        # every spec has the operator's order, smoothstep order and weight
-        assert all(s.r == s.step.r == 2 and s.weight is op64.weight for s in op64.specs)
+        # every spec has the operator's order, which blend_eval's smoothstep reads, and weight
+        assert all(s.r == 2 and s.weight is op64.weight for s in op64.specs)
 
 
 class TestApplication:

@@ -8,16 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from bernblend import (DomainError, SmoothstepPoly, psi_eval,
-                       smoothstep, solve_psi_coefficients)
+from bernblend import (DomainError, psi_eval, smoothstep,
+                       solve_psi_coefficients)
 from smoothstep_system import (determinant_check, determinant_reference,
                                system_matrix)
 
 
-def psi_derivative(poly, x, m):
-    """m-th derivative of the step: 0 outside (0, 1), and for x > 1/2 that of
-    1 - psi(1 - x), the form psi_eval evaluates there."""
-    der = npoly.polyder(poly._ascending, m)
+def psi_derivative(r, x, m):
+    """m-th derivative of the order-r step: 0 outside (0, 1), and for x > 1/2
+    that of 1 - psi(1 - x), the form psi_eval evaluates there."""
+    der = npoly.polyder(smoothstep._ascending(r), m)
     xs = np.asarray(x, dtype=float)
     vals = np.where(xs <= 0.5, npoly.polyval(xs, der),
                     (-1.0) ** (m + 1) * npoly.polyval(1.0 - xs, der))
@@ -82,55 +82,56 @@ class TestDeterminant:
 
 class TestValidation:
     def test_coeffs_frozen(self):
-        poly = SmoothstepPoly(2)
+        # psi_eval reads one cached array per order; nothing may write to it
         with pytest.raises(ValueError):
-            poly.coeffs[0] = 0.0
+            smoothstep._ascending(2)[-1] = 0.0
+
+    def test_eval_order_validation(self):
+        for bad in (0, 9, 1.5, True):
+            with pytest.raises(DomainError):
+                psi_eval(bad, np.array([0.5]))
 
 
 class TestEvaluation:
     def test_step_values(self):
-        poly = SmoothstepPoly(1)
-        vals = psi_eval(poly, np.array([0.0, 1.0, -0.5, 2.0, 0.5]))
+        vals = psi_eval(1, np.array([0.0, 1.0, -0.5, 2.0, 0.5]))
         assert vals[:4].tolist() == [0.0, 1.0, 0.0, 1.0]
         assert vals[4] == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_midpoint_is_half(self, r):
-        assert psi_eval(SmoothstepPoly(r), np.array([0.5]))[0] == pytest.approx(0.5, abs=1e-12)
+        assert psi_eval(r, np.array([0.5]))[0] == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_range_and_monotonicity(self, r):
-        poly = SmoothstepPoly(r)
         xs = np.linspace(-0.5, 1.5, 2001)
-        vals = psi_eval(poly, xs)
+        vals = psi_eval(r, xs)
         assert vals.min() >= -1e-12
         assert vals.max() <= 1.0 + 1e-12
-        vals = psi_eval(poly, np.linspace(0.0, 1.0, 10_000))
+        vals = psi_eval(r, np.linspace(0.0, 1.0, 10_000))
         assert vals.min() >= -1e-10 and vals.max() <= 1.0 + 1e-10
         inner = np.linspace(0.0, 1.0, 1001)
-        assert psi_derivative(poly, inner, 1).min() >= -1e-12
+        assert psi_derivative(r, inner, 1).min() >= -1e-12
 
     def test_scalar_and_array_agree(self):
-        poly = SmoothstepPoly(2)
         xs = np.linspace(-0.2, 1.2, 29)
-        arr = psi_eval(poly, xs)
+        arr = psi_eval(2, xs)
         # each point alone, as a one-element array, gives its array value
         for x, v in zip(xs, arr):
-            assert psi_eval(poly, np.array([x]))[0] == v
+            assert psi_eval(2, np.array([x]))[0] == v
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_matches_polyval_bits(self, r):
         # the polynomial pieces are numpy.polynomial's polyval, bit for bit
-        poly = SmoothstepPoly(r)
         xs = np.concatenate((np.linspace(-0.5, 1.5, 2001),
                              [-0.0, 0.0, 5e-324, 1e-300, np.nextafter(0.5, 1.0),
                               1.0 - 2.0**-53, np.nextafter(1.0, 2.0)]))
         mid = (xs > 0.0) & (xs < 1.0)
         left, right = mid & (xs <= 0.5), mid & (xs > 0.5)
         want = np.where(xs >= 1.0, 1.0, 0.0)
-        want[left] = npoly.polyval(xs[left], poly._ascending)
-        want[right] = 1.0 - npoly.polyval(1.0 - xs[right], poly._ascending)
-        got = psi_eval(poly, xs)
+        want[left] = npoly.polyval(xs[left], smoothstep._ascending(r))
+        want[right] = 1.0 - npoly.polyval(1.0 - xs[right], smoothstep._ascending(r))
+        got = psi_eval(r, xs)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -147,30 +148,28 @@ class TestEvaluation:
 
     @given(r=st.integers(1, 4), x=st.floats(0.0, 1.0))
     def test_mirror_identity(self, r, x):
-        poly = SmoothstepPoly(r)
-        vals = psi_eval(poly, np.array([x, 1.0 - x]))
+        vals = psi_eval(r, np.array([x, 1.0 - x]))
         assert vals[0] + vals[1] == pytest.approx(1.0, abs=1e-13)
 
 
 class TestDerivatives:
     def test_first_derivative_values(self):
         # psi'(x) = 30 x^2 (1-x)^2 for r = 1
-        assert psi_derivative(SmoothstepPoly(1), 0.5, 1) == pytest.approx(1.875, rel=1e-13)
+        assert psi_derivative(1, 0.5, 1) == pytest.approx(1.875, rel=1e-13)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_seam_smoothness(self, r):
         # derivatives through order 2r vanish at both seams, and the
         # one-sided polynomial limit decays like h^(2r+1-i), so halving h
         # must shrink the inside/outside gap by at least a factor ~2
-        poly = SmoothstepPoly(r)
         for i in range(1, 2 * r + 1):
-            assert psi_derivative(poly, 0.0, i) == 0.0
-            assert psi_derivative(poly, 1.0, i) == 0.0
+            assert psi_derivative(r, 0.0, i) == 0.0
+            assert psi_derivative(r, 1.0, i) == 0.0
             for seam, into in ((0.0, 1.0), (1.0, -1.0)):
                 gaps = []
                 for h in (1e-3, 5e-4, 2.5e-4):
-                    inside = psi_derivative(poly, seam + into * h, i)
-                    outside = psi_derivative(poly, seam - into * h, i)
+                    inside = psi_derivative(r, seam + into * h, i)
+                    outside = psi_derivative(r, seam - into * h, i)
                     gaps.append(abs(inside - outside))
                 assert gaps[1] <= 0.75 * gaps[0] + 1e-12
                 assert gaps[2] <= 0.75 * gaps[1] + 1e-12
@@ -179,6 +178,6 @@ class TestDerivatives:
         # psi'(x) = c x^(2r) (1-x)^(2r), so psi'(x) = psi'(1-x) and
         # psi''(x) = -psi''(1-x): the identity psi_eval mirrors through
         for r in range(1, 5):
-            der = npoly.polyder(SmoothstepPoly(r)._ascending, 1)
+            der = npoly.polyder(smoothstep._ascending(r), 1)
             shape = npoly.polymul(npoly.polypow([0, 1], 2 * r), npoly.polypow([1, -1], 2 * r))
             np.testing.assert_allclose(der, der[2 * r] * shape, rtol=1e-12, atol=0)
