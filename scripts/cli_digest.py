@@ -3,23 +3,24 @@
     python scripts/cli_digest.py [--repo PATH] [--against FILE]
 
 Runs ``python -m bernblend`` from PATH/src (default: this checkout) for
-every subcommand at its defaults, plus ``psi`` at r=8, ``compare`` and
-``bernstein-ineq`` at r=3 on a large-degree ladder, ``compare`` at
-degrees up to 65536 (ladder degrees up to 196608), ``lemma 5`` and
-``lemma 6`` at degrees up to 262144, ``lemma 5`` at degrees 1..8, whose
-centre windows reach column 0 or n while the grid's rows at x = 0 and 1
-lie in them, the blend at r=1 (``approx``) and r=8 (``approx`` and
-``lemma 3``), ``compare`` on the oscillating singular function,
-``modulus`` at order 8 and a non-dyadic t on that function, and
-``approx`` on a cubic and on sin(3 pi x), so that every catalog kind is
-pinned.  It prints one ``sha256  argv`` line per run of its stdout.  The
+every subcommand at its defaults, plus ``psi`` at r=8, ``lemma 1`` at
+degrees up to 65536 (basis blocks wider than numpy's buffer, from column
+1), ``compare`` and ``bernstein-ineq`` at r=3 on a large-degree ladder,
+``compare`` at degrees up to 65536 (ladder degrees up to 196608),
+``lemma 5`` and ``lemma 6`` at degrees up to 262144, ``lemma 5`` at
+degrees 1..8, whose centre windows reach column 0 or n while the grid's
+rows at x = 0 and 1 lie in them, the blend at r=1 (``approx``) and r=8
+(``approx`` and ``lemma 3``), ``compare`` on the oscillating singular
+function, ``modulus`` at order 8 and a non-dyadic t on that function,
+and ``approx`` on a cubic and on sin(3 pi x), so that every catalog kind
+is pinned.  It prints one ``sha256  argv`` line per run of its stdout.  The
 runs in FAILING must exit nonzero: each prints ``exit=N:sha256  argv``,
 the digest taken over its stdout and then its stderr, so their error
 messages and exit codes are pinned too, among them both exits of the
 smallest-degree search.  Diff the output of two checkouts to see whether
 a change moved any printed byte, or save one checkout's output and pass
 it as ``--against``: every line that differs from the saved list is then
-marked ``MOVED``, and the script exits 1 unless all 31 digests match.  A
+marked ``MOVED``, and the script exits 1 unless all 32 digests match.  A
 run of RUNS that exits nonzero prints ``exit=N`` in place of a digest,
 and a run of FAILING that exits 0 prints ``exit=0:sha256``; either makes
 the script exit 1.
@@ -46,6 +47,7 @@ RUNS = (
     ["bernstein-ineq"],
     ["modulus"],
     ["lemma", "1"],
+    ["lemma", "1", "--n-list", "4096,16384,65536"],
     ["lemma", "3"],
     ["lemma", "5"],
     ["lemma", "6"],

@@ -5,7 +5,10 @@ space, so that no degree up to the commands' cap (``_MAX_DEGREE``, 10^6)
 overflows or underflows to garbage; each is within a few 1e-13
 relative at n = 4096 (see ``_log_binom_row``).  Evaluation at x > 1/2 is
 mirrored onto 1-x (exact for x >= 1/2), so p_{nk}(x) = p_{n,n-k}(1-x)
-holds by construction.
+holds bit for bit where 1-x is exact, but not at x = 1/2, evaluated
+unmirrored: ln C(n,k) and ln C(n,n-k) differ in their last bits, which moves
+18 of 65 entries at n = 64, and some by 0.67 n eps relative at n = 12288
+(``TestMirror::test_half_row_mirrors_within_n_eps``).
 
 Every basis path keeps one contract: an entry whose log lies below
 _NORMAL_LOG is exactly +0.0, and every other entry is exp of its log, a
@@ -17,10 +20,11 @@ columns.
 ``_band_blocks`` computes the basis values of every array evaluation on one
 column range, each row on its Bernstein band alone (``_band``), block by
 block in two scratch arrays per call, which the consumer owns until it asks
-for the next block.  ``basis_matrix`` scatters the blocks into zeros.  The
-applies and lemma scans sum each block over its band in place (lemma 6
-itself, the rest through ``_row_sums``): the same bytes run to run and at any
-thread count, but not a dense product's.  ``basis_row`` serves moment_table.
+for the next block.  ``_dense_rows`` scatters the blocks into zeros: with
+numpy's logs for ``basis_matrix``, with libm's for ``basis_row`` and
+moment_table.  The applies and lemma scans sum each block over its band in
+place (lemma 6 itself, the rest through ``_row_sums``): the same bytes run
+to run and at any thread count, but not a dense product's.
 
 Endpoint convention: 0^0 = 1, so p_{n0}(0) = 1 and p_{nn}(1) = 1.
 
@@ -115,40 +119,25 @@ def _log_binom_row(n: int) -> np.ndarray:
 
     The increments ln((n-k+1)/k) are O(1), so a Neumaier running sum keeps
     the absolute error near the representation error of the increments
-    instead of eps * |ln C(n,k)| (which reaches ~3e-13 at n = 4096).
+    instead of eps * |ln C(n,k)| (which reaches ~3e-13 at n = 4096).  Each
+    is libm's log of a float64 quotient, correctly rounded as int / int is.
+    The total, then the compensation, are sequential np.cumsum runs over
+    2^14 increments at a time, each seeded with the last chunk's: the bits
+    of a loop over k, without its n-sized temporaries.
     """
     out = np.empty(n + 1)
-    out[0] = 0.0
-    total = 0.0
-    comp = 0.0
-    for k in range(1, n + 1):
-        term = math.log((n - k + 1) / k)
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        out[k] = total + comp
+    out[0] = total = comp = 0.0
+    for a in range(1, n + 1, 1 << 14):
+        k = np.arange(a, min(a + (1 << 14), n + 1), dtype=float)
+        term = np.fromiter(map(math.log, memoryview((n + 1 - k) / k)), float, k.size)
+        t = np.cumsum(np.concatenate(([total], term)))  # t[j]: the total before term[j]
+        c = np.where(np.abs(t[:-1]) >= np.abs(term),
+                     (t[:-1] - t[1:]) + term, (term - t[1:]) + t[:-1])
+        c = np.cumsum(np.concatenate(([comp], c)))
+        out[a:a + k.size] = t[1:] + c[1:]
+        total, comp = t[-1], c[-1]
     out.flags.writeable = False
     return out
-
-
-def basis_row(n: int, x: float) -> np.ndarray:
-    """p_{nk}(x) for k = 0..n; values below 2^-1022 (logs below _NORMAL_LOG)
-    are +0.0."""
-    n = _check_degree(n)
-    x, = _check_points([x]).tolist()
-    ks = np.arange(n + 1)
-    if x == 0.0:
-        return (ks == 0).astype(float)
-    if x == 1.0:
-        return (ks == n).astype(float)
-    if x > 0.5:  # mirrored, as in _band_blocks
-        x, ks = 1.0 - x, n - ks
-    logp = _log_binom_row(n)[ks] + ks * math.log(x) + (n - ks) * math.log1p(-x)
-    np.exp(logp, out=logp, where=logp >= _NORMAL_LOG)
-    return np.maximum(logp, 0.0, out=logp)
 
 
 def _band(n: int, k: np.ndarray, centre: np.ndarray,
@@ -171,7 +160,7 @@ def _band(n: int, k: np.ndarray, centre: np.ndarray,
             np.searchsorted(k, centre + t, "right"))
 
 
-def _band_blocks(n: int, xs: np.ndarray, lo: int, hi: int):
+def _band_blocks(n: int, xs: np.ndarray, lo: int, hi: int, libm: bool = False):
     """The nonzero basis values p_{nk}(xs[i]), lo <= k < hi, of checked
     arguments, with 0 <= lo <= hi <= n + 1.
 
@@ -188,7 +177,9 @@ def _band_blocks(n: int, xs: np.ndarray, lo: int, hi: int):
     value is the one a full-width evaluation gives.  Adjacent groups with the
     same [a, b) share a block of at most _MERGE_ENTRIES entries, which
     changes no row's columns, values or sum.  Rows at x = 0 or 1 form one
-    block over column 0 or n, where that column lies in [lo, hi).
+    block over column 0 or n, where that column lies in [lo, hi).  ln x and
+    ln(1-x) are numpy's, or with ``libm`` math.log's and math.log1p's, which
+    numpy's do not always match.
     """
     logc = _log_binom_row(n)
     k = np.arange(lo, hi, dtype=float)
@@ -209,7 +200,10 @@ def _band_blocks(n: int, xs: np.ndarray, lo: int, hi: int):
             first, last = _band(n, k, n * p if kk is k else n - n * p, p * (1.0 - p))
             order = np.argsort(p, kind="stable")
             rows, p, first, last = rows[order], p[order], first[order], last[order]
-            log_p, log_q = np.log(p), np.log1p(-p)
+            if libm:
+                log_p, log_q = np.array([(math.log(v), math.log1p(-v)) for v in p.tolist()]).T
+            else:
+                log_p, log_q = np.log(p), np.log1p(-p)
             step = min(_GROUP_ROWS, max(1, _BLOCK_ENTRIES // max(1, int((last - first).max()))))
             starts = range(0, p.size, step)
             cuts = []  # [row start, row end, a, b] of each block
@@ -231,26 +225,41 @@ def _band_blocks(n: int, xs: np.ndarray, lo: int, hi: int):
             if log_p is None:
                 m.fill(1.0)
             else:
-                # (ln C(n,k) + ln x * k) + ln(1-x) * (n-k) on columns a:b; einsum's product
-                # has a multiply's bits, up to a zero's sign that adding ln C(n,k) drops
-                np.einsum("i,j->ij", log_p, kk[a:b], out=m)
-                m += lc[a:b]
-                m += np.einsum("i,j->ij", log_q, qq[a:b], out=t)
+                # (ln C(n,k) + ln x * k) + ln(1-x) * (n-k) on columns a:b, ln C added while m
+                # is in cache; multiplies are twice as fast as einsum on rows longer than
+                # np.getbufsize() // 3, and einsum's zero signs are dropped by adding ln C
+                if b - a > np.getbufsize() // 3:
+                    np.multiply(log_p[:, None], kk[a:b], out=m)
+                    m += lc[a:b]
+                    m += np.multiply(log_q[:, None], qq[a:b], out=t)
+                else:
+                    np.einsum("i,j->ij", log_p, kk[a:b], out=m)
+                    m += lc[a:b]
+                    m += np.einsum("i,j->ij", log_q, qq[a:b], out=t)
                 # logs left below _NORMAL_LOG are negative: maximum makes them +0.0
                 np.exp(m, out=m, where=m >= _NORMAL_LOG)
                 np.maximum(m, 0.0, out=m)
             yield rows, a, b, m, t
 
 
-def basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
-    """Matrix P[i, k] = p_{nk}(xs[i]), k = 0..n: the blocks of
-    ``_band_blocks`` scattered into zeros, which is the full-width matrix
-    with entries under 2^-1022 as +0.0."""
-    n, xs = _check_degree(n), _check_points(xs)
+def _dense_rows(n: int, xs: np.ndarray, libm: bool) -> np.ndarray:
+    """Matrix P[i, k] = p_{nk}(xs[i]), k = 0..n, of checked arguments: the
+    blocks of ``_band_blocks`` (with libm's logs or numpy's) scattered into
+    zeros, which is the full-width matrix with entries under 2^-1022 as +0.0."""
     out = np.zeros((xs.size, n + 1))
-    for rows, a, b, vals, _ in _band_blocks(n, xs, 0, n + 1):
+    for rows, a, b, vals, _ in _band_blocks(n, xs, 0, n + 1, libm):
         out[rows, a:b] = vals
     return out
+
+
+def basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
+    """Matrix P[i, k] = p_{nk}(xs[i]), k = 0..n, from numpy's logs."""
+    return _dense_rows(_check_degree(n), _check_points(xs), False)
+
+
+def basis_row(n: int, x: float) -> np.ndarray:
+    """p_{nk}(x) for k = 0..n, from libm's logs: moment_table's rows, one point."""
+    return _dense_rows(_check_degree(n), _check_points([x]), True)[0]
 
 
 def _row_sums(n: int, xs: np.ndarray, weights: Sequence[np.ndarray], lo: int = 0

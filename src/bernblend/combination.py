@@ -28,10 +28,13 @@ from .basis import (
     _check_order,
     _check_points,
     _compensated_sum,
-    basis_row,
+    _dense_rows,
     bernstein_apply_grid,
     sample_function,
 )
+# not called here since moment_table builds its rows at once; kept as a module
+# attribute because perfbench/sweeps.py wraps it here to trace calls
+from .basis import basis_row  # noqa: F401
 from .errors import DomainError
 
 # values of k per block of moment_table's streamed terms
@@ -138,16 +141,14 @@ def moment_table(
 ) -> np.ndarray:
     """Array M[p, i] = sum_j C_j B_{n_j}((t - x)^powers[p], x) at x = xs[i].
 
-    Sums ``basis_row`` rows (banded ones move a benchmark entry past 1e-15),
-    filled into one matrix per degree, times ``_power`` products, streamed
-    in k order by ``_moment_terms``."""
+    Sums one matrix of ``basis_row`` rows per degree, built in one call
+    (numpy's logs, not libm's, move a benchmark entry past 1e-15), times
+    ``_power`` products, streamed in k order by ``_moment_terms``."""
     powers = [_check_int(p, "moment power", 0) for p in powers]
     xs = _check_points(xs)
     out = np.zeros((len(powers), xs.size))
     for c, n in zip(scheme.coeffs.tolist(), scheme.nodes):
         rows = None  # the previous degree's matrix goes before the next is built
-        rows = np.empty((xs.size, n + 1))
-        for i, x in enumerate(xs.tolist()):
-            rows[i] = basis_row(n, x)
+        rows = _dense_rows(n, xs, True)
         out += c * _compensated_sum(_moment_terms(n, rows.T, powers, xs))
     return out

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from basis_oracle import libm_row
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -24,13 +25,16 @@ def exact_basis(n: int, k: int, num: int, den: int) -> float:
 
 
 def basis_value(n, k, x):
-    """Single basis value p_{nk}(x), entry k of the full row."""
-    return basis_row(n, x)[k]
+    """Single basis value p_{nk}(x), entry k of ``libm_row``'s full row,
+    after checking that ``basis_row`` gives that row bit for bit."""
+    want = libm_row(n, x)
+    assert _same_bits(basis_row(n, x), want)
+    return want[k]
 
 
 def fsum_apply(samples, x):
-    """B_n(f, x) summed exactly (math.fsum) over one full basis row."""
-    return math.fsum((basis_row(samples.n, x) * samples.values).tolist())
+    """B_n(f, x) summed exactly (math.fsum) over ``libm_row``'s full row."""
+    return math.fsum((libm_row(samples.n, x) * samples.values).tolist())
 
 
 class TestBasisValues:
@@ -77,6 +81,48 @@ class TestBasisValues:
             want = math.log(math.comb(n, k))
             assert basis._log_binom_row(n)[k] == pytest.approx(want, rel=1e-13)
 
+    # 2^14 and 2^14 + 1 put a chunk edge at the row's end and one increment
+    # past it; 2^17 sums eight chunks
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 16384, 16385, 2**17])
+    def test_log_binomial_keeps_loop_bits(self, n):
+        assert _same_bits(basis._log_binom_row(n), neumaier_log_binom(n))
+
+
+def neumaier_log_binom(n):
+    """ln C(n,k), k = 0..n: a Neumaier running sum of the increments
+    ln((n-k+1)/k), one increment at a time."""
+    out, total, comp = [0.0], 0.0, 0.0
+    for k in range(1, n + 1):
+        term = math.log((n - k + 1) / k)
+        t = total + term
+        if abs(total) >= abs(term):
+            comp += (total - t) + term
+        else:
+            comp += (term - t) + total
+        total = t
+        out.append(total + comp)
+    return np.array(out)
+
+
+class TestLibmRows:
+    """Rows from libm's logs, ``basis_row``'s and moment_table's, against
+    ``libm_row`` point by point: equal bits, sign bits too."""
+
+    @pytest.mark.parametrize("n", [1, 5, 256, 768, 4096])
+    def test_rows_keep_oracle_bits(self, n):
+        rng = np.random.default_rng(n)
+        xs = np.concatenate(([0.0, 1.0, 0.5, 1e-300, 1.0 - 1e-16], rng.random(400)))
+        want = np.array([libm_row(n, x) for x in xs.tolist()])
+        assert _same_bits(basis._dense_rows(n, xs, True), want)
+        for x, row in zip(xs.tolist(), want):
+            assert _same_bits(basis_row(n, x), row), x
+
+    def test_rows_at_degree_cap(self):
+        # the band leaves out columns whose libm logs lie below _NORMAL_LOG too
+        n = 10 ** 6
+        for x in (0.5, 0.513, 0.25, 1e-3, 1e-300, 0.999):
+            assert _same_bits(basis_row(n, x), libm_row(n, x)), x
+
 
 class TestRowsAndMatrices:
     def test_row_matches_scalar(self):
@@ -87,7 +133,7 @@ class TestRowsAndMatrices:
     def test_restricted_indices(self):
         # a window's values are the full row's columns lo..hi-1, and its row
         # sum their sum
-        full = basis_row(12, 0.41)
+        full = libm_row(12, 0.41)
         np.testing.assert_allclose(window_matrix(12, [0.41], 2, 10)[0], full[2:10], rtol=1e-14)
         got, = basis._row_sums(12, [0.41], [np.ones(8)], 2)
         assert got[0] == pytest.approx(full[2:10].sum(), rel=1e-14)
@@ -96,7 +142,7 @@ class TestRowsAndMatrices:
         xs = np.array([0.0, 0.2, 0.5, 0.77, 1.0])
         mat = basis_matrix(20, xs)
         for i, x in enumerate(xs):
-            np.testing.assert_allclose(mat[i], basis_row(20, float(x)), rtol=1e-13)
+            np.testing.assert_allclose(mat[i], libm_row(20, float(x)), rtol=1e-13)
 
     def test_matrix_rejects_bad_points(self):
         with pytest.raises(DomainError):
@@ -430,6 +476,20 @@ def per_block_kernel(n, xs, lo, hi):
 class TestScratchKernel:
     """The scratch kernel and its in-place reductions against
     ``per_block_kernel`` and the reductions it had: equal bits, sign bits too."""
+
+    def test_cases_reach_both_products(self):
+        # the kernel forms a block's outer products by einsum up to
+        # np.getbufsize() // 3 columns and by broadcast multiplies above:
+        # the cases below have blocks of either width on either side of 1/2
+        cut = np.getbufsize() // 3
+        seen = set()
+        for n in ORACLE_DEGREES:
+            for xs in _oracle_points(n).values():
+                for lo, hi in _oracle_windows(n).values():
+                    for rows, a, b, *_ in basis._band_blocks(n, xs, lo, hi):
+                        if 0.0 < xs[rows[0]] < 1.0:  # x = 0 and 1 take no product
+                            seen.add((b - a > cut, bool(xs[rows[0]] > 0.5)))
+        assert seen == {(wide, right) for wide in (False, True) for right in (False, True)}
 
     @pytest.mark.parametrize("n", ORACLE_DEGREES)
     def test_matrix_and_row_sums_keep_bits(self, n):

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from basis_oracle import libm_row
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bernblend import (CombinationScheme, DomainError, SampleVector, Weight, basis_row,
+from bernblend import (CombinationScheme, DomainError, SampleVector, Weight,
                        bernstein_apply_grid, build_scheme, combine, combine_samples,
                        make_function, make_grid, moment_table, parse_spec,
                        sample_function, solve_coefficients, weighted_norm)
@@ -31,7 +32,7 @@ def fsum_moment_table(scheme, powers, xs):
     out = np.zeros((len(powers), len(xs)))
     for i, x in enumerate(xs):
         for c, n in zip(scheme.coeffs.tolist(), scheme.nodes):
-            row = basis_row(n, x).tolist()
+            row = libm_row(n, x).tolist()
             d = (np.arange(n + 1) / n - x).tolist()
             for p, power in enumerate(powers):
                 out[p, i] += c * math.fsum(
@@ -43,7 +44,7 @@ def one_shot_moment_table(scheme, powers, xs, power=_power):
     """moment_table's sums with every term of a degree built at once."""
     out = np.zeros((len(powers), xs.size))
     for c, n in zip(scheme.coeffs.tolist(), scheme.nodes):
-        rows = np.array([basis_row(n, x) for x in xs.tolist()]).reshape(xs.size, n + 1)
+        rows = np.array([libm_row(n, x) for x in xs.tolist()]).reshape(xs.size, n + 1)
         d = (np.arange(n + 1) / n)[:, None] - xs
         terms = np.stack([rows.T * power(d, m) for m in powers], axis=1)
         out += c * _compensated_sum(terms)
