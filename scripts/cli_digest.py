@@ -12,15 +12,17 @@ degrees 1..8, whose centre windows reach column 0 or n while the grid's
 rows at x = 0 and 1 lie in them, the blend at r=1 (``approx``) and r=8
 (``approx`` and ``lemma 3``), ``compare`` on the oscillating singular
 function, ``modulus`` at order 8 and a non-dyadic t on that function,
-and ``approx`` on a cubic and on sin(3 pi x), so that every catalog kind
-is pinned.  It prints one ``sha256  argv`` line per run of its stdout.  The
-runs in FAILING must exit nonzero: each prints ``exit=N:sha256  argv``,
-the digest taken over its stdout and then its stderr, so their error
-messages and exit codes are pinned too, among them both exits of the
-smallest-degree search.  Diff the output of two checkouts to see whether
+``modulus`` at order 16 on a 20001-point grid (a region's stencil points
+split across calls of f), and ``approx`` on a cubic and on sin(3 pi x),
+so that every catalog kind is pinned.  It prints one ``sha256  argv`` line
+per run of its stdout.  The runs in FAILING must exit nonzero: each prints
+``exit=N:sha256  argv``, the digest taken over its stdout and then its
+stderr, so their error messages and exit codes are pinned too, among them
+the first failure of a modulus scan and both exits of the smallest-degree
+search.  Diff the output of two checkouts to see whether
 a change moved any printed byte, or save one checkout's output and pass
 it as ``--against``: every line that differs from the saved list is then
-marked ``MOVED``, and the script exits 1 unless all 32 digests match.  A
+marked ``MOVED``, and the script exits 1 unless all 34 digests match.  A
 run of RUNS that exits nonzero prints ``exit=N`` in place of a digest,
 and a run of FAILING that exits 0 prints ``exit=0:sha256``; either makes
 the script exit 1.
@@ -63,18 +65,20 @@ RUNS = (
     ["compare", "--function", "singular_osc:beta=0.5,freq=1", "--r", "3",
      "--n-list", "256,512,1024"],
     ["modulus", "--r", "4", "--t", "0.1", "--function", "singular_osc:beta=0.5,freq=1"],
+    ["modulus", "--r", "8", "--grid", "20001"],
     ["approx", "--function", "smooth_poly:coeffs=0.5;-1;0;2", "--n-list", "64,128,256"],
     ["approx", "--function", "smooth_sin:freq=3"],
 )
 
-# runs that must fail: the first point a sweep meets where f is singular or
-# overflows, a singular input outside the weighted class, and both exits of
-# the smallest-degree search (a degree below it, the right-hand window test
-# binding, and no admissible degree up to the cap); the message and exit
-# code each prints
+# runs that must fail: the first point a sweep or a modulus scan meets where
+# f is singular or overflows, a singular input outside the weighted class,
+# and both exits of the smallest-degree search (a degree below it, the
+# right-hand window test binding, and no admissible degree up to the cap);
+# the message and exit code each prints
 FAILING = (
     ["compare", "--xi", "0.5"],
     ["approx", "--xi", "0.5"],
+    ["modulus", "--xi", "0.5"],
     ["bernstein-ineq", "--function", "smooth_poly:coeffs=0;1e308;1e308",
      "--n-list", "48,96"],
     ["approx", "--function", "singular_power:beta=1.5"],

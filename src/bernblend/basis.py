@@ -296,7 +296,8 @@ class SampleVector:
             raise DomainError(
                 f"sample vector for degree {n} needs {n + 1} values, got shape {vals.shape}"
             )
-        _check_finite(np.arange(n + 1) / n, vals, "sample")
+        if not np.isfinite(vals).all():  # the lattice only to name a bad x
+            _check_finite(np.arange(n + 1) / n, vals, "sample")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "n", n)
@@ -338,11 +339,15 @@ def _compensated_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
     accurate as if summed in twice the working precision and then rounded.
     """
     terms = iter(terms)
-    total = next(terms)
-    comp = np.zeros_like(total)
+    # a copy: a caller may refill its term's buffer for the next term
+    total = np.array(next(terms), dtype=float)
+    comp, s, bp, err = (np.zeros_like(total) for _ in range(4))
     for term in terms:
-        s = total + term
-        bp = s - total
-        comp += (total - (s - bp)) + (term - bp)
-        total = s
+        # comp += (total - (s - bp)) + (term - bp) with s = total + term and
+        # bp = s - total, in buffers allocated once per call
+        np.add(total, term, out=s)
+        np.subtract(s, total, out=bp)
+        np.subtract(total, np.subtract(s, bp, out=err), out=err)
+        comp += np.add(err, np.subtract(term, bp, out=bp), out=err)
+        total, s = s, total
     return total + comp

@@ -167,16 +167,20 @@ def blend_eval(f: Callable, spec: BlendSpec, xs: np.ndarray):
     where its coefficient is nonzero, and then at the patch nodes.
     """
     b1, b2, b3, b4 = spec.breaks
-    t1 = psi_eval(spec.r, (xs - b1) / (b2 - b1))
-    t2 = psi_eval(spec.r, (xs - b3) / (b4 - b3))
+    # the coefficients on the window (b1, b4) alone: outside it the
+    # smoothsteps saturate, so f's coefficient is exactly 1.0 and H's 0.0
+    win = np.flatnonzero((xs > b1) & (xs < b4))
+    t1 = psi_eval(spec.r, (xs[win] - b1) / (b2 - b1))
+    t2 = psi_eval(spec.r, (xs[win] - b3) / (b4 - b3))
     fcoef = 1.0 - t1 + t2
     hcoef = t1 * (1.0 - t2)
+    fmask = np.ones(xs.shape, dtype=bool)
+    fmask[win] = fcoef != 0.0
     out = np.zeros(xs.shape)
-    fmask = fcoef != 0.0
     if fmask.any():
-        # where the coefficient is exactly 1.0 this reproduces f bit-for-bit
-        out[fmask] = fcoef[fmask] * evaluate(f, xs[fmask])
+        out[fmask] = evaluate(f, xs[fmask])
+        out[win] *= fcoef
     hmask = hcoef != 0.0
     if hmask.any():
-        out[hmask] += hcoef[hmask] * lagrange_interpolant(f, spec.nodes, xs[hmask])
+        out[win[hmask]] += hcoef[hmask] * lagrange_interpolant(f, spec.nodes, xs[win[hmask]])
     return out

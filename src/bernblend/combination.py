@@ -125,8 +125,8 @@ def _moment_terms(n: int, cols: np.ndarray, powers: Sequence[int],
     """terms[p, i] = cols[k, i] * (k/n - xs[i])^powers[p] for k = 0..n in
     order, _MOMENT_BLOCK values of k at a time, as views of one block that
     is refilled: no (n+1) x powers x points array is held, nor a second
-    block.  The refill is safe for ``_compensated_sum``, which rebinds its
-    total, the first term's view, before it takes the block's second term."""
+    block.  The refill is safe for ``_compensated_sum``, which copies its
+    first term and is done with each term before it takes the next."""
     terms = np.empty((min(_MOMENT_BLOCK, n + 1), len(powers), xs.size))
     for a in range(0, n + 1, _MOMENT_BLOCK):
         b = min(a + _MOMENT_BLOCK, n + 1)

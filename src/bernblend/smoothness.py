@@ -8,19 +8,22 @@ geometric ladder of h values in (0, t] discretizes the supremum over
 0 < h <= t.  Both the norm and the modulus are weighted by the weight their
 EvaluationGrid was built for, and read it from the grid.
 
-f takes 1-d arrays.  A region of a step h calls f on the points of as many
-stencil offsets at once as fit in 2^16 (at least one), so a step costs at
-most 3 calls while each region holds at most 2^16 / (order + 1) points.  A
-call over several t shares the distinct steps of their ladders.  A region's
-filter uses the expression of its largest stencil offset, so no point
-leaves [0, 1].
+f takes 1-d arrays.  A call over several t scans the distinct steps of
+their ladders once, in first-visit order, as pieces (step, region, stencil
+offset k) packed in that order into calls of f of at most 2^14 points, or of
+one piece that alone holds more: at approx's defaults (order 4, 19 steps,
+2001 points) 11 calls on 166,440 points.  The regions a call completes share
+one TwoSum cascade, one gather of the grid's weights and one max per region;
+a failing call is rerun piece by piece, so its first failure is that of
+scan order.  A region's filter uses the expression of its largest stencil
+offset, so no point leaves [0, 1].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -38,9 +41,10 @@ _T_CAP = 0.125
 _H_COUNT = 8
 # largest accepted grid size: bounds the run time and memory of one sweep
 _MAX_GRID = 10**6
-# stencil points per call of f, unless one offset's region holds more: one
-# call on all 17 offsets of a 10^6-point grid took 1.4x the time and 1.6x the RSS
-_CALL_POINTS = 1 << 16
+# stencil points per call of f, unless one piece holds more: 2^16 took as long
+# at approx's defaults and 1.5 MB more peak RSS; one call on all 17 offsets
+# of a 10^6-point grid took 1.4x the time and 1.6x the RSS
+_CALL_POINTS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,56 +135,126 @@ def weighted_modulus(f, order: int, ts: Iterable[float],
     ts = list(ts)  # an iterator too is checked in full before the first scan
     if not all(0.0 < t <= _T_CAP for t in ts):
         raise DomainError("modulus argument t must lie in (0, 1/8]")
-    sups: dict[float, float] = {}
-    values = []
-    for t in ts:
-        best = 0.0
-        for h in (t * 0.5 ** np.arange(_H_COUNT)).tolist():
-            if h not in sups:
-                sups[h] = _step_sup(f, grid, order, h)
-            best = max(best, sups[h])
-        values.append(best)
-    return tuple(values)
-
-
-def _step_sup(f, grid: EvaluationGrid, order: int, h: float) -> float:
-    """max of the three regional sups of one step h."""
+    ladders = [(t * 0.5 ** np.arange(_H_COUNT)).tolist() for t in ts]
+    # the distinct steps, in first-visit order
+    sups = dict.fromkeys([h for ladder in ladders for h in ladder], 0.0)
     pts = grid.points
+    weights, rows = grid.weight(pts), []
+    for chunk in _chunks(pts, order, list(sups)):
+        rows, done = _call(f, chunk, rows, pts, weights)
+        for h, sup in done:
+            sups[h] = max(sups[h], sup)
+    return tuple(max(sups[h] for h in ladder) for ladder in ladders)
+
+
+class _Region(NamedTuple):
+    """A region of the step h: its grid indices and points xs, and its
+    stencil offset k, steps[k] * scale (scale 1.0 on the strips)."""
+    h: float
+    idx: np.ndarray
+    xs: np.ndarray
+    steps: np.ndarray
+    scale: np.ndarray | float
+
+
+def _regions(pts: np.ndarray, phi: np.ndarray, order: int, h: float) -> list[_Region]:
+    """The nonempty regions of the step h, in scan order."""
     cut = 16.0 * h * h
+    ks = np.arange(order + 1)
     # the middle, the strip at 0 and the strip at 1 take symmetric, forward
     # and backward stencils; each filter computes its region's largest
     # offset by the stencil's own expression, so no point leaves [0,1]
-    phi = np.sqrt(pts * (1.0 - pts))
     reach = order / 2.0 * h * phi
-    inner = ((pts >= cut) & (pts <= 1.0 - cut) & (reach != 0.0)
-             & (pts - reach >= 0.0) & (pts + reach <= 1.0))
-    ks = range(order + 1)
-    regions = ((pts[inner], [(order / 2.0 - k) * h * phi[inner] for k in ks]),
-               (pts[(pts <= cut) & (pts + order * h <= 1.0)], [(order - k) * h for k in ks]),
-               (pts[(pts >= 1.0 - cut) & (pts - order * h >= 0.0)], [-k * h for k in ks]))
-    best = 0.0
-    # a huge f may overflow in the sum; _weighted_max raises on the result
+    inner = np.flatnonzero((pts >= cut) & (pts <= 1.0 - cut) & (reach != 0.0)
+                           & (pts - reach >= 0.0) & (pts + reach <= 1.0))
+    regions = ((inner, (order / 2.0 - ks) * h, phi[inner]),
+               (np.flatnonzero((pts <= cut) & (pts + order * h <= 1.0)), (order - ks) * h, 1.0),
+               (np.flatnonzero((pts >= 1.0 - cut) & (pts - order * h >= 0.0)), -ks * h, 1.0))
+    return [_Region(h, idx, pts[idx], steps[:, None], scale)
+            for idx, steps, scale in regions if idx.size]
+
+
+def _chunks(pts: np.ndarray, order: int, steps: list[float]):
+    """The pieces (region, k) of every step's regions in scan order, packed
+    into lists of at most _CALL_POINTS stencil points, or of one piece that
+    alone holds more.  A list holds runs (region, k0, k1) of one region's
+    pieces k0 <= k < k1; a step's regions are built when its first piece is."""
+    phi = np.sqrt(pts * (1.0 - pts))
+    chunk, size = [], 0
+    for h in steps:
+        for region in _regions(pts, phi, order, h):
+            for k in range(order + 1):
+                if chunk and size + region.xs.size > _CALL_POINTS:
+                    yield chunk
+                    chunk, size = [], 0
+                if chunk and chunk[-1][0] is region:
+                    chunk[-1] = (region, chunk[-1][1], k + 1)
+                else:
+                    chunk.append((region, k, k + 1))
+                size += region.xs.size
+    if chunk:
+        yield chunk
+
+
+def _call(f, chunk: list, rows: list, pts: np.ndarray,
+          weights: np.ndarray) -> tuple[list, list]:
+    """``_evaluate`` on ``chunk``; should it fail, again piece by piece, so
+    that the first failure is that of scan order: f may refuse a later
+    piece's x before an earlier piece's NaN or weighted value is seen."""
+    try:
+        return _evaluate(f, chunk, rows, pts, weights)
+    except Exception:  # whatever f raises: the rerun raises the first failure
+        pieces = [(region, k, k + 1) for region, k0, k1 in chunk for k in range(k0, k1)]
+    done = []
+    for piece in pieces:
+        rows, sups = _evaluate(f, [piece], rows, pts, weights)
+        done += sups
+    return rows, done
+
+
+def _evaluate(f, chunk: list, rows: list, pts: np.ndarray,
+              weights: np.ndarray) -> tuple[list, list]:
+    """f in one call on the stencil points of ``chunk``, after the ``rows``
+    of f's values that the chunk's first region already has.  Returns the
+    rows of the region it leaves incomplete, and (h, sup) for each region
+    it completes: the sup of the grid's weight times its differences."""
+    x, a = np.empty(sum((k1 - k0) * region.xs.size for region, k0, k1 in chunk)), 0
+    for (_, _, xs, steps, scale), k0, k1 in chunk:
+        block = x[a:a + (k1 - k0) * xs.size].reshape(k1 - k0, -1)
+        np.add(xs, np.multiply(steps[k0:k1], scale, out=block), out=block)
+        a += (k1 - k0) * xs.size
+    vals = evaluate(f, x)
+    rows, done, a = list(rows), [], 0
+    for region, k0, k1 in chunk:
+        rows.extend(vals[a:a + (k1 - k0) * region.xs.size].reshape(k1 - k0, -1))
+        a += (k1 - k0) * region.xs.size
+        if k1 == len(region.steps):
+            done.append((region, rows))
+            rows = []
+    if not done:
+        return rows, []
+    idx = np.concatenate([region.idx for region, _ in done])
+    # a huge f may overflow in the sum; _check_finite raises on the result
     with np.errstate(over="ignore", invalid="ignore"):
-        for xs, offsets in regions:
-            if xs.size:
-                diff = _difference(f, xs, offsets, order)
-                best = max(best, _weighted_max(xs, grid.weight(xs) * diff))
-    return best
+        prod = weights[idx] * _differences([region_rows for _, region_rows in done])
+    if not np.isfinite(prod).all():  # the points only to name a bad x
+        _check_finite(pts[idx], prod, "weighted value")
+    starts = np.cumsum([0] + [region.xs.size for region, _ in done[:-1]])
+    sups = np.maximum.reduceat(np.abs(prod), starts).tolist()
+    return rows, [(region.h, sup) for (region, _), sup in zip(done, sups)]
 
 
-def _difference(f, xs: np.ndarray, offsets, order: int) -> np.ndarray:
-    """sum_k (-1)^k C(order, k) f(xs + offsets[k]): f takes the points of as many
-    k at once, in k order, as _CALL_POINTS allows, and fails as a call per k."""
-    per_call = max(1, _CALL_POINTS // xs.size)
-    vals = []
-    for j in range(0, len(offsets), per_call):
-        pts = [xs + off for off in offsets[j:j + per_call]]
-        try:
-            vals += np.split(evaluate(f, np.concatenate(pts)), len(pts))
-        except SampleError:
-            # f may refuse a later k's x before an earlier k's NaN is seen
-            for p in pts:
-                evaluate(f, p)
-            raise
-    coeffs = ((-1) ** k * math.comb(order, k) for k in range(len(offsets)))
-    return _compensated_sum(c * v for c, v in zip(coeffs, vals))
+def _differences(rows: list) -> np.ndarray:
+    """sum_k (-1)^k C(order, k) rows[k] for each entry of ``rows``, one list
+    of order + 1 rows of f's values per region, concatenated: one TwoSum
+    cascade over all regions, each term gathered into one buffer."""
+    order = len(rows[0]) - 1
+    term = np.empty(sum(region_rows[0].size for region_rows in rows))
+
+    def terms():
+        # the buffer is refilled once _compensated_sum is done with its term
+        for k in range(order + 1):
+            np.concatenate([region_rows[k] for region_rows in rows], out=term)
+            yield np.multiply(term, (-1) ** k * math.comb(order, k), out=term)
+
+    return _compensated_sum(terms())

@@ -2,6 +2,7 @@
 of the weighted modulus's stencils."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 from bernblend import (DomainError, SampleError, SampleVector, Weight, basis,
                        basis_matrix, basis_row, bernstein_apply_grid, evaluate,
                        harness, lemma6_scan, make_grid, sample_function,
-                       smoothness)
-from bernblend.smoothness import _difference
+                       smoothness, weighted_modulus)
+from bernblend.smoothness import _differences
 
 
 def exact_basis(n: int, k: int, num: int, den: int) -> float:
@@ -576,11 +577,49 @@ class TestSampleVector:
         with pytest.raises(SampleError) as exc:
             SampleVector(4, vals)
         assert exc.value.x == pytest.approx(0.5)
+        # the first bad sample is named by its lattice point k/n
+        with pytest.raises(SampleError, match=re.escape(f"non-finite sample at x={1 / 3!r}")):
+            SampleVector(3, [0.0, np.inf, np.nan, 1.0])
 
     def test_values_frozen(self):
         sv = sample_function(lambda x: x, 4)
         with pytest.raises(ValueError):
             sv.values[0] = 1.0
+
+
+def allocating_sum(terms):
+    """Sum2 with a new array for each operation: the reference for the
+    cascade in buffers that ``basis._compensated_sum`` runs."""
+    terms = iter(terms)
+    total = next(terms)
+    comp = np.zeros_like(total)
+    for term in terms:
+        s = total + term
+        bp = s - total
+        comp += (total - (s - bp)) + (term - bp)
+        total = s
+    return total + comp
+
+
+class TestCompensatedSum:
+    @pytest.mark.parametrize("shape, count", [((5,), 1), ((5,), 2), ((7, 400), 9),
+                                              ((1000,), 17)])
+    def test_buffers_keep_bits(self, shape, count):
+        # also when each term comes in one buffer, refilled for the next
+        rng = np.random.default_rng(count)
+        terms = [rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+                 for _ in range(count)]
+
+        def refilled():
+            buf = np.empty(shape)
+            for term in terms:
+                buf[...] = term
+                yield buf
+
+        want = allocating_sum(terms)
+        for got in (basis._compensated_sum(terms), basis._compensated_sum(refilled())):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestEvaluate:
@@ -664,9 +703,15 @@ def stencil(kind: str, xs: np.ndarray, h: float, r: int) -> list:
     return [(r / 2.0 - k) * h * phi for k in range(r + 1)]
 
 
+def difference(f, xs: np.ndarray, offsets: list, r: int) -> np.ndarray:
+    """The order-r differences at ``xs`` that the weighted modulus takes: f
+    on each stencil offset, summed as its scan sums them."""
+    return _differences([[evaluate(f, xs + off) for off in offsets]])
+
+
 def diff_at(f, kind: str, x: float, h: float, r: int) -> float:
     xs = np.array([x])
-    return float(_difference(f, xs, stencil(kind, xs, h, r), r)[0])
+    return float(difference(f, xs, stencil(kind, xs, h, r), r)[0])
 
 
 KINDS = ["forward_difference", "backward_difference", "symmetric_difference"]
@@ -710,30 +755,35 @@ class TestFiniteDifferences:
             xs = xs[xs - r * h >= 0.0]
         else:
             xs = xs[(xs > 0.1) & (xs < 0.9)]
-        got = _difference(f, xs, stencil(diff, xs, h, r), r)
+        got = difference(f, xs, stencil(diff, xs, h, r), r)
         assert got.shape == xs.shape
         np.testing.assert_array_equal(got, [diff_at(f, diff, x, h, r) for x in xs])
 
     @pytest.mark.parametrize("order", [2, 4, 6])
     def test_regions_match_step_sup(self, order, monkeypatch):
-        # _step_sup differences, region by region, exactly the x whose whole
-        # stencil lies in [0, 1], and returns the max of |w * difference|
+        # the scan of one step h (a ladder of one step) differences, region
+        # by region, exactly the x whose whole stencil lies in [0, 1], and
+        # its modulus is the max of |w * difference|
         weight = Weight(0.513, 1.0)
         grid = make_grid(weight, 401)
         pts = grid.points
         f = lambda x: np.sin(3.0 * x) * np.exp(x)
-        seen = []
+        calls, seen = [], []
 
-        def spy(f, xs, offsets, order):
-            out = _difference(f, xs, offsets, order)
-            seen.append((xs, out))
-            return out
+        def called(x):
+            calls.append(x.copy())
+            return f(x)
 
-        monkeypatch.setattr(smoothness, "_difference", spy)
+        def spy(rows):
+            seen.append(_differences(rows))
+            return seen[-1]
+
+        monkeypatch.setattr(smoothness, "_differences", spy)
+        monkeypatch.setattr(smoothness, "_H_COUNT", 1)
         phi = np.sqrt(pts * (1.0 - pts))
         for h in (0.125, 2.0**-5, 2.0**-9):
             cut = 16.0 * h * h
-            want, regions = 0.0, []
+            want, points, diffs = 0.0, [], []
             # the middle, the strip at 0 and the strip at 1, in that order
             for kind, near in (("symmetric_difference",
                                 (pts >= cut) & (pts <= 1.0 - cut) & (phi > 0.0)),
@@ -744,14 +794,16 @@ class TestFiniteDifferences:
                                  for off in stencil(kind, xs, h, order)], axis=0)
                 xs = xs[inside]
                 if xs.size:
-                    vals = _difference(f, xs, stencil(kind, xs, h, order), order)
-                    regions.append((xs, vals))
-                    want = max(want, float(np.max(np.abs(weight(xs) * vals))))
+                    points += [xs + off for off in stencil(kind, xs, h, order)]
+                    diffs.append(difference(f, xs, stencil(kind, xs, h, order), order))
+                    want = max(want, float(np.max(np.abs(weight(xs) * diffs[-1]))))
+            calls.clear()
             seen.clear()
-            assert smoothness._step_sup(f, grid, order, h) == want
-            assert len(seen) == len(regions)
-            for (xs, vals), (got_xs, got_vals) in zip(regions, seen):
-                assert np.array_equal(got_xs, xs) and np.array_equal(got_vals, vals)
+            assert weighted_modulus(called, order, [h], grid) == (want,)
+            # one call of f and one cascade hold every region of the step
+            assert len(calls) == len(seen) == 1
+            assert np.array_equal(calls[0], np.concatenate(points))
+            assert np.array_equal(seen[0], np.concatenate(diffs))
 
     @given(
         r=st.integers(1, 4),

@@ -327,6 +327,26 @@ class TestBlendEval:
         with pytest.raises(SampleError):
             blend_eval(bad, spec, one(0.5))
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 8])
+    def test_equals_formula_on_all_points(self, r):
+        # the coefficients, computed on the window (b1, b4) alone, give the
+        # values of the blend formula evaluated on every point, bit for bit
+        weight = Weight(0.513, 1.0)
+        spec = BlendSpec(4096, r, weight)
+        xs = np.arange(4097) / 4096
+        f = lambda x: np.abs(x - weight.xi) ** -0.5
+        b1, b2, b3, b4 = spec.breaks
+        t1 = psi_eval(r, (xs - b1) / (b2 - b1))
+        t2 = psi_eval(r, (xs - b3) / (b4 - b3))
+        fcoef, hcoef = 1.0 - t1 + t2, t1 * (1.0 - t2)
+        want = np.zeros(xs.shape)
+        fmask, hmask = fcoef != 0.0, hcoef != 0.0
+        want[fmask] = fcoef[fmask] * f(xs[fmask])
+        want[hmask] += hcoef[hmask] * lagrange_interpolant(f, spec.nodes, xs[hmask])
+        got = blend_eval(f, spec, xs)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_f_calls_in_order(self, spec):
         # with breaks (0.40, 0.45, 0.55, 0.60), f is called exactly twice:
         # first on the points whose f-coefficient is nonzero, in their

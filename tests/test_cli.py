@@ -571,10 +571,11 @@ class TestExitCodes:
 
     @pytest.mark.skipif(resource is None, reason="needs the resource module")
     def test_out_of_memory_exits_3(self):
-        # under a 300 MiB address-space limit the degree-10^6 sweep fails
+        # under a 200 MiB address-space limit the degree-10^6 sweep fails
         # its first large allocation: exit 3 and one line, no traceback;
         # the allocation's size moves with the limit, so it is not checked
-        limit = 300 * 2 ** 20
+        # (the sweep runs in about 280 MiB; numpy's import in about 100)
+        limit = 200 * 2 ** 20
         src = pathlib.Path(bernblend.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "bernblend", "approx", "--r", "3", "--n-list", "1000000"],

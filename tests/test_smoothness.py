@@ -171,13 +171,55 @@ class TestModulusParams:
         # one t scans t, t/2, ..., t/128, in that order
         steps = []
 
-        def step(f, grid, order, h):
+        def regions(pts, phi, order, h):
             steps.append(h)
-            return 0.0
+            return []
 
-        monkeypatch.setattr(smoothness, "_step_sup", step)
+        monkeypatch.setattr(smoothness, "_regions", regions)
         assert weighted_modulus(np.sin, 2, [0.125], grid_center) == (0.0,)
         assert np.array_equal(steps, 0.125 * 0.5 ** np.arange(8))
+
+
+def scan_pieces(order, ts, grid):
+    """The stencil points of each piece (h, region, k) of a scan over ``ts``,
+    in scan order: the distinct steps of the ladders in first-visit order,
+    then the middle, the strip at 0 and the strip at 1, then k = 0..order.
+    A region holds the x of its kind whose whole stencil lies in [0, 1]."""
+    pts = grid.points
+    phi = np.sqrt(pts * (1.0 - pts))
+    ladders = [h for t in ts for h in (t * 0.5 ** np.arange(smoothness._H_COUNT)).tolist()]
+    pieces = []
+    for h in dict.fromkeys(ladders):
+        cut = 16.0 * h * h
+        ks = range(order + 1)
+        for region, (near, offsets) in enumerate((
+                ((pts >= cut) & (pts <= 1.0 - cut) & (phi > 0.0),
+                 [(order / 2.0 - k) * h * phi for k in ks]),
+                (pts <= cut, [(order - k) * h for k in ks]),
+                (pts >= 1.0 - cut, [-k * h for k in ks]))):
+            stencil = [pts + off for off in offsets]
+            keep = near & np.all([(x >= 0.0) & (x <= 1.0) for x in stencil], axis=0)
+            if keep.any():
+                pieces += [(h, region, k, x[keep]) for k, x in enumerate(stencil)]
+    return pieces
+
+
+def packed(sizes, cap):
+    """The sizes of the calls that pack pieces of ``sizes`` in order, at most
+    ``cap`` points a call unless one piece alone holds more."""
+    calls = []
+    for size in sizes:
+        if calls and calls[-1] + size <= cap:
+            calls[-1] += size
+        else:
+            calls.append(size)
+    return calls
+
+
+def first_visit(pieces, n):
+    """A stencil point of piece n that no earlier piece holds."""
+    seen = set(np.concatenate([x for *_, x in pieces[:n]]).tolist())
+    return next(x for x in pieces[n][3].tolist() if x not in seen)
 
 
 def oracle_modulus(f, weight, r2, t, grid, h_count=8):
@@ -233,7 +275,7 @@ class TestModulusOracle:
     @pytest.mark.parametrize("r2", [2, 6])
     def test_calls_per_stencil_offset(self, r2, weight513, grid513):
         # at most one array call per offset, region and h; never one per
-        # grid point (TestModulusCalls pins one call per region)
+        # grid point (TestModulusCalls pins how pieces are packed)
         f = make_function(parse_spec("singular_power:beta=0.5"), weight513)
         sizes = []
 
@@ -247,68 +289,57 @@ class TestModulusOracle:
 
 
 class TestModulusCalls:
-    """One call of f per nonempty region of each distinct step."""
+    """Every stencil point of each distinct step reaches f once, in scan
+    order, in calls of at most _CALL_POINTS points."""
 
     @pytest.mark.parametrize("key", ["singular_power:beta=0.5", "smooth_poly:coeffs=0;1;2"])
-    def test_one_call_per_region(self, key, monkeypatch, weight513, grid513):
+    def test_stencil_points_reach_f_once_in_scan_order(self, key, weight513):
+        grid = make_grid(weight513, 2001)
         f = make_function(parse_spec(key), weight513)
-        sizes, regions, steps = [], [], []
-        difference, step_sup = smoothness._difference, smoothness._step_sup
+        calls = []
 
         def counted(x):
-            sizes.append(x.size)
+            calls.append(x.copy())
             return f(x)
 
-        def region(f, xs, offsets, order):
-            regions.append((order + 1) * xs.size)
-            return difference(f, xs, offsets, order)
-
-        def step(f, grid, order, h):
-            before = len(sizes), len(regions)
-            out = step_sup(f, grid, order, h)
-            steps.append((len(sizes) - before[0], len(regions) - before[1]))
-            return out
-
-        monkeypatch.setattr(smoothness, "_difference", region)
-        monkeypatch.setattr(smoothness, "_step_sup", step)
-        # approx's defaults: 19 distinct steps
+        # approx's defaults: 19 distinct steps, 57 nonempty regions
         ts = [min(1.0 / math.sqrt(n), 0.125) for n in (32, 64, 128, 256, 512, 1024)]
-        weighted_modulus(counted, 4, ts, grid513)
-        assert len(steps) == 19
-        assert all(1 <= calls == nonempty <= 3 for calls, nonempty in steps)
-        # each call takes every stencil point of its region
-        assert sizes == regions
+        weighted_modulus(counted, 4, ts, grid)
+        pieces = scan_pieces(4, ts, grid)
+        assert len({h for h, *_ in pieces}) == 19
+        assert len({(h, region) for h, region, *_ in pieces}) == 57
+        assert np.array_equal(np.concatenate(calls), np.concatenate([x for *_, x in pieces]))
+        sizes = [x.size for *_, x in pieces]
+        assert [x.size for x in calls] == packed(sizes, smoothness._CALL_POINTS)
+        assert len(calls) == 11 and sum(sizes) == 166440
 
     @pytest.mark.parametrize("cap", [1, 500, 2000])
     def test_call_cap_moves_no_bit(self, cap, monkeypatch, weight513):
-        # fewer offsets per call give the same moduli; no call takes more
-        # than the cap unless one offset's points alone exceed it
+        # smaller calls give the same moduli: the calls pack the pieces in
+        # scan order, none above the cap unless one piece alone is, and a
+        # region's pieces then reach f in several calls
         grid = make_grid(weight513, 2001)
         f = make_function(parse_spec("singular_power:beta=0.5"), weight513)
         ts = [0.125 / 2**k for k in range(4)]
         want = [weighted_modulus(f, r2, ts, grid) for r2 in (2, 8)]
-        sizes, regions = [], []
-        difference = smoothness._difference
+        sizes = []
 
         def counted(x):
             sizes.append(x.size)
             return f(x)
 
-        def region(f, xs, offsets, order):
-            regions.append(xs.size)
-            return difference(f, xs, offsets, order)
-
         monkeypatch.setattr(smoothness, "_CALL_POINTS", cap)
-        monkeypatch.setattr(smoothness, "_difference", region)
         assert [weighted_modulus(counted, r2, ts, grid) for r2 in (2, 8)] == want
-        assert max(sizes) <= max(cap, max(regions))
-        assert len(sizes) > len(regions)
+        assert sizes == [size for r2 in (2, 8)
+                         for size in packed([x.size for *_, x in scan_pieces(r2, ts, grid)], cap)]
 
     def test_first_failure_among_offsets(self):
-        # a NaN at offset 0 comes before a refusal at offset 1, as it does
-        # for one call of f per offset
+        # a NaN at offset 0 comes before a refusal at offset 1 of the same
+        # call, as it does for one call of f per offset
         xs = np.array([0.25, 0.5])
-        offsets = [0.125, 0.0, -0.125]
+        # offsets 0.125, 0 and -0.125
+        region = smoothness._Region(0.125, np.arange(2), xs,
+                                    np.array([[0.125], [0.0], [-0.125]]), 1.0)
 
         def f(x):
             if np.any(x == 0.5):
@@ -316,7 +347,7 @@ class TestModulusCalls:
             return np.where(x == 0.625, np.nan, x)
 
         with pytest.raises(SampleError, match="non-finite value of f at x=0.625"):
-            smoothness._difference(f, xs, offsets, 2)
+            smoothness._call(f, [(region, 0, 3)], [], xs, np.ones(2))
 
 
 class TestWeightedModulus:
@@ -414,20 +445,27 @@ class TestSharedLadder:
         assert weighted_modulus(f, 4, [], grid513) == ()
 
     def test_table_scans_each_step_once(self, monkeypatch, weight513, grid513):
-        # the 8-row table t/2^k has the 15 steps t/2^j, j = 0..14
+        # the 8-row table t/2^k has the 15 steps t/2^j, j = 0..14: each
+        # step's regions are built once and its points reach f once
         f = make_function(parse_spec("singular_power:beta=0.5"), weight513)
-        scan = smoothness._step_sup
-        steps = []
+        regions = smoothness._regions
+        steps, calls = [], []
 
-        def counted(f, grid, order, h):
+        def counted(pts, phi, order, h):
             steps.append((order, h))
-            return scan(f, grid, order, h)
+            return regions(pts, phi, order, h)
 
-        monkeypatch.setattr(smoothness, "_step_sup", counted)
+        def seen(x):
+            calls.append(x.copy())
+            return f(x)
+
+        monkeypatch.setattr(smoothness, "_regions", counted)
         table = [0.125 / 2**k for k in range(8)]
-        weighted_modulus(f, 4, table, grid513)
+        weighted_modulus(seen, 4, table, grid513)
         distinct = len(table) - 1 + smoothness._H_COUNT
         assert steps == [(4, 0.125 / 2**j) for j in range(distinct)]
+        want = [x for *_, x in scan_pieces(4, table, grid513)]
+        assert np.array_equal(np.concatenate(calls), np.concatenate(want))
 
     @pytest.mark.parametrize("mode", ["raise", "nan"])
     def test_first_failure_is_the_same(self, mode, weight513, grid513):
@@ -451,3 +489,55 @@ class TestSharedLadder:
         # f's NaN is refused where f is called, at the stencil point itself
         assert shared.value.x == loop.value.x == bad
         assert str(shared.value) == str(loop.value)
+
+    @pytest.mark.parametrize("first, later", [
+        # a NaN at an earlier step's last offset; f refuses a later step's x
+        (("nan", 0, 4), "raise"),
+        # the same, f refusing it with an exception of its own
+        (("nan", 0, 4), "ValueError"),
+        # a non-finite weighted value in an earlier step, a NaN in a later one
+        (("huge", 0, 1), "nan"),
+        # a non-finite weighted value in the second of two regions of a call
+        (("huge", 1, 1), "raise"),
+    ], ids=["nan-then-raise", "nan-then-valueerror", "weighted-then-nan", "second-region"])
+    def test_first_failure_in_scan_order(self, first, later, monkeypatch, weight513,
+                                         grid513):
+        # one call of f holds both bad points, and the later one alone would
+        # fail that call first; the first failure is still that of scan
+        # order, as for a call per t
+        mode, region, k = first
+        ts = [0.125, 0.0625]
+        pieces = scan_pieces(4, ts, grid513)
+        monkeypatch.setattr(smoothness, "_CALL_POINTS", sum(x.size for *_, x in pieces))
+        # the earlier point is first met in piece (region, k) of t 0's last
+        # step, the later one in t 1's one new step
+        steps = list(dict.fromkeys(h for h, *_ in pieces))
+        early = [n for n, p in enumerate(pieces) if p[0] == steps[-2]]
+        region = sorted({pieces[n][1] for n in early})[region]
+        i = next(n for n in early if pieces[n][1:3] == (region, k))
+        j = next(n for n, p in enumerate(pieces) if p[0] == steps[-1])
+        bad_first, bad_later = first_visit(pieces, i), first_visit(pieces, j)
+
+        def flawed(x):
+            x = np.asarray(x, dtype=float)
+            if later == "raise" and np.any(x == bad_later):
+                raise SampleError(f"refused x={bad_later!r}", bad_later)
+            if later == "ValueError" and np.any(x == bad_later):
+                raise ValueError(f"refused x={bad_later!r}")
+            out = np.sin(x)
+            # finite, but -4 times it overflows in the difference
+            out[x == bad_first] = np.nan if mode == "nan" else 1.7e308
+            if later == "nan":
+                out[x == bad_later] = np.nan
+            return out
+
+        with pytest.raises(SampleError) as loop:
+            _per_t(flawed, 4, ts, grid513)
+        with pytest.raises(SampleError) as shared:
+            weighted_modulus(flawed, 4, ts, grid513)
+        assert shared.value.x == loop.value.x
+        assert str(shared.value) == str(loop.value)
+        if mode == "nan":
+            assert str(shared.value) == f"non-finite value of f at x={bad_first!r}"
+        else:
+            assert str(shared.value).startswith("non-finite weighted value at x=")
