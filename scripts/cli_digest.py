@@ -12,8 +12,9 @@ degrees 1..8, whose centre windows reach column 0 or n while the grid's
 rows at x = 0 and 1 lie in them, the blend at r=1 (``approx``) and r=8
 (``approx`` and ``lemma 3``), ``compare`` on the oscillating singular
 function, ``modulus`` at order 8 and a non-dyadic t on that function,
-``modulus`` at order 16 on a 20001-point grid (a region's stencil points
-split across calls of f), and ``approx`` on a cubic and on sin(3 pi x),
+``modulus`` on a 4001-point grid (every step in one call of f per offset,
+each holding all three regions), ``modulus`` at order 16 on a 20001-point
+grid, and ``approx`` on a cubic and on sin(3 pi x),
 so that every catalog kind is pinned.  It prints one ``sha256  argv`` line
 per run of its stdout.  The runs in FAILING must exit nonzero: each prints
 ``exit=N:sha256  argv``, the digest taken over its stdout and then its
@@ -22,7 +23,7 @@ the first failure of a modulus scan and both exits of the smallest-degree
 search.  Diff the output of two checkouts to see whether
 a change moved any printed byte, or save one checkout's output and pass
 it as ``--against``: every line that differs from the saved list is then
-marked ``MOVED``, and the script exits 1 unless all 34 digests match.  A
+marked ``MOVED``, and the script exits 1 unless all 35 digests match.  A
 run of RUNS that exits nonzero prints ``exit=N`` in place of a digest,
 and a run of FAILING that exits 0 prints ``exit=0:sha256``; either makes
 the script exit 1.
@@ -65,6 +66,7 @@ RUNS = (
     ["compare", "--function", "singular_osc:beta=0.5,freq=1", "--r", "3",
      "--n-list", "256,512,1024"],
     ["modulus", "--r", "4", "--t", "0.1", "--function", "singular_osc:beta=0.5,freq=1"],
+    ["modulus", "--grid", "4001"],
     ["modulus", "--r", "8", "--grid", "20001"],
     ["approx", "--function", "smooth_poly:coeffs=0.5;-1;0;2", "--n-list", "64,128,256"],
     ["approx", "--function", "smooth_sin:freq=3"],

@@ -271,7 +271,8 @@ def lemma3_decay(r: int, f: Callable, n_list, grid: EvaluationGrid) -> RateRepor
         spec = BlendSpec(n, r, grid.weight)
         b = spec.breaks
         xs = grid.points[(grid.points >= b[0]) & (grid.points <= b[3])]
-        gap = evaluate(f, xs) - lagrange_interpolant(f, spec.nodes, xs)
+        # a copy: f may hand back a buffer that its next call refills
+        gap = evaluate(f, xs).copy() - lagrange_interpolant(f, spec.nodes, xs)
         values.append(_weighted_max(xs, grid.weight(xs) * gap))
     return build_report(n_list, values)
 

@@ -9,14 +9,14 @@ geometric ladder of h values in (0, t] discretizes the supremum over
 EvaluationGrid was built for, and read it from the grid.
 
 f takes 1-d arrays.  A call over several t scans the distinct steps of
-their ladders once, in first-visit order, as pieces (step, region, stencil
-offset k) packed in that order into calls of f of at most 2^14 points, or of
-one piece that alone holds more: at approx's defaults (order 4, 19 steps,
-2001 points) 11 calls on 166,440 points.  The regions a call completes share
-one TwoSum cascade, one gather of the grid's weights and one max per region;
-a failing call is rerun piece by piece, so its first failure is that of
-scan order.  A region's filter uses the expression of its largest stencil
-offset, so no point leaves [0, 1].
+their ladders once, in first-visit order.  A step's stencil points reach f
+offset by offset, and region by region within an offset: in one call of at
+most 2^14 points, else in one call per offset.  At approx's defaults (order
+4, 19 steps, 2001 points) that is 19 calls on 166,440 points.  A step takes
+one TwoSum cascade, one gather of the grid's weights and one max; should it
+fail, it is rerun region by region with a call per offset, so its first
+failure is that of scan order.  A region's filter uses the expression of
+its largest stencil offset, so no point leaves [0, 1].
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .basis import (_MAX_ORDER, _check_finite, _check_int, _compensated_sum,
                     evaluate)
 from .blend import Weight
-from .errors import DomainError, SampleError
+from .errors import DomainError
 
 _GRID_EXCLUSION = 1e-12
 _CLUSTER_SPAN = 0.05
@@ -41,9 +41,13 @@ _T_CAP = 0.125
 _H_COUNT = 8
 # largest accepted grid size: bounds the run time and memory of one sweep
 _MAX_GRID = 10**6
-# stencil points per call of f, unless one piece holds more: 2^16 took as long
-# at approx's defaults and 1.5 MB more peak RSS; one call on all 17 offsets
-# of a 10^6-point grid took 1.4x the time and 1.6x the RSS
+# a step's stencil points in one call of f, above which it takes one call per
+# offset.  At orders 4 and 16 on grids of 2001, 4001 and 20001 points, 2^13
+# took approx's defaults from 4.0 to 4.6 ms; 2^15 took order 4 on 4001
+# points from 5.6 to 5.1 ms but its traced peak from 0.49 to 0.57 MiB, and
+# order 16 on 2001 points from 0.49 to 0.76 MiB; the rest moved by noise.
+# One call per step at order 16 on a 10^6-point grid took 1.3x the time and
+# 1.8x the RSS
 _CALL_POINTS = 1 << 14
 
 
@@ -137,20 +141,22 @@ def weighted_modulus(f, order: int, ts: Iterable[float],
         raise DomainError("modulus argument t must lie in (0, 1/8]")
     ladders = [(t * 0.5 ** np.arange(_H_COUNT)).tolist() for t in ts]
     # the distinct steps, in first-visit order
-    sups = dict.fromkeys([h for ladder in ladders for h in ladder], 0.0)
+    sups = dict.fromkeys(h for ladder in ladders for h in ladder)
     pts = grid.points
-    weights, rows = grid.weight(pts), []
-    for chunk in _chunks(pts, order, list(sups)):
-        rows, done = _call(f, chunk, rows, pts, weights)
-        for h, sup in done:
-            sups[h] = max(sups[h], sup)
+    phi, weights = np.sqrt(pts * (1.0 - pts)), grid.weight(pts)
+    for h in sups:
+        regions = _regions(pts, phi, order, h)
+        try:
+            sups[h] = _step_sup(f, regions, pts, weights, _CALL_POINTS)
+        except Exception:  # whatever f raises: rerun each region with a call
+            # per offset, so that the first failure is that of scan order
+            sups[h] = max(_step_sup(f, [region], pts, weights, 0) for region in regions)
     return tuple(max(sups[h] for h in ladder) for ladder in ladders)
 
 
 class _Region(NamedTuple):
-    """A region of the step h: its grid indices and points xs, and its
-    stencil offset k, steps[k] * scale (scale 1.0 on the strips)."""
-    h: float
+    """A region of a step: its grid indices and points xs, and its stencil
+    offset k, steps[k] * scale (scale 1.0 on the strips)."""
     idx: np.ndarray
     xs: np.ndarray
     steps: np.ndarray
@@ -170,91 +176,34 @@ def _regions(pts: np.ndarray, phi: np.ndarray, order: int, h: float) -> list[_Re
     regions = ((inner, (order / 2.0 - ks) * h, phi[inner]),
                (np.flatnonzero((pts <= cut) & (pts + order * h <= 1.0)), (order - ks) * h, 1.0),
                (np.flatnonzero((pts >= 1.0 - cut) & (pts - order * h >= 0.0)), -ks * h, 1.0))
-    return [_Region(h, idx, pts[idx], steps[:, None], scale)
+    return [_Region(idx, pts[idx], steps[:, None], scale)
             for idx, steps, scale in regions if idx.size]
 
 
-def _chunks(pts: np.ndarray, order: int, steps: list[float]):
-    """The pieces (region, k) of every step's regions in scan order, packed
-    into lists of at most _CALL_POINTS stencil points, or of one piece that
-    alone holds more.  A list holds runs (region, k0, k1) of one region's
-    pieces k0 <= k < k1; a step's regions are built when its first piece is."""
-    phi = np.sqrt(pts * (1.0 - pts))
-    chunk, size = [], 0
-    for h in steps:
-        for region in _regions(pts, phi, order, h):
-            for k in range(order + 1):
-                if chunk and size + region.xs.size > _CALL_POINTS:
-                    yield chunk
-                    chunk, size = [], 0
-                if chunk and chunk[-1][0] is region:
-                    chunk[-1] = (region, chunk[-1][1], k + 1)
-                else:
-                    chunk.append((region, k, k + 1))
-                size += region.xs.size
-    if chunk:
-        yield chunk
-
-
-def _call(f, chunk: list, rows: list, pts: np.ndarray,
-          weights: np.ndarray) -> tuple[list, list]:
-    """``_evaluate`` on ``chunk``; should it fail, again piece by piece, so
-    that the first failure is that of scan order: f may refuse a later
-    piece's x before an earlier piece's NaN or weighted value is seen."""
-    try:
-        return _evaluate(f, chunk, rows, pts, weights)
-    except Exception:  # whatever f raises: the rerun raises the first failure
-        pieces = [(region, k, k + 1) for region, k0, k1 in chunk for k in range(k0, k1)]
-    done = []
-    for piece in pieces:
-        rows, sups = _evaluate(f, [piece], rows, pts, weights)
-        done += sups
-    return rows, done
-
-
-def _evaluate(f, chunk: list, rows: list, pts: np.ndarray,
-              weights: np.ndarray) -> tuple[list, list]:
-    """f in one call on the stencil points of ``chunk``, after the ``rows``
-    of f's values that the chunk's first region already has.  Returns the
-    rows of the region it leaves incomplete, and (h, sup) for each region
-    it completes: the sup of the grid's weight times its differences."""
-    x, a = np.empty(sum((k1 - k0) * region.xs.size for region, k0, k1 in chunk)), 0
-    for (_, _, xs, steps, scale), k0, k1 in chunk:
-        block = x[a:a + (k1 - k0) * xs.size].reshape(k1 - k0, -1)
-        np.add(xs, np.multiply(steps[k0:k1], scale, out=block), out=block)
-        a += (k1 - k0) * xs.size
-    vals = evaluate(f, x)
-    rows, done, a = list(rows), [], 0
-    for region, k0, k1 in chunk:
-        rows.extend(vals[a:a + (k1 - k0) * region.xs.size].reshape(k1 - k0, -1))
-        a += (k1 - k0) * region.xs.size
-        if k1 == len(region.steps):
-            done.append((region, rows))
-            rows = []
-    if not done:
-        return rows, []
-    idx = np.concatenate([region.idx for region, _ in done])
+def _step_sup(f, regions: list[_Region], pts: np.ndarray, weights: np.ndarray,
+              cap: int) -> float:
+    """max over ``regions`` of the grid's weight times |differences|.  f takes
+    their stencil points offset by offset, and region by region within an
+    offset: in one call if they number at most ``cap``, else in one call per
+    offset.  Each offset's values, times its coefficient, replace its points
+    before f is called again."""
+    if not regions:
+        return 0.0
+    idx = np.concatenate([region.idx for region in regions])
+    vals, a = np.empty((len(regions[0].steps), idx.size)), 0
+    for _, xs, steps, scale in regions:
+        block = vals[:, a:a + xs.size]
+        np.add(xs, np.multiply(steps, scale, out=block), out=block)
+        a += xs.size
+    coeffs = np.array([[(-1) ** k * math.comb(len(vals) - 1, k)] for k in range(len(vals))])
     # a huge f may overflow in the sum; _check_finite raises on the result
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = weights[idx] * _differences([region_rows for _, region_rows in done])
+        if vals.size <= cap:
+            np.multiply(evaluate(f, vals.ravel()).reshape(vals.shape), coeffs, out=vals)
+        else:
+            for row, coeff in zip(vals, coeffs):
+                np.multiply(evaluate(f, row), coeff, out=row)
+        prod = weights[idx] * _compensated_sum(vals)
     if not np.isfinite(prod).all():  # the points only to name a bad x
         _check_finite(pts[idx], prod, "weighted value")
-    starts = np.cumsum([0] + [region.xs.size for region, _ in done[:-1]])
-    sups = np.maximum.reduceat(np.abs(prod), starts).tolist()
-    return rows, [(region.h, sup) for (region, _), sup in zip(done, sups)]
-
-
-def _differences(rows: list) -> np.ndarray:
-    """sum_k (-1)^k C(order, k) rows[k] for each entry of ``rows``, one list
-    of order + 1 rows of f's values per region, concatenated: one TwoSum
-    cascade over all regions, each term gathered into one buffer."""
-    order = len(rows[0]) - 1
-    term = np.empty(sum(region_rows[0].size for region_rows in rows))
-
-    def terms():
-        # the buffer is refilled once _compensated_sum is done with its term
-        for k in range(order + 1):
-            np.concatenate([region_rows[k] for region_rows in rows], out=term)
-            yield np.multiply(term, (-1) ** k * math.comb(order, k), out=term)
-
-    return _compensated_sum(terms())
+    return float(np.max(np.abs(prod)))

@@ -16,7 +16,7 @@ from bernblend import (DomainError, SampleError, SampleVector, Weight, basis,
                        basis_matrix, basis_row, bernstein_apply_grid, evaluate,
                        harness, lemma6_scan, make_grid, sample_function,
                        smoothness, weighted_modulus)
-from bernblend.smoothness import _differences
+from bernblend.basis import _compensated_sum
 
 
 def exact_basis(n: int, k: int, num: int, den: int) -> float:
@@ -706,7 +706,8 @@ def stencil(kind: str, xs: np.ndarray, h: float, r: int) -> list:
 def difference(f, xs: np.ndarray, offsets: list, r: int) -> np.ndarray:
     """The order-r differences at ``xs`` that the weighted modulus takes: f
     on each stencil offset, summed as its scan sums them."""
-    return _differences([[evaluate(f, xs + off) for off in offsets]])
+    return _compensated_sum((-1) ** k * math.comb(r, k) * evaluate(f, xs + off)
+                            for k, off in enumerate(offsets))
 
 
 def diff_at(f, kind: str, x: float, h: float, r: int) -> float:
@@ -774,16 +775,16 @@ class TestFiniteDifferences:
             calls.append(x.copy())
             return f(x)
 
-        def spy(rows):
-            seen.append(_differences(rows))
+        def spy(terms):
+            seen.append(_compensated_sum(terms))
             return seen[-1]
 
-        monkeypatch.setattr(smoothness, "_differences", spy)
+        monkeypatch.setattr(smoothness, "_compensated_sum", spy)
         monkeypatch.setattr(smoothness, "_H_COUNT", 1)
         phi = np.sqrt(pts * (1.0 - pts))
         for h in (0.125, 2.0**-5, 2.0**-9):
             cut = 16.0 * h * h
-            want, points, diffs = 0.0, [], []
+            want, stencils, diffs = 0.0, [], []
             # the middle, the strip at 0 and the strip at 1, in that order
             for kind, near in (("symmetric_difference",
                                 (pts >= cut) & (pts <= 1.0 - cut) & (phi > 0.0)),
@@ -794,15 +795,17 @@ class TestFiniteDifferences:
                                  for off in stencil(kind, xs, h, order)], axis=0)
                 xs = xs[inside]
                 if xs.size:
-                    points += [xs + off for off in stencil(kind, xs, h, order)]
+                    stencils.append([xs + off for off in stencil(kind, xs, h, order)])
                     diffs.append(difference(f, xs, stencil(kind, xs, h, order), order))
                     want = max(want, float(np.max(np.abs(weight(xs) * diffs[-1]))))
             calls.clear()
             seen.clear()
             assert weighted_modulus(called, order, [h], grid) == (want,)
-            # one call of f and one cascade hold every region of the step
+            # one call of f and one cascade hold every region of the step,
+            # its stencil points offset by offset, region by region within
             assert len(calls) == len(seen) == 1
-            assert np.array_equal(calls[0], np.concatenate(points))
+            assert np.array_equal(calls[0], np.concatenate(
+                [x for row in zip(*stencils) for x in row]))
             assert np.array_equal(seen[0], np.concatenate(diffs))
 
     @given(

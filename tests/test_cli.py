@@ -569,18 +569,24 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert out.startswith("usage: bernblend")
 
-    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    @pytest.mark.skipif(resource is None or not os.path.exists("/proc/self/status"),
+                        reason="needs the resource module and /proc/self/status")
     def test_out_of_memory_exits_3(self):
-        # under a 200 MiB address-space limit the degree-10^6 sweep fails
-        # its first large allocation: exit 3 and one line, no traceback;
-        # the allocation's size moves with the limit, so it is not checked
-        # (the sweep runs in about 280 MiB; numpy's import in about 100)
-        limit = 200 * 2 ** 20
+        # the degree-10^6 sweep runs in about 280 MiB.  Under an
+        # address-space limit 64 MiB above the peak of a process that only
+        # imports bernblend (about 100 MiB, mostly numpy), it fails its
+        # first large allocation: exit 3 and one line, no traceback; the
+        # allocation's size moves with the limit, so it is not checked
         src = pathlib.Path(bernblend.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        peak = subprocess.run(
+            [sys.executable, "-c", "import bernblend; print(next(ln.split()[1] for ln in "
+             "open('/proc/self/status') if ln.startswith('VmPeak:')))"],
+            capture_output=True, text=True, timeout=60, env=env, check=True)
+        limit = int(peak.stdout) * 2**10 + 64 * 2**20
         proc = subprocess.run(
             [sys.executable, "-m", "bernblend", "approx", "--r", "3", "--n-list", "1000000"],
-            capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=60, env=env,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: out of memory:")

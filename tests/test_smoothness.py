@@ -10,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bernblend import (DEFAULT_KEYS, DomainError, EvaluationGrid, SampleError,
-                       Weight, make_function, make_grid, parse_spec,
-                       smoothness, weighted_modulus, weighted_norm)
+                       Weight, lemma3_decay, make_function, make_grid,
+                       parse_spec, smoothness, weighted_modulus, weighted_norm)
 
 
 class TestGrid:
@@ -204,16 +204,21 @@ def scan_pieces(order, ts, grid):
     return pieces
 
 
-def packed(sizes, cap):
-    """The sizes of the calls that pack pieces of ``sizes`` in order, at most
-    ``cap`` points a call unless one piece alone holds more."""
+def step_calls(pieces, cap):
+    """The calls of f of a scan of ``pieces``: each step's stencil points
+    offset by offset, and region by region within an offset, in one call if
+    they number at most ``cap``, else in one call per offset."""
     calls = []
-    for size in sizes:
-        if calls and calls[-1] + size <= cap:
-            calls[-1] += size
-        else:
-            calls.append(size)
+    for h in dict.fromkeys(p[0] for p in pieces):
+        step = [p for p in pieces if p[0] == h]
+        rows = [np.concatenate([x for _, _, j, x in step if j == k])
+                for k in sorted({p[2] for p in step})]
+        calls += [np.concatenate(rows)] if sum(x.size for x in rows) <= cap else rows
     return calls
+
+
+def same_calls(calls, want):
+    return len(calls) == len(want) and all(map(np.array_equal, calls, want))
 
 
 def first_visit(pieces, n):
@@ -275,7 +280,7 @@ class TestModulusOracle:
     @pytest.mark.parametrize("r2", [2, 6])
     def test_calls_per_stencil_offset(self, r2, weight513, grid513):
         # at most one array call per offset, region and h; never one per
-        # grid point (TestModulusCalls pins how pieces are packed)
+        # grid point (TestModulusCalls pins the calls)
         f = make_function(parse_spec("singular_power:beta=0.5"), weight513)
         sizes = []
 
@@ -289,8 +294,9 @@ class TestModulusOracle:
 
 
 class TestModulusCalls:
-    """Every stencil point of each distinct step reaches f once, in scan
-    order, in calls of at most _CALL_POINTS points."""
+    """Each distinct step's stencil points reach f once, offset by offset and
+    region by region within an offset: in one call of at most _CALL_POINTS
+    points, or in one call per offset."""
 
     @pytest.mark.parametrize("key", ["singular_power:beta=0.5", "smooth_poly:coeffs=0;1;2"])
     def test_stencil_points_reach_f_once_in_scan_order(self, key, weight513):
@@ -302,52 +308,72 @@ class TestModulusCalls:
             calls.append(x.copy())
             return f(x)
 
-        # approx's defaults: 19 distinct steps, 57 nonempty regions
+        # approx's defaults: 19 distinct steps, 57 nonempty regions, each
+        # step in one call
         ts = [min(1.0 / math.sqrt(n), 0.125) for n in (32, 64, 128, 256, 512, 1024)]
         weighted_modulus(counted, 4, ts, grid)
         pieces = scan_pieces(4, ts, grid)
         assert len({h for h, *_ in pieces}) == 19
         assert len({(h, region) for h, region, *_ in pieces}) == 57
-        assert np.array_equal(np.concatenate(calls), np.concatenate([x for *_, x in pieces]))
-        sizes = [x.size for *_, x in pieces]
-        assert [x.size for x in calls] == packed(sizes, smoothness._CALL_POINTS)
-        assert len(calls) == 11 and sum(sizes) == 166440
+        assert same_calls(calls, step_calls(pieces, smoothness._CALL_POINTS))
+        assert len(calls) == 19 and sum(x.size for x in calls) == 166440
 
     @pytest.mark.parametrize("cap", [1, 500, 2000])
     def test_call_cap_moves_no_bit(self, cap, monkeypatch, weight513):
-        # smaller calls give the same moduli: the calls pack the pieces in
-        # scan order, none above the cap unless one piece alone is, and a
-        # region's pieces then reach f in several calls
+        # smaller calls give the same moduli: a step above the cap reaches
+        # f in one call per offset
         grid = make_grid(weight513, 2001)
         f = make_function(parse_spec("singular_power:beta=0.5"), weight513)
         ts = [0.125 / 2**k for k in range(4)]
         want = [weighted_modulus(f, r2, ts, grid) for r2 in (2, 8)]
-        sizes = []
+        calls = []
 
         def counted(x):
-            sizes.append(x.size)
+            calls.append(x.copy())
             return f(x)
 
         monkeypatch.setattr(smoothness, "_CALL_POINTS", cap)
         assert [weighted_modulus(counted, r2, ts, grid) for r2 in (2, 8)] == want
-        assert sizes == [size for r2 in (2, 8)
-                         for size in packed([x.size for *_, x in scan_pieces(r2, ts, grid)], cap)]
+        assert same_calls(calls, [x for r2 in (2, 8)
+                                  for x in step_calls(scan_pieces(r2, ts, grid), cap)])
 
-    def test_first_failure_among_offsets(self):
+    def test_first_failure_among_offsets(self, monkeypatch, grid_center):
         # a NaN at offset 0 comes before a refusal at offset 1 of the same
-        # call, as it does for one call of f per offset
+        # call: the step's rerun, one call per offset, meets it first
         xs = np.array([0.25, 0.5])
         # offsets 0.125, 0 and -0.125
-        region = smoothness._Region(0.125, np.arange(2), xs,
-                                    np.array([[0.125], [0.0], [-0.125]]), 1.0)
+        region = smoothness._Region(np.arange(2), xs, np.array([[0.125], [0.0], [-0.125]]), 1.0)
+        calls = []
 
         def f(x):
+            calls.append(x.tolist())
             if np.any(x == 0.5):
                 raise SampleError("refused x=0.5", 0.5)
             return np.where(x == 0.625, np.nan, x)
 
+        monkeypatch.setattr(smoothness, "_regions", lambda *args: [region])
+        monkeypatch.setattr(smoothness, "_H_COUNT", 1)
         with pytest.raises(SampleError, match="non-finite value of f at x=0.625"):
-            smoothness._call(f, [(region, 0, 3)], [], xs, np.ones(2))
+            weighted_modulus(f, 2, [0.125], grid_center)
+        assert calls == [[0.375, 0.625, 0.25, 0.5, 0.125, 0.375], [0.375, 0.625]]
+
+    @pytest.mark.parametrize("cap", [smoothness._CALL_POINTS, 1])
+    def test_reused_output_buffer(self, cap, monkeypatch, weight513):
+        # an f that hands back a view of one buffer it reuses gets what an f
+        # of fresh arrays gets, in either call branch and in lemma 3
+        grid = make_grid(weight513, 2001)
+        fresh = lambda x: np.sin(3.0 * x)
+        buffer = np.empty(2**16)
+
+        def reused(x):
+            return np.sin(3.0 * x, out=buffer[:x.size])
+
+        monkeypatch.setattr(smoothness, "_CALL_POINTS", cap)
+        for order in (4, 16):
+            assert (weighted_modulus(reused, order, [0.125], grid)
+                    == weighted_modulus(fresh, order, [0.125], grid))
+        assert (lemma3_decay(2, reused, [64, 256], grid).values
+                == lemma3_decay(2, fresh, [64, 256], grid).values)
 
 
 class TestWeightedModulus:
@@ -464,8 +490,8 @@ class TestSharedLadder:
         weighted_modulus(seen, 4, table, grid513)
         distinct = len(table) - 1 + smoothness._H_COUNT
         assert steps == [(4, 0.125 / 2**j) for j in range(distinct)]
-        want = [x for *_, x in scan_pieces(4, table, grid513)]
-        assert np.array_equal(np.concatenate(calls), np.concatenate(want))
+        want = step_calls(scan_pieces(4, table, grid513), smoothness._CALL_POINTS)
+        assert same_calls(calls, want)
 
     @pytest.mark.parametrize("mode", ["raise", "nan"])
     def test_first_failure_is_the_same(self, mode, weight513, grid513):
@@ -490,33 +516,44 @@ class TestSharedLadder:
         assert shared.value.x == loop.value.x == bad
         assert str(shared.value) == str(loop.value)
 
-    @pytest.mark.parametrize("first, later", [
-        # a NaN at an earlier step's last offset; f refuses a later step's x
-        (("nan", 0, 4), "raise"),
-        # the same, f refusing it with an exception of its own
-        (("nan", 0, 4), "ValueError"),
-        # a non-finite weighted value in an earlier step, a NaN in a later one
-        (("huge", 0, 1), "nan"),
-        # a non-finite weighted value in the second of two regions of a call
-        (("huge", 1, 1), "raise"),
-    ], ids=["nan-then-raise", "nan-then-valueerror", "weighted-then-nan", "second-region"])
-    def test_first_failure_in_scan_order(self, first, later, monkeypatch, weight513,
-                                         grid513):
-        # one call of f holds both bad points, and the later one alone would
-        # fail that call first; the first failure is still that of scan
-        # order, as for a call per t
+    @pytest.mark.parametrize("first, later, one_call", [(*case, one_call) for one_call in (
+        True, False) for case in [
+            # a NaN at an earlier step's last offset; f refuses a later step's x
+            (("nan", 0, 4), ("raise", -1, 0, 0)),
+            # the same, f refusing it with an exception of its own
+            (("nan", 0, 4), ("ValueError", -1, 0, 0)),
+            # a non-finite weighted value in an earlier step, a NaN in a later one
+            (("huge", 0, 1), ("nan", -1, 0, 0)),
+            # a non-finite weighted value in the second of two regions of a step
+            (("huge", 1, 1), ("raise", -1, 0, 0)),
+            # a NaN at the middle's last offset; f refuses an x of the same
+            # step's next region at offset 1, which reaches f first
+            (("nan", 0, 4), ("raise", -2, 1, 1)),
+        ]], ids=[name + branch for branch in ("", "-per-offset") for name in [
+            "nan-then-raise", "nan-then-valueerror", "weighted-then-nan", "second-region",
+            "same-step"]])
+    def test_first_failure_in_scan_order(self, first, later, one_call, monkeypatch,
+                                         weight513, grid513):
+        # the first failure is that of scan order, as for a call per t,
+        # whether a step reaches f in one call or in one call per offset
         mode, region, k = first
+        later, *where = later
         ts = [0.125, 0.0625]
         pieces = scan_pieces(4, ts, grid513)
-        monkeypatch.setattr(smoothness, "_CALL_POINTS", sum(x.size for *_, x in pieces))
-        # the earlier point is first met in piece (region, k) of t 0's last
-        # step, the later one in t 1's one new step
+        cap = sum(x.size for *_, x in pieces) if one_call else 1
+        monkeypatch.setattr(smoothness, "_CALL_POINTS", cap)
         steps = list(dict.fromkeys(h for h, *_ in pieces))
-        early = [n for n, p in enumerate(pieces) if p[0] == steps[-2]]
-        region = sorted({pieces[n][1] for n in early})[region]
-        i = next(n for n in early if pieces[n][1:3] == (region, k))
-        j = next(n for n, p in enumerate(pieces) if p[0] == steps[-1])
-        bad_first, bad_later = first_visit(pieces, i), first_visit(pieces, j)
+
+        def piece(step, region, k):
+            # piece (region, k) of steps[step], region counted among those present
+            found = [n for n, p in enumerate(pieces) if p[0] == steps[step]]
+            region = sorted({pieces[n][1] for n in found})[region]
+            return next(n for n in found if pieces[n][1:3] == (region, k))
+
+        # the earlier point is first met in t 0's last step, the later one
+        # in t 1's one new step or in a later region of the same step
+        bad_first = first_visit(pieces, piece(-2, region, k))
+        bad_later = first_visit(pieces, piece(*where))
 
         def flawed(x):
             x = np.asarray(x, dtype=float)
