@@ -4,7 +4,7 @@
 
 Runs ``python -m bernblend`` from PATH/src (default: this checkout) for
 every subcommand at its defaults, plus ``psi`` at r=8, ``lemma 1`` at
-degrees up to 65536 (basis blocks wider than numpy's buffer, from column
+degrees up to 65536 (basis blocks wider than 2730 columns, from column
 1), ``compare`` and ``bernstein-ineq`` at r=3 on a large-degree ladder,
 ``compare`` at degrees up to 65536 (ladder degrees up to 196608),
 ``lemma 5`` and ``lemma 6`` at degrees up to 262144, ``lemma 5`` at

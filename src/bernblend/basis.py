@@ -140,9 +140,9 @@ def _log_binom_row(n: int) -> np.ndarray:
     return out
 
 
-def _band(n: int, k: np.ndarray, centre: np.ndarray,
+def _band(n: int, lo: int, hi: int, centre: np.ndarray,
           var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions [lo, hi) in ascending columns ``k`` outside which p_nk is +0.0.
+    """Positions [first, last) in columns lo..hi-1 outside which p_nk is +0.0.
 
     Bernstein's inequality bounds p_nk(x) <= exp(-d^2 / (2(n v + d/3)))
     with d = |k - n x| and v = x(1-x).  With L = -_NORMAL_LOG that exponent
@@ -152,12 +152,13 @@ def _band(n: int, k: np.ndarray, centre: np.ndarray,
     ln sqrt(2 pi n v) and more, so the computed logs outside the band lie
     well below _NORMAL_LOG: at least 17.6 below at n = 10^6 and 50 at
     n = 65536 (x in {1e-300, 1e-3, 0.25, 0.5, 0.513, 0.999}), against a
-    roundoff of about eps * n in each log.
+    roundoff of about eps * n in each log.  first and last count the columns
+    k < centre - t and k <= centre + t exactly, by ceil and floor.
     """
     L = -_NORMAL_LOG
     t = L / 3.0 + np.sqrt(L * L / 9.0 + 2.0 * L * n * var) + 1.0
-    return (np.searchsorted(k, centre - t, "left"),
-            np.searchsorted(k, centre + t, "right"))
+    return (np.clip(np.ceil(centre - t) - lo, 0, hi - lo).astype(np.intp),
+            np.clip(np.floor(centre + t) + 1 - lo, 0, hi - lo).astype(np.intp))
 
 
 def _band_blocks(n: int, xs: np.ndarray, lo: int, hi: int, libm: bool = False):
@@ -167,9 +168,8 @@ def _band_blocks(n: int, xs: np.ndarray, lo: int, hi: int, libm: bool = False):
     Yields blocks (rows, a, b, vals, spare) with vals[i, j] = p_{n, lo+a+j}(
     xs[rows[i]]); each row lies in at most one block, and every entry outside
     the blocks is exactly +0.0.  vals and spare, of one shape, view two
-    scratch arrays made once per call at its largest block's size, as k and
-    n - k are made once: they are the consumer's, to overwrite too, until it
-    asks for the next block.
+    scratch arrays made once per call at its largest block's size: they are
+    the consumer's, to overwrite too, until it asks for the next block.
     Rows are taken in sorted groups of _GROUP_ROWS, fewer where bands are
     wide (_BLOCK_ENTRIES).  A group's logs are computed on the union [a, b)
     of its rows' bands (see ``_band``) by the full-width elementwise
@@ -182,28 +182,27 @@ def _band_blocks(n: int, xs: np.ndarray, lo: int, hi: int, libm: bool = False):
     numpy's do not always match.
     """
     logc = _log_binom_row(n)
-    k = np.arange(lo, hi, dtype=float)
-    nk = n - k
     left = xs <= 0.5
-    plan = []  # (k, n - k, ln C(n, k) by k, blocks) of each side of 1/2
+    plan = []  # (row of k in cols, ln C(n, k) by k, blocks) of each side of 1/2
     # x > 1/2 is mirrored: p_{n,k}(x) = p_{n,n-k}(1-x), and 1-x is exact there
-    for rows, p, kk, qq, lc, edge_k in (
-            (np.flatnonzero(left), xs[left], k, nk, logc[lo:hi], 0),
-            (np.flatnonzero(~left), 1.0 - xs[~left], nk, k, logc[::-1][lo:hi], n)):
-        blocks = []  # (rows, ln x, ln(1-x), a, b); ln x is None at x = 0
-        edge = p == 0.0
+    for rows, p, lc, mirrored in ((np.flatnonzero(left), xs[left], logc[lo:hi], False),
+                                  (np.flatnonzero(~left), 1.0 - xs[~left],
+                                   logc[::-1][lo:hi], True)):
+        blocks = []  # (rows, [ln x; 1; ln(1-x)], a, b); None at x = 0
+        edge, edge_k = p == 0.0, n if mirrored else 0
         if edge.any() and lo <= edge_k < hi:
-            blocks.append((rows[edge], None, None, edge_k - lo, edge_k - lo + 1))
+            blocks.append((rows[edge], None, edge_k - lo, edge_k - lo + 1))
         rows, p = rows[~edge], p[~edge]
         if rows.size:
             # the band's centre n*x in the coordinates of k
-            first, last = _band(n, k, n * p if kk is k else n - n * p, p * (1.0 - p))
+            first, last = _band(n, lo, hi, n - n * p if mirrored else n * p, p * (1.0 - p))
             order = np.argsort(p, kind="stable")
             rows, p, first, last = rows[order], p[order], first[order], last[order]
             if libm:
                 log_p, log_q = np.array([(math.log(v), math.log1p(-v)) for v in p.tolist()]).T
             else:
                 log_p, log_q = np.log(p), np.log1p(-p)
+            terms = np.array([log_p, np.ones(p.size), log_q])
             step = min(_GROUP_ROWS, max(1, _BLOCK_ENTRIES // max(1, int((last - first).max()))))
             starts = range(0, p.size, step)
             cuts = []  # [row start, row end, a, b] of each block
@@ -215,27 +214,28 @@ def _band_blocks(n: int, xs: np.ndarray, lo: int, hi: int, libm: bool = False):
                     cuts[-1][1] = end
                 else:
                     cuts.append([g, end, a, b])
-            blocks += [(rows[g:e], log_p[g:e], log_q[g:e], a, b) for g, e, a, b in cuts if a < b]
-        plan.append((kk, qq, lc, blocks))
-    size = max([r.size * (b - a) for *_, blocks in plan for r, *_, a, b in blocks], default=0)
+            blocks += [(rows[g:e], terms[:, g:e].copy(), a, b) for g, e, a, b in cuts if a < b]
+        plan.append((2 if mirrored else 0, lc, blocks))
+    size = max([r.size * (b - a) for *_, blocks in plan for r, _, a, b in blocks], default=0)
+    width = max([b - a for *_, blocks in plan for *_, a, b in blocks], default=0)
     logs, spare = np.empty(size), np.empty(size)
-    for kk, qq, lc, blocks in plan:
-        for rows, log_p, log_q, a, b in blocks:
+    # a block's [k; ln C(n,k); n-k], or [n-k; ln C(n,k); k] if mirrored, goes in cols
+    steps, cols = np.arange(width, dtype=float), np.empty(3 * width)
+    for kr, lc, blocks in plan:
+        for rows, terms, a, b in blocks:
             m, t = (s[:rows.size * (b - a)].reshape(rows.size, b - a) for s in (logs, spare))
-            if log_p is None:
+            if terms is None:
                 m.fill(1.0)
             else:
-                # (ln C(n,k) + ln x * k) + ln(1-x) * (n-k) on columns a:b, ln C added while m
-                # is in cache; multiplies are twice as fast as einsum on rows longer than
-                # np.getbufsize() // 3, and einsum's zero signs are dropped by adding ln C
-                if b - a > np.getbufsize() // 3:
-                    np.multiply(log_p[:, None], kk[a:b], out=m)
-                    m += lc[a:b]
-                    m += np.multiply(log_q[:, None], qq[a:b], out=t)
-                else:
-                    np.einsum("i,j->ij", log_p, kk[a:b], out=m)
-                    m += lc[a:b]
-                    m += np.einsum("i,j->ij", log_q, qq[a:b], out=t)
+                c = cols[:3 * (b - a)].reshape(3, b - a)
+                np.add(steps[:b - a], lo + a, out=c[kr])
+                np.subtract(n, c[kr], out=c[2 - kr])
+                c[1] = lc[a:b]
+                # ((0 + ln x * k) + 1 * ln C(n,k)) + ln(1-x) * (n-k), summed in this order,
+                # unfused: the full-width expression's bits up to a zero's sign.  terms goes in
+                # transposed from C-contiguous rows: as a C-contiguous (rows, 3) array numpy
+                # loops over the three products innermost on one-column blocks, in other bits
+                np.einsum("ik,kj->ij", terms.T, c, out=m)
                 # logs left below _NORMAL_LOG are negative: maximum makes them +0.0
                 np.exp(m, out=m, where=m >= _NORMAL_LOG)
                 np.maximum(m, 0.0, out=m)

@@ -478,19 +478,27 @@ class TestScratchKernel:
     """The scratch kernel and its in-place reductions against
     ``per_block_kernel`` and the reductions it had: equal bits, sign bits too."""
 
-    def test_cases_reach_both_products(self):
-        # the kernel forms a block's outer products by einsum up to
-        # np.getbufsize() // 3 columns and by broadcast multiplies above:
-        # the cases below have blocks of either width on either side of 1/2
-        cut = np.getbufsize() // 3
+    def test_cases_reach_both_shapes(self):
+        # the kernel forms a block's logs in one einsum call, which keeps the
+        # bits of the three-step form only with [ln x; 1; ln(1-x)] transposed
+        # from C-contiguous rows: from a row-major (rows, 3) array numpy loops
+        # over the three products innermost on one-column blocks of two or
+        # more rows, in other bits.  The cases below have such blocks, and
+        # blocks wider than 2730 columns, on either side of 1/2
         seen = set()
         for n in ORACLE_DEGREES:
             for xs in _oracle_points(n).values():
                 for lo, hi in _oracle_windows(n).values():
                     for rows, a, b, *_ in basis._band_blocks(n, xs, lo, hi):
-                        if 0.0 < xs[rows[0]] < 1.0:  # x = 0 and 1 take no product
-                            seen.add((b - a > cut, bool(xs[rows[0]] > 0.5)))
-        assert seen == {(wide, right) for wide in (False, True) for right in (False, True)}
+                        right = bool(xs[rows[0]] > 0.5)
+                        if not 0.0 < xs[rows[0]] < 1.0:  # x = 0 and 1 take no einsum
+                            continue
+                        if b - a == 1 and rows.size >= 2:
+                            seen.add(("column", right))
+                        if b - a > 2730:
+                            seen.add(("wide", right))
+        assert seen == {(shape, right) for shape in ("column", "wide")
+                        for right in (False, True)}
 
     @pytest.mark.parametrize("n", ORACLE_DEGREES)
     def test_matrix_and_row_sums_keep_bits(self, n):
@@ -538,11 +546,45 @@ class TestScratchKernel:
         assert all(same for *_, same in checked), [case for case in checked if not case[2]]
 
 
+class TestEinsumLogs:
+    """The numpy fact the kernel's log expression rests on."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 32, 33])
+    def test_one_call_keeps_three_step_bits(self, rows):
+        # einsum("ik,kj->ij") of [ln x; 1; ln(1-x)] transposed from C-contiguous
+        # rows and [k; ln C(n,k); n-k] adds its three products to zeros in k
+        # order, unfused: ((0 + ln x k) + ln C) + ln(1-x) (n-k), the bits of
+        # (ln x k + ln C) + ln(1-x) (n-k) but for the sign of a zero log, which
+        # exp makes 1.0.  A numpy that reorders the loops or fuses a multiply
+        # and add fails here
+        rng = np.random.default_rng(rows)
+        p = rng.uniform(1e-3, 0.5, rows)
+        log_p, log_q = np.log(p), np.log1p(-p)
+        terms = np.array([log_p, np.ones(rows), log_q])
+        for width in [*range(1, 41), 257, 2731, 4099, 37000]:
+            for start in (0, int(rng.integers(1, 1000))):
+                n = start + width - 1 + int(rng.integers(0, 100))
+                k = np.arange(start, start + width, dtype=float)
+                logc = rng.uniform(0.0, 700.0, width)
+                if start == 0:
+                    logc[0] = 0.0  # (0 + ln x * 0) + 0.0: a signed zero sum
+                one = np.empty((rows, width))
+                np.einsum("ik,kj->ij", terms.T, np.array([k, logc, n - k]), out=one)
+                three = np.multiply(log_p[:, None], k)
+                three += logc
+                three += np.multiply(log_q[:, None], n - k)
+                assert np.array_equal(one, three), (width, start)
+                for m in (one, three):
+                    np.exp(m, out=m, where=m >= basis._NORMAL_LOG)
+                    np.maximum(m, 0.0, out=m)
+                assert _same_bits(one, three), (width, start)
+
+
 class TestRowSumsMemory:
-    # tracemalloc peak of the call over the bytes of its largest block: 2.54
+    # tracemalloc peak of the call over the bytes of its largest block: 2.53
     # at n = 12288 on the 2001-point grid with two weight vectors (the two
-    # scratch arrays, the exp mask, the per-call k and n - k arrays, the
-    # weights).  New arrays in every block, as ``per_block_kernel`` makes
+    # scratch arrays, the exp mask, the per-call [k; ln C; n - k] buffer and
+    # its 0, 1, 2, ... at the widest block's width, the weights).  New arrays in every block, as ``per_block_kernel`` makes
     # them, gave 3.42
     PEAK_BLOCKS = 3.0
 
