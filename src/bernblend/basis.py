@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -113,23 +112,24 @@ def _check_finite(xs, vals: np.ndarray, what: str) -> None:
         raise SampleError(f"non-finite {what} at x={x!r}", x)
 
 
-@lru_cache(maxsize=256)
 def _log_binom_row(n: int) -> np.ndarray:
     """ln C(n,k) for k = 0..n, via a compensated cumulative sum.
 
     The increments ln((n-k+1)/k) are O(1), so a Neumaier running sum keeps
     the absolute error near the representation error of the increments
     instead of eps * |ln C(n,k)| (which reaches ~3e-13 at n = 4096).  Each
-    is libm's log of a float64 quotient, correctly rounded as int / int is.
-    The total, then the compensation, are sequential np.cumsum runs over
-    2^14 increments at a time, each seeded with the last chunk's: the bits
-    of a loop over k, without its n-sized temporaries.
+    is libm's log of a float64 quotient, correctly rounded as int / int is:
+    np.log of a reversed view, which numpy keeps off its SIMD loop, gives
+    math.log's bits (``TestReversedLogs``); contiguous np.log does not.  The
+    total, then the compensation, are sequential np.cumsum runs over 2^14
+    increments at a time, each seeded with the last chunk's: the bits of a
+    loop over k, without its n-sized temporaries.  No row is cached.
     """
     out = np.empty(n + 1)
     out[0] = total = comp = 0.0
     for a in range(1, n + 1, 1 << 14):
         k = np.arange(a, min(a + (1 << 14), n + 1), dtype=float)
-        term = np.fromiter(map(math.log, memoryview((n + 1 - k) / k)), float, k.size)
+        term = np.log(((n + 1 - k) / k)[::-1])[::-1]
         t = np.cumsum(np.concatenate(([total], term)))  # t[j]: the total before term[j]
         c = np.where(np.abs(t[:-1]) >= np.abs(term),
                      (t[:-1] - t[1:]) + term, (term - t[1:]) + t[:-1])
