@@ -337,9 +337,11 @@ def _compensated_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
 
     Ogita-Rump-Oishi Sum2 (SIAM J. Sci. Comput. 2005): the result is as
     accurate as if summed in twice the working precision and then rounded.
+    A term may view a block that the iterable refills for later terms, as
+    ``_moment_terms``' bounded block does: the first is copied, and each is
+    added before the next is taken.
     """
     terms = iter(terms)
-    # a copy: a caller may refill its term's buffer for the next term
     total = np.array(next(terms), dtype=float)
     comp, s, bp, err = (np.zeros_like(total) for _ in range(4))
     for term in terms:

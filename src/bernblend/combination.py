@@ -20,25 +20,16 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .basis import (
-    SampleVector,
-    _check_degree,
-    _check_degrees,
-    _check_int,
-    _check_order,
-    _check_points,
-    _compensated_sum,
-    _dense_rows,
-    bernstein_apply_grid,
-    sample_function,
-)
+from .basis import (SampleVector, _check_degree, _check_degrees, _check_int, _check_order,
+                    _check_points, _compensated_sum, _dense_rows, bernstein_apply_grid,
+                    sample_function)
 # not called here since moment_table builds its rows at once; kept as a module
 # attribute because perfbench/sweeps.py wraps it here to trace calls
 from .basis import basis_row  # noqa: F401
 from .errors import DomainError
 
-# values of k per block of moment_table's streamed terms
-_MOMENT_BLOCK = 64
+# terms (values of k x powers x points) per block of moment_table's stream
+_MOMENT_ENTRIES = 1 << 15
 
 
 def solve_coefficients(nodes: Sequence[int]) -> np.ndarray:
@@ -120,16 +111,19 @@ def _power(d: np.ndarray, m: int) -> np.ndarray:
         d = d * d
 
 
-def _moment_terms(n: int, cols: np.ndarray, powers: Sequence[int],
-                  xs: np.ndarray) -> Iterator[np.ndarray]:
-    """terms[p, i] = cols[k, i] * (k/n - xs[i])^powers[p] for k = 0..n in
-    order, _MOMENT_BLOCK values of k at a time, as views of one block that
-    is refilled: no (n+1) x powers x points array is held, nor a second
-    block.  The refill is safe for ``_compensated_sum``, which copies its
-    first term and is done with each term before it takes the next."""
-    terms = np.empty((min(_MOMENT_BLOCK, n + 1), len(powers), xs.size))
-    for a in range(0, n + 1, _MOMENT_BLOCK):
-        b = min(a + _MOMENT_BLOCK, n + 1)
+def _moment_terms(n: int, powers: Sequence[int], xs: np.ndarray) -> Iterator[np.ndarray]:
+    """terms[p, i] = p_nk(xs[i]) * (k/n - xs[i])^powers[p] for k = 0..n in
+    order, from libm's basis rows built at once, as views of one block of
+    about _MOMENT_ENTRIES terms (at least one k) that is refilled: no
+    (n+1) x powers x points array is held, nor a second block.  Each term is
+    elementwise, so the block size moves no bit.  The refill is safe for
+    ``_compensated_sum``, which copies its first term and is done with each
+    term before it takes the next; the rows go when the last term is taken."""
+    cols = _dense_rows(n, xs, True).T
+    step = max(1, _MOMENT_ENTRIES // max(1, len(powers) * xs.size))
+    terms = np.empty((min(step, n + 1), len(powers), xs.size))
+    for a in range(0, n + 1, step):
+        b = min(a + step, n + 1)
         d = (np.arange(a, b) / n)[:, None] - xs
         for p, power in enumerate(powers):
             np.multiply(cols[a:b], _power(d, power), out=terms[:b - a, p])
@@ -141,14 +135,12 @@ def moment_table(
 ) -> np.ndarray:
     """Array M[p, i] = sum_j C_j B_{n_j}((t - x)^powers[p], x) at x = xs[i].
 
-    Sums one matrix of ``basis_row`` rows per degree, built in one call
-    (numpy's logs, not libm's, move a benchmark entry past 1e-15), times
-    ``_power`` products, streamed in k order by ``_moment_terms``."""
+    Sums each degree's ``basis_row`` rows (numpy's logs, not libm's, move a
+    benchmark entry past 1e-15) times ``_power`` products, streamed in k
+    order by ``_moment_terms``, one degree's rows at a time."""
     powers = [_check_int(p, "moment power", 0) for p in powers]
     xs = _check_points(xs)
     out = np.zeros((len(powers), xs.size))
     for c, n in zip(scheme.coeffs.tolist(), scheme.nodes):
-        rows = None  # the previous degree's matrix goes before the next is built
-        rows = _dense_rows(n, xs, True)
-        out += c * _compensated_sum(_moment_terms(n, rows.T, powers, xs))
+        out += c * _compensated_sum(_moment_terms(n, powers, xs))
     return out

@@ -140,6 +140,21 @@ def build_report(ns, values, extras: Mapping[str, object] | None = None,
                       gamma_hat=gamma, extras=dict(extras or {}))
 
 
+def _apply_ladder(op: ModifiedOperator, f: Callable, applied: list[dict], xs: np.ndarray,
+                  plain: bool, order: int) -> None:
+    """Add to ``applied`` the grid applies of ``op``'s new degrees, each degree's
+    sample sets in one ``_row_sums`` call; the samples go when it returns."""
+    sets = {d: [sample_function(f, d)] if plain else []
+            for d in op.scheme.nodes if d not in applied[0]}
+    for sv in operators.blended_samples(op, f):
+        if sv.n in sets:
+            sets[sv.n].append(sv)
+    for d, svs in sets.items():
+        weights = [lattice_derivative(sv, order).values if order else sv.values for sv in svs]
+        for out, row in zip(applied, _row_sums(d - order, xs, weights)):
+            out[d] = row
+
+
 def _sweep(config: SweepConfig, f: Callable, value: Callable[[np.ndarray], float],
            plain: bool = False, order: int = 0) -> list[list[float]]:
     """``value`` of each n's combination on the grid, one list per sample set.
@@ -147,28 +162,17 @@ def _sweep(config: SweepConfig, f: Callable, value: Callable[[np.ndarray], float
     The sample sets of a ladder degree are f's own lattice samples (with
     ``plain``) and its blended samples, in that order; with ``order``, each
     goes through ``lattice_derivative`` first.  A blend spec depends only on
-    (degree, r, weight), so a degree that several ladders share keeps the
-    samples of its first ladder, and all its sets are applied in one
-    ``_row_sums`` call shared by every n.  Every ladder is still sampled
-    whole through ``operators.blended_samples``, looked up on the module so
-    that a wrapper put there (the benchmark's blend-gap trace) sees each
-    ladder's samples.  Degrees are visited n by n in ladder order, direct
-    samples of a ladder before its blended ones, so the first failure is
-    the one a per-n sweep would meet first.
+    (degree, r, weight), so a degree that several ladders share is applied
+    once, for its first ladder.  Ladder by ladder, n by n: the new degrees'
+    direct samples, the ladder's blended ones through
+    ``operators.blended_samples`` (looked up on the module, so that a wrapper
+    there, the benchmark's blend-gap trace, sees every ladder), then the new
+    degrees' applies.  So one ladder's samples are held at a time, and the
+    first failure is the one a per-n sweep would meet first.
     """
-    sets = {}  # degree -> its sample vectors
-    for op in config.ops:
-        new = [d for d in op.scheme.nodes if d not in sets]
-        for d in new:
-            sets[d] = [sample_function(f, d)] if plain else []
-        for sv in operators.blended_samples(op, f):
-            if sv.n in new:
-                sets[sv.n].append(sv)
     applied = [{} for _ in range(1 + plain)]
-    for d, svs in sets.items():
-        weights = [lattice_derivative(sv, order).values if order else sv.values for sv in svs]
-        for out, row in zip(applied, _row_sums(d - order, config.grid.points, weights)):
-            out[d] = row
+    for op in config.ops:
+        _apply_ladder(op, f, applied, config.grid.points, plain, order)
     return [[value(combine_applied(op.scheme, a)) for op in config.ops] for a in applied]
 
 

@@ -73,9 +73,10 @@ def lattice_derivative(sv: SampleVector, order: int) -> SampleVector:
     n!/(n-order)! times the order-th forward lattice differences of ``sv``."""
     # no differences for n < order; SampleVector then refuses the degree
     m = max(sv.n + 1 - order, 0)
-    # dm_k = sum_j (-1)^j C(order, j) values[k + order - j], for all k at once
-    terms = [(-1) ** j * math.comb(order, j) * sv.values[order - j:order - j + m]
-             for j in range(order + 1)]
+    # dm_k = sum_j (-1)^j C(order, j) values[k + order - j], for all k at once, one j
+    # at a time into the cascade
+    terms = ((-1) ** j * math.comb(order, j) * sv.values[order - j:order - j + m]
+             for j in range(order + 1))
     return SampleVector(sv.n - order, float(math.perm(sv.n, order)) * _compensated_sum(terms))
 
 

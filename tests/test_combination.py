@@ -15,8 +15,9 @@ from bernblend import (CombinationScheme, DomainError, SampleVector, Weight,
                        bernstein_apply_grid, build_scheme, combine, combine_samples,
                        make_function, make_grid, moment_table, parse_spec,
                        sample_function, solve_coefficients, weighted_norm)
-from bernblend.basis import _compensated_sum
-from bernblend.combination import _MOMENT_BLOCK, _power
+from bernblend import combination
+from bernblend.basis import _MERGE_ENTRIES, _compensated_sum
+from bernblend.combination import _MOMENT_ENTRIES, _power
 
 
 def exact_power(d: float, m: int) -> float:
@@ -303,15 +304,29 @@ class TestMoments:
             got = moment_table(scheme, powers, xs)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.parametrize("n", [_MOMENT_BLOCK - 2, _MOMENT_BLOCK - 1,
-                                   _MOMENT_BLOCK, 2 * _MOMENT_BLOCK - 1])
-    def test_blocks_match_one_shot_sum(self, n):
-        # n + 1 below, at, one above and twice the block of streamed k
+    @pytest.mark.parametrize("n", [62, 63, 64, 127, 2000])
+    def test_blocks_match_one_shot_sum(self, n, monkeypatch):
+        # blocks of 1 and 2 values of k, the default budget (910 k here, so
+        # n = 2000 takes three blocks, the last of 181 k) and one block of
+        # every k: the same bits, zeros' signs too
         scheme = CombinationScheme(n, 1)
         xs = np.array([0.0, 1e-9, 0.3, 0.5, 0.77, 1.0])
         powers = [0, 1, 2, 3, 5, 6]
-        np.testing.assert_array_equal(moment_table(scheme, powers, xs),
-                                      one_shot_moment_table(scheme, powers, xs))
+        want = one_shot_moment_table(scheme, powers, xs).view(np.uint64)
+        per_k = len(powers) * xs.size
+        for budget in (per_k, 2 * per_k, _MOMENT_ENTRIES, (n + 1) * per_k):
+            monkeypatch.setattr(combination, "_MOMENT_ENTRIES", budget)
+            got = moment_table(scheme, powers, xs).view(np.uint64)
+            np.testing.assert_array_equal(got, want, err_msg=str(budget))
+
+    @pytest.mark.parametrize("budget", [1, _MOMENT_ENTRIES])
+    def test_empty_tables(self, budget, monkeypatch):
+        # no powers, no points or neither: no block size divides by zero
+        monkeypatch.setattr(combination, "_MOMENT_ENTRIES", budget)
+        scheme = build_scheme(32, 2)
+        for powers, xs, shape in (([], [0.2, 0.4, 0.6], (0, 3)), ([0, 1], [], (2, 0)),
+                                  ([], [], (0, 0))):
+            assert moment_table(scheme, powers, xs).shape == shape
 
     def test_low_powers_keep_numpy_power_bits(self):
         # the benchmark reference stores these rows' roundoff
@@ -330,8 +345,12 @@ class TestMoments:
 
     def test_no_terms_cube(self):
         # 13 row matrices with every term held at once.  Streamed, the peak
-        # is the largest degree's rows plus one refilled block of terms:
-        # 1.64 blocks past the rows measured, 2.64 with a new block per refill
+        # is the largest degree's rows (2.46 MB) plus the scratch of their
+        # build: two band blocks of at most _MERGE_ENTRIES entries each
+        # (49,216 at degree 768), 0.93 MB past the rows measured.  A block of terms
+        # (2,800 per k) with its power temporaries and the cascade's buffers
+        # stays under that, 0.50 MB at the default budget, against 2.37 MB
+        # with blocks of 64 k
         scheme, xs = build_scheme(256, 3), np.random.default_rng(3).random(400)
         tracemalloc.start()
         try:
@@ -340,7 +359,7 @@ class TestMoments:
         finally:
             tracemalloc.stop()
         rows = xs.size * (scheme.nodes[-1] + 1) * 8
-        assert peak < rows + 2 * _MOMENT_BLOCK * 7 * xs.size * 8
+        assert peak < rows + 2 * _MERGE_ENTRIES * 8, peak - rows
 
     def test_points_validation(self):
         scheme = build_scheme(32, 1)
@@ -349,8 +368,6 @@ class TestMoments:
                 moment_table(scheme, [1], bad)
         with pytest.raises(DomainError, match=r"x must lie in \[0,1\], got nan"):
             moment_table(scheme, [1], [0.5, float("nan")])
-        assert moment_table(scheme, [0, 1], []).shape == (2, 0)
-        assert moment_table(scheme, [], [0.2, 0.4, 0.6]).shape == (0, 3)
 
     def test_power_validation(self):
         scheme = build_scheme(32, 1)

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,6 +401,54 @@ class TestSharedDegrees:
             seen.clear()
             sweep(cfg)
             assert [tuple(nodes) for nodes in seen] == ladders
+
+    def test_each_ladder_applied_before_the_next_is_sampled(self, weight513,
+                                                            monkeypatch):
+        # r = 3 ladders share degrees: (256, 512, 768), (512, 1024, 1536), ...
+        events = []
+        sample, apply = operators.blended_samples, harness._row_sums
+
+        def sampling(op, f):
+            events.append(("sample", op.scheme.nodes))
+            return sample(op, f)
+
+        def applying(n, xs, weights, lo=0):
+            events.append(("apply", n, len(weights)))
+            return apply(n, xs, weights, lo)
+
+        monkeypatch.setattr(operators, "blended_samples", sampling)
+        monkeypatch.setattr(harness, "_row_sums", applying)
+        cfg = SweepConfig(3, weight513, "singular_power:beta=0.5",
+                          (256, 512, 1024, 2048), 401)
+        compare_plain_vs_modified(cfg)
+        want, done = [], set()
+        for n in cfg.n_list:
+            nodes = (n, 2 * n, 3 * n)
+            want.append(("sample", nodes))
+            # the plain and the blended samples of each new degree, in one call
+            want += [("apply", d, 2) for d in nodes if d not in done]
+            done.update(nodes)
+        assert events == want
+
+    def test_holds_one_ladder_of_samples(self, weight513):
+        # the multi-n sweep's tracemalloc peak against its last ladder swept
+        # alone, which holds that ladder's samples (all three of its degrees
+        # new there) and one apply's scratch; a sweep that kept every
+        # degree's samples until the end held 1.6 MB more
+        def peak(ns):
+            cfg = SweepConfig(3, weight513, "singular_power:beta=0.5", ns, 101)
+            tracemalloc.start()
+            try:
+                check_bernstein_inequality(cfg, 0.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ns = (16384, 32768, 65536)
+        alone, multi = peak(ns[-1:]), peak(ns)
+        # the grid applies every degree keeps for the combination
+        applies = 8 * 101 * len({d for n in ns for d in (n, 2 * n, 3 * n)})
+        assert multi <= alone + applies, (multi, alone)
 
 
 class TestLemmaScans:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -139,6 +140,21 @@ class TestDerivative:
         for n in (1, 3, 4):
             with pytest.raises(DomainError):
                 lattice_derivative(SampleVector(n, np.ones(n + 1)), 4)
+
+    @pytest.mark.parametrize("order", [1, 6, 16])
+    def test_lattice_derivative_holds_one_term(self, order):
+        # the cascade's five buffers, the term it adds, and the scaled result:
+        # 7 vectors at any order; with all order + 1 terms built first, 8 at
+        # order 1, 13 at order 6 and 23 at order 16
+        n = 100_000
+        sv = SampleVector(n, np.sin(np.arange(n + 1) / n))
+        tracemalloc.start()
+        try:
+            lattice_derivative(sv, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * 8 * (n + 1), peak / (8 * (n + 1))
 
     # the worst |got - fsum| over these cases is 2.5 eps * sum |terms|
     # (r = 3, base 128)
