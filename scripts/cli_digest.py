@@ -8,7 +8,8 @@ degrees up to 65536 (basis blocks wider than 2730 columns, from column
 1), ``compare`` and ``bernstein-ineq`` at r=3 on a large-degree ladder,
 ``compare`` at degrees up to 65536 (ladder degrees up to 196608),
 ``approx`` at r=3 on a ladder whose degrees the n share, ``lemma 5`` and
-``lemma 6`` at degrees up to 262144, ``lemma 5`` at
+``lemma 6`` at degrees up to 262144 (``lemma 6`` also at beta=0.5, a
+non-integer power of |k - n x|), ``lemma 5`` at
 degrees 1..8, whose centre windows reach column 0 or n while the grid's
 rows at x = 0 and 1 lie in them, the blend at r=1 (``approx``) and r=8
 (``approx`` and ``lemma 3``), ``compare`` on the oscillating singular
@@ -24,7 +25,7 @@ the first failure of a modulus scan and both exits of the smallest-degree
 search.  Diff the output of two checkouts to see whether
 a change moved any printed byte, or save one checkout's output and pass
 it as ``--against``: every line that differs from the saved list is then
-marked ``MOVED``, and the script exits 1 unless all 36 digests match.  A
+marked ``MOVED``, and the script exits 1 unless all 37 digests match.  A
 run of RUNS that exits nonzero prints ``exit=N`` in place of a digest,
 and a run of FAILING that exits 0 prints ``exit=0:sha256``; either makes
 the script exit 1.
@@ -61,6 +62,7 @@ RUNS = (
     ["lemma", "5", "--n-list", "1024,4096,16384,65536,262144"],
     ["lemma", "5", "--n-list", "1,2,3,4,8"],
     ["lemma", "6", "--n-list", "1024,4096,16384,65536,262144"],
+    ["lemma", "6", "--beta", "0.5", "--n-list", "1024,4096,16384,65536,262144"],
     ["approx", "--r", "1"],
     ["approx", "--r", "8", "--n-list", "64,128"],
     ["approx", "--r", "3", "--n-list", "4096,8192,16384"],

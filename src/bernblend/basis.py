@@ -19,7 +19,7 @@ columns.
 
 ``_band_blocks`` computes the basis values of every array evaluation on one
 column range, each row on its Bernstein band alone (``_band``), block by
-block in two scratch arrays per call, which the consumer owns until it asks
+block in one scratch array per call, which the consumer owns until it asks
 for the next block.  ``_dense_rows`` scatters the blocks into zeros: with
 numpy's logs for ``basis_matrix``, with libm's for ``basis_row`` and
 moment_table.  The applies and lemma scans sum each block over its band in
@@ -165,11 +165,11 @@ def _band_blocks(n: int, xs: np.ndarray, lo: int, hi: int, libm: bool = False):
     """The nonzero basis values p_{nk}(xs[i]), lo <= k < hi, of checked
     arguments, with 0 <= lo <= hi <= n + 1.
 
-    Yields blocks (rows, a, b, vals, spare) with vals[i, j] = p_{n, lo+a+j}(
+    Yields blocks (rows, a, b, vals) with vals[i, j] = p_{n, lo+a+j}(
     xs[rows[i]]); each row lies in at most one block, and every entry outside
-    the blocks is exactly +0.0.  vals and spare, of one shape, view two
-    scratch arrays made once per call at its largest block's size: they are
-    the consumer's, to overwrite too, until it asks for the next block.
+    the blocks is exactly +0.0.  vals views one scratch array made once per
+    call at its largest block's size: it is the consumer's, to overwrite
+    too, until it asks for the next block.
     Rows are taken in sorted groups of _GROUP_ROWS, fewer where bands are
     wide (_BLOCK_ENTRIES).  A group's logs are computed on the union [a, b)
     of its rows' bands (see ``_band``) by the full-width elementwise
@@ -218,12 +218,12 @@ def _band_blocks(n: int, xs: np.ndarray, lo: int, hi: int, libm: bool = False):
         plan.append((2 if mirrored else 0, lc, blocks))
     size = max([r.size * (b - a) for *_, blocks in plan for r, _, a, b in blocks], default=0)
     width = max([b - a for *_, blocks in plan for *_, a, b in blocks], default=0)
-    logs, spare = np.empty(size), np.empty(size)
+    logs = np.empty(size)
     # a block's [k; ln C(n,k); n-k], or [n-k; ln C(n,k); k] if mirrored, goes in cols
     steps, cols = np.arange(width, dtype=float), np.empty(3 * width)
     for kr, lc, blocks in plan:
         for rows, terms, a, b in blocks:
-            m, t = (s[:rows.size * (b - a)].reshape(rows.size, b - a) for s in (logs, spare))
+            m = logs[:rows.size * (b - a)].reshape(rows.size, b - a)
             if terms is None:
                 m.fill(1.0)
             else:
@@ -239,7 +239,7 @@ def _band_blocks(n: int, xs: np.ndarray, lo: int, hi: int, libm: bool = False):
                 # logs left below _NORMAL_LOG are negative: maximum makes them +0.0
                 np.exp(m, out=m, where=m >= _NORMAL_LOG)
                 np.maximum(m, 0.0, out=m)
-            yield rows, a, b, m, t
+            yield rows, a, b, m
 
 
 def _dense_rows(n: int, xs: np.ndarray, libm: bool) -> np.ndarray:
@@ -247,7 +247,7 @@ def _dense_rows(n: int, xs: np.ndarray, libm: bool) -> np.ndarray:
     blocks of ``_band_blocks`` (with libm's logs or numpy's) scattered into
     zeros, which is the full-width matrix with entries under 2^-1022 as +0.0."""
     out = np.zeros((xs.size, n + 1))
-    for rows, a, b, vals, _ in _band_blocks(n, xs, 0, n + 1, libm):
+    for rows, a, b, vals in _band_blocks(n, xs, 0, n + 1, libm):
         out[rows, a:b] = vals
     return out
 
@@ -268,17 +268,17 @@ def _row_sums(n: int, xs: np.ndarray, weights: Sequence[np.ndarray], lo: int = 0
     ``weights``, all of length m, at a checked degree n.
 
     One numpy sum per ``_band_blocks`` block and weight over its columns
-    alone (every entry left out is +0.0), of products formed in the block's
-    spare (the last weight's in vals): deterministic run to run and at any
-    thread count, within a few eps * sum |p w| of the exact sum.
+    alone (every entry left out is +0.0), of products in a new array, the
+    last weight's in vals, with no copy of any w: deterministic run to run
+    and at any thread count, within a few eps * sum |p w| of the exact sum.
     """
     xs = _check_points(xs)
-    w = np.array(weights, dtype=float)
-    out = np.zeros((w.shape[0], xs.size))
-    for rows, a, b, vals, spare in _band_blocks(n, xs, lo, lo + w.shape[1]):
-        for j in range(w.shape[0]):
-            prod = vals if j == w.shape[0] - 1 else spare
-            out[j, rows] = np.multiply(vals, w[j, a:b], out=prod).sum(axis=-1)
+    *head, last = (np.asarray(w, dtype=float) for w in weights)
+    out = np.zeros((len(head) + 1, xs.size))
+    for rows, a, b, vals in _band_blocks(n, xs, lo, lo + last.size):
+        for j, w in enumerate(head):
+            out[j, rows] = (vals * w[a:b]).sum(axis=-1)
+        out[-1, rows] = np.multiply(vals, last[a:b], out=vals).sum(axis=-1)
     return list(out)
 
 

@@ -323,9 +323,8 @@ def lemma6_scan(beta: float, weight: Weight, n_list,
             raise DomainError(f"beta={beta!r}, alpha={weight.alpha!r}: |k - n x|^beta "
                               f"or n^(beta - alpha/2) leaves double range at n={n}")
         lhs = np.zeros(xs.size)
-        for rows, a, b, vals, d in _band_blocks(n, xs, lo, hi):
-            np.abs(np.subtract(ks[a:b], n * xs[rows, None], out=d), out=d)
-            d **= beta
+        for rows, a, b, vals in _band_blocks(n, xs, lo, hi):
+            d = np.abs(ks[a:b] - n * xs[rows, None]) ** beta
             lhs[rows] = np.multiply(vals, d, out=vals).sum(axis=-1)
         phi_b = (xs * (1.0 - xs)) ** (beta / 2.0)
         values.append(float(np.max(weight(xs) * lhs / (scale * phi_b))))

@@ -182,7 +182,7 @@ def window_matrix(n, xs, lo, hi):
     on that range scattered into zeros, as ``basis_matrix`` scatters all n + 1."""
     xs = np.asarray(xs, dtype=float)
     out = np.zeros((xs.size, hi - lo))
-    for rows, a, b, vals, _ in basis._band_blocks(n, xs, lo, hi):
+    for rows, a, b, vals in basis._band_blocks(n, xs, lo, hi):
         out[rows, a:b] = vals
     return out
 
@@ -309,7 +309,7 @@ class TestBandedMatrix:
                 window = logs[:, lo:hi]
                 flushed += np.count_nonzero((window >= -745.13) & (window < basis._NORMAL_LOG))
                 # each block as it is yielded: the next one reuses its scratch
-                for *_, vals, _ in basis._band_blocks(n, xs, lo, hi):
+                for *_, vals in basis._band_blocks(n, xs, lo, hi):
                     check(vals)
             for x in xs:
                 check(basis_row(n, float(x)))
@@ -608,18 +608,21 @@ class TestReversedLogs:
 
 
 class TestRowSumsMemory:
-    # tracemalloc peak of a first call over the bytes of its largest block:
-    # 2.61 at n = 12288 on the 2001-point grid with two weight vectors (the
-    # two scratch arrays, the exp mask, the per-call [k; ln C; n - k] buffer
-    # and its 0, 1, 2, ... at the widest block's width, the ln C(n, k) row
-    # the call builds, the weights).  New arrays in every block, as
-    # ``per_block_kernel`` makes them, gave 3.42 with the row built beforehand
+    # tracemalloc peak of a first call over the bytes of its largest block,
+    # at n = 12288 on the 2001-point grid.  With two weight vectors: 2.33
+    # (the scratch array and the first vector's products in a new array, the
+    # per-call [k; ln C; n - k] buffer and its 0, 1, 2, ... at the widest
+    # block's width, the ln C(n, k) row the call builds); 2.61 with a second
+    # scratch array and a stacked copy of the weights.  New arrays in every
+    # block, as ``per_block_kernel`` makes them, gave 3.42 with the row built
+    # beforehand.  With one vector: 1.45 (the scratch array and the exp mask
+    # over it, the buffers and the row), 2.53 with the second scratch array
+    # and the copy, so a bound of 1.8 holds no second block-sized array
     PEAK_BLOCKS = 3.0
+    ONE_SET_PEAK_BLOCKS = 1.8
 
-    def test_peak_within_block_multiple(self):
-        n = 12288
-        xs = make_grid(Weight(0.513, 1.0), 2001).points
-        weights = list(_weights(n + 1, n).values())[:2]
+    @staticmethod
+    def _peak_and_held(n, xs, weights):
         tracemalloc.start()
         try:
             sums = basis._row_sums(n, xs, weights)
@@ -630,9 +633,22 @@ class TestRowSumsMemory:
             tracemalloc.stop()
         largest = 8 * max(rows.size * (b - a) for rows, a, b, *_ in
                           basis._band_blocks(n, xs, 0, n + 1))
-        assert peak <= self.PEAK_BLOCKS * largest, peak / largest
+        return peak / largest, held / largest
+
+    def test_peak_within_block_multiple(self):
+        n = 12288
+        xs = make_grid(Weight(0.513, 1.0), 2001).points
+        peak, held = self._peak_and_held(n, xs, list(_weights(n + 1, n).values())[:2])
+        assert peak <= self.PEAK_BLOCKS, peak
         # no scratch and no ln C(n, k) row (98 KB) is kept for the next call
-        assert held <= largest / 64, held
+        assert held <= 1 / 64, held
+
+    def test_one_set_reads_weights_in_place(self):
+        n = 12288
+        xs = make_grid(Weight(0.513, 1.0), 2001).points
+        peak, held = self._peak_and_held(n, xs, [_weights(n + 1, n)["signed"]])
+        assert peak <= self.ONE_SET_PEAK_BLOCKS, peak
+        assert held <= 1 / 64, held
 
 
 class TestSampleVector:
