@@ -25,8 +25,11 @@ the first failure of a modulus scan and both exits of the smallest-degree
 search.  Diff the output of two checkouts to see whether
 a change moved any printed byte, or save one checkout's output and pass
 it as ``--against``: every line that differs from the saved list is then
-marked ``MOVED``, and the script exits 1 unless all 37 digests match.  A
-run of RUNS that exits nonzero prints ``exit=N`` in place of a digest,
+marked ``MOVED``, and the script exits 1 unless all 37 digests match.
+``scripts/cli_digests.txt`` is this output for the tree it is committed
+with, so ``--against scripts/cli_digests.txt`` checks a working tree: a
+change that moves a digest on purpose rewrites that file in the same
+commit, and its diff lists the moved runs.  A run of RUNS that exits nonzero prints ``exit=N`` in place of a digest,
 and a run of FAILING that exits 0 prints ``exit=0:sha256``; either makes
 the script exit 1.
 Standard library only.

@@ -2,13 +2,14 @@
 
 Each subcommand, and each scan of ``lemma``, is one ``_COMMANDS`` entry: its
 help, the keys it reads with their defaults and its handler, which returns a
-report (``coeffs``, ``psi`` and ``compare`` write their own).  The parser,
-the config file check and the dispatch all read that table; ``_FLAGS`` gives
-each key's flag.  ``--out`` writes the report as CSV or JSON, otherwise the
-same bytes go to stdout.  ``--config`` names a JSON file of flag values:
-explicit flags win, and a flag or file key that the entry does not read is
-bad configuration.  ``_parse_value`` parses flag text and file values alike;
-its errors name the flag or the key.
+report (``coeffs``, ``psi`` and ``compare`` write their own).  Each entry has
+one parser, holding exactly the flags of the keys it reads (``_FLAGS`` gives
+each key's flag); the config file check and the dispatch read the same
+table.  ``--out`` writes the report as CSV or JSON, otherwise the same bytes
+go to stdout.  ``--config`` names a JSON file of flag values: explicit flags
+win, and a flag or file key that the entry does not read is bad
+configuration.  ``_parse_value`` parses flag text and file values alike; its
+errors name the flag or the key.
 
 Exit codes: 0 success, 1 an ``--out`` file that cannot be written, 2 invalid
 configuration, 3 numerical failure (including running out of memory).
@@ -55,9 +56,9 @@ _FLAGS = {
     "n_list": _Flag("--n-list", None, "comma-separated ascending degrees"),
     "t": _Flag("--t", float, "largest step parameter (<= 0.125)"),
     "lam": _Flag("--lambda", float, "step-weight power in [0,1]"),
-    "u": _Flag("--u", float, "left endpoint moment power (scan 1)"),
-    "v": _Flag("--v", float, "right endpoint moment power (scan 1)"),
-    "beta": _Flag("--beta", float, "moment power (scan 6)"),
+    "u": _Flag("--u", float, "left endpoint moment power"),
+    "v": _Flag("--v", float, "right endpoint moment power"),
+    "beta": _Flag("--beta", float, "moment power"),
 }
 
 
@@ -110,14 +111,12 @@ def _load_config(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace, name: str, extra: list[str]) -> SimpleNamespace:
     """Merge flag values over config-file values over entry ``name``'s
-    defaults, each given value parsed by ``_parse_value``.  A flag or file
-    key the entry does not read is refused, and so is each argument the
-    parser left over (``extra``)."""
+    defaults, each given value parsed by ``_parse_value``.  Each argument
+    the entry's parser left over (``extra``), a flag it does not read
+    among them, is refused, and so is each file key it does not read."""
+    if extra:
+        raise DomainError(f"arguments not used by {name!r}: {extra}")
     reads = _COMMANDS[name].reads
-    unread = [_FLAGS[key].spelling for key in _FLAGS
-              if key not in reads and getattr(args, key, None) is not None]
-    if unread or extra:
-        raise DomainError(f"arguments not used by {name!r}: {unread + extra}")
     cfg = _load_config(args.config) if args.config else {}
     unknown = sorted(set(cfg) - set(reads))
     if unknown:
@@ -200,7 +199,6 @@ _COMMON = {"xi": 0.513, "alpha": 1.0, "grid": 2001, "format": "csv", "out": None
 _SWEEP = {**_COMMON, "r": 2, "function": "singular_power:beta=0.5",
           "n_list": (32, 64, 128, 256, 512, 1024)}
 _LEMMA = {**_COMMON, "n_list": (64, 128, 256, 512, 1024, 2048, 4096)}
-_LEMMA_HELP = "bound scans for the supporting estimates"
 
 _COMMANDS = {
     "coeffs": _Command("print the combination coefficients", {"r": 2, "n": 32}, _coeffs),
@@ -215,14 +213,15 @@ _COMMANDS = {
         "weighted modulus along a halving t ladder",
         {**_COMMON, "r": 2, "function": "singular_power:beta=0.5", "t": 0.125},
         _on_grid(_modulus)),
-    "lemma 1": _Command(_LEMMA_HELP, {**_LEMMA, "u": 1.0, "v": 0.0}, _on_grid(
-        lambda ns, grid: lemma1_scan(ns.u, ns.v, ns.n_list, grid))),
-    "lemma 3": _Command(_LEMMA_HELP, {**_LEMMA, "r": 2, "function": "smooth_sin:freq=1"},
-                        _on_grid(_lemma3)),
-    "lemma 5": _Command(_LEMMA_HELP, _LEMMA, _on_grid(
+    "lemma 1": _Command("endpoint moment sum over its bound", {**_LEMMA, "u": 1.0, "v": 0.0},
+                        _on_grid(lambda ns, grid: lemma1_scan(ns.u, ns.v, ns.n_list, grid))),
+    "lemma 3": _Command("weighted error of the patch interpolant",
+                        {**_LEMMA, "r": 2, "function": "smooth_sin:freq=1"}, _on_grid(_lemma3)),
+    "lemma 5": _Command("weighted basis sum over the centre window", _LEMMA, _on_grid(
         lambda ns, grid: lemma5_scan(grid.weight, ns.n_list, grid))),
-    "lemma 6": _Command(_LEMMA_HELP, {**_LEMMA, "beta": 2.0}, _on_grid(
-        lambda ns, grid: lemma6_scan(ns.beta, grid.weight, ns.n_list, grid))),
+    "lemma 6": _Command(
+        "centre-window moment sum over its bound", {**_LEMMA, "beta": 2.0},
+        _on_grid(lambda ns, grid: lemma6_scan(ns.beta, grid.weight, ns.n_list, grid))),
 }
 
 
@@ -246,23 +245,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weighted Bernstein combination experiments around an "
                     "interior algebraic singularity.")
     subs = parser.add_subparsers(dest="command", required=True)
+    scans = {}  # command -> the sub-parsers of its scans
     for name, entry in _COMMANDS.items():
         command, _, which = name.partition(" ")
-        sub = subs.choices.get(command)
-        if sub is None:
-            # no prefixes: "approx --n 32" would read as --n-list
-            sub = subs.add_parser(command, help=entry.help, allow_abbrev=False)
-            if which:
-                scans = [n.partition(" ")[2] for n in _COMMANDS if n.startswith(command + " ")]
-                sub.add_argument("which", choices=scans, help="which estimate to scan")
-            sub.add_argument("--config", help="JSON file supplying flag values")
-            # argparse takes only -N and -N.N for negative numbers and reads
-            # "--u -1e3" or "--u -inf" as a flag without its value
-            sub._negative_number_matcher = SimpleNamespace(match=_negative_number)
+        if which and command not in scans:
+            scans[command] = subs.add_parser(
+                command, help="bound scans for the supporting estimates").add_subparsers(
+                dest="which", required=True, help="which estimate to scan")
+        # no prefixes: "approx --n 32" would read as --n-list
+        sub = (scans[command] if which else subs).add_parser(
+            which or command, help=entry.help, allow_abbrev=False)
+        sub.add_argument("--config", help="JSON file supplying flag values")
+        # argparse takes only -N and -N.N for negative numbers and reads
+        # "--u -1e3" or "--u -inf" as a flag without its value
+        sub._negative_number_matcher = SimpleNamespace(match=_negative_number)
         for key in entry.reads:
-            flag = _FLAGS[key]
-            if flag.spelling not in sub._option_string_actions:
-                sub.add_argument(flag.spelling, dest=key, help=flag.help)
+            sub.add_argument(_FLAGS[key].spelling, dest=key, help=_FLAGS[key].help)
     return parser
 
 

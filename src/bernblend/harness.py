@@ -332,11 +332,7 @@ def lemma6_scan(beta: float, weight: Weight, n_list,
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else repr(value)
 
 
 def render_report(report: RateReport, fmt: str) -> str:

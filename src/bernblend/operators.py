@@ -15,12 +15,6 @@ where dm_k is the m-th forward lattice difference of the samples with
 step 1/n.  ``lattice_derivative`` builds h: the alternating differences
 summed with a compensated (TwoSum) cascade, times the falling factorial
 n!/(n-m)! rounded once to a double.
-
-The blended samples of a degree depend only on (degree, r, weight), not on
-the ladder they serve.  So the harness's one sweep applies each distinct
-ladder degree once, all of its sample sets in one ``_row_sums`` call, and
-combines each n from those applies through ``combine_applied``, the same
-arithmetic as ``modified_operator`` and ``operator_derivative_2r``.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -523,14 +524,15 @@ class TestExitCodes:
         assert err.count("\n") == 1 and named in err, err
 
     @pytest.mark.parametrize("argv, line", [
-        (["lemma", "1", "--function", "bogus"], "'lemma 1': ['--function']"),
+        (["lemma", "1", "--function", "bogus"], "'lemma 1': ['--function', 'bogus']"),
         (["approx", "--t", "0.1"], "'approx': ['--t', '0.1']"),
         (["approx", "--t=0.1", "5"], "'approx': ['--t=0.1', '5']"),
         (["coeffs", "--xi", "0.3", "--u", "1"], "'coeffs': ['--xi', '0.3', '--u', '1']"),
+        (["lemma", "5", "--beta", "2"], "'lemma 5': ['--beta', '2']"),
     ])
     def test_unread_arguments_listed(self, capsys, argv, line):
-        # flags of another command or scan are named, and whatever no flag
-        # of the command takes is listed as given
+        # whatever no flag of the command (for lemma, its scan) takes is
+        # listed as given, a flag of another command with its value
         assert run(capsys, argv) == (2, "", f"error: arguments not used by {line}\n")
 
     @pytest.mark.parametrize("argv, line", [
@@ -569,6 +571,15 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert out.startswith("usage: bernblend")
 
+    @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+    def test_help_lists_the_flags_read(self, capsys, name):
+        # each command and lemma scan advertises the flags it reads, no others
+        code, out, err = run_or_exit(capsys, name.split() + ["--help"])
+        assert (code, err) == (0, "")
+        flags = {cli._FLAGS[key].spelling for key in cli._COMMANDS[name].reads}
+        listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out))
+        assert listed == flags | {"-h", "--help", "--config"}
+
     @pytest.mark.skipif(resource is None or not os.path.exists("/proc/self/status"),
                         reason="needs the resource module and /proc/self/status")
     def test_out_of_memory_exits_3(self):
@@ -601,6 +612,17 @@ class TestExitCodes:
             code, out, err = run(capsys, argv)
             assert (code, err) == (0, ""), argv
             assert out
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("workload", ["singular-sweep", "basis-layer"])
+    def test_benchmark_commands_parse(self, monkeypatch, workload, seed):
+        # the benchmark's CLI check counts a failed operation for an argv
+        # that the parser leaves arguments of or that does not resolve
+        inputs = load_by_path(monkeypatch, ROOT / "perfbench" / "inputs.py")
+        for name, argv in inputs.cli_commands(inputs.make_inputs(workload, seed)).items():
+            args, extra = cli.build_parser().parse_known_args(argv)
+            assert extra == [], argv
+            cli._resolve(args, name, extra)
 
     @pytest.mark.parametrize("argv", [["approx"], ["modulus"], ["lemma", "5"]])
     def test_weight_underflow(self, capsys, argv):
@@ -822,3 +844,12 @@ def test_digest_runs_every_command(monkeypatch):
     digest = load_by_path(monkeypatch, ROOT / "scripts" / "cli_digest.py")
     runs = {" ".join(argv) for argv in digest.RUNS}
     assert set(cli._COMMANDS) <= runs
+
+
+def test_saved_digests_list_every_run(monkeypatch):
+    # scripts/cli_digests.txt, the saved output of scripts/cli_digest.py,
+    # holds one line per run, in the order the script runs them
+    digest = load_by_path(monkeypatch, ROOT / "scripts" / "cli_digest.py")
+    lines = (ROOT / "scripts" / "cli_digests.txt").read_text().splitlines()
+    assert [ln.partition("  ")[2] for ln in lines] == [
+        " ".join(argv) for argv in digest.RUNS + digest.FAILING]
