@@ -30,6 +30,7 @@ _KINDS = {
     "singular_osc": ({"beta": 0.0, "freq": 1.0}, lambda x, p, xi: (
         (d := _checked_distance(x, xi)) ** -p["beta"] * np.sin(1.0 / d + p["freq"]))),
 }
+# singular kinds refuse x this near xi; the evaluation grid leaves those x out
 _SINGULAR_EXCLUSION = 1e-12
 
 DEFAULT_KEYS = (

@@ -233,6 +233,13 @@ def check_bernstein_inequality(config: SweepConfig, lam: float) -> RateReport:
     return build_report(config.n_list, values, {"lambda": lam})
 
 
+def _scan(n_list, value: Callable, extras: Mapping[str, object] | None = None) -> RateReport:
+    """A lemma scan's report: for each n of ``n_list`` in order, the
+    ``_weighted_max`` of the (points, weighted values) that ``value(n)`` returns."""
+    ns = check_n_list(n_list)
+    return build_report(ns, [_weighted_max(*value(n)) for n in ns], extras)
+
+
 def _interior_points(grid: EvaluationGrid, n: int) -> np.ndarray:
     """The grid points in [1/n, 1 - 1/n]; DomainError if there are none."""
     xs = grid.points[(grid.points >= 1.0 / n) & (grid.points <= 1.0 - 1.0 / n)]
@@ -250,9 +257,8 @@ def lemma1_scan(u: float, v: float, n_list, grid: EvaluationGrid) -> RateReport:
     """
     if not (0.0 <= u < math.inf and 0.0 <= v < math.inf):
         raise DomainError(f"u and v must be finite and nonnegative, got {u!r}, {v!r}")
-    n_list = check_n_list(n_list)
-    values = []
-    for n in n_list:
+
+    def value(n):
         xs = _interior_points(grid, n)
         kn = np.arange(1, n) / n
         with np.errstate(over="ignore"):
@@ -262,23 +268,21 @@ def lemma1_scan(u: float, v: float, n_list, grid: EvaluationGrid) -> RateReport:
             raise DomainError(f"u={u!r}, v={v!r}: the weights x^-u (1-x)^-v "
                               f"overflow at n={n}")
         lhs, = _row_sums(n, xs, [coef], 1)
-        values.append(float(np.max(lhs / bound)))
-    return build_report(n_list, values, {"u": u, "v": v})
+        return xs, lhs / bound
+    return _scan(n_list, value, {"u": u, "v": v})
 
 
 def lemma3_decay(r: int, f: Callable, n_list, grid: EvaluationGrid) -> RateReport:
     """Sup over the patch window, weighted by the grid's weight, of f minus
     its node interpolant."""
-    n_list = check_n_list(n_list)
-    values = []
-    for n in n_list:
+    def value(n):
         spec = BlendSpec(n, r, grid.weight)
         b = spec.breaks
         xs = grid.points[(grid.points >= b[0]) & (grid.points <= b[3])]
         # a copy: f may hand back a buffer that its next call refills
         gap = evaluate(f, xs).copy() - lagrange_interpolant(f, spec.nodes, xs)
-        values.append(_weighted_max(xs, grid.weight(xs) * gap))
-    return build_report(n_list, values)
+        return xs, grid.weight(xs) * gap
+    return _scan(n_list, value)
 
 
 def _center_window(n: int, xi: float) -> tuple[int, int]:
@@ -289,15 +293,12 @@ def _center_window(n: int, xi: float) -> tuple[int, int]:
 
 def lemma5_scan(weight: Weight, n_list, grid: EvaluationGrid) -> RateReport:
     """Max over the grid of w(x) * sum of the basis over |k - n xi| <= sqrt(n)."""
-    n_list = check_n_list(n_list)
-    values = []
-    for n in n_list:
+    def value(n):
         lo, hi = _center_window(n, weight.xi)
         # unit weights: the window's basis sum, band by band
         sums, = _row_sums(n, grid.points, [np.ones(hi - lo)], lo)
-        a_n = weight(grid.points) * sums
-        values.append(float(np.max(a_n)))
-    return build_report(n_list, values)
+        return grid.points, weight(grid.points) * sums
+    return _scan(n_list, value)
 
 
 def lemma6_scan(beta: float, weight: Weight, n_list,
@@ -309,9 +310,8 @@ def lemma6_scan(beta: float, weight: Weight, n_list,
     """
     if not 0.0 < beta < math.inf:
         raise DomainError(f"beta must be positive and finite, got {beta!r}")
-    n_list = check_n_list(n_list)
-    values = []
-    for n in n_list:
+
+    def value(n):
         xs = _interior_points(grid, n)
         lo, hi = _center_window(n, weight.xi)
         ks = np.arange(lo, hi)
@@ -327,8 +327,8 @@ def lemma6_scan(beta: float, weight: Weight, n_list,
             d = np.abs(ks[a:b] - n * xs[rows, None]) ** beta
             lhs[rows] = np.multiply(vals, d, out=vals).sum(axis=-1)
         phi_b = (xs * (1.0 - xs)) ** (beta / 2.0)
-        values.append(float(np.max(weight(xs) * lhs / (scale * phi_b))))
-    return build_report(n_list, values, {"beta": beta})
+        return xs, weight(xs) * lhs / (scale * phi_b)
+    return _scan(n_list, value, {"beta": beta})
 
 
 def _cell(value) -> str:

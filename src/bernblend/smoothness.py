@@ -30,9 +30,9 @@ import numpy as np
 from .basis import (_MAX_ORDER, _check_finite, _check_int, _compensated_sum,
                     evaluate)
 from .blend import Weight
+from .catalog import _SINGULAR_EXCLUSION
 from .errors import DomainError
 
-_GRID_EXCLUSION = 1e-12
 _CLUSTER_SPAN = 0.05
 _CLUSTER_FLOOR = 1e-9
 _ENDPOINT_FLOOR = 1e-7
@@ -68,9 +68,9 @@ class EvaluationGrid:
     def __post_init__(self) -> None:
         size, xi = _check_grid_size(self.size), self.weight.xi
         # so that both endpoints stay on the grid
-        if min(xi, 1.0 - xi) <= _GRID_EXCLUSION:
+        if min(xi, 1.0 - xi) <= _SINGULAR_EXCLUSION:
             raise DomainError(f"grid cluster center xi={xi!r} lies within "
-                              f"{_GRID_EXCLUSION} of an endpoint")
+                              f"{_SINGULAR_EXCLUSION} of an endpoint")
         pieces = [np.linspace(0.0, 1.0, size // 2)]
 
         per_side = math.ceil(size / 8)
@@ -90,7 +90,7 @@ class EvaluationGrid:
         pts = np.sort(np.concatenate(pieces))
         pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
         pts = pts[(pts >= 0.0) & (pts <= 1.0)]
-        pts = pts[np.abs(pts - xi) > _GRID_EXCLUSION]
+        pts = pts[np.abs(pts - xi) > _SINGULAR_EXCLUSION]
         pts.flags.writeable = False
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "points", pts)

@@ -511,6 +511,21 @@ class TestLemmaScans:
             outcomes.add(refused)
         assert outcomes == {False, True}
 
+    def test_scan_front(self):
+        # the n list is checked before any value(n), and a non-finite
+        # weighted value is refused with its x, as weighted_norm refuses it
+        calls = []
+        with pytest.raises(DomainError):
+            harness._scan((128, 64), calls.append)
+        assert calls == []
+        xs = np.array([0.25, 0.5, 0.75])
+
+        def value(n):
+            return xs, np.array([1.0, np.inf if n == 128 else 2.0, 0.5])
+        assert harness._scan((64,), value).values == (2.0,)
+        with pytest.raises(SampleError, match=r"x=0\.5\b"):
+            harness._scan((64, 128), value)
+
     def test_lemma1_trivial_case(self, grid513):
         rep = lemma1_scan(0.0, 0.0, (64, 256), grid513)
         assert max(rep.values) <= 1.0 + 1e-12

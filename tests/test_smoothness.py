@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bernblend import (DEFAULT_KEYS, DomainError, EvaluationGrid, SampleError,
-                       Weight, lemma3_decay, make_function, make_grid,
+                       Weight, catalog, lemma3_decay, make_function, make_grid,
                        parse_spec, smoothness, weighted_modulus, weighted_norm)
 
 
@@ -75,7 +75,7 @@ class TestGridOracle:
         # the sort and duplicate mask give np.unique's points, bit for bit
         pts = np.unique(np.concatenate(grid_pieces(xi, size)))
         pts = pts[(pts >= 0.0) & (pts <= 1.0)]
-        want = pts[np.abs(pts - xi) > smoothness._GRID_EXCLUSION]
+        want = pts[np.abs(pts - xi) > catalog._SINGULAR_EXCLUSION]
         got = EvaluationGrid(Weight(xi, 1.0), size).points
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
